@@ -1,0 +1,12 @@
+"""Put the checkout root and the program's ``src/`` on the import path.
+
+Run with ``python -m pytest perfbench/tests`` from the checkout root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
