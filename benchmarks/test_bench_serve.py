@@ -85,9 +85,11 @@ def test_bench_serve_concurrent_coalesced(benchmark, serve_reference):
     """N concurrent clients against one fresh daemon: one evaluation per key.
 
     Gated by ``tools/check_bench_regression.py`` relative to the
-    independent column from the same run; the coalescer counters prove the
-    single-flight (every key dispatched once, the other ``N-1`` requests
-    per key attached to in-flight futures).
+    independent column from the same run.  Single-flight is proven by
+    engine work: every key is computed exactly once (one cache miss per
+    row).  How the other requests split between attaching to an in-flight
+    future and a later dispatch served from the warm cache depends on when
+    each client arrives, so only their sum is asserted.
     """
     handles = []
 
@@ -102,10 +104,11 @@ def test_bench_serve_concurrent_coalesced(benchmark, serve_reference):
         for response in responses:
             assert response.status == "ok"
             assert response.resultset == serve_reference
-        stats = handles[-1].server._sweep_coalescer.stats
+        server = handles[-1].server
+        stats = server._sweep_coalescer.stats
         assert stats.units_requested == SERVE_ROWS * N_CLIENTS
-        assert stats.keys_dispatched == SERVE_ROWS
-        assert stats.keys_coalesced == SERVE_ROWS * (N_CLIENTS - 1)
+        assert stats.keys_dispatched + stats.keys_coalesced == stats.units_requested
+        assert server._spot.cache_info().misses == SERVE_ROWS
     finally:
         for handle in handles:
             handle.stop()

@@ -172,13 +172,14 @@ class EvaluationEngine(Protocol):
 
     @property
     def columnar_enabled(self) -> bool:
-        """Whether :meth:`evaluate_columns` may accept batches.
+        """Whether executors plan this engine's shards as column blocks.
 
         Executors consult this *before* sharding: a columnar-capable engine
         gets its tasks grouped into whole column blocks (one ``(pdn,
         overrides)`` run of units per stretch) and larger minimum chunk
         sizes, because a vectorized pass amortises per-batch overhead that a
-        per-point engine does not have.
+        per-point engine does not have.  It does not gate
+        :meth:`evaluate_columns`, which every chunk is offered.
         """
         ...  # pragma: no cover - protocol
 
@@ -192,9 +193,9 @@ class EvaluationEngine(Protocol):
         order, bit-identical to calling :meth:`evaluate_uncached` per unit
         (the per-point path is the reference oracle; the equivalence suite
         gates the two).  Returning ``None`` -- always, for engines without a
-        vectorized core (the simulation engine), or per batch, when a unit
-        resists columnarisation (patched models, out-of-domain points) --
-        routes the whole batch through the per-point seam instead.
+        batch path, or per batch, when the engine cannot take it (a disabled
+        columnar core, a patched engine seam) -- routes the whole batch
+        through the per-point seam instead.
         """
         ...  # pragma: no cover - protocol
 

@@ -29,6 +29,10 @@ from repro.util.errors import ModelDomainError
 from repro.util.validation import require_positive
 from repro.vr.switching import VRPowerState
 
+#: The Table 2 nominal-power curves, built once: the tables are immutable,
+#: and operating-point constructors run once per simulated phase point.
+DEFAULT_NOMINAL_CURVES = NominalPowerCurves()
+
 
 def conditions_key(conditions: "OperatingConditions") -> tuple:
     """A hashable identity for an operating point (loads normalised to tuple).
@@ -117,7 +121,7 @@ class OperatingConditions:
         Per-domain nominal powers come from the Table 2 nominal-power curves;
         per-domain voltages follow the DVFS operating point the TDP sustains.
         """
-        curves = curves if curves is not None else NominalPowerCurves()
+        curves = curves if curves is not None else DEFAULT_NOMINAL_CURVES
         core_voltage = compute_voltage_for_tdp(tdp_w)
         gfx_voltage = gfx_voltage_for_tdp(tdp_w, workload_type)
         cores_power = curves.cores_power_w(tdp_w, workload_type)
@@ -273,7 +277,7 @@ def peak_domain_powers_w(tdp_w: float, curves: Optional[NominalPowerCurves] = No
     domains is whichever of the CPU-primary or graphics-primary scenarios is
     larger.
     """
-    curves = curves if curves is not None else NominalPowerCurves()
+    curves = curves if curves is not None else DEFAULT_NOMINAL_CURVES
     require_positive(tdp_w, "tdp_w")
     cores = curves.cores_power_w(tdp_w, WorkloadType.CPU_MULTI_THREAD)
     gfx = curves.gfx_power_w(tdp_w, WorkloadType.GRAPHICS)
@@ -301,7 +305,7 @@ def peak_concurrent_compute_power_w(
     and FlexWatts PDNs) are therefore sized for the larger of the two
     scenarios rather than for the sum of the individual peaks.
     """
-    curves = curves if curves is not None else NominalPowerCurves()
+    curves = curves if curves is not None else DEFAULT_NOMINAL_CURVES
     require_positive(tdp_w, "tdp_w")
     llc = curves.llc_power_w(tdp_w, WorkloadType.CPU_MULTI_THREAD)
     cpu_scenario = curves.cores_power_w(tdp_w, WorkloadType.CPU_MULTI_THREAD) + llc

@@ -16,15 +16,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.flexwatts import FlexWattsPdn
 from repro.core.hybrid_vr import PdnMode
+from repro.core.mode_switching import ModeSwitchController
 from repro.core.runtime_estimator import RuntimeInputEstimator
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
-from repro.pdn.base import (
-    OperatingConditions,
-    PdnEvaluation,
-    PowerDeliveryNetwork,
-    conditions_key,
-)
+from repro.pdn.base import OperatingConditions, PdnEvaluation, PowerDeliveryNetwork
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.soc.pmu import PmuTelemetry, PowerManagementUnit
@@ -36,7 +32,6 @@ from repro.workloads.base import WorkloadPhase, WorkloadTrace
 _SIM_PHASES = METRICS.counter("sim.phases")
 _SIM_MODE_SWITCHES = METRICS.counter("sim.mode_switches")
 _SIM_RESIDENCY_GUARD_HITS = METRICS.counter("sim.residency_guard_hits")
-_SIM_PREFILL_BATCHES = METRICS.counter("sim.prefill_batches")
 
 #: Evaluation hook for static PDNs: ``(pdn, conditions) -> PdnEvaluation``.
 #: Lets an external memo cache (a :class:`repro.analysis.pdnspot.PdnSpot`)
@@ -76,6 +71,27 @@ def phase_duration(phase: WorkloadPhase, trace_period_s: float) -> float:
     if phase.duration_s is not None:
         return phase.duration_s
     return phase.residency * trace_period_s
+
+
+#: Memo key of one phase's operating point: ``(tdp, power state, application
+#: ratio, workload type)``; the last two are ``None`` outside active C0.
+PointKey = Tuple[float, PackageCState, Optional[float], Optional[WorkloadType]]
+
+
+def phase_point_key(phase: WorkloadPhase, tdp_w: float) -> PointKey:
+    """The inputs :func:`phase_conditions` reads, as a hashable key.
+
+    Two phases with equal keys map to equal operating points, so a memo over
+    this key builds each point once; it is far cheaper than building the
+    conditions and hashing their loads.
+    """
+    benchmark = phase.benchmark
+    if phase.power_state is PackageCState.C0 and benchmark is not None:
+        return (
+            tdp_w, phase.power_state,
+            benchmark.application_ratio, benchmark.workload_type,
+        )
+    return (tdp_w, phase.power_state, None, None)
 
 
 def telemetry_profile(
@@ -186,68 +202,48 @@ class IntervalSimulator:
         self._evaluation_interval_s = evaluation_interval_s
 
     # ------------------------------------------------------------------ #
-    # Operating-point construction
+    # Operating-point resolution
     # ------------------------------------------------------------------ #
-    def _conditions_for_phase(self, phase: WorkloadPhase) -> OperatingConditions:
-        """Delegate to the module-level mapping at this simulator's TDP."""
-        return phase_conditions(phase, self._tdp_w)
+    def phase_points(
+        self,
+        trace: WorkloadTrace,
+        memo: Dict[PointKey, int],
+        conditions: List[OperatingConditions],
+    ) -> Tuple[List[float], List[int]]:
+        """Each phase's duration and operating-point index in ``conditions``.
 
-    def _phase_duration_s(self, phase: WorkloadPhase) -> float:
-        """Delegate to the module-level mapping at this simulator's period."""
-        return phase_duration(phase, self._trace_period_s)
+        New operating points are appended to ``conditions`` and interned in
+        ``memo`` (keyed by :func:`phase_point_key`), so every distinct point
+        is built once however many phases -- or, with a shared memo, however
+        many traces -- reach it.  Zero-duration phases get index ``-1``.
+
+        A trace whose phases all resolve to zero duration is rejected: it has
+        no simulable time, so every aggregate would silently be zero.
+        """
+        durations_s = [
+            phase_duration(phase, self._trace_period_s) for phase in trace.phases
+        ]
+        if not any(duration > 0.0 for duration in durations_s):
+            raise ConfigurationError(
+                f"trace {trace.name!r} has no phase with a non-zero duration; "
+                "nothing to simulate"
+            )
+        points: List[int] = []
+        for phase, duration_s in zip(trace.phases, durations_s):
+            if duration_s == 0.0:
+                points.append(-1)
+                continue
+            key = phase_point_key(phase, self._tdp_w)
+            index = memo.get(key)
+            if index is None:
+                conditions.append(phase_conditions(phase, self._tdp_w))
+                index = memo[key] = len(conditions) - 1
+            points.append(index)
+        return durations_s, points
 
     # ------------------------------------------------------------------ #
     # Simulation
     # ------------------------------------------------------------------ #
-
-    #: Distinct operating points a trace must reach before the phase batch
-    #: is worth a vectorized pass; short traces stay on the scalar memo.
-    _COLUMNAR_PREFILL_THRESHOLD = 8
-
-    def _prefill_phase_batch(
-        self,
-        pdn: PowerDeliveryNetwork,
-        trace: WorkloadTrace,
-        durations_s: Sequence[float],
-        evaluations: Dict[Tuple[object, ...], PdnEvaluation],
-    ) -> None:
-        """Seed the per-run memo with one vectorized pass over the phases.
-
-        The phase loop batches evaluations by operating point already; for
-        static PDNs on traces with many *distinct* points (DVFS ladders,
-        randomized scenario storms) this computes the whole batch as column
-        arrays instead of one Python call per point.  The columnar kernels
-        are bit-identical to ``pdn.evaluate`` (they share the equivalence
-        oracle), so seeding the memo never changes a simulation result; if
-        the model or any point declines columnarisation, the memo is simply
-        left empty and the loop evaluates per point as before.
-        """
-        distinct: Dict[Tuple[object, ...], OperatingConditions] = {}
-        for index, phase in enumerate(trace.phases):
-            if durations_s[index] == 0.0:
-                continue
-            try:
-                conditions = self._conditions_for_phase(phase)
-            except ConfigurationError:
-                # A malformed phase must fail inside the loop, at its place
-                # in the trace, so callers observe the same partial state a
-                # per-point run would have produced.
-                return
-            distinct.setdefault((None, conditions_key(conditions)), conditions)
-        if len(distinct) < self._COLUMNAR_PREFILL_THRESHOLD:
-            return
-        # Imported lazily: the columnar core lazily imports repro.core in
-        # the other direction, and neither import may run at module load.
-        from repro.pdn.columnar import evaluate_columns
-
-        with obs_trace.span("sim.phase_batch", category="sim",
-                            pdn=pdn.name, points=len(distinct)) as batch_span:
-            results = evaluate_columns(pdn, list(distinct.values()))
-            batch_span.set("columnar", results is not None)
-        if results is not None:
-            _SIM_PREFILL_BATCHES.inc()
-            evaluations.update(zip(distinct.keys(), results))
-
     def run(
         self,
         trace: WorkloadTrace,
@@ -271,9 +267,77 @@ class IntervalSimulator:
         through an external cache (:class:`repro.sim.study.SimEngine` wires
         them to a shared :class:`~repro.analysis.pdnspot.PdnSpot`), so
         operating points repeated *across* traces are also computed once.
+        This per-point path is the reference the engine's batch pass
+        (:meth:`repro.sim.study.SimEngine.evaluate_columns`) is gated against.
+        """
+        conditions: List[OperatingConditions] = []
+        durations_s, points = self.phase_points(trace, {}, conditions)
+        # Per-run memos: the models are pure, so evaluations and mode
+        # predictions depend only on the operating point (plus the forced
+        # mode), never on when in the trace they happen.
+        powers: Dict[Tuple[Optional[PdnMode], int], float] = {}
+        predictions: Dict[int, PdnMode] = {}
 
-        A trace whose phases all resolve to zero duration is rejected: it has
-        no simulable time, so every aggregate would silently be zero.
+        def supply_power(point: int, mode: Optional[PdnMode]) -> float:
+            """One evaluation per distinct (operating point, mode) pair."""
+            key = (mode, point)
+            cached = powers.get(key)
+            if cached is None:
+                at = conditions[point]
+                if mode is not None:
+                    if evaluate_in_mode is not None:
+                        evaluation = evaluate_in_mode(pdn, at, mode)
+                    else:
+                        evaluation = pdn.evaluate_in_mode(at, mode)
+                elif evaluate is not None:
+                    evaluation = evaluate(pdn, at)
+                else:
+                    evaluation = pdn.evaluate(at)
+                cached = powers[key] = evaluation.supply_power_w
+            return cached
+
+        def predict(point: int) -> PdnMode:
+            """One Algorithm-1 prediction per distinct operating point."""
+            cached = predictions.get(point)
+            if cached is None:
+                cached = predictions[point] = pdn.predict_mode(conditions[point])
+            return cached
+
+        adaptive = isinstance(pdn, FlexWattsPdn)
+        return self.replay(
+            trace,
+            pdn.name,
+            durations_s,
+            points,
+            conditions,
+            supply_power,
+            controller=pdn.switch_controller if adaptive else None,
+            predict=predict if adaptive else None,
+            pmu=pmu,
+        )
+
+    def replay(
+        self,
+        trace: WorkloadTrace,
+        pdn_name: str,
+        durations_s: Sequence[float],
+        points: Sequence[int],
+        conditions: Sequence[OperatingConditions],
+        supply_power: Callable[[int, Optional[PdnMode]], float],
+        controller: Optional[ModeSwitchController] = None,
+        predict: Optional[Callable[[int], PdnMode]] = None,
+        pmu: Optional[PowerManagementUnit] = None,
+    ) -> SimulationResult:
+        """Replay resolved phases against per-point power lookups.
+
+        ``durations_s`` and ``points`` come from :meth:`phase_points`;
+        ``supply_power(point, mode)`` returns the supply power at one
+        operating point (``mode`` is ``None`` for static PDNs).  With a
+        ``controller`` (and ``predict``, the Algorithm-1 mode of a point) the
+        run is adaptive: each phase advances the residency clock, a wanted
+        switch the minimum-residency guard allows pays the flow's latency at
+        the pre-switch mode's power, and a vetoed one is counted.  This switch
+        scan is the only per-phase work; every evaluation is a lookup.
         """
         if pmu is None:
             pmu = PowerManagementUnit(tdp_w=self._tdp_w)
@@ -281,74 +345,29 @@ class IntervalSimulator:
             # Satellite bridge: mirror the PMU's telemetry emissions into
             # the trace so per-phase activity shows on the sim timeline.
             obs_trace.attach_pmu_tracing(pmu)
-        durations_s = [self._phase_duration_s(phase) for phase in trace.phases]
-        if not any(duration > 0.0 for duration in durations_s):
-            raise ConfigurationError(
-                f"trace {trace.name!r} has no phase with a non-zero duration; "
-                "nothing to simulate"
-            )
+        emit_telemetry = pmu.has_telemetry_listeners
         result = SimulationResult(
-            pdn_name=pdn.name, trace_name=trace.name, tdp_w=self._tdp_w
+            pdn_name=pdn_name, trace_name=trace.name, tdp_w=self._tdp_w
         )
-        adaptive = isinstance(pdn, FlexWattsPdn)
-        # Per-run memos: the models are pure, so evaluations and mode
-        # predictions depend only on the operating point (plus the forced
-        # mode), never on when in the trace they happen.
-        evaluations: Dict[Tuple[object, ...], PdnEvaluation] = {}
-        predictions: Dict[Tuple[object, ...], PdnMode] = {}
-        if not adaptive and evaluate is None:
-            self._prefill_phase_batch(pdn, trace, durations_s, evaluations)
-
-        def evaluate_point(
-            conditions: OperatingConditions, mode: Optional[PdnMode]
-        ) -> PdnEvaluation:
-            """One evaluation per distinct (operating point, mode) pair."""
-            key = (mode, conditions_key(conditions))
-            cached = evaluations.get(key)
-            if cached is None:
-                if mode is not None:
-                    if evaluate_in_mode is not None:
-                        cached = evaluate_in_mode(pdn, conditions, mode)
-                    else:
-                        cached = pdn.evaluate_in_mode(conditions, mode)
-                elif evaluate is not None:
-                    cached = evaluate(pdn, conditions)
-                else:
-                    cached = pdn.evaluate(conditions)
-                evaluations[key] = cached
-            return cached
-
-        def predict_point(conditions: OperatingConditions) -> PdnMode:
-            """One Algorithm-1 prediction per distinct operating point."""
-            key = conditions_key(conditions)
-            cached = predictions.get(key)
-            if cached is None:
-                cached = pdn.predict_mode(conditions)
-                predictions[key] = cached
-            return cached
-
+        records = result.phase_records
         with obs_trace.span("sim.run", category="sim", trace=trace.name,
-                            pdn=pdn.name, tdp_w=self._tdp_w) as run_span:
+                            pdn=pdn_name, tdp_w=self._tdp_w) as run_span:
             for index, phase in enumerate(trace.phases):
                 duration_s = durations_s[index]
                 if duration_s == 0.0:
                     continue
-                _SIM_PHASES.inc()
-                conditions = self._conditions_for_phase(phase)
+                point = points[index]
                 switched = False
                 mode_name: Optional[str] = None
-                if adaptive:
-                    controller = pdn.switch_controller
+                if controller is not None:
                     controller.advance_time(duration_s)
-                    desired_mode = predict_point(conditions)
+                    desired_mode = predict(point)
                     if desired_mode is not controller.mode:
                         if controller.can_switch():
                             # The switch is performed at the phase boundary,
                             # while the compute domains are idle (the flow
                             # itself forces C6).
-                            previous_power = evaluate_point(
-                                conditions, controller.mode
-                            ).supply_power_w
+                            previous_power = supply_power(point, controller.mode)
                             latency_s = controller.switch_to(desired_mode, pmu=pmu)
                             result.mode_switch_count += 1
                             result.mode_switch_time_s += latency_s
@@ -369,17 +388,19 @@ class IntervalSimulator:
                                 "sim.residency_guard_hit", category="sim",
                                 phase=index, desired=desired_mode.value,
                             )
-                    evaluation = evaluate_point(conditions, controller.mode)
+                    power_w = supply_power(point, controller.mode)
                     mode_name = controller.mode.value
                 else:
-                    evaluation = evaluate_point(conditions, None)
+                    power_w = supply_power(point, None)
                 pmu.advance_time(duration_s)
                 pmu.enter_power_state(phase.power_state)
-                if pmu.has_telemetry_listeners:
+                if emit_telemetry:
                     pmu.emit_telemetry(
-                        RuntimeInputEstimator.estimate_from_conditions(conditions)
+                        RuntimeInputEstimator.estimate_from_conditions(
+                            conditions[point]
+                        )
                     )
-                result.phase_records.append(
+                records.append(
                     PhaseRecord(
                         phase_index=index,
                         power_state=phase.power_state.value,
@@ -389,13 +410,14 @@ class IntervalSimulator:
                             else WorkloadType.IDLE.value
                         ),
                         duration_s=duration_s,
-                        supply_power_w=evaluation.supply_power_w,
-                        energy_j=evaluation.supply_power_w * duration_s,
+                        supply_power_w=power_w,
+                        energy_j=power_w * duration_s,
                         pdn_mode=mode_name,
                         mode_switched=switched,
                     )
                 )
-            run_span.set("phases", len(result.phase_records))
+            _SIM_PHASES.inc(len(records))
+            run_span.set("phases", len(records))
             run_span.set("mode_switches", result.mode_switch_count)
         return result
 

@@ -38,7 +38,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.executor import ExecutorLike, TwoTierCacheMixin, make_executor
+from repro.analysis.executor import (
+    ExecutorLike,
+    SerialExecutor,
+    TwoTierCacheMixin,
+    make_executor,
+)
 from repro.analysis.pdnspot import CacheInfo, PdnSpot
 from repro.cache import (
     DiskCache,
@@ -53,13 +58,19 @@ from repro.core.flexwatts import FlexWattsPdn
 from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_switching import ModeSwitchController
 from repro.obs import trace as obs_trace
+from repro.obs.metrics import METRICS
 from repro.obs.runstats import RunStats, executor_label
+from repro.pdn import columnar as columnar_core
 from repro.pdn.base import OperatingConditions, PdnEvaluation, conditions_key
 from repro.power.parameters import PdnTechnologyParameters
 from repro.sim.adapters import simulation_record
-from repro.sim.engine import IntervalSimulator, SimulationResult
+from repro.sim.engine import IntervalSimulator, PointKey, SimulationResult
 from repro.util.errors import ConfigurationError
+from repro.workloads.base import WorkloadTrace
 from repro.workloads.scenarios import DEFAULT_SEED, build_scenario_trace, get_scenario
+
+#: One tick per :meth:`SimEngine.evaluate_columns` batch.
+_SIM_PREFILL_BATCHES = METRICS.counter("sim.prefill_batches")
 
 
 @dataclass(frozen=True)
@@ -258,6 +269,82 @@ def _copy_result(result: SimulationResult) -> SimulationResult:
     list copy suffices.
     """
     return replace(result, phase_records=list(result.phase_records))
+
+
+class _ModeTable:
+    """Supply power of one FlexWatts variant at a batch's points, by mode.
+
+    Every point's Algorithm-1 mode is predicted up front, and the point is
+    evaluated in that mode: from the engine's cross-run mode memo when it is
+    there, otherwise in one columnar pass per mode (per point if the model
+    declines columns).  The other mode is needed only at residency-guard
+    vetoes and switch-energy lookups; it comes from the engine's per-point
+    hook on demand.  :meth:`commit` installs into the memo exactly the
+    predicted-mode evaluations the replays read, so the memo grows as the
+    per-unit path would have grown it.
+    """
+
+    def __init__(
+        self,
+        engine: "SimEngine",
+        overrides: OverrideKey,
+        conditions: Sequence[OperatingConditions],
+        points: Sequence[int],
+    ):
+        self._pdn = pdn = FlexWattsPdn(
+            parameters=engine._parameters_for(overrides),
+            predictor=engine._predictor_for(overrides),
+        )
+        self._conditions = conditions
+        self._overrides = overrides
+        self._hook = engine._make_mode_evaluator(overrides)
+        self._memo = engine._mode_evaluations if engine.cache_enabled else None
+        #: Algorithm-1 mode of every point (the replay's ``predict``).
+        self.modes: Dict[int, PdnMode] = {
+            point: pdn.predict_mode(conditions[point]) for point in points
+        }
+        self._predicted: Dict[int, PdnEvaluation] = {}
+        pending: Dict[PdnMode, List[int]] = {}
+        for point, mode in self.modes.items():
+            cached = None
+            if self._memo is not None:
+                cached = self._memo.get(self._memo_key(point, mode))
+            if cached is None:
+                pending.setdefault(mode, []).append(point)
+            else:
+                self._predicted[point] = cached
+        for mode, group in pending.items():
+            at = [conditions[point] for point in group]
+            evaluations = columnar_core.evaluate_columns(pdn, at, mode=mode)
+            if evaluations is None:
+                evaluations = [pdn.evaluate_in_mode(c, mode) for c in at]
+            self._predicted.update(zip(group, evaluations))
+        self._read: Dict[Tuple[PdnMode, int], PdnEvaluation] = {}
+
+    def _memo_key(self, point: int, mode: PdnMode) -> Tuple[object, ...]:
+        return (self._overrides, mode, conditions_key(self._conditions[point]))
+
+    def supply_power(self, point: int, mode: PdnMode) -> float:
+        """Supply power at one point in ``mode`` (the replay's lookup)."""
+        key = (mode, point)
+        evaluation = self._read.get(key)
+        if evaluation is None:
+            if mode is self.modes[point]:
+                evaluation = self._predicted[point]
+            elif self._hook is not None:
+                evaluation = self._hook(self._pdn, self._conditions[point], mode)
+            else:
+                evaluation = self._pdn.evaluate_in_mode(self._conditions[point], mode)
+            self._read[key] = evaluation
+        return evaluation.supply_power_w
+
+    def commit(self) -> None:
+        """Install the predicted-mode evaluations the replays read."""
+        if self._memo is None:
+            return
+        for (mode, point), evaluation in self._read.items():
+            if mode is self.modes[point]:
+                self._memo.setdefault(self._memo_key(point, mode), evaluation)
 
 
 class SimEngine(TwoTierCacheMixin):
@@ -487,35 +574,114 @@ class SimEngine(TwoTierCacheMixin):
 
     @property
     def columnar_enabled(self) -> bool:
-        """Always ``False``: simulations do not columnarise.
+        """Always ``False``: executors keep per-unit shard planning.
 
-        A simulation unit is a stateful trace replay (mode-switch
-        controllers, PMU telemetry, residency guards), not a pure function
-        of column arrays; the vectorization this engine *does* get is
-        inside each replay, where the interval simulator batches phase
-        evaluations per operating point and the backing analytic engine
-        evaluates them through the columnar core.
+        The flag asks executors to regroup tasks into ``(pdn, overrides)``
+        column blocks of at least
+        :data:`~repro.analysis.executor.MIN_COLUMNAR_CHUNK` units.  One
+        simulation unit is a whole trace replay, so that cap would collapse
+        any realistic grid into one shard; simulations keep the historical
+        plan (input order, up to ``jobs`` chunks), and :meth:`evaluate_columns`
+        still takes every chunk as one batch.
         """
         return False
 
     def evaluate_columns(
         self, units: Sequence[Tuple[str, SimPoint, OverrideKey]]
     ) -> Optional[List[SimulationResult]]:
-        """Decline every batch (see :attr:`columnar_enabled`)."""
-        return None
+        """Simulate a batch of units in one pass over their distinct phase points.
 
-    def _evaluate_cached(
-        self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()
-    ) -> SimulationResult:
-        """Simulate one scenario on one PDN through the memo cache."""
-        if not self._cache_enabled:
-            return self.evaluate_uncached(pdn_name, point, overrides)
-        key = self.cache_key(pdn_name, point, overrides)
-        cached = self.cache_lookup(key)
-        if cached is not None:
-            return cached
-        result = self.evaluate_uncached(pdn_name, point, overrides)
-        return self.cache_install(key, result)
+        1. Each ``(scenario, seed)`` trace is built once, and every
+           non-zero-duration phase is mapped to its operating point through a
+           memo that lives only for this batch.
+        2. Every static-PDN point goes through one
+           :meth:`PdnSpot.evaluate_units` call: columnar, counted by the
+           phase-level cache and written through to its disk tier.
+        3. Each FlexWatts point is evaluated, in columns, in the mode the
+           Algorithm-1 predictor picks for it (:class:`_ModeTable`).
+        4. Every trace is replayed against these tables
+           (:meth:`IntervalSimulator.replay`); only the switch scan loops.
+
+        Results are in unit order and bit-identical to
+        :meth:`evaluate_uncached` per unit.
+        """
+        unit_list = list(units)
+        if not unit_list:
+            return []
+        with obs_trace.span("sim.phase_batch", category="sim",
+                            units=len(unit_list)) as batch_span:
+            traces: Dict[Tuple[str, int], WorkloadTrace] = {}
+            memo: Dict[PointKey, int] = {}
+            conditions: List[OperatingConditions] = []
+            plans = []
+            for _, point, _ in unit_list:
+                ident = (point.scenario, point.seed)
+                trace = traces.get(ident)
+                if trace is None:
+                    trace = traces[ident] = build_scenario_trace(
+                        point.scenario, seed=point.seed
+                    )
+                simulator = IntervalSimulator(
+                    tdp_w=point.tdp_w, trace_period_s=point.trace_period_s
+                )
+                plans.append(
+                    (simulator, trace, *simulator.phase_points(trace, memo, conditions))
+                )
+            tables = self._phase_tables(unit_list, plans, conditions)
+            batch_span.set("points", len(conditions))
+        _SIM_PREFILL_BATCHES.inc()
+        results: List[SimulationResult] = []
+        for (name, _, overrides), plan in zip(unit_list, plans):
+            simulator, trace, durations_s, points = plan
+            table = tables[(name, overrides)]
+            if isinstance(table, _ModeTable):
+                result = simulator.replay(
+                    trace, name, durations_s, points, conditions,
+                    table.supply_power,
+                    controller=ModeSwitchController(),
+                    predict=table.modes.__getitem__,
+                )
+            else:
+                result = simulator.replay(
+                    trace, name, durations_s, points, conditions,
+                    lambda point, mode, powers=table: powers[point],
+                )
+            results.append(result)
+        for table in tables.values():
+            if isinstance(table, _ModeTable):
+                table.commit()
+        return results
+
+    def _phase_tables(
+        self,
+        unit_list: Sequence[Tuple[str, SimPoint, OverrideKey]],
+        plans: Sequence[Tuple[object, ...]],
+        conditions: Sequence[OperatingConditions],
+    ) -> Dict[Tuple[str, OverrideKey], object]:
+        """Per ``(pdn, overrides)``: the power of every point its traces reach.
+
+        Static PDNs get a ``{point: supply power}`` dict, all filled by one
+        analytic-engine call; FlexWatts variants get a :class:`_ModeTable`.
+        """
+        wanted: Dict[Tuple[str, OverrideKey], Dict[int, None]] = {}
+        for (name, _, overrides), plan in zip(unit_list, plans):
+            wanted.setdefault((name, overrides), {}).update(dict.fromkeys(plan[3]))
+        for points in wanted.values():
+            points.pop(-1, None)  # zero-duration phases reach no point
+        static = [key for key in wanted if key[0] != FlexWattsPdn.name]
+        evaluations = iter(self._spot.evaluate_units(
+            (name, conditions[point], overrides)
+            for name, overrides in static
+            for point in wanted[(name, overrides)]
+        ))
+        tables: Dict[Tuple[str, OverrideKey], object] = {
+            key: {point: next(evaluations).supply_power_w for point in wanted[key]}
+            for key in static
+        }
+        for key, points in wanted.items():
+            if key[0] == FlexWattsPdn.name:
+                tables[key] = _ModeTable(self, key[1], conditions, list(points))
+        return tables
 
     def evaluate(
         self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()
@@ -525,18 +691,14 @@ class SimEngine(TwoTierCacheMixin):
         The public single-point entry, mirroring :meth:`PdnSpot.evaluate`;
         for many points use :meth:`evaluate_units`.
         """
-        return self._evaluate_cached(pdn_name, point, overrides)
-
-    def evaluate_cached(
-        self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()
-    ) -> SimulationResult:
-        """Thin alias of :meth:`evaluate` (the historical spelling).
-
-        Retained so pre-consolidation callers keep working; new code should
-        call :meth:`evaluate` for one point or :meth:`evaluate_units` for a
-        batch.
-        """
-        return self._evaluate_cached(pdn_name, point, overrides)
+        if not self._cache_enabled:
+            return self.evaluate_uncached(pdn_name, point, overrides)
+        key = self.cache_key(pdn_name, point, overrides)
+        cached = self.cache_lookup(key)
+        if cached is not None:
+            return cached
+        result = self.evaluate_uncached(pdn_name, point, overrides)
+        return self.cache_install(key, result)
 
     # ------------------------------------------------------------------ #
     # Lazily built, override-keyed shared state
@@ -600,17 +762,15 @@ class SimEngine(TwoTierCacheMixin):
         """Simulate ``(pdn_name, point, overrides)`` units, in order.
 
         Exactly the contract of :meth:`PdnSpot.evaluate_units` (the single
-        public batch entry point of every engine): the default serial path
-        memoises each unit on the calling thread; a parallel backend
-        deduplicates, shards, merges worker results back into this engine's
-        memo cache and returns the results in canonical unit order.
+        public batch entry point of every engine): every backend --
+        the default serial one included -- deduplicates, serves cached units,
+        hands the misses to :meth:`evaluate_columns` chunk by chunk, merges
+        the results back into this engine's memo cache and returns them in
+        canonical unit order.
         """
         backend = make_executor(executor, jobs=jobs)
         if backend is None:
-            return [
-                self._evaluate_cached(name, point, overrides)
-                for name, point, overrides in units
-            ]
+            backend = SerialExecutor(jobs=1)
         return backend.evaluate_units(self, units)
 
     def run(

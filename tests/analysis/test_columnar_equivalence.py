@@ -22,8 +22,9 @@ from repro.pdn.base import OperatingConditions
 from repro.pdn.registry import build_pdn
 from repro.power.domains import WorkloadType
 from repro.power.power_states import BATTERY_LIFE_STATES
-from repro.sim.engine import IntervalSimulator
+from repro.obs.metrics import METRICS
 from repro.sim.study import SimEngine, SimPoint
+from repro.workloads.scenarios import available_scenarios
 
 pytestmark = pytest.mark.skipif(
     not columnar.HAVE_NUMPY, reason="columnar path needs NumPy"
@@ -181,16 +182,48 @@ class TestEngineEquivalence:
 
 
 # --------------------------------------------------------------------------- #
-# Simulation level: the interval simulator's vectorized phase prefill
+# Simulation level: the engine's batch pass over distinct phase points
 # --------------------------------------------------------------------------- #
-class TestSimPrefillEquivalence:
-    @pytest.mark.parametrize("pdn_name", ["MBVR", "FlexWatts"])
-    def test_prefill_matches_scalar_phase_loop(self, pdn_name, monkeypatch):
-        point = SimPoint(scenario="bursty-interactive", tdp_w=18.0)
-        monkeypatch.setattr(IntervalSimulator, "_COLUMNAR_PREFILL_THRESHOLD", 1)
-        prefilled = SimEngine(enable_cache=False).evaluate(pdn_name, point)
-        monkeypatch.setattr(
-            IntervalSimulator, "_COLUMNAR_PREFILL_THRESHOLD", 10**9
-        )
-        scalar = SimEngine(enable_cache=False).evaluate(pdn_name, point)
-        assert prefilled == scalar
+#: The 8 built-in scenarios, pinned at import (tests may register more).
+SIM_SCENARIOS = available_scenarios()
+SIM_TDPS_W = (4.0, 18.0, 50.0)
+
+#: One technology-parameter override set touching static and hybrid models.
+SIM_OVERRIDES = (("flexwatts_loadline_scale", 1.2), ("ivr_tolerance_band_v", 0.03))
+
+
+def _sim_units(overrides):
+    """Every built-in scenario x {4, 18, 50} W x every PDN."""
+    return [
+        (name, SimPoint(scenario=scenario, tdp_w=tdp_w, overrides=overrides), overrides)
+        for scenario in SIM_SCENARIOS
+        for tdp_w in SIM_TDPS_W
+        for name in PDN_NAMES
+    ]
+
+
+@pytest.fixture(scope="module")
+def sim_oracle():
+    """Per-unit ``evaluate_uncached`` results, per override set."""
+    engine = SimEngine(enable_cache=False)
+    return {
+        overrides: [engine.evaluate_uncached(*unit) for unit in _sim_units(overrides)]
+        for overrides in ((), SIM_OVERRIDES)
+    }
+
+
+class TestSimBatchEquivalence:
+    @pytest.mark.parametrize("enable_cache", [True, False], ids=["cache", "no-cache"])
+    @pytest.mark.parametrize("overrides", [(), SIM_OVERRIDES], ids=["default", "overrides"])
+    def test_batch_matches_per_unit_oracle(self, sim_oracle, enable_cache, overrides):
+        batches = METRICS.counter("sim.prefill_batches")
+        before = batches.value
+        results = SimEngine(enable_cache=enable_cache).evaluate_units(_sim_units(overrides))
+        assert batches.value > before
+        assert results == sim_oracle[overrides]
+
+    def test_declined_columns_fall_back_per_point(self, sim_oracle, monkeypatch):
+        monkeypatch.setattr(columnar, "evaluate_columns", lambda *args, **kwargs: None)
+        units = _sim_units(())
+        results = SimEngine().evaluate_units(units)
+        assert results == sim_oracle[()]

@@ -159,9 +159,9 @@ class TestEngineSemantics:
     def test_cached_master_is_caller_isolated(self):
         engine = SimEngine()
         point = SimPoint(scenario="race-to-idle", tdp_w=18.0)
-        first = engine.evaluate_cached("IVR", point, ())
+        first = engine.evaluate("IVR", point, ())
         first.phase_records.clear()
-        second = engine.evaluate_cached("IVR", point, ())
+        second = engine.evaluate("IVR", point, ())
         assert second.phase_records  # unaffected by the caller's mutation
 
     def test_pdn_restriction_and_unknown_pdn(self):
@@ -218,7 +218,7 @@ class TestAdapters:
     def flexwatts_run(self):
         engine = SimEngine()
         point = SimPoint(scenario="bursty-interactive", tdp_w=50.0)
-        return engine.evaluate_cached("FlexWatts", point, ())
+        return engine.evaluate("FlexWatts", point, ())
 
     def test_simulation_record_fields(self, flexwatts_run):
         record = simulation_record(flexwatts_run, {"scenario": "x", "seed": 1})
@@ -232,7 +232,7 @@ class TestAdapters:
 
     def test_static_record_has_no_mode_columns(self):
         engine = SimEngine()
-        run = engine.evaluate_cached(
+        run = engine.evaluate(
             "IVR", SimPoint(scenario="race-to-idle", tdp_w=18.0), ()
         )
         record = simulation_record(run)
