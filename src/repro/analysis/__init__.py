@@ -7,7 +7,7 @@ the multi-dimensional exploration tool the paper describes.
 * :mod:`repro.analysis.pdnspot` -- the :class:`PdnSpot` facade: evaluate,
   compare and sweep PDNs across TDPs, application ratios, workloads and power
   states, through a keyed evaluation cache (:meth:`PdnSpot.run`,
-  :meth:`PdnSpot.evaluate_batch`).
+  :meth:`PdnSpot.evaluate_units`).
 * :mod:`repro.analysis.study` -- the declarative :class:`Study` grid and its
   fluent :class:`StudyBuilder`.
 * :mod:`repro.analysis.executor` -- pluggable execution backends

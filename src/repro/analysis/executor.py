@@ -153,7 +153,7 @@ class EvaluationEngine(Protocol):
         ...  # pragma: no cover - protocol
 
     def cache_lookup(self, key: Tuple[object, ...]) -> Optional[EvalResult]:
-        """A caller-owned copy of a cached result, or ``None`` (hit-counted)."""
+        """The cached result (read-only, shared), or ``None`` (hit-counted)."""
         ...  # pragma: no cover - protocol
 
     def cache_install(self, key: Tuple[object, ...], result: EvalResult) -> EvalResult:
@@ -218,11 +218,13 @@ class TwoTierCacheMixin:
     ``_cache``, ``_cache_lock``, ``_cache_hits``, ``_cache_misses``,
     ``_disk_cache`` -- plus two hooks:
 
-    ``_copy_cached(value)``
-        A caller-owned copy of a cached payload (cached masters are shared).
     ``_payload_type``
         The payload class disk entries must be to count as hits (guards
         against a foreign entry landing at an engine's address).
+    ``_copy_cached(value)``
+        What a lookup hands out for a cached master: a caller-owned copy
+        for mutable payloads, or the shared master itself where payloads
+        are read-only (the analytic engine's evaluations).
 
     Engines whose on-disk address differs from the memo key (the simulation
     engine's trace digest) additionally override :meth:`_disk_key`.
@@ -236,11 +238,11 @@ class TwoTierCacheMixin:
         return key
 
     def _copy_cached(self, value: EvalResult) -> EvalResult:
-        """A caller-owned copy of a cached payload (host engines override)."""
+        """What a lookup hands out for a cached master (host engines override)."""
         raise NotImplementedError  # pragma: no cover - host engines override
 
     def cache_lookup(self, key: Tuple[object, ...]) -> Optional[EvalResult]:
-        """A caller-owned copy of a cached result, or ``None`` (hit-counted).
+        """The cached result (via :meth:`_copy_cached`), or ``None`` (hit-counted).
 
         A memory miss falls through to the attached
         :class:`~repro.cache.DiskCache` (when there is one); a disk hit is
@@ -284,8 +286,8 @@ class TwoTierCacheMixin:
         """Merge one computed result into the cache (counted as a miss).
 
         This is the merge-back half of parallel execution: worker-computed
-        results become shared cache masters and the caller gets the same
-        caller-owned copy a serial miss would have produced.  With a disk
+        results become shared cache masters and the caller gets what a
+        serial miss would have produced (see :meth:`_copy_cached`).  With a disk
         store attached the result is also written through, so later
         processes start warm.
         """
@@ -358,9 +360,6 @@ class WorkerConfig:
             enable_cache=False,
             columnar=self.columnar,
         )
-
-    # Backwards-compatible spelling from when the recipe was PdnSpot-only.
-    build_spot = build_engine
 
 
 # Worker-process state, set once by :func:`_init_worker`.
@@ -452,12 +451,15 @@ class Executor(ABC):
             return []
         results: List[Optional[EvalResult]] = [None] * len(unit_list)
         if engine.cache_enabled:
+            # Each unit's key is built once, here, and reused at merge-back
+            # (by slot) and reassembly.
             primaries: Dict[Tuple[object, ...], int] = {}
             duplicates: List[Tuple[int, Tuple[object, ...]]] = []
             with obs_trace.span("executor.dedupe", category="executor",
                                 backend=self.name) as dedupe_span:
+                cache_key = engine.cache_key
                 for slot, (name, point, overrides) in enumerate(unit_list):
-                    key = engine.cache_key(name, point, overrides)
+                    key = cache_key(name, point, overrides)
                     if key in primaries:
                         duplicates.append((slot, key))
                         continue
@@ -469,15 +471,14 @@ class Executor(ABC):
                 dedupe_span.set("units", len(unit_list))
                 dedupe_span.set("dispatched", len(primaries))
                 dedupe_span.set("duplicates", len(duplicates))
-            tasks: List[Task] = [(slot, *unit_list[slot]) for slot in primaries.values()]
+            keys = {slot: key for key, slot in primaries.items()}
+            tasks: List[Task] = [(slot, *unit_list[slot]) for slot in keys]
             chunks = shard(*self._plan_shards(engine, tasks))
             if self.uses_parent_models or len(chunks) == 1:
                 # Only the dispatched units need their models primed (a fully
                 # warm batch never reaches the workers); the single-chunk case
                 # covers the process backend's in-process fallback.
-                engine.prime_for_execution(
-                    unit_list[slot] for slot in primaries.values()
-                )
+                engine.prime_for_execution(unit_list[slot] for slot in keys)
             with obs_trace.span("executor.dispatch", category="executor",
                                 backend=self.name, jobs=self.jobs,
                                 chunks=len(chunks)):
@@ -486,9 +487,7 @@ class Executor(ABC):
                                         category="executor",
                                         units=len(chunk_result)):
                         for slot, evaluation in chunk_result:
-                            name, point, overrides = unit_list[slot]
-                            key = engine.cache_key(name, point, overrides)
-                            results[slot] = engine.cache_install(key, evaluation)
+                            results[slot] = engine.cache_install(keys[slot], evaluation)
             with obs_trace.span("executor.reassemble", category="executor",
                                 duplicates=len(duplicates)):
                 for slot, key in duplicates:

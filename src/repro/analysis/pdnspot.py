@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import (
@@ -90,29 +90,6 @@ _SCALAR_FALLBACK_BLOCKS = METRICS.counter("engine.scalar_fallback.blocks")
 _SCALAR_FALLBACK_UNITS = METRICS.counter("engine.scalar_fallback.units")
 
 
-def _copy_evaluation(evaluation: PdnEvaluation) -> PdnEvaluation:
-    """A caller-owned copy of a cached evaluation.
-
-    ``PdnEvaluation`` is frozen but its ``breakdown`` (built by mutation
-    inside the PDN models) and ``rail_voltages_v`` are not; handing the cached
-    master to callers would let one caller's mutation corrupt every later
-    cache hit.
-    """
-    breakdown = replace(
-        evaluation.breakdown, rail_details=dict(evaluation.breakdown.rail_details)
-    )
-    return replace(
-        evaluation,
-        breakdown=breakdown,
-        rail_voltages_v=dict(evaluation.rail_voltages_v),
-    )
-
-
-# Backwards-compatible alias: the key helper moved to repro.pdn.base so the
-# interval simulator's phase cache can share it without importing analysis.
-_conditions_key = conditions_key
-
-
 class PdnSpot(TwoTierCacheMixin):
     """Multi-dimensional PDN exploration framework (the paper's PDNspot).
 
@@ -142,8 +119,11 @@ class PdnSpot(TwoTierCacheMixin):
         point.  Results are bit-identical either way (the per-point path is
         the reference oracle gating the columnar kernels); disabling
         reproduces the per-point evaluation cost, which the ``vectorized-
-        eval`` benchmarks compare against.  Requires NumPy; without it the
-        flag silently degrades to per-point evaluation.
+        eval`` benchmarks compare against.
+
+    Evaluations are read-only (:class:`~repro.pdn.base.PdnEvaluation`), so
+    a cache hit returns the cached evaluation itself, shared by every
+    caller, rather than a copy.
     """
 
     def __init__(
@@ -175,7 +155,7 @@ class PdnSpot(TwoTierCacheMixin):
         self._cache_hits = 0
         self._cache_misses = 0
         # Guards the cache mapping, its hit/miss counters and the variant
-        # table: concurrent evaluate_cached calls (ThreadExecutor workers or
+        # table: concurrent evaluate calls (ThreadExecutor workers or
         # user threads) must not lose counter updates or race dict growth.
         self._cache_lock = threading.Lock()
         if disk_cache is not None and not enable_cache:
@@ -188,7 +168,7 @@ class PdnSpot(TwoTierCacheMixin):
             namespace="pdnspot",
             fingerprint=parameters_fingerprint(self.parameters),
         )
-        self._columnar = bool(columnar) and columnar_core.HAVE_NUMPY
+        self._columnar = bool(columnar)
         #: Parameter-override PDN variants, keyed by (overrides, pdn name).
         self._variants: Dict[Tuple[OverrideKey, str], PowerDeliveryNetwork] = {}
 
@@ -247,7 +227,7 @@ class PdnSpot(TwoTierCacheMixin):
         overrides: OverrideKey = (),
     ) -> Tuple[object, ...]:
         """The memo-cache key of one evaluation unit."""
-        return (overrides, pdn_name, _conditions_key(conditions))
+        return (overrides, pdn_name, conditions_key(conditions))
 
     @property
     def disk_cache(self) -> Optional[DiskCache]:
@@ -256,7 +236,11 @@ class PdnSpot(TwoTierCacheMixin):
 
     # Two-tier cache_lookup / cache_install come from TwoTierCacheMixin.
     _payload_type = PdnEvaluation
-    _copy_cached = staticmethod(_copy_evaluation)
+
+    @staticmethod
+    def _copy_cached(evaluation: PdnEvaluation) -> PdnEvaluation:
+        """The shared cached master: evaluations are read-only, so no copy."""
+        return evaluation
 
     def _variant_pdn(self, name: str, overrides: OverrideKey) -> PowerDeliveryNetwork:
         """The PDN instance for one parameter-override set (built once)."""
@@ -308,20 +292,6 @@ class PdnSpot(TwoTierCacheMixin):
         evaluation = self.evaluate_uncached(pdn_name, conditions, overrides)
         return self.cache_install(key, evaluation)
 
-    def evaluate_cached(
-        self,
-        pdn_name: str,
-        conditions: OperatingConditions,
-        overrides: OverrideKey = (),
-    ) -> PdnEvaluation:
-        """Thin alias of :meth:`evaluate` (the historical spelling).
-
-        Retained so pre-consolidation callers keep working; new code should
-        call :meth:`evaluate` for one point or :meth:`evaluate_units` for a
-        batch.
-        """
-        return self._evaluate_cached(pdn_name, conditions, overrides)
-
     # ------------------------------------------------------------------ #
     # Columnar capability (the vectorized half of the engine protocol)
     # ------------------------------------------------------------------ #
@@ -330,7 +300,7 @@ class PdnSpot(TwoTierCacheMixin):
     #: (tests gate concurrency or inject failures by swapping them); a
     #: patched engine declines columnar batches so every unit flows through
     #: the patched seam.
-    _ENGINE_PATCHABLE = ("evaluate_uncached", "_evaluate_cached", "evaluate_cached", "evaluate")
+    _ENGINE_PATCHABLE = ("evaluate_uncached", "_evaluate_cached", "evaluate")
 
     @property
     def columnar_enabled(self) -> bool:
@@ -496,25 +466,6 @@ class PdnSpot(TwoTierCacheMixin):
             ]
         return backend.evaluate_units(self, units)
 
-    def evaluate_batch(
-        self,
-        points: Iterable[Tuple[str, OperatingConditions]],
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
-    ) -> List[PdnEvaluation]:
-        """Thin alias of :meth:`evaluate_units` for override-free points.
-
-        Wraps each ``(pdn_name, conditions)`` pair as a unit with empty
-        overrides and delegates; duplicate points -- which dominate
-        figure-regeneration grids -- are computed once and served from the
-        cache afterwards.
-        """
-        return self.evaluate_units(
-            ((name, conditions, ()) for name, conditions in points),
-            executor=executor,
-            jobs=jobs,
-        )
-
     def run(
         self,
         study: Study,
@@ -551,19 +502,22 @@ class PdnSpot(TwoTierCacheMixin):
         for name in names:
             self.pdn(name)  # fail fast on unknown PDNs
         units: List[EvalUnit] = []
-        for scenario in study.scenarios:
-            conditions = scenario.conditions()
-            units.extend((name, conditions, scenario.overrides) for name in names)
+        with obs_trace.span("engine.grid", category="engine",
+                            scenarios=len(study.scenarios)):
+            for scenario in study.scenarios:
+                conditions = scenario.conditions()
+                units.extend((name, conditions, scenario.overrides) for name in names)
         with obs_trace.span("engine.run", category="engine",
                             study=study.name, units=len(units)):
             evaluations = self.evaluate_units(units, executor=executor, jobs=jobs)
-        records: List[Record] = []
-        cursor = 0
-        for scenario in study.scenarios:
-            paired = list(zip(names, evaluations[cursor : cursor + len(names)]))
-            cursor += len(names)
-            records.extend(scenario_records(scenario, paired))
-        results = ResultSet.from_records(records, name=study.name)
+        with obs_trace.span("engine.assemble", category="engine", units=len(units)):
+            records: List[Record] = []
+            cursor = 0
+            for scenario in study.scenarios:
+                paired = list(zip(names, evaluations[cursor : cursor + len(names)]))
+                cursor += len(names)
+                records.extend(scenario_records(scenario, paired))
+            results = ResultSet.from_records(records, name=study.name)
         after = self.cache_info()
         results.run_stats = RunStats(
             units=len(units),

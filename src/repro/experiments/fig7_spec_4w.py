@@ -42,13 +42,14 @@ def spec_performance_at_4w(
     """
     spot = spot if spot is not None else PdnSpot(pdn_names=list(pdn_names))
     if parallel_requested(executor, jobs):
-        spot.evaluate_batch(
+        spot.evaluate_units(
             (
                 (
                     pdn_name,
                     OperatingConditions.for_active_workload(
                         tdp_w, benchmark.application_ratio, benchmark.workload_type
                     ),
+                    (),
                 )
                 for benchmark in SPEC_CPU2006_BENCHMARKS
                 for pdn_name in pdn_names

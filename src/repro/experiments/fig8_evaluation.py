@@ -22,10 +22,10 @@ the cache across panels too).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.comparison import normalised_metric_table
-from repro.analysis.executor import ExecutorLike, parallel_requested
+from repro.analysis.executor import EvalUnit, ExecutorLike, parallel_requested
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_mapping_table, format_table
 from repro.pdn.base import OperatingConditions
@@ -58,21 +58,21 @@ def prewarm_figure8(
     *distinct* underlying evaluations is assembled here and dispatched as one
     (parallelisable) batch, so the panel loops afterwards run on cache hits.
     """
-    points: List[Tuple[str, OperatingConditions]] = []
+    units: List[EvalUnit] = []
     names = tuple(spot.pdns)
     for benchmark in (*SPEC_CPU2006_BENCHMARKS, *THREEDMARK06_BENCHMARKS):
         for tdp_w in tdps_w:
             conditions = OperatingConditions.for_active_workload(
                 tdp_w, benchmark.application_ratio, benchmark.workload_type
             )
-            points.extend((name, conditions) for name in names)
+            units.extend((name, conditions, ()) for name in names)
     for workload in BATTERY_LIFE_WORKLOADS:
         for state, residency in workload.residencies.items():
             if residency == 0.0:
                 continue
             conditions = OperatingConditions.for_power_state(battery_tdp_w, state)
-            points.extend((name, conditions) for name in names)
-    spot.evaluate_batch(points, executor=executor, jobs=jobs)
+            units.extend((name, conditions, ()) for name in names)
+    spot.evaluate_units(units, executor=executor, jobs=jobs)
 
 
 def spec_performance_sweep(

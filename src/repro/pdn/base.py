@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
-from repro.pdn.losses import LossBreakdown
+from repro.pdn.losses import LossBreakdown, read_only
 from repro.power.domains import (
     DomainKind,
     DomainLoad,
@@ -34,21 +34,54 @@ from repro.vr.switching import VRPowerState
 DEFAULT_NOMINAL_CURVES = NominalPowerCurves()
 
 
-def conditions_key(conditions: "OperatingConditions") -> tuple:
+class ConditionsKey(tuple):
+    """The identity tuple of one operating point, hashed once.
+
+    It equals (and hashes like) the plain tuple it holds, and
+    :func:`repro.cache.canonical_key` renders it as that tuple, so disk
+    addresses do not depend on the wrapper.  The hash is computed at
+    construction: dict operations on cache keys never re-hash the six
+    :class:`DomainLoad` dataclasses and their enums.  Pickling rebuilds the
+    key from its items, so a receiving process rehashes under its own hash
+    seed.
+    """
+
+    def __new__(cls, fields: tuple) -> "ConditionsKey":
+        key = super().__new__(cls, fields)
+        key._hash = tuple.__hash__(key)
+        return key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return ConditionsKey, (tuple(self),)
+
+
+def conditions_key(conditions: "OperatingConditions") -> ConditionsKey:
     """A hashable identity for an operating point (loads normalised to tuple).
 
     Used as (part of) the memo-cache key by every engine that memoises
     evaluations over operating points: :class:`repro.analysis.pdnspot.PdnSpot`
-    and the per-run phase cache of the interval simulator.
+    and the per-run phase cache of the interval simulator.  The key is built
+    once per conditions object whose loads are a tuple (list loads could
+    change under it) and kept on the object; its cached hash never crosses a
+    pickle boundary (see :class:`ConditionsKey`).
     """
-    return (
-        conditions.tdp_w,
-        conditions.application_ratio,
-        conditions.workload_type,
-        conditions.power_state,
-        conditions.board_vr_state,
-        tuple(conditions.loads),
-    )
+    key = conditions.__dict__.get("_key")
+    if key is None:
+        loads = conditions.loads
+        key = ConditionsKey((
+            conditions.tdp_w,
+            conditions.application_ratio,
+            conditions.workload_type,
+            conditions.power_state,
+            conditions.board_vr_state,
+            tuple(loads),
+        ))
+        if type(loads) is tuple:
+            conditions.__dict__["_key"] = key
+    return key
 
 
 @dataclass(frozen=True)
@@ -195,7 +228,11 @@ class PdnEvaluation:
         Total current entering the processor package from the board
         regulators (the line plot of Fig. 5).
     rail_voltages_v:
-        Diagnostic map of rail name to guardbanded rail voltage.
+        Diagnostic map of rail name to guardbanded rail voltage (read-only).
+
+    Evaluations are immutable through their public surface -- the breakdown
+    is frozen and both maps are read-only views -- so the engines hand the
+    same cached object to every caller.
     """
 
     pdn_name: str
@@ -203,7 +240,18 @@ class PdnEvaluation:
     supply_power_w: float
     breakdown: LossBreakdown
     chip_input_current_a: float
-    rail_voltages_v: Dict[str, float] = field(default_factory=dict)
+    rail_voltages_v: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rail_voltages_v", read_only(self.rail_voltages_v))
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A mappingproxy cannot be pickled: ship the plain dict (the same
+        # state earlier versions pickled) and re-wrap it on load.
+        return {**self.__dict__, "rail_voltages_v": dict(self.rail_voltages_v)}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state, rail_voltages_v=read_only(state["rail_voltages_v"]))
 
     @property
     def etee(self) -> float:
@@ -232,7 +280,7 @@ def evaluate_pdn(
 
     Collaborators that accept an injectable evaluator -- the Study engine,
     the performance model, the battery-life workloads -- fall back to this
-    when no cached evaluator (e.g. :meth:`PdnSpot.evaluate_cached`) is wired
+    when no cached evaluator (e.g. :meth:`PdnSpot.evaluate`) is wired
     in.
     """
     return pdn.evaluate(conditions)

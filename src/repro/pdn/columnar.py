@@ -39,7 +39,10 @@ surfaces.  Capability is advertised per instance by :func:`supports_columns`.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.pdn.base import (
     OperatingConditions,
@@ -53,7 +56,7 @@ from repro.pdn.ldo import LDO_UNCORE_RAILS, LdoPdn
 from repro.pdn.losses import LossBreakdown
 from repro.pdn.mbvr import MBVR_RAILS, MbvrPdn
 from repro.power.domains import COMPUTE_DOMAINS, DomainKind
-from repro.util.vecmath import HAVE_NUMPY, exact_exp, exact_pow2, per_unique
+from repro.util.vecmath import exact_exp, exact_pow2, per_unique
 from repro.vr.efficiency_curves import (
     _board_phase_configs,
     default_board_vr,
@@ -61,11 +64,6 @@ from repro.vr.efficiency_curves import (
 )
 from repro.vr.ldo import LowDropoutRegulator
 from repro.vr.switching import VRPowerState
-
-if HAVE_NUMPY:  # pragma: no branch - numpy is part of the baked toolchain
-    import numpy as np
-else:  # pragma: no cover
-    np = None
 
 __all__ = [
     "ColumnarFallback",
@@ -838,9 +836,11 @@ def _materialize(batch, pdn_name, supply, current, loss, rail_voltages):
     detail_rows = _column_dicts(loss.details, n)
     rail_rows = _column_dicts(rail_voltages, n)
     # Construct via __new__ + __dict__ to skip the frozen-dataclass __init__
-    # (object.__setattr__ per field); both classes are plain-__dict__ types
-    # with no __post_init__, so this is equivalent and much faster per lane.
+    # (object.__setattr__ per field, and the copy __post_init__ makes before
+    # wrapping a map read-only -- the per-lane dicts here are fresh), which
+    # is equivalent and much faster per lane.
     new = object.__new__
+    proxy = MappingProxyType
     breakdown_cls = LossBreakdown
     evaluation_cls = PdnEvaluation
     out = []
@@ -857,26 +857,26 @@ def _materialize(batch, pdn_name, supply, current, loss, rail_voltages):
         detail_rows,
         rail_rows,
     ):
-        breakdown = new(breakdown_cls)
-        breakdown.__dict__ = {
-            "on_chip_vr_w": on,
-            "off_chip_vr_w": off,
-            "conduction_compute_w": cc,
-            "conduction_uncore_w": cu,
-            "other_w": other,
-            "rail_details": rail_details,
-        }
-        evaluation = new(evaluation_cls)
-        # Frozen dataclass: plain ``__dict__ = ...`` routes through the
+        # Frozen dataclasses: plain ``__dict__ = ...`` routes through the
         # overridden __setattr__ and raises; updating the dict in place does
         # not.
+        breakdown = new(breakdown_cls)
+        breakdown.__dict__.update(
+            on_chip_vr_w=on,
+            off_chip_vr_w=off,
+            conduction_compute_w=cc,
+            conduction_uncore_w=cu,
+            other_w=other,
+            rail_details=proxy(rail_details),
+        )
+        evaluation = new(evaluation_cls)
         evaluation.__dict__.update(
             pdn_name=pdn_name,
             nominal_power_w=nominal,
             supply_power_w=supply_w,
             breakdown=breakdown,
             chip_input_current_a=current_a,
-            rail_voltages_v=voltages,
+            rail_voltages_v=proxy(voltages),
         )
         append(evaluation)
     return out
@@ -911,13 +911,11 @@ def _evaluate_flexwatts(pdn, batch: ConditionsBatch, mode=None):
 def supports_columns(pdn) -> bool:
     """Whether ``pdn`` can be evaluated through the columnar path.
 
-    Capability requires NumPy, an exactly-known model class, and an
-    unpatched instance (per-instance or class-level replacement of the
+    Capability requires an exactly-known model class and an unpatched
+    instance (per-instance or class-level replacement of the
     evaluation methods routes the instance back to the scalar path so the
     patch is honoured -- the oracle always wins over the fast path).
     """
-    if not HAVE_NUMPY:
-        return False
     cls = type(pdn)
     if cls in _COLUMN_KERNELS:
         if cls.evaluate is not _REFERENCE[cls]:

@@ -27,7 +27,7 @@ from repro.pdn.common import (
     apply_guardbands,
 )
 from repro.pdn.ldo import LdoPdn
-from repro.pdn.losses import LossBreakdown
+from repro.pdn.losses import LossAccumulator
 from repro.power.domains import COMPUTE_DOMAINS, DomainKind
 from repro.power.parameters import PdnTechnologyParameters
 from repro.util.validation import require_positive
@@ -62,7 +62,7 @@ class IMbvrPdn(PowerDeliveryNetwork):
     def evaluate_compute_side(
         self,
         conditions: OperatingConditions,
-        breakdown: LossBreakdown,
+        breakdown: LossAccumulator,
         load_line: Optional[LoadLine] = None,
     ) -> Tuple[float, float, float]:
         """Evaluate the IVR-fed compute domains.
@@ -136,7 +136,7 @@ class IMbvrPdn(PowerDeliveryNetwork):
     # Full PDN evaluation
     # ------------------------------------------------------------------ #
     def evaluate(self, conditions: OperatingConditions) -> PdnEvaluation:
-        breakdown = LossBreakdown()
+        breakdown = LossAccumulator()
         compute_supply_w, compute_current_a, input_rail_v = self.evaluate_compute_side(
             conditions, breakdown
         )
@@ -149,7 +149,7 @@ class IMbvrPdn(PowerDeliveryNetwork):
             pdn_name=self.name,
             nominal_power_w=conditions.nominal_power_w,
             supply_power_w=compute_supply_w + uncore_supply_w,
-            breakdown=breakdown,
+            breakdown=breakdown.freeze(),
             chip_input_current_a=compute_current_a + uncore_current_a,
             rail_voltages_v=rail_voltages,
         )

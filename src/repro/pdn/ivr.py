@@ -24,7 +24,7 @@ from repro.pdn.base import (
     peak_domain_powers_w,
 )
 from repro.pdn.common import apply_guardbands, guardband_loss_w
-from repro.pdn.losses import LossBreakdown
+from repro.pdn.losses import LossAccumulator
 from repro.power.domains import COMPUTE_DOMAINS, DomainKind
 from repro.power.parameters import PdnTechnologyParameters
 from repro.util.validation import require_positive
@@ -57,7 +57,7 @@ class IvrPdn(PowerDeliveryNetwork):
             power_gated_domains=(),  # the IVRs themselves act as power gates
             parameters=params,
         )
-        breakdown = LossBreakdown(other_w=guardband_loss_w(guardbanded))
+        breakdown = LossAccumulator(other_w=guardband_loss_w(guardbanded))
 
         # Second stage: one IVR per domain (Eq. 6).
         input_rail_power_w = 0.0
@@ -115,7 +115,7 @@ class IvrPdn(PowerDeliveryNetwork):
             pdn_name=self.name,
             nominal_power_w=conditions.nominal_power_w,
             supply_power_w=supply_power_w,
-            breakdown=breakdown,
+            breakdown=breakdown.freeze(),
             chip_input_current_a=ll_result.rail_current_a,
             rail_voltages_v={"V_IN": ll_result.rail_voltage_v},
         )

@@ -34,7 +34,7 @@ from repro.pdn.common import (
     group_power_w,
     group_voltage_v,
 )
-from repro.pdn.losses import LossBreakdown
+from repro.pdn.losses import LossAccumulator
 from repro.power.domains import COMPUTE_DOMAINS, DomainKind, WorkloadType
 from repro.power.parameters import PdnTechnologyParameters
 from repro.soc.dvfs import compute_voltage_for_tdp, gfx_voltage_for_tdp
@@ -72,7 +72,7 @@ class LdoPdn(PowerDeliveryNetwork):
     def evaluate_compute_side(
         self,
         conditions: OperatingConditions,
-        breakdown: LossBreakdown,
+        breakdown: LossAccumulator,
         load_line: Optional[LoadLine] = None,
     ) -> Tuple[float, float, float]:
         """Evaluate the LDO-fed compute domains.
@@ -142,7 +142,7 @@ class LdoPdn(PowerDeliveryNetwork):
     # Uncore (SA/IO) board rails, shared with I+MBVR and FlexWatts
     # ------------------------------------------------------------------ #
     def evaluate_uncore_rails(
-        self, conditions: OperatingConditions, breakdown: LossBreakdown
+        self, conditions: OperatingConditions, breakdown: LossAccumulator
     ) -> Tuple[float, float, Dict[str, float]]:
         """Evaluate the dedicated SA and IO board rails.
 
@@ -188,7 +188,7 @@ class LdoPdn(PowerDeliveryNetwork):
     # Full PDN evaluation (Eq. 12)
     # ------------------------------------------------------------------ #
     def evaluate(self, conditions: OperatingConditions) -> PdnEvaluation:
-        breakdown = LossBreakdown()
+        breakdown = LossAccumulator()
         compute_supply_w, compute_current_a, input_rail_v = self.evaluate_compute_side(
             conditions, breakdown
         )
@@ -201,7 +201,7 @@ class LdoPdn(PowerDeliveryNetwork):
             pdn_name=self.name,
             nominal_power_w=conditions.nominal_power_w,
             supply_power_w=compute_supply_w + uncore_supply_w,
-            breakdown=breakdown,
+            breakdown=breakdown.freeze(),
             chip_input_current_a=compute_current_a + uncore_current_a,
             rail_voltages_v=rail_voltages,
         )

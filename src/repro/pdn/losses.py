@@ -10,17 +10,29 @@ Fig. 5 of the paper decomposes the power-conversion loss of each PDN into:
   otherwise idle regulators).
 
 :class:`LossBreakdown` carries that decomposition in watts and can normalise
-it against a nominal power to produce the percentage bars of Fig. 5.
+it against a nominal power to produce the percentage bars of Fig. 5.  It is
+immutable -- evaluations are shared read-only between cache hits -- so the
+scalar models total their losses in a :class:`LossAccumulator` and freeze it
+once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Dict, Mapping
 
 
-@dataclass
+def read_only(mapping: Mapping[str, float]) -> Mapping[str, float]:
+    """A read-only view of ``mapping`` (a private copy unless already one)."""
+    if type(mapping) is MappingProxyType:
+        return mapping
+    return MappingProxyType(dict(mapping))
+
+
+@dataclass(frozen=True)
 class LossBreakdown:
-    """Decomposition of the power lost inside a PDN, in watts."""
+    """Decomposition of the power lost inside a PDN, in watts (immutable)."""
 
     #: Losses inside on-chip regulators (IVRs, LDOs).
     on_chip_vr_w: float = 0.0
@@ -33,8 +45,19 @@ class LossBreakdown:
     #: Guardband losses (tolerance band, power-gate drop) and idle quiescent
     #: power of regulators whose loads are gated.
     other_w: float = 0.0
-    #: Free-form per-rail diagnostic details, keyed by rail name.
-    rail_details: dict = field(default_factory=dict)
+    #: Free-form per-rail diagnostic details, keyed by rail name (read-only).
+    rail_details: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rail_details", read_only(self.rail_details))
+
+    def __getstate__(self) -> Dict[str, object]:
+        # A mappingproxy cannot be pickled: ship the plain dict (the same
+        # state earlier versions pickled) and re-wrap it on load.
+        return {**self.__dict__, "rail_details": dict(self.rail_details)}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state, rail_details=read_only(state["rail_details"]))
 
     @property
     def vr_inefficiency_w(self) -> float:
@@ -78,3 +101,40 @@ class LossBreakdown:
             "conduction_uncore": self.conduction_uncore_w / reference_power_w,
             "other": self.other_w / reference_power_w,
         }
+
+
+class LossAccumulator:
+    """Running loss totals a scalar model builds one :class:`LossBreakdown` from.
+
+    The models add each loss term in their fixed order (float addition is
+    not associative, and the columnar kernels mirror that order), then call
+    :meth:`freeze` once.
+    """
+
+    __slots__ = (
+        "on_chip_vr_w",
+        "off_chip_vr_w",
+        "conduction_compute_w",
+        "conduction_uncore_w",
+        "other_w",
+        "rail_details",
+    )
+
+    def __init__(self, other_w: float = 0.0):
+        self.on_chip_vr_w = 0.0
+        self.off_chip_vr_w = 0.0
+        self.conduction_compute_w = 0.0
+        self.conduction_uncore_w = 0.0
+        self.other_w = other_w
+        self.rail_details: Dict[str, float] = {}
+
+    def freeze(self) -> LossBreakdown:
+        """The immutable breakdown of the totals so far."""
+        return LossBreakdown(
+            on_chip_vr_w=self.on_chip_vr_w,
+            off_chip_vr_w=self.off_chip_vr_w,
+            conduction_compute_w=self.conduction_compute_w,
+            conduction_uncore_w=self.conduction_uncore_w,
+            other_w=self.other_w,
+            rail_details=self.rail_details,
+        )

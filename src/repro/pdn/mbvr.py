@@ -32,7 +32,7 @@ from repro.pdn.common import (
     group_voltage_v,
     guardband_loss_w,
 )
-from repro.pdn.losses import LossBreakdown
+from repro.pdn.losses import LossAccumulator
 from repro.power.domains import DomainKind
 from repro.power.parameters import PdnTechnologyParameters
 from repro.soc.dvfs import compute_voltage_for_tdp, gfx_voltage_for_tdp
@@ -72,7 +72,7 @@ class MbvrPdn(PowerDeliveryNetwork):
             power_gated_domains=tuple(DomainKind),  # Fig. 1(b): all six domains
             parameters=params,
         )
-        breakdown = LossBreakdown(other_w=guardband_loss_w(guardbanded))
+        breakdown = LossAccumulator(other_w=guardband_loss_w(guardbanded))
         peak_powers = peak_domain_powers_w(conditions.tdp_w)
 
         supply_power_w = 0.0
@@ -108,7 +108,7 @@ class MbvrPdn(PowerDeliveryNetwork):
             pdn_name=self.name,
             nominal_power_w=conditions.nominal_power_w,
             supply_power_w=supply_power_w,
-            breakdown=breakdown,
+            breakdown=breakdown.freeze(),
             chip_input_current_a=chip_input_current_a,
             rail_voltages_v=rail_voltages,
         )

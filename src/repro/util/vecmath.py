@@ -22,13 +22,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-try:  # pragma: no cover - exercised implicitly by every columnar test
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain bakes numpy in
-    _np = None
-
-#: Whether the vectorized evaluation core is available at all.
-HAVE_NUMPY = _np is not None
+import numpy as _np
 
 
 def per_unique(values, fn: Callable[[float], float]):

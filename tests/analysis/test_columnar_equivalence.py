@@ -26,10 +26,6 @@ from repro.obs.metrics import METRICS
 from repro.sim.study import SimEngine, SimPoint
 from repro.workloads.scenarios import available_scenarios
 
-pytestmark = pytest.mark.skipif(
-    not columnar.HAVE_NUMPY, reason="columnar path needs NumPy"
-)
-
 PDN_NAMES = ("IVR", "MBVR", "LDO", "I+MBVR", "FlexWatts")
 
 WORKLOAD_TYPES = (

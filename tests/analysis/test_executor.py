@@ -157,7 +157,10 @@ class TestDeterministicOrdering:
     def test_batch_order_follows_points_not_completion(self):
         points = [("LDO", _active_point()), ("IVR", _active_point()), ("MBVR", _active_point(18.0))]
         spot = PdnSpot()
-        evaluations = spot.evaluate_batch(points, executor=_ReversedCompletionExecutor(jobs=3))
+        evaluations = spot.evaluate_units(
+            [(name, conditions, ()) for name, conditions in points],
+            executor=_ReversedCompletionExecutor(jobs=3),
+        )
         assert [e.pdn_name for e in evaluations] == ["LDO", "IVR", "MBVR"]
 
 
@@ -173,7 +176,7 @@ class TestCacheMergeBack:
         info = spot.cache_info()
         assert info.misses == info.size > 0
         # A follow-up serial evaluation of any grid point is a pure hit.
-        spot.evaluate_cached("IVR", _active_point())
+        spot.evaluate("IVR", _active_point())
         after = spot.cache_info()
         assert after.misses == info.misses
         assert after.hits == info.hits + 1
@@ -181,12 +184,12 @@ class TestCacheMergeBack:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_duplicate_points_counted_like_serial(self, backend):
         # Serial accounting for 3 identical points: 1 miss + 2 hits.
-        points = [("IVR", _active_point())] * 3
+        units = [("IVR", _active_point(), ())] * 3
         serial_spot = PdnSpot()
-        serial_spot.evaluate_batch(points)
+        serial_spot.evaluate_units(units)
         serial_info = serial_spot.cache_info()
         spot = PdnSpot()
-        evaluations = spot.evaluate_batch(points, executor=backend, jobs=2)
+        evaluations = spot.evaluate_units(units, executor=backend, jobs=2)
         info = spot.cache_info()
         assert (info.hits, info.misses, info.size) == (
             serial_info.hits,
@@ -196,32 +199,36 @@ class TestCacheMergeBack:
         assert len({e.etee for e in evaluations}) == 1
 
     def test_merged_entries_are_caller_isolated(self):
-        # Mutating a returned evaluation must not corrupt later cache hits
-        # (the merge-back must store masters, not caller-visible objects).
+        # Merged-back masters are shared with every later hit, so a caller
+        # must not be able to change them at all.
         spot = PdnSpot()
-        first = spot.evaluate_batch(
-            [("IVR", _active_point())], executor="thread", jobs=2
+        first = spot.evaluate_units(
+            [("IVR", _active_point(), ())], executor="thread", jobs=2
         )[0]
-        first.rail_voltages_v.clear()
-        second = spot.evaluate_cached("IVR", _active_point())
-        assert second.rail_voltages_v  # unaffected by the caller's mutation
+        with pytest.raises((AttributeError, TypeError)):
+            first.rail_voltages_v.clear()
+        with pytest.raises(TypeError):
+            first.rail_voltages_v["V_IN"] = 0.0
+        second = spot.evaluate("IVR", _active_point())
+        assert second is first
+        assert second.rail_voltages_v
 
 
 # --------------------------------------------------------------------------- #
-# Concurrent evaluate_cached accounting (the CacheInfo lock)
+# Concurrent evaluate accounting (the CacheInfo lock)
 # --------------------------------------------------------------------------- #
 class TestThreadSafeAccounting:
     def test_concurrent_lookups_lose_no_counter_updates(self):
         spot = PdnSpot()
         conditions = _active_point()
-        spot.evaluate_cached("IVR", conditions)  # 1 miss, cache warm
+        spot.evaluate("IVR", conditions)  # 1 miss, cache warm
         calls_per_thread, thread_count = 50, 8
         barrier = threading.Barrier(thread_count)
 
         def hammer():
             barrier.wait()
             for _ in range(calls_per_thread):
-                spot.evaluate_cached("IVR", conditions)
+                spot.evaluate("IVR", conditions)
 
         threads = [threading.Thread(target=hammer) for _ in range(thread_count)]
         for thread in threads:

@@ -1,5 +1,6 @@
 """Tests for the Study/ResultSet query API and the cached evaluation engine."""
 
+import dataclasses
 import json
 
 import pytest
@@ -339,8 +340,9 @@ class TestEvaluationCache:
             4.0, 0.56, WorkloadType.CPU_MULTI_THREAD
         )
         points = [("IVR", conditions), ("IVR", conditions), ("MBVR", conditions)]
-        first = spot.evaluate_batch(points)
-        second = spot.evaluate_batch(points)
+        units = [(name, conditions, ()) for name, conditions in points]
+        first = spot.evaluate_units(units)
+        second = spot.evaluate_units(units)
         assert counter["calls"] == 2  # one per distinct (pdn, conditions)
         assert first[0] == first[1] == second[0]
         info = spot.cache_info()
@@ -358,8 +360,8 @@ class TestEvaluationCache:
         second = OperatingConditions.for_active_workload(
             18.0, 0.56, WorkloadType.CPU_MULTI_THREAD
         )
-        spot.evaluate_cached("IVR", first)
-        spot.evaluate_cached("IVR", second)
+        spot.evaluate("IVR", first)
+        spot.evaluate("IVR", second)
         assert counter["calls"] == 1
 
     def test_caller_mutation_does_not_corrupt_the_cache(self):
@@ -367,17 +369,27 @@ class TestEvaluationCache:
         conditions = OperatingConditions.for_active_workload(
             4.0, 0.56, WorkloadType.CPU_MULTI_THREAD
         )
-        first = spot.evaluate_cached("IVR", conditions)
-        first.breakdown.other_w += 99.0
-        first.rail_voltages_v["injected"] = 1.0
-        second = spot.evaluate_cached("IVR", conditions)
-        assert second.breakdown.other_w == pytest.approx(first.breakdown.other_w - 99.0)
+        first = spot.evaluate("IVR", conditions)
+        reference = spot.evaluate_uncached("IVR", conditions)
+        # Cache hits share one read-only evaluation: a caller's edit cannot
+        # happen at all, rather than being isolated by a copy.
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.breakdown.other_w += 99.0
+        with pytest.raises(TypeError):
+            first.rail_voltages_v["injected"] = 1.0
+        with pytest.raises(TypeError):
+            first.breakdown.rail_details["injected"] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.rail_voltages_v = {}
+        second = spot.evaluate("IVR", conditions)
+        assert second is first
+        assert second == reference
         assert "injected" not in second.rail_voltages_v
 
     def test_clear_cache(self):
         spot = PdnSpot(pdn_names=["IVR"])
         conditions = OperatingConditions.for_power_state(18.0, PackageCState.C8)
-        spot.evaluate_cached("IVR", conditions)
+        spot.evaluate("IVR", conditions)
         spot.clear_cache()
         info = spot.cache_info()
         assert (info.hits, info.misses, info.size) == (0, 0, 0)
@@ -386,8 +398,8 @@ class TestEvaluationCache:
         spot = PdnSpot(pdn_names=["IVR"], enable_cache=False)
         counter = _count_evaluations(spot)
         conditions = OperatingConditions.for_power_state(18.0, PackageCState.C8)
-        spot.evaluate_cached("IVR", conditions)
-        spot.evaluate_cached("IVR", conditions)
+        spot.evaluate("IVR", conditions)
+        spot.evaluate("IVR", conditions)
         assert counter["calls"] == 2
 
     def test_cached_and_uncached_results_identical(self):

@@ -296,3 +296,49 @@ class TestResolve:
             resolve_disk_cache(bare, "pdnspot", "fp-two")
         with pytest.raises(ConfigurationError, match="conflicting"):
             resolve_disk_cache(bare, "sim", "fp-one")
+
+
+class TestGoldenAddresses:
+    """Disk addresses are a cross-version contract: a directory warmed by
+    one release must keep serving the next.  Any change to how the engines
+    build memo keys, or to how ``canonical_key`` renders them, moves these
+    pinned paths."""
+
+    ACTIVE = "pdnspot/cb/cb091a57939650417169dccccb3a1c20b892a17583b304219b841b72b69e2ff3.pkl"
+    C8_OVERRIDE = "pdnspot/ce/cee45b35bb2360c21d8193d21df8f3ab5512c5da57966501277a0e0df943ee02.pkl"
+    SIM = "sim/94/942b4bcfe5759102317c4ded4e0378cb665e7d34c6a8d8f942ea8adee4190a91.pkl"
+
+    def test_pdnspot_unit_addresses(self, tmp_path):
+        from repro.analysis.pdnspot import PdnSpot
+        from repro.pdn.base import OperatingConditions
+        from repro.power.domains import WorkloadType
+        from repro.power.power_states import PackageCState
+
+        spot = PdnSpot(disk_cache=tmp_path)
+        units = [
+            (
+                OperatingConditions.for_active_workload(
+                    18.0, 0.56, WorkloadType.CPU_MULTI_THREAD
+                ),
+                (),
+                self.ACTIVE,
+            ),
+            (
+                OperatingConditions.for_power_state(4.0, PackageCState.C8),
+                (("ivr_tolerance_band_v", 0.02),),
+                self.C8_OVERRIDE,
+            ),
+        ]
+        for conditions, overrides, golden in units:
+            key = spot.cache_key("FlexWatts", conditions, overrides)
+            assert spot.disk_cache.entry_path(key) == tmp_path / golden
+            spot.evaluate("FlexWatts", conditions, overrides)
+            assert (tmp_path / golden).is_file()
+
+    def test_sim_unit_address(self, tmp_path):
+        from repro.sim.study import SimEngine, SimPoint
+
+        engine = SimEngine(disk_cache=tmp_path)
+        point = SimPoint("bursty-interactive", 18.0, seed=7)
+        engine.evaluate("FlexWatts", point)
+        assert (tmp_path / self.SIM).is_file()
