@@ -13,9 +13,10 @@ Four benchmark groups track the sweep engine's perf trajectory:
   the results are asserted identical either way.
 * ``sim-scenarios`` -- the trace-driven scenario grid of the ``sim``
   experiment (8 scenarios x 2 TDPs x 5 PDNs, ~3000 simulated phases) through
-  ``SimEngine.run``: cold serial versus the process backend, plus the warm
-  (memo-cached) run gated against the cold serial column by
-  ``tools/check_bench_regression.py``.
+  ``SimEngine.run``: cold serial versus the process backend and versus the
+  per-unit ``evaluate_uncached`` loop (the oracle the batch is gated
+  against with ``--max-ratio``), plus the warm (memo-cached) run gated
+  against the cold serial column by ``tools/check_bench_regression.py``.
 """
 
 import pytest
@@ -121,14 +122,46 @@ def sim_scenario_reference():
     return SimEngine().run(scenario_study())
 
 
+#: Rounds of the two cold serial columns the ``--max-ratio`` gate compares.
+SIM_COLD_ROUNDS = 5
+
+
 @pytest.mark.benchmark(group="sim-scenarios")
 def test_bench_sim_scenarios_cold_serial(benchmark, sim_scenario_reference):
     engine = SimEngine(enable_cache=False)
     study = scenario_study()
     engine.prime_for_execution([("FlexWatts", study.points[0], ())])
-    resultset = benchmark.pedantic(engine.run, args=(study,), rounds=1, iterations=1)
+    resultset = benchmark.pedantic(
+        engine.run, args=(study,), rounds=SIM_COLD_ROUNDS, iterations=1
+    )
     assert len(resultset) == SIM_SCENARIO_ROWS
     assert resultset == sim_scenario_reference
+
+
+@pytest.mark.benchmark(group="sim-scenarios")
+def test_bench_sim_scenarios_per_unit_serial(benchmark, sim_scenario_reference):
+    """The per-unit oracle: one ``evaluate_uncached`` simulation per unit.
+
+    The same grid and cache setting as the cold serial column, but every
+    simulation resolves and evaluates its own trace.  CI gates the batched
+    column against this one with ``--max-ratio``, so the batch pass must keep
+    its lead over the oracle on the runner itself.
+    """
+    engine = SimEngine(enable_cache=False)
+    study = scenario_study()
+    engine.prime_for_execution([("FlexWatts", study.points[0], ())])
+    units = [
+        (name, point, point.overrides)
+        for point in study.points
+        for name in study.pdn_names
+    ]
+    results = benchmark.pedantic(
+        lambda: [engine.evaluate_uncached(*unit) for unit in units],
+        rounds=SIM_COLD_ROUNDS,
+        iterations=1,
+    )
+    assert results == SimEngine(enable_cache=False).evaluate_units(units)
+    assert len(results) == len(sim_scenario_reference)
 
 
 @pytest.mark.benchmark(group="sim-scenarios")

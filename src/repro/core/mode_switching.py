@@ -71,6 +71,22 @@ class ModeSwitchOverheads:
         """End-to-end mode-switch latency (~94 us with the default values)."""
         return self.c6_entry_s + self.vr_adjust_s + self.c6_exit_s
 
+    def drive_flow(self, pmu: PowerManagementUnit) -> None:
+        """Drive one switch's package-C6 flow through ``pmu``.
+
+        The PMU enters C6, its clock advances by the regulator adjustment,
+        and it resumes in its previous active state (C0 from any other).
+        """
+        previous_state = pmu.power_state
+        pmu.enter_power_state(PackageCState.C6)
+        pmu.advance_time(self.vr_adjust_s)
+        resume_state = (
+            previous_state
+            if previous_state in (PackageCState.C0, PackageCState.C0_MIN)
+            else PackageCState.C0
+        )
+        pmu.enter_power_state(resume_state)
+
     @classmethod
     def from_voltage_swing(
         cls,
@@ -156,15 +172,7 @@ class ModeSwitchController:
         if not self.can_switch():
             return 0.0
         if pmu is not None:
-            previous_state = pmu.power_state
-            pmu.enter_power_state(PackageCState.C6)
-            pmu.advance_time(self._overheads.vr_adjust_s)
-            resume_state = (
-                previous_state
-                if previous_state in (PackageCState.C0, PackageCState.C0_MIN)
-                else PackageCState.C0
-            )
-            pmu.enter_power_state(resume_state)
+            self._overheads.drive_flow(pmu)
         latency_s = self._overheads.total_latency_s
         self._mode = mode
         self._switch_count += 1

@@ -24,10 +24,55 @@ construct perturbed copies via :func:`dataclasses.replace`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict
+from numbers import Real
+from typing import Dict, FrozenSet, Mapping, Tuple
 
 from repro.power.domains import DomainKind
+from repro.util.errors import ConfigurationError
 from repro.util.validation import require_fraction, require_non_negative, require_positive
+
+_ALL_DOMAINS = frozenset(DomainKind)
+_UNCORE_DOMAINS = frozenset((DomainKind.SA, DomainKind.IO))
+
+#: Per-domain fields: ``name -> (domains the models read, domains allowed)``.
+#: MBVR reads one load-line per rail, keyed by the rail's first domain; the
+#: power-gate drop is read for every domain (a missing key would silently
+#: mean "no gate").
+PER_DOMAIN_FIELDS: Mapping[str, Tuple[FrozenSet[DomainKind], FrozenSet[DomainKind]]] = {
+    "mbvr_loadline_ohm": (
+        frozenset((DomainKind.CORE0, DomainKind.GFX, DomainKind.SA, DomainKind.IO)),
+        _ALL_DOMAINS,
+    ),
+    "uncore_loadline_ohm": (_UNCORE_DOMAINS, _UNCORE_DOMAINS),
+    "power_gate_impedance_ohm": (_ALL_DOMAINS, _ALL_DOMAINS),
+}
+
+
+def _domain_names(keys) -> str:
+    return ", ".join(sorted(getattr(key, "value", repr(key)) for key in keys))
+
+
+def _check_per_domain(name: str, values: object) -> None:
+    """Validate one per-domain field; errors name ``field/domain``."""
+    required, allowed = PER_DOMAIN_FIELDS[name]
+    if not isinstance(values, Mapping):
+        raise ConfigurationError(
+            f"{name}: expected a mapping of domain to value, got {values!r}"
+        )
+    missing = required - values.keys()
+    if missing:
+        raise ConfigurationError(f"{name}: missing domains {_domain_names(missing)}")
+    extra = [key for key in values if key not in allowed]
+    if extra:
+        raise ConfigurationError(
+            f"{name}: unexpected keys {_domain_names(extra)} "
+            f"(allowed: {_domain_names(allowed)})"
+        )
+    for domain, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Real) or not value >= 0:
+            raise ConfigurationError(
+                f"{name}/{domain.value}: must be a number >= 0, got {value!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -112,9 +157,16 @@ class PdnTechnologyParameters:
         require_non_negative(self.ldo_tolerance_band_v, "ldo_tolerance_band_v")
         require_positive(self.leakage_exponent, "leakage_exponent")
         require_fraction(self.ldo_current_efficiency, "ldo_current_efficiency")
+        for name in PER_DOMAIN_FIELDS:
+            _check_per_domain(name, getattr(self, name))
 
     def with_overrides(self, **overrides) -> "PdnTechnologyParameters":
-        """Return a copy with the given fields replaced (for sweeps/what-ifs)."""
+        """Return a copy with the given fields replaced (for sweeps/what-ifs).
+
+        The copy is validated like any instance, so a bad override fails here
+        with an error naming the field (and, for per-domain fields, the
+        domain) rather than later inside a model.
+        """
         return replace(self, **overrides)
 
 

@@ -11,12 +11,14 @@ thrashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from operator import mul
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.flexwatts import FlexWattsPdn
 from repro.core.hybrid_vr import PdnMode
-from repro.core.mode_switching import ModeSwitchController
+from repro.core.mode_switching import ModeSwitchController, ModeSwitchOverheads
 from repro.core.runtime_estimator import RuntimeInputEstimator
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
@@ -32,6 +34,9 @@ from repro.workloads.base import WorkloadPhase, WorkloadTrace
 _SIM_PHASES = METRICS.counter("sim.phases")
 _SIM_MODE_SWITCHES = METRICS.counter("sim.mode_switches")
 _SIM_RESIDENCY_GUARD_HITS = METRICS.counter("sim.residency_guard_hits")
+
+#: ``PhaseRecord.pdn_mode`` of each hybrid-PDN mode.
+_MODE_NAMES = {mode: mode.value for mode in PdnMode}
 
 #: Evaluation hook for static PDNs: ``(pdn, conditions) -> PdnEvaluation``.
 #: Lets an external memo cache (a :class:`repro.analysis.pdnspot.PdnSpot`)
@@ -128,17 +133,28 @@ class PhaseRecord:
     mode_switched: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationResult:
-    """Aggregate outcome of simulating one trace on one PDN."""
+    """Aggregate outcome of simulating one trace on one PDN (read-only).
+
+    Results are frozen and hold their phase records in a tuple, so a cached
+    result can be handed to every caller without a copy.
+    """
 
     pdn_name: str
     trace_name: str
     tdp_w: float
-    phase_records: List[PhaseRecord] = field(default_factory=list)
+    phase_records: Tuple[PhaseRecord, ...] = ()
     mode_switch_count: int = 0
     mode_switch_time_s: float = 0.0
     mode_switch_energy_j: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "phase_records", tuple(self.phase_records))
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        # Entries pickled before results were read-only hold a list.
+        self.__dict__.update(state, phase_records=tuple(state["phase_records"]))
 
     @property
     def total_time_s(self) -> float:
@@ -173,6 +189,62 @@ class SimulationResult:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PhasePlan:
+    """One trace's simulated phases at one TDP, as parallel columns.
+
+    Built once per ``(trace, TDP, trace period)`` by
+    :meth:`IntervalSimulator.plan` and shared by every PDN replayed over it.
+    Zero-duration phases are dropped; ``points`` index ``conditions``, a
+    list several plans may share so each distinct operating point is built
+    once per batch.
+    """
+
+    trace_name: str
+    conditions: Sequence[OperatingConditions]
+    #: Trace index of each simulated phase.
+    indices: Tuple[int, ...]
+    durations_s: Tuple[float, ...]
+    #: Operating-point index (into ``conditions``) of each simulated phase.
+    points: Tuple[int, ...]
+    power_states: Tuple[PackageCState, ...]
+    #: ``PhaseRecord.power_state`` / ``workload_type`` of each phase.
+    state_names: Tuple[str, ...]
+    workload_names: Tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class ModeScan:
+    """The hybrid PDN's modes over one plan, from the residency-guarded scan.
+
+    The mode sequence depends only on the Algorithm-1 predictions, the phase
+    durations and the minimum-residency guard -- never on powers -- so it is
+    scanned before any forced-mode evaluation, and :meth:`reads` names
+    exactly the ``(mode, point)`` pairs the replay will look up.
+    """
+
+    #: Mode each simulated phase runs in.
+    modes: Tuple[PdnMode, ...]
+    #: ``(position, mode left, latency)`` of each switch, in phase order.
+    switches: Tuple[Tuple[int, PdnMode, float], ...]
+    #: ``(position, desired mode)`` of each residency-guard veto.
+    vetoes: Tuple[Tuple[int, PdnMode], ...]
+    #: The switch flow's overheads (drives an observed PMU through C6).
+    overheads: ModeSwitchOverheads
+
+    def reads(self, plan: PhasePlan) -> Iterator[Tuple[PdnMode, int]]:
+        """Every ``(mode, point)`` lookup of the replay (with repeats).
+
+        Each phase reads its point in the mode it runs in; a switch also
+        reads the pre-switch mode's power, which the flow is paid at.
+        """
+        points = plan.points
+        return chain(
+            zip(self.modes, points),
+            ((left, points[position]) for position, left, _ in self.switches),
+        )
+
+
 class IntervalSimulator:
     """Replays workload traces against a processor + PDN combination.
 
@@ -204,18 +276,18 @@ class IntervalSimulator:
     # ------------------------------------------------------------------ #
     # Operating-point resolution
     # ------------------------------------------------------------------ #
-    def phase_points(
+    def plan(
         self,
         trace: WorkloadTrace,
         memo: Dict[PointKey, int],
         conditions: List[OperatingConditions],
-    ) -> Tuple[List[float], List[int]]:
-        """Each phase's duration and operating-point index in ``conditions``.
+    ) -> PhasePlan:
+        """Resolve ``trace`` at this TDP into a :class:`PhasePlan`.
 
         New operating points are appended to ``conditions`` and interned in
         ``memo`` (keyed by :func:`phase_point_key`), so every distinct point
         is built once however many phases -- or, with a shared memo, however
-        many traces -- reach it.  Zero-duration phases get index ``-1``.
+        many traces -- reach it.
 
         A trace whose phases all resolve to zero duration is rejected: it has
         no simulable time, so every aggregate would silently be zero.
@@ -228,18 +300,38 @@ class IntervalSimulator:
                 f"trace {trace.name!r} has no phase with a non-zero duration; "
                 "nothing to simulate"
             )
+        indices: List[int] = []
+        kept_s: List[float] = []
         points: List[int] = []
-        for phase, duration_s in zip(trace.phases, durations_s):
+        phases: List[WorkloadPhase] = []
+        for index, (phase, duration_s) in enumerate(zip(trace.phases, durations_s)):
             if duration_s == 0.0:
-                points.append(-1)
                 continue
             key = phase_point_key(phase, self._tdp_w)
-            index = memo.get(key)
-            if index is None:
+            point = memo.get(key)
+            if point is None:
                 conditions.append(phase_conditions(phase, self._tdp_w))
-                index = memo[key] = len(conditions) - 1
-            points.append(index)
-        return durations_s, points
+                point = memo[key] = len(conditions) - 1
+            indices.append(index)
+            kept_s.append(duration_s)
+            points.append(point)
+            phases.append(phase)
+        states = tuple(phase.power_state for phase in phases)
+        return PhasePlan(
+            trace_name=trace.name,
+            conditions=conditions,
+            indices=tuple(indices),
+            durations_s=tuple(kept_s),
+            points=tuple(points),
+            power_states=states,
+            state_names=tuple(state.value for state in states),
+            workload_names=tuple(
+                phase.benchmark.workload_type.value
+                if phase.benchmark is not None
+                else WorkloadType.IDLE.value
+                for phase in phases
+            ),
+        )
 
     # ------------------------------------------------------------------ #
     # Simulation
@@ -260,166 +352,178 @@ class IntervalSimulator:
         PDNs are static, so their phases are evaluated directly.
 
         Phases are *batched by operating point*: because the electrical models
-        are pure, every distinct ``(operating point, mode)`` pair is evaluated
-        exactly once per run and repeated phases (duty-cycled traces, DVFS
-        ladders) are served from a per-run memo.  The optional ``evaluate`` /
+        are pure, every distinct ``(operating point, mode)`` pair the replay
+        reads is evaluated exactly once per run.  The optional ``evaluate`` /
         ``evaluate_in_mode`` hooks route those one-per-point evaluations
         through an external cache (:class:`repro.sim.study.SimEngine` wires
         them to a shared :class:`~repro.analysis.pdnspot.PdnSpot`), so
         operating points repeated *across* traces are also computed once.
         This per-point path is the reference the engine's batch pass
         (:meth:`repro.sim.study.SimEngine.evaluate_columns`) is gated against.
+        A supplied ``pmu`` is driven through every phase and switch flow.
         """
         conditions: List[OperatingConditions] = []
-        durations_s, points = self.phase_points(trace, {}, conditions)
-        # Per-run memos: the models are pure, so evaluations and mode
-        # predictions depend only on the operating point (plus the forced
-        # mode), never on when in the trace they happen.
-        powers: Dict[Tuple[Optional[PdnMode], int], float] = {}
-        predictions: Dict[int, PdnMode] = {}
-
-        def supply_power(point: int, mode: Optional[PdnMode]) -> float:
-            """One evaluation per distinct (operating point, mode) pair."""
-            key = (mode, point)
-            cached = powers.get(key)
-            if cached is None:
-                at = conditions[point]
-                if mode is not None:
-                    if evaluate_in_mode is not None:
-                        evaluation = evaluate_in_mode(pdn, at, mode)
-                    else:
-                        evaluation = pdn.evaluate_in_mode(at, mode)
-                elif evaluate is not None:
-                    evaluation = evaluate(pdn, at)
-                else:
-                    evaluation = pdn.evaluate(at)
-                cached = powers[key] = evaluation.supply_power_w
-            return cached
-
-        def predict(point: int) -> PdnMode:
-            """One Algorithm-1 prediction per distinct operating point."""
-            cached = predictions.get(point)
-            if cached is None:
-                cached = predictions[point] = pdn.predict_mode(conditions[point])
-            return cached
-
-        adaptive = isinstance(pdn, FlexWattsPdn)
-        return self.replay(
-            trace,
-            pdn.name,
-            durations_s,
-            points,
-            conditions,
-            supply_power,
-            controller=pdn.switch_controller if adaptive else None,
-            predict=predict if adaptive else None,
-            pmu=pmu,
+        plan = self.plan(trace, {}, conditions)
+        distinct = dict.fromkeys(plan.points)
+        if not isinstance(pdn, FlexWattsPdn):
+            evaluate_point = evaluate or (lambda model, at: model.evaluate(at))
+            power = {
+                point: evaluate_point(pdn, conditions[point]).supply_power_w
+                for point in distinct
+            }
+            return self.replay(plan, pdn.name, power, pmu=pmu)
+        predicted = {point: pdn.predict_mode(conditions[point]) for point in distinct}
+        scan = self.scan_modes(plan, pdn.switch_controller, predicted)
+        evaluate_mode = evaluate_in_mode or (
+            lambda model, at, mode: model.evaluate_in_mode(at, mode)
         )
+        mode_power = {
+            (mode, point): evaluate_mode(pdn, conditions[point], mode).supply_power_w
+            for mode, point in dict.fromkeys(scan.reads(plan))
+        }
+        return self.replay(plan, pdn.name, mode_power, scan, pmu=pmu)
+
+    def scan_modes(
+        self,
+        plan: PhasePlan,
+        controller: ModeSwitchController,
+        predicted: Mapping[int, PdnMode],
+    ) -> ModeScan:
+        """Run the residency-guarded mode-switch scan over ``plan``.
+
+        ``predicted`` maps each point to its Algorithm-1 mode.  Each phase
+        advances the controller's residency clock; a wanted switch the guard
+        allows is performed at the phase boundary, and a vetoed one keeps the
+        current mode.  Besides resolving the plan, this scan is the only
+        per-phase Python loop of an unobserved simulation.
+        """
+        modes: List[PdnMode] = []
+        switches: List[Tuple[int, PdnMode, float]] = []
+        vetoes: List[Tuple[int, PdnMode]] = []
+        for position, (duration_s, point) in enumerate(
+            zip(plan.durations_s, plan.points)
+        ):
+            controller.advance_time(duration_s)
+            desired = predicted[point]
+            current = controller.mode
+            if desired is not current:
+                if controller.can_switch():
+                    switches.append((position, current, controller.switch_to(desired)))
+                    current = desired
+                else:
+                    vetoes.append((position, desired))
+            modes.append(current)
+        return ModeScan(tuple(modes), tuple(switches), tuple(vetoes), controller.overheads)
 
     def replay(
         self,
-        trace: WorkloadTrace,
+        plan: PhasePlan,
         pdn_name: str,
-        durations_s: Sequence[float],
-        points: Sequence[int],
-        conditions: Sequence[OperatingConditions],
-        supply_power: Callable[[int, Optional[PdnMode]], float],
-        controller: Optional[ModeSwitchController] = None,
-        predict: Optional[Callable[[int], PdnMode]] = None,
+        power: Mapping,
+        scan: Optional[ModeScan] = None,
         pmu: Optional[PowerManagementUnit] = None,
     ) -> SimulationResult:
-        """Replay resolved phases against per-point power lookups.
+        """Build one PDN's result over a resolved plan.
 
-        ``durations_s`` and ``points`` come from :meth:`phase_points`;
-        ``supply_power(point, mode)`` returns the supply power at one
-        operating point (``mode`` is ``None`` for static PDNs).  With a
-        ``controller`` (and ``predict``, the Algorithm-1 mode of a point) the
-        run is adaptive: each phase advances the residency clock, a wanted
-        switch the minimum-residency guard allows pays the flow's latency at
-        the pre-switch mode's power, and a vetoed one is counted.  This switch
-        scan is the only per-phase work; every evaluation is a lookup.
+        Without a ``scan`` the PDN is static: ``power`` maps each point to
+        its supply power and the records are one pass over the plan's
+        columns.  With the :class:`ModeScan` of a hybrid PDN, ``power`` maps
+        every pair of :meth:`ModeScan.reads` to its supply power, and each
+        switch pays the flow's latency at the pre-switch mode's power.
+
+        A PMU is driven only when someone observes it: the caller passes one,
+        or tracing is on (its telemetry then becomes ``pmu.telemetry``
+        instants).  Otherwise none is built.
         """
-        if pmu is None:
+        traced = obs_trace.tracing_enabled()
+        if pmu is None and traced:
             pmu = PowerManagementUnit(tdp_w=self._tdp_w)
-        if obs_trace.tracing_enabled():
-            # Satellite bridge: mirror the PMU's telemetry emissions into
-            # the trace so per-phase activity shows on the sim timeline.
+        if pmu is not None and traced:
             obs_trace.attach_pmu_tracing(pmu)
-        emit_telemetry = pmu.has_telemetry_listeners
-        result = SimulationResult(
-            pdn_name=pdn_name, trace_name=trace.name, tdp_w=self._tdp_w
-        )
-        records = result.phase_records
-        with obs_trace.span("sim.run", category="sim", trace=trace.name,
+        durations_s = plan.durations_s
+        with obs_trace.span("sim.run", category="sim", trace=plan.trace_name,
                             pdn=pdn_name, tdp_w=self._tdp_w) as run_span:
-            for index, phase in enumerate(trace.phases):
-                duration_s = durations_s[index]
-                if duration_s == 0.0:
-                    continue
-                point = points[index]
-                switched = False
-                mode_name: Optional[str] = None
-                if controller is not None:
-                    controller.advance_time(duration_s)
-                    desired_mode = predict(point)
-                    if desired_mode is not controller.mode:
-                        if controller.can_switch():
-                            # The switch is performed at the phase boundary,
-                            # while the compute domains are idle (the flow
-                            # itself forces C6).
-                            previous_power = supply_power(point, controller.mode)
-                            latency_s = controller.switch_to(desired_mode, pmu=pmu)
-                            result.mode_switch_count += 1
-                            result.mode_switch_time_s += latency_s
-                            result.mode_switch_energy_j += previous_power * latency_s
-                            switched = True
-                            _SIM_MODE_SWITCHES.inc()
-                            obs_trace.instant(
-                                "sim.mode_switch", category="sim",
-                                phase=index, mode=desired_mode.value,
-                                latency_s=latency_s,
-                            )
-                        else:
-                            # The minimum-residency guard vetoed a wanted
-                            # switch: the thrashing case the paper's flow
-                            # is designed to suppress.
-                            _SIM_RESIDENCY_GUARD_HITS.inc()
-                            obs_trace.instant(
-                                "sim.residency_guard_hit", category="sim",
-                                phase=index, desired=desired_mode.value,
-                            )
-                    power_w = supply_power(point, controller.mode)
-                    mode_name = controller.mode.value
-                else:
-                    power_w = supply_power(point, None)
-                pmu.advance_time(duration_s)
-                pmu.enter_power_state(phase.power_state)
-                if emit_telemetry:
-                    pmu.emit_telemetry(
-                        RuntimeInputEstimator.estimate_from_conditions(
-                            conditions[point]
-                        )
-                    )
-                records.append(
-                    PhaseRecord(
-                        phase_index=index,
-                        power_state=phase.power_state.value,
-                        workload_type=(
-                            phase.benchmark.workload_type.value
-                            if phase.benchmark is not None
-                            else WorkloadType.IDLE.value
-                        ),
-                        duration_s=duration_s,
-                        supply_power_w=power_w,
-                        energy_j=power_w * duration_s,
-                        pdn_mode=mode_name,
-                        mode_switched=switched,
-                    )
+            if scan is None:
+                powers = list(map(power.__getitem__, plan.points))
+                mode_columns = ()
+                switch_count, switch_time_s, switch_energy_j = 0, 0.0, 0.0
+            else:
+                powers = list(map(power.__getitem__, zip(scan.modes, plan.points)))
+                switched, switch_time_s, switch_energy_j = self._account_switches(
+                    plan, power, scan
                 )
+                mode_columns = (map(_MODE_NAMES.__getitem__, scan.modes), switched)
+                switch_count = len(scan.switches)
+            records = tuple(map(
+                PhaseRecord, plan.indices, plan.state_names, plan.workload_names,
+                durations_s, powers, map(mul, powers, durations_s), *mode_columns,
+            ))
+            if pmu is not None:
+                self._drive_pmu(plan, pmu, scan)
             _SIM_PHASES.inc(len(records))
             run_span.set("phases", len(records))
-            run_span.set("mode_switches", result.mode_switch_count)
-        return result
+            run_span.set("mode_switches", switch_count)
+        return SimulationResult(
+            pdn_name=pdn_name,
+            trace_name=plan.trace_name,
+            tdp_w=self._tdp_w,
+            phase_records=records,
+            mode_switch_count=switch_count,
+            mode_switch_time_s=switch_time_s,
+            mode_switch_energy_j=switch_energy_j,
+        )
+
+    @staticmethod
+    def _account_switches(
+        plan: PhasePlan, power: Mapping, scan: ModeScan
+    ) -> Tuple[List[bool], float, float]:
+        """Per-phase switch flags, and the switch time and energy, in order."""
+        switched = [False] * len(plan.points)
+        switch_time_s = 0.0
+        switch_energy_j = 0.0
+        for position, left, latency_s in scan.switches:
+            switched[position] = True
+            switch_time_s += latency_s
+            switch_energy_j += power[left, plan.points[position]] * latency_s
+            obs_trace.instant(
+                "sim.mode_switch", category="sim", phase=plan.indices[position],
+                mode=scan.modes[position].value, latency_s=latency_s,
+            )
+        _SIM_MODE_SWITCHES.inc(len(scan.switches))
+        for position, desired in scan.vetoes:
+            # The minimum-residency guard vetoed a wanted switch: the
+            # thrashing case the paper's flow is designed to suppress.
+            obs_trace.instant(
+                "sim.residency_guard_hit", category="sim",
+                phase=plan.indices[position], desired=desired.value,
+            )
+        _SIM_RESIDENCY_GUARD_HITS.inc(len(scan.vetoes))
+        return switched, switch_time_s, switch_energy_j
+
+    @staticmethod
+    def _drive_pmu(
+        plan: PhasePlan, pmu: PowerManagementUnit, scan: Optional[ModeScan]
+    ) -> None:
+        """Walk ``pmu`` through the plan: switch flows, clock, C-states.
+
+        Each switch's C6 flow runs at its phase boundary, before the phase
+        advances the clock and sets the package state; with listeners, each
+        phase emits the oracle telemetry snapshot of its operating point.
+        """
+        switch_at = {position for position, _, _ in scan.switches} if scan else set()
+        emit_telemetry = pmu.has_telemetry_listeners
+        conditions = plan.conditions
+        for position, (duration_s, point, state) in enumerate(
+            zip(plan.durations_s, plan.points, plan.power_states)
+        ):
+            if position in switch_at:
+                scan.overheads.drive_flow(pmu)
+            pmu.advance_time(duration_s)
+            pmu.enter_power_state(state)
+            if emit_telemetry:
+                pmu.emit_telemetry(
+                    RuntimeInputEstimator.estimate_from_conditions(conditions[point])
+                )
 
     def compare(
         self,

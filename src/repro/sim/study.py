@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.executor import (
@@ -64,7 +64,13 @@ from repro.pdn import columnar as columnar_core
 from repro.pdn.base import OperatingConditions, PdnEvaluation, conditions_key
 from repro.power.parameters import PdnTechnologyParameters
 from repro.sim.adapters import simulation_record
-from repro.sim.engine import IntervalSimulator, PointKey, SimulationResult
+from repro.sim.engine import (
+    IntervalSimulator,
+    ModeScan,
+    PhasePlan,
+    PointKey,
+    SimulationResult,
+)
 from repro.util.errors import ConfigurationError
 from repro.workloads.base import WorkloadTrace
 from repro.workloads.scenarios import DEFAULT_SEED, build_scenario_trace, get_scenario
@@ -260,93 +266,6 @@ class SimWorkerConfig:
         )
 
 
-def _copy_result(result: SimulationResult) -> SimulationResult:
-    """A caller-owned copy of a cached simulation result.
-
-    ``SimulationResult`` is mutable (its record list and counters); handing
-    the cached master to callers would let one caller's mutation corrupt
-    every later cache hit.  The records themselves are frozen, so a shallow
-    list copy suffices.
-    """
-    return replace(result, phase_records=list(result.phase_records))
-
-
-class _ModeTable:
-    """Supply power of one FlexWatts variant at a batch's points, by mode.
-
-    Every point's Algorithm-1 mode is predicted up front, and the point is
-    evaluated in that mode: from the engine's cross-run mode memo when it is
-    there, otherwise in one columnar pass per mode (per point if the model
-    declines columns).  The other mode is needed only at residency-guard
-    vetoes and switch-energy lookups; it comes from the engine's per-point
-    hook on demand.  :meth:`commit` installs into the memo exactly the
-    predicted-mode evaluations the replays read, so the memo grows as the
-    per-unit path would have grown it.
-    """
-
-    def __init__(
-        self,
-        engine: "SimEngine",
-        overrides: OverrideKey,
-        conditions: Sequence[OperatingConditions],
-        points: Sequence[int],
-    ):
-        self._pdn = pdn = FlexWattsPdn(
-            parameters=engine._parameters_for(overrides),
-            predictor=engine._predictor_for(overrides),
-        )
-        self._conditions = conditions
-        self._overrides = overrides
-        self._hook = engine._make_mode_evaluator(overrides)
-        self._memo = engine._mode_evaluations if engine.cache_enabled else None
-        #: Algorithm-1 mode of every point (the replay's ``predict``).
-        self.modes: Dict[int, PdnMode] = {
-            point: pdn.predict_mode(conditions[point]) for point in points
-        }
-        self._predicted: Dict[int, PdnEvaluation] = {}
-        pending: Dict[PdnMode, List[int]] = {}
-        for point, mode in self.modes.items():
-            cached = None
-            if self._memo is not None:
-                cached = self._memo.get(self._memo_key(point, mode))
-            if cached is None:
-                pending.setdefault(mode, []).append(point)
-            else:
-                self._predicted[point] = cached
-        for mode, group in pending.items():
-            at = [conditions[point] for point in group]
-            evaluations = columnar_core.evaluate_columns(pdn, at, mode=mode)
-            if evaluations is None:
-                evaluations = [pdn.evaluate_in_mode(c, mode) for c in at]
-            self._predicted.update(zip(group, evaluations))
-        self._read: Dict[Tuple[PdnMode, int], PdnEvaluation] = {}
-
-    def _memo_key(self, point: int, mode: PdnMode) -> Tuple[object, ...]:
-        return (self._overrides, mode, conditions_key(self._conditions[point]))
-
-    def supply_power(self, point: int, mode: PdnMode) -> float:
-        """Supply power at one point in ``mode`` (the replay's lookup)."""
-        key = (mode, point)
-        evaluation = self._read.get(key)
-        if evaluation is None:
-            if mode is self.modes[point]:
-                evaluation = self._predicted[point]
-            elif self._hook is not None:
-                evaluation = self._hook(self._pdn, self._conditions[point], mode)
-            else:
-                evaluation = self._pdn.evaluate_in_mode(self._conditions[point], mode)
-            self._read[key] = evaluation
-        return evaluation.supply_power_w
-
-    def commit(self) -> None:
-        """Install the predicted-mode evaluations the replays read."""
-        if self._memo is None:
-            return
-        for (mode, point), evaluation in self._read.items():
-            if mode is self.modes[point]:
-                self._memo.setdefault(self._memo_key(point, mode), evaluation)
-
-
 class SimEngine(TwoTierCacheMixin):
     """Memo-cached, executor-compatible trace-simulation engine.
 
@@ -515,7 +434,11 @@ class SimEngine(TwoTierCacheMixin):
     # Two-tier cache_lookup / cache_install come from TwoTierCacheMixin
     # (with _disk_key above adding the trace digest to disk addresses).
     _payload_type = SimulationResult
-    _copy_cached = staticmethod(_copy_result)
+
+    @staticmethod
+    def _copy_cached(result: SimulationResult) -> SimulationResult:
+        """The shared cached master: results are read-only, so no copy."""
+        return result
 
     def worker_config(self) -> SimWorkerConfig:
         """The picklable recipe process-pool workers rebuild this engine from."""
@@ -591,16 +514,20 @@ class SimEngine(TwoTierCacheMixin):
     ) -> Optional[List[SimulationResult]]:
         """Simulate a batch of units in one pass over their distinct phase points.
 
-        1. Each ``(scenario, seed)`` trace is built once, and every
-           non-zero-duration phase is mapped to its operating point through a
-           memo that lives only for this batch.
+        1. Each ``(scenario, seed)`` trace is built once, and each
+           ``(trace, TDP, trace period)`` is resolved once into a
+           :class:`~repro.sim.engine.PhasePlan` that every PDN unit on it
+           shares; phases map to operating points through a memo that lives
+           only for this batch.
         2. Every static-PDN point goes through one
            :meth:`PdnSpot.evaluate_units` call: columnar, counted by the
            phase-level cache and written through to its disk tier.
-        3. Each FlexWatts point is evaluated, in columns, in the mode the
-           Algorithm-1 predictor picks for it (:class:`_ModeTable`).
-        4. Every trace is replayed against these tables
-           (:meth:`IntervalSimulator.replay`); only the switch scan loops.
+        3. Per FlexWatts variant, each point's Algorithm-1 mode is predicted,
+           every unit's mode-switch scan runs, and exactly the
+           ``(point, mode)`` pairs the scans read are evaluated in columns,
+           one call per mode (:meth:`_mode_tables`).
+        4. Every unit is replayed against these tables
+           (:meth:`IntervalSimulator.replay`); no evaluation happens there.
 
         Results are in unit order and bit-identical to
         :meth:`evaluate_uncached` per unit.
@@ -613,75 +540,128 @@ class SimEngine(TwoTierCacheMixin):
             traces: Dict[Tuple[str, int], WorkloadTrace] = {}
             memo: Dict[PointKey, int] = {}
             conditions: List[OperatingConditions] = []
-            plans = []
+            plans: Dict[Tuple[object, ...], Tuple[IntervalSimulator, PhasePlan]] = {}
+            unit_plans: List[Tuple[IntervalSimulator, PhasePlan]] = []
             for _, point, _ in unit_list:
-                ident = (point.scenario, point.seed)
-                trace = traces.get(ident)
-                if trace is None:
-                    trace = traces[ident] = build_scenario_trace(
-                        point.scenario, seed=point.seed
+                key = (point.scenario, point.seed, point.tdp_w, point.trace_period_s)
+                entry = plans.get(key)
+                if entry is None:
+                    ident = (point.scenario, point.seed)
+                    trace = traces.get(ident)
+                    if trace is None:
+                        trace = traces[ident] = build_scenario_trace(
+                            point.scenario, seed=point.seed
+                        )
+                    simulator = IntervalSimulator(
+                        tdp_w=point.tdp_w, trace_period_s=point.trace_period_s
                     )
-                simulator = IntervalSimulator(
-                    tdp_w=point.tdp_w, trace_period_s=point.trace_period_s
-                )
-                plans.append(
-                    (simulator, trace, *simulator.phase_points(trace, memo, conditions))
-                )
-            tables = self._phase_tables(unit_list, plans, conditions)
+                    entry = plans[key] = (
+                        simulator, simulator.plan(trace, memo, conditions)
+                    )
+                unit_plans.append(entry)
+            tables = self._phase_tables(unit_list, unit_plans, conditions)
             batch_span.set("points", len(conditions))
         _SIM_PREFILL_BATCHES.inc()
-        results: List[SimulationResult] = []
-        for (name, _, overrides), plan in zip(unit_list, plans):
-            simulator, trace, durations_s, points = plan
-            table = tables[(name, overrides)]
-            if isinstance(table, _ModeTable):
-                result = simulator.replay(
-                    trace, name, durations_s, points, conditions,
-                    table.supply_power,
-                    controller=ModeSwitchController(),
-                    predict=table.modes.__getitem__,
-                )
-            else:
-                result = simulator.replay(
-                    trace, name, durations_s, points, conditions,
-                    lambda point, mode, powers=table: powers[point],
-                )
-            results.append(result)
-        for table in tables.values():
-            if isinstance(table, _ModeTable):
-                table.commit()
-        return results
+        return [
+            simulator.replay(plan, name, power, scan)
+            for (name, _, _), (simulator, plan), (power, scan)
+            in zip(unit_list, unit_plans, tables)
+        ]
 
     def _phase_tables(
         self,
         unit_list: Sequence[Tuple[str, SimPoint, OverrideKey]],
-        plans: Sequence[Tuple[object, ...]],
+        unit_plans: Sequence[Tuple[IntervalSimulator, PhasePlan]],
         conditions: Sequence[OperatingConditions],
-    ) -> Dict[Tuple[str, OverrideKey], object]:
-        """Per ``(pdn, overrides)``: the power of every point its traces reach.
+    ) -> List[Tuple[Dict[object, float], Optional[ModeScan]]]:
+        """Per unit: its PDN's supply-power table and, for FlexWatts, its scan.
 
-        Static PDNs get a ``{point: supply power}`` dict, all filled by one
-        analytic-engine call; FlexWatts variants get a :class:`_ModeTable`.
+        Static PDNs get a ``{point: supply power}`` dict per
+        ``(pdn, overrides)``, all filled by one analytic-engine call;
+        FlexWatts variants get :meth:`_mode_tables`.
         """
-        wanted: Dict[Tuple[str, OverrideKey], Dict[int, None]] = {}
-        for (name, _, overrides), plan in zip(unit_list, plans):
-            wanted.setdefault((name, overrides), {}).update(dict.fromkeys(plan[3]))
-        for points in wanted.values():
-            points.pop(-1, None)  # zero-duration phases reach no point
-        static = [key for key in wanted if key[0] != FlexWattsPdn.name]
+        members: Dict[Tuple[str, OverrideKey], List[int]] = {}
+        for position, (name, _, overrides) in enumerate(unit_list):
+            members.setdefault((name, overrides), []).append(position)
+        wanted = {
+            key: dict.fromkeys(
+                point for position in positions
+                for point in unit_plans[position][1].points
+            )
+            for key, positions in members.items()
+        }
+        static = [key for key in members if key[0] != FlexWattsPdn.name]
         evaluations = iter(self._spot.evaluate_units(
             (name, conditions[point], overrides)
             for name, overrides in static
             for point in wanted[(name, overrides)]
         ))
-        tables: Dict[Tuple[str, OverrideKey], object] = {
-            key: {point: next(evaluations).supply_power_w for point in wanted[key]}
-            for key in static
-        }
-        for key, points in wanted.items():
+        tables: Dict[int, Tuple[Dict[object, float], Optional[ModeScan]]] = {}
+        for key in static:
+            power = {point: next(evaluations).supply_power_w for point in wanted[key]}
+            tables.update(dict.fromkeys(members[key], (power, None)))
+        for key, positions in members.items():
             if key[0] == FlexWattsPdn.name:
-                tables[key] = _ModeTable(self, key[1], conditions, list(points))
-        return tables
+                power, scans = self._mode_tables(
+                    key[1], conditions, list(wanted[key]),
+                    [unit_plans[position] for position in positions],
+                )
+                tables.update(zip(positions, ((power, scan) for scan in scans)))
+        return [tables[position] for position in range(len(unit_list))]
+
+    def _mode_tables(
+        self,
+        overrides: OverrideKey,
+        conditions: Sequence[OperatingConditions],
+        points: Sequence[int],
+        unit_plans: Sequence[Tuple[IntervalSimulator, PhasePlan]],
+    ) -> Tuple[Dict[object, float], List[ModeScan]]:
+        """One FlexWatts variant's ``{(mode, point): power}`` table and scans.
+
+        Every point's mode is predicted once, each unit's scan runs on a fresh
+        controller, and the ``(mode, point)`` pairs the scans read come from
+        the engine's cross-run mode memo or, for the rest, from one columnar
+        pass per mode (per point if the model declines columns).  With the
+        cache on, every read pair is installed in the memo, so it ends with
+        the keys the per-unit path gives it.
+        """
+        pdn = FlexWattsPdn(
+            parameters=self._parameters_for(overrides),
+            predictor=self._predictor_for(overrides),
+        )
+        predicted = {point: pdn.predict_mode(conditions[point]) for point in points}
+        scans = [
+            simulator.scan_modes(plan, ModeSwitchController(), predicted)
+            for simulator, plan in unit_plans
+        ]
+        reads = dict.fromkeys(
+            read for scan, (_, plan) in zip(scans, unit_plans)
+            for read in scan.reads(plan)
+        )
+        memo = self._mode_evaluations if self._cache_enabled else None
+        found: Dict[Tuple[PdnMode, int], PdnEvaluation] = {}
+        pending: Dict[PdnMode, List[int]] = {}
+        for mode, point in reads:
+            cached = None
+            if memo is not None:
+                cached = memo.get((overrides, mode, conditions_key(conditions[point])))
+            if cached is None:
+                pending.setdefault(mode, []).append(point)
+            else:
+                found[mode, point] = cached
+        for mode, group in pending.items():
+            at = [conditions[point] for point in group]
+            evaluations = columnar_core.evaluate_columns(pdn, at, mode=mode)
+            if evaluations is None:
+                evaluations = [pdn.evaluate_in_mode(c, mode) for c in at]
+            for point, evaluation in zip(group, evaluations):
+                if memo is not None:
+                    evaluation = memo.setdefault(
+                        (overrides, mode, conditions_key(conditions[point])), evaluation
+                    )
+                found[mode, point] = evaluation
+        power = {read: found[read].supply_power_w for read in reads}
+        return power, scans
 
     def evaluate(
         self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()

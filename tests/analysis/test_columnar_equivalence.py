@@ -223,3 +223,16 @@ class TestSimBatchEquivalence:
         units = _sim_units(())
         results = SimEngine().evaluate_units(units)
         assert results == sim_oracle[()]
+
+    @pytest.mark.parametrize("overrides", [(), SIM_OVERRIDES], ids=["default", "overrides"])
+    def test_mode_memo_matches_per_unit_path(self, overrides):
+        """With the cache on, a batch leaves the cross-run mode memo with the
+        same keys -- and equal evaluations -- as the per-unit path."""
+        units = _sim_units(overrides)
+        batch = SimEngine()
+        batch.evaluate_units(units)
+        per_unit = SimEngine()
+        for unit in units:
+            per_unit.evaluate_uncached(*unit)
+        assert batch._mode_evaluations.keys() == per_unit._mode_evaluations.keys()
+        assert batch._mode_evaluations == per_unit._mode_evaluations

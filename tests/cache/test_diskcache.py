@@ -342,3 +342,25 @@ class TestGoldenAddresses:
         point = SimPoint("bursty-interactive", 18.0, seed=7)
         engine.evaluate("FlexWatts", point)
         assert (tmp_path / self.SIM).is_file()
+
+
+class TestLegacySimEntries:
+    def test_entry_with_list_records_loads_read_only(self, tmp_path):
+        """Simulation entries written before results were read-only pickle
+        ``phase_records`` as a list; they must still be served, as a tuple."""
+        from repro.sim.engine import SimulationResult
+        from repro.sim.study import SimEngine, SimPoint
+
+        point = SimPoint("race-to-idle", 18.0, seed=3)
+        fresh = SimEngine(enable_cache=False).evaluate_uncached("IVR", point)
+        legacy = object.__new__(SimulationResult)
+        legacy.__dict__.update(fresh.__dict__, phase_records=list(fresh.phase_records))
+        writer = SimEngine(disk_cache=tmp_path)
+        key = writer.cache_key("IVR", point)
+        assert writer.disk_cache.put(writer._disk_key(key), legacy)
+
+        reader = SimEngine(disk_cache=tmp_path)
+        loaded = reader.evaluate("IVR", point)
+        assert reader.cache_info().hits == 1
+        assert isinstance(loaded.phase_records, tuple)
+        assert loaded == fresh

@@ -57,3 +57,40 @@ class TestOverrides:
     def test_invalid_current_efficiency_rejected(self):
         with pytest.raises(ConfigurationError):
             PdnTechnologyParameters(ldo_current_efficiency=1.5)
+
+
+class TestPerDomainOverrides:
+    """Per-domain dict fields are checked at the boundary, naming the field."""
+
+    def test_partial_mbvr_loadline_names_missing_domains(self):
+        with pytest.raises(ConfigurationError) as error:
+            default_parameters().with_overrides(mbvr_loadline_ohm={DomainKind.CORE0: 1e-3})
+        message = str(error.value)
+        assert message.startswith("mbvr_loadline_ohm: missing domains")
+        for domain in ("gfx", "sa", "io"):
+            assert domain in message
+
+    def test_missing_power_gate_domain_rejected(self):
+        gates = dict(default_parameters().power_gate_impedance_ohm)
+        del gates[DomainKind.LLC]
+        with pytest.raises(ConfigurationError, match="power_gate_impedance_ohm: missing domains llc"):
+            default_parameters().with_overrides(power_gate_impedance_ohm=gates)
+
+    def test_extra_key_rejected(self):
+        uncore = {DomainKind.SA: 7e-3, DomainKind.IO: 4e-3, DomainKind.GFX: 1e-3}
+        with pytest.raises(ConfigurationError, match="uncore_loadline_ohm: unexpected keys gfx"):
+            default_parameters().with_overrides(uncore_loadline_ohm=uncore)
+        loadlines = {**default_parameters().mbvr_loadline_ohm, "core0": 1e-3}
+        with pytest.raises(ConfigurationError, match="mbvr_loadline_ohm: unexpected keys 'core0'"):
+            default_parameters().with_overrides(mbvr_loadline_ohm=loadlines)
+
+    @pytest.mark.parametrize("bad", [-1e-3, float("nan"), None, True])
+    def test_negative_or_non_numeric_value_names_field_and_domain(self, bad):
+        gates = {**default_parameters().power_gate_impedance_ohm, DomainKind.GFX: bad}
+        with pytest.raises(ConfigurationError, match="power_gate_impedance_ohm/gfx: must be a number >= 0"):
+            default_parameters().with_overrides(power_gate_impedance_ohm=gates)
+
+    def test_rail_heads_suffice_for_mbvr_and_zero_is_allowed(self):
+        heads = {DomainKind.CORE0: 0.0, DomainKind.GFX: 2e-3, DomainKind.SA: 7e-3, DomainKind.IO: 4e-3}
+        params = default_parameters().with_overrides(mbvr_loadline_ohm=heads)
+        assert params.mbvr_loadline_ohm == heads

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core.flexwatts import FlexWattsPdn
 from repro.core.hybrid_vr import PdnMode
-from repro.core.mode_switching import ModeSwitchController
+from repro.core.mode_switching import ModeSwitchController, ModeSwitchOverheads
 from repro.pdn.ivr import IvrPdn
 from repro.pdn.mbvr import MbvrPdn
 from repro.power.power_states import PackageCState
-from repro.sim.engine import IntervalSimulator
+from repro.sim.engine import IntervalSimulator, SimulationResult
+from repro.soc.pmu import PowerManagementUnit
 from repro.workloads.base import WorkloadPhase, WorkloadTrace
 from repro.workloads.battery_life import BATTERY_LIFE_WORKLOADS
 from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
@@ -243,3 +244,126 @@ class TestTraceHandling:
         )
         result = IntervalSimulator(tdp_w=18.0).run(trace, IvrPdn())
         assert result.total_time_s == pytest.approx(0.5)
+
+
+class _RecordingPmu(PowerManagementUnit):
+    """A PMU that logs every package-state transition it is driven through."""
+
+    def __init__(self, tdp_w):
+        super().__init__(tdp_w=tdp_w)
+        self.states = []
+
+    def enter_power_state(self, state):
+        self.states.append(state)
+        return super().enter_power_state(state)
+
+
+def _switching_run(flexwatts, pmu=None):
+    """A 50 W active/idle alternation with no residency guard: many switches."""
+    generator = SyntheticTraceGenerator(seed=5)
+    trace = generator.bursty_trace(
+        "alternating", SPEC_CPU2006_BENCHMARKS[-1],
+        active_residency=0.5, phase_duration_s=50e-3, phase_count=8,
+    )
+    pdn = FlexWattsPdn(
+        predictor=flexwatts.predictor,
+        switch_controller=ModeSwitchController(
+            initial_mode=PdnMode.LDO_MODE, min_residency_s=0.0
+        ),
+    )
+    return IntervalSimulator(tdp_w=50.0).run(trace, pdn, pmu=pmu)
+
+
+class TestPmuObservation:
+    """A PMU is driven when someone observes it, and never changes results."""
+
+    def test_supplied_pmu_is_driven(self, flexwatts):
+        pmu = _RecordingPmu(tdp_w=50.0)
+        snapshots = []
+        pmu.add_telemetry_listener(snapshots.append)
+        result = _switching_run(flexwatts, pmu=pmu)
+        assert result.mode_switch_count >= 2
+        expected_states = []
+        current = PackageCState.C0
+        for record in result.phase_records:
+            if record.mode_switched:
+                # The switch flow: C6 entry, then resume in the active state.
+                resume = current if current in (PackageCState.C0, PackageCState.C0_MIN) else PackageCState.C0
+                expected_states += [PackageCState.C6, resume]
+                current = resume
+            current = PackageCState(record.power_state)
+            expected_states.append(current)
+        assert pmu.states == expected_states
+        assert pmu.power_state is current
+        phase_time = sum(record.duration_s for record in result.phase_records)
+        flow_adjust = result.mode_switch_count * ModeSwitchOverheads().vr_adjust_s
+        assert pmu.time_s > phase_time + flow_adjust  # C6 entry/exit latencies on top
+        assert len(snapshots) == len(result.phase_records)
+        assert result == _switching_run(flexwatts)
+
+    def test_no_pmu_is_built_unless_observed(self, flexwatts, monkeypatch):
+        from repro.sim import engine as sim_engine
+        from repro.sim.study import SimEngine, SimPoint
+
+        built = []
+
+        def counting_pmu(*args, **kwargs):
+            built.append(args)
+            return PowerManagementUnit(*args, **kwargs)
+
+        monkeypatch.setattr(sim_engine, "PowerManagementUnit", counting_pmu)
+        _switching_run(flexwatts)
+        point = SimPoint(scenario="bursty-interactive", tdp_w=50.0)
+        SimEngine(enable_cache=False).evaluate_units(
+            [(name, point, ()) for name in ("IVR", "FlexWatts")]
+        )
+        assert built == []
+
+    def test_traced_run_emits_one_telemetry_instant_per_phase(self, flexwatts):
+        from repro.obs.trace import install_tracer, uninstall_tracer
+        from repro.sim.study import SimEngine, SimPoint
+
+        point = SimPoint(scenario="bursty-interactive", tdp_w=50.0)
+        units = [(name, point, ()) for name in ("MBVR", "FlexWatts")]
+        untraced = SimEngine(enable_cache=False).evaluate_units(units)
+        untraced_run = _switching_run(flexwatts)
+        tracer = install_tracer()
+        try:
+            traced = SimEngine(enable_cache=False).evaluate_units(units)
+            traced_run = _switching_run(flexwatts)
+        finally:
+            uninstall_tracer()
+        telemetry = [r for r in tracer.records() if r.name == "pmu.telemetry"]
+        switches = [r for r in tracer.records() if r.name == "sim.mode_switch"]
+        phases = sum(len(result.phase_records) for result in traced) + len(
+            traced_run.phase_records
+        )
+        assert len(telemetry) == phases
+        assert len(switches) == sum(r.mode_switch_count for r in traced) + (
+            traced_run.mode_switch_count
+        )
+        assert traced == untraced
+        assert traced_run == untraced_run
+
+
+class TestReadOnlyResults:
+    def test_results_are_frozen_with_tuple_records(self, simulator, video_trace):
+        import dataclasses
+
+        result = simulator.run(video_trace, IvrPdn())
+        assert isinstance(result.phase_records, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.mode_switch_count = 3
+        listed = SimulationResult("IVR", "t", 18.0, list(result.phase_records))
+        assert isinstance(listed.phase_records, tuple)
+
+    def test_pickled_list_records_load_as_a_tuple(self, simulator, video_trace):
+        """Entries written before results were read-only hold a list."""
+        import pickle
+
+        result = simulator.run(video_trace, IvrPdn())
+        legacy = object.__new__(SimulationResult)
+        legacy.__dict__.update(result.__dict__, phase_records=list(result.phase_records))
+        loaded = pickle.loads(pickle.dumps(legacy))
+        assert isinstance(loaded.phase_records, tuple)
+        assert loaded == result

@@ -9,6 +9,8 @@ between grid points.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.executor import EXECUTORS
@@ -157,12 +159,19 @@ class TestEngineSemantics:
         assert results[0] == results[1] == results[2]
 
     def test_cached_master_is_caller_isolated(self):
+        """A cached result is read-only, so every hit can share the master."""
         engine = SimEngine()
         point = SimPoint(scenario="race-to-idle", tdp_w=18.0)
         first = engine.evaluate("IVR", point, ())
-        first.phase_records.clear()
+        with pytest.raises(AttributeError):
+            first.phase_records.clear()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.mode_switch_count = 7
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            first.phase_records[0].energy_j = 0.0
         second = engine.evaluate("IVR", point, ())
-        assert second.phase_records  # unaffected by the caller's mutation
+        assert second is first  # a hit hands out the shared master
+        assert second == engine.evaluate_uncached("IVR", point, ())
 
     def test_pdn_restriction_and_unknown_pdn(self):
         study = (
