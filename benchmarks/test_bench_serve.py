@@ -17,13 +17,15 @@ Two benchmark columns track this in the ``serve-coalescing`` group:
 the independent column from the same run (their ratio cancels machine
 speed), and ``test_serve_coalescing_beats_independent_runs`` asserts
 in-suite that the coalesced burst is outright faster than the independent
-runs on the same machine.
+runs on the same machine (medians of alternating rounds).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import List
 
 import pytest
 
@@ -38,6 +40,9 @@ N_CLIENTS = 4
 SERVE_TDPS = (4.0, 18.0, 50.0)
 SERVE_ARS = (0.40, 0.56)
 SERVE_ROWS = len(SERVE_TDPS) * len(SERVE_ARS) * 5
+
+#: Alternating rounds per side of the in-suite coalescing claim.
+CLAIM_ROUNDS = 5
 
 
 def _cold_run():
@@ -119,23 +124,31 @@ def test_serve_coalescing_beats_independent_runs(serve_reference):
 
     A coalesced N-client burst must beat N independent cold runs -- the
     daemon evaluates the grid once while the counterfactual pays it N
-    times, so the margin is expected to be several-fold, far above timer
-    noise.
+    times.  One sample of each side is at the mercy of whatever else the
+    host is doing, so the two sides alternate over
+    :data:`CLAIM_ROUNDS` rounds (each burst against a fresh daemon) and
+    their medians are compared.
     """
-    started = time.monotonic()
-    independent = [_cold_run() for _ in range(N_CLIENTS)]
-    independent_s = time.monotonic() - started
-    for resultset in independent:
-        assert resultset == serve_reference
+    independent_s: List[float] = []
+    coalesced_s: List[float] = []
+    for round_index in range(CLAIM_ROUNDS):
+        sides = ("independent", "coalesced")
+        for side in sides if round_index % 2 == 0 else sides[::-1]:
+            if side == "independent":
+                started = time.perf_counter()
+                results = [_cold_run() for _ in range(N_CLIENTS)]
+                independent_s.append(time.perf_counter() - started)
+            else:
+                with start_in_thread() as handle:
+                    started = time.perf_counter()
+                    responses = _concurrent_burst(handle)
+                    coalesced_s.append(time.perf_counter() - started)
+                results = [response.resultset for response in responses]
+            for resultset in results:
+                assert resultset == serve_reference
 
-    with start_in_thread() as handle:
-        started = time.monotonic()
-        responses = _concurrent_burst(handle)
-        coalesced_s = time.monotonic() - started
-        for response in responses:
-            assert response.resultset == serve_reference
-
-    assert coalesced_s < independent_s, (
-        f"coalesced burst ({coalesced_s:.2f} s) should beat "
-        f"{N_CLIENTS} independent cold runs ({independent_s:.2f} s)"
+    coalesced, independent = statistics.median(coalesced_s), statistics.median(independent_s)
+    assert coalesced < independent, (
+        f"coalesced burst (median {coalesced:.3f} s of {CLAIM_ROUNDS}) should beat "
+        f"{N_CLIENTS} independent cold runs (median {independent:.3f} s)"
     )

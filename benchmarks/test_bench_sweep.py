@@ -10,7 +10,9 @@ Four benchmark groups track the sweep engine's perf trajectory:
 * ``sweep-cold-fig7-scale`` -- a figure-regeneration-scale grid (~4800
   evaluation units) cold, serial versus the process backend with 4 jobs; on
   a multi-core runner the process column should be measurably faster, and
-  the results are asserted identical either way.
+  the results are asserted identical either way.  The serial column (5
+  rounds) is gated with ``--max-ratio`` against the per-point oracle column
+  of ``test_bench_vectorized.py``.
 * ``sim-scenarios`` -- the trace-driven scenario grid of the ``sim``
   experiment (8 scenarios x 2 TDPs x 5 PDNs, ~3000 simulated phases) through
   ``SimEngine.run``: cold serial versus the process backend and versus the
@@ -102,12 +104,20 @@ def test_bench_sweep_grid_cached_parallel(benchmark, backend):
     assert resultset == serial
 
 
+#: Rounds of the fig7-scale cold serial column, which CI gates against the
+#: per-point oracle column (``test_bench_vectorized_per_point_serial``).
+FIG7_COLD_ROUNDS = 5
+
+
 @pytest.mark.benchmark(group="sweep-cold-fig7-scale")
 def test_bench_sweep_fig7_scale_cold_serial(benchmark, fig7_scale_reference):
+    """The whole cold ``PdnSpot.run``: grid, columnar evaluation and ResultSet."""
     spot = PdnSpot(enable_cache=False)
     study = _fig7_scale_study()
     _ = spot.pdn("FlexWatts").predictor  # calibrate outside the timing
-    resultset = benchmark.pedantic(spot.run, args=(study,), rounds=1, iterations=1)
+    resultset = benchmark.pedantic(
+        spot.run, args=(study,), rounds=FIG7_COLD_ROUNDS, iterations=1
+    )
     assert len(resultset) == FIG7_SCALE_ROWS
     assert resultset == fig7_scale_reference
 

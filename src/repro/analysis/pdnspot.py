@@ -44,7 +44,8 @@ from repro.obs.runstats import RunStats, executor_label
 from repro.analysis.study import (
     OverrideKey,
     Study,
-    scenario_records,
+    study_resultset,
+    study_units,
 )
 from repro.cost.board_area import BoardAreaModel
 from repro.cost.bom import BomModel
@@ -501,23 +502,14 @@ class PdnSpot(TwoTierCacheMixin):
         names = study.pdn_names if study.pdn_names is not None else tuple(self._pdns)
         for name in names:
             self.pdn(name)  # fail fast on unknown PDNs
-        units: List[EvalUnit] = []
         with obs_trace.span("engine.grid", category="engine",
                             scenarios=len(study.scenarios)):
-            for scenario in study.scenarios:
-                conditions = scenario.conditions()
-                units.extend((name, conditions, scenario.overrides) for name in names)
+            units = study_units(study, names)
         with obs_trace.span("engine.run", category="engine",
                             study=study.name, units=len(units)):
             evaluations = self.evaluate_units(units, executor=executor, jobs=jobs)
         with obs_trace.span("engine.assemble", category="engine", units=len(units)):
-            records: List[Record] = []
-            cursor = 0
-            for scenario in study.scenarios:
-                paired = list(zip(names, evaluations[cursor : cursor + len(names)]))
-                cursor += len(names)
-                records.extend(scenario_records(scenario, paired))
-            results = ResultSet.from_records(records, name=study.name)
+            results = study_resultset(study, names, evaluations)
         after = self.cache_info()
         results.run_stats = RunStats(
             units=len(units),

@@ -15,17 +15,23 @@ instances) say *how*, and both return a
 
 Scenario iteration order is deterministic -- parameter overrides, then
 workload type, then TDP, then application ratio for the active part, followed
-by TDP then power state for the idle part -- which is exactly the record
-order the legacy ``sweep_*`` helpers produced.
+by TDP then power state for the idle part -- and is the row order of every
+study :class:`~repro.analysis.resultset.ResultSet`.  Every evaluator builds
+its units with :func:`study_units` and its result with
+:func:`study_resultset`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
-from repro.analysis.resultset import Record, ResultSet
+from repro.analysis.resultset import MISSING, Record, ResultSet
 from repro.pdn.base import (
+    LoadSets,
     OperatingConditions,
     PdnEvaluation,
     PowerDeliveryNetwork,
@@ -83,16 +89,23 @@ class Scenario:
         """Whether this is an active-workload (C0) scenario."""
         return self.power_state is PackageCState.C0
 
-    def conditions(self) -> OperatingConditions:
-        """Materialise the scenario as an :class:`OperatingConditions` point."""
+    def conditions(self, load_sets: Optional[LoadSets] = None) -> OperatingConditions:
+        """Materialise the scenario as an :class:`OperatingConditions` point.
+
+        ``load_sets`` shares the loads with the other points of a grid
+        (see :func:`study_units`).
+        """
         if self.is_active:
             return OperatingConditions.for_active_workload(
-                self.tdp_w, self.application_ratio, self.workload_type
+                self.tdp_w, self.application_ratio, self.workload_type,
+                load_sets=load_sets,
             )
-        return OperatingConditions.for_power_state(self.tdp_w, self.power_state)
+        return OperatingConditions.for_power_state(
+            self.tdp_w, self.power_state, load_sets=load_sets
+        )
 
     def record_fields(self) -> Record:
-        """The scenario's identifying record fields (legacy sweep layout)."""
+        """The scenario's identifying fields, in sweep-row column order."""
         fields_: Record = {"tdp_w": self.tdp_w}
         if self.is_active:
             fields_["application_ratio"] = self.application_ratio
@@ -349,27 +362,85 @@ class StudyBuilder:
 
 
 # ---------------------------------------------------------------------- #
-# Plain (instance-based, uncached) study evaluation
+# Grid units and result assembly (shared by every study evaluator)
 # ---------------------------------------------------------------------- #
 Evaluator = Callable[[PowerDeliveryNetwork, OperatingConditions], PdnEvaluation]
 
+Label = TypeVar("Label")
 
-def scenario_records(
-    scenario: Scenario,
-    evaluations: Iterable[Tuple[str, PdnEvaluation]],
-) -> List[Record]:
-    """Flatten one scenario's per-PDN evaluations into sweep-layout records."""
-    fields = scenario.record_fields()
-    return [
-        {
-            "pdn": pdn_name,
-            **fields,
-            "etee": evaluation.etee,
-            "supply_power_w": evaluation.supply_power_w,
-            "nominal_power_w": evaluation.nominal_power_w,
-        }
-        for pdn_name, evaluation in evaluations
-    ]
+#: The value columns of every sweep row, after the scenario's fields.
+VALUE_COLUMNS = ("etee", "supply_power_w", "nominal_power_w")
+
+
+def study_units(
+    study: Study, names: Sequence[Label]
+) -> List[Tuple[Label, OperatingConditions, OverrideKey]]:
+    """The evaluation units of ``study``: each scenario crossed with ``names``.
+
+    Units are scenario-major, in grid order.  Every operating point is built
+    through one :class:`~repro.pdn.base.LoadSets` memo, so points at the same
+    ``(TDP, workload type)`` or power state share one validated, pre-hashed
+    load set; the memo is dropped with the call.
+    """
+    load_sets = LoadSets()
+    units: List[Tuple[Label, OperatingConditions, OverrideKey]] = []
+    for scenario in study.scenarios:
+        conditions = scenario.conditions(load_sets)
+        units.extend(zip(names, repeat(conditions), repeat(scenario.overrides)))
+    return units
+
+
+def study_resultset(
+    study: Study,
+    names: Sequence[str],
+    evaluations: Sequence[Optional[PdnEvaluation]],
+) -> ResultSet:
+    """The sweep-layout :class:`ResultSet` of ``study``, built column by column.
+
+    ``evaluations`` holds one entry per :func:`study_units` unit; a ``None``
+    entry (a unit a served deadline cut off) has no row.  Each row is the
+    PDN name, the scenario's :meth:`Scenario.record_fields`, then
+    :data:`VALUE_COLUMNS`.  Columns appear in first-seen order and cells a
+    row lacks are :data:`~repro.analysis.resultset.MISSING` -- the table
+    :meth:`ResultSet.from_records` builds from those rows.
+    """
+    width = len(names)
+    pdn: List[str] = []
+    kept: List[PdnEvaluation] = []
+    rows: List[Tuple[Record, int]] = []
+    partial = any(evaluation is None for evaluation in evaluations)
+    for index, scenario in enumerate(study.scenarios):
+        chunk = evaluations[index * width:(index + 1) * width]
+        chunk_names = names
+        if partial:
+            chunk_names = [name for name, evaluation in zip(names, chunk) if evaluation is not None]
+            chunk = [evaluation for evaluation in chunk if evaluation is not None]
+        if chunk:
+            rows.append((scenario.record_fields(), len(chunk)))
+            pdn.extend(chunk_names)
+            kept.extend(chunk)
+    values = {
+        "pdn": pdn,
+        "etee": [evaluation.etee for evaluation in kept],
+        "supply_power_w": [evaluation.supply_power_w for evaluation in kept],
+        "nominal_power_w": [evaluation.nominal_power_w for evaluation in kept],
+    }
+    # Column order is first-seen key order over the rows; only a new row
+    # shape (active or idle, with or without overrides) can add keys.
+    order: Dict[str, None] = {}
+    shapes = set()
+    for fields, _ in rows:
+        shape = tuple(fields)
+        if shape not in shapes:
+            shapes.add(shape)
+            order.update(dict.fromkeys(("pdn", *shape, *VALUE_COLUMNS)))
+    columns = {
+        key: values[key] if key in values else [
+            cell for fields, count in rows for cell in repeat(fields.get(key, MISSING), count)
+        ]
+        for key in order
+    }
+    return ResultSet(columns, name=study.name)
 
 
 def evaluate_study(
@@ -379,10 +450,13 @@ def evaluate_study(
 ) -> ResultSet:
     """Evaluate ``study`` against concrete PDN instances.
 
-    This is the engine behind the legacy ``sweep_*`` shims and the validation
-    grid: it has no memo cache and no parameter-override support (overrides
-    need a :class:`PdnSpot`, which owns the parameter set and can rebuild its
-    models -- use :meth:`PdnSpot.run`).
+    The uncached evaluator behind the Fig. 4 validation grids
+    (:mod:`repro.experiments.fig4_validation`).  It builds its units and its
+    :class:`ResultSet` through :func:`study_units` and
+    :func:`study_resultset`, like :meth:`PdnSpot.run`, but has no memo cache
+    and no parameter-override support (overrides need a :class:`PdnSpot`,
+    which owns the parameter set and can rebuild its models -- use
+    :meth:`PdnSpot.run`).
 
     Parameters
     ----------
@@ -398,9 +472,9 @@ def evaluate_study(
     if isinstance(pdns, Mapping):
         items: List[Tuple[str, PowerDeliveryNetwork]] = list(pdns.items())
     else:
-        # Preserve duplicates and order: legacy sweep callers may pass several
-        # same-named instances (e.g. nominal vs perturbed parameters) and
-        # expect one record per instance.
+        # Preserve duplicates and order: callers may pass several same-named
+        # instances (e.g. nominal vs perturbed parameters) and expect one
+        # record per instance.
         items = [(pdn.name, pdn) for pdn in pdns]
     if study.pdn_names is not None:
         provided = {name for name, _ in items}
@@ -413,20 +487,15 @@ def evaluate_study(
         for name, pdn in items:
             by_name.setdefault(name, pdn)
         items = [(name, by_name[name]) for name in study.pdn_names]
+    if any(scenario.overrides for scenario in study.scenarios):
+        raise ModelDomainError(
+            "parameter-override scenarios need a PdnSpot engine; "
+            "use PdnSpot.run(study)"
+        )
     if evaluate is None:
         evaluate = evaluate_pdn
-    records: List[Record] = []
-    for scenario in study.scenarios:
-        if scenario.overrides:
-            raise ModelDomainError(
-                "parameter-override scenarios need a PdnSpot engine; "
-                "use PdnSpot.run(study)"
-            )
-        conditions = scenario.conditions()
-        records.extend(
-            scenario_records(
-                scenario,
-                ((name, evaluate(pdn, conditions)) for name, pdn in items),
-            )
-        )
-    return ResultSet.from_records(records, name=study.name)
+    evaluations = [
+        evaluate(pdn, conditions)
+        for pdn, conditions, _ in study_units(study, [pdn for _, pdn in items])
+    ]
+    return study_resultset(study, [name for name, _ in items], evaluations)

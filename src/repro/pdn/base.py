@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.pdn.losses import LossBreakdown, read_only
 from repro.power.domains import (
@@ -25,7 +25,7 @@ from repro.power.parameters import PdnTechnologyParameters, default_parameters
 from repro.power.power_states import PackageCState, POWER_STATE_PROFILES
 from repro.power.domains import DEFAULT_DOMAINS
 from repro.soc.dvfs import compute_voltage_for_tdp, gfx_voltage_for_tdp
-from repro.util.errors import ModelDomainError
+from repro.util.errors import ConfigurationError, ModelDomainError
 from repro.util.validation import require_positive
 from repro.vr.switching import VRPowerState
 
@@ -64,24 +64,134 @@ def conditions_key(conditions: "OperatingConditions") -> ConditionsKey:
     Used as (part of) the memo-cache key by every engine that memoises
     evaluations over operating points: :class:`repro.analysis.pdnspot.PdnSpot`
     and the per-run phase cache of the interval simulator.  The key is built
-    once per conditions object whose loads are a tuple (list loads could
+    once per conditions object whose loads are immutable (list loads could
     change under it) and kept on the object; its cached hash never crosses a
-    pickle boundary (see :class:`ConditionsKey`).
+    pickle boundary (see :class:`ConditionsKey`).  A :class:`LoadSet` goes
+    into the key as itself, so hashing the key reuses the load set's cached
+    hash instead of re-hashing six :class:`DomainLoad` dataclasses.
     """
     key = conditions.__dict__.get("_key")
     if key is None:
         loads = conditions.loads
+        immutable = type(loads) is LoadSet or type(loads) is tuple
         key = ConditionsKey((
             conditions.tdp_w,
             conditions.application_ratio,
             conditions.workload_type,
             conditions.power_state,
             conditions.board_vr_state,
-            tuple(loads),
+            loads if immutable else tuple(loads),
         ))
-        if type(loads) is tuple:
+        if immutable:
             conditions.__dict__["_key"] = key
     return key
+
+
+class LoadSet(tuple):
+    """The six domain loads of one operating point: validated and hashed once.
+
+    It equals (and hashes like) the plain tuple of its loads and
+    :func:`repro.cache.canonical_key` renders it as that tuple, so cache
+    keys and disk addresses do not depend on the wrapper.  The set is
+    checked by :func:`~repro.power.domains.validate_load_set` when it is
+    created; :class:`OperatingConditions` on a load set skip the check.
+    Pickling rebuilds the set from its items (validated and hashed again
+    under the receiving process's hash seed), like :class:`ConditionsKey`.
+    """
+
+    def __new__(cls, loads: Iterable[DomainLoad]) -> "LoadSet":
+        load_set = super().__new__(cls, validate_load_set(loads))
+        load_set._hash = tuple.__hash__(load_set)
+        return load_set
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return LoadSet, (tuple(self),)
+
+
+def active_loads(
+    tdp_w: float,
+    workload_type: WorkloadType,
+    curves: Optional[NominalPowerCurves] = None,
+) -> LoadSet:
+    """The loads of an active (C0) workload of ``workload_type`` at ``tdp_w``.
+
+    Per-domain nominal powers come from the Table 2 nominal-power curves;
+    per-domain voltages follow the DVFS operating point the TDP sustains.
+    The application ratio does not enter the loads.
+    """
+    curves = curves if curves is not None else DEFAULT_NOMINAL_CURVES
+    core_voltage = compute_voltage_for_tdp(tdp_w)
+    gfx_voltage = gfx_voltage_for_tdp(tdp_w, workload_type)
+    cores_power = curves.cores_power_w(tdp_w, workload_type)
+    gfx_power = curves.gfx_power_w(tdp_w, workload_type)
+    llc_power = curves.llc_power_w(tdp_w, workload_type)
+    sa_power, io_power = curves.uncore_power_w(tdp_w)
+    graphics = workload_type is WorkloadType.GRAPHICS
+    # Graphics workloads run the LLC at a higher voltage than the cores
+    # (Sec. 7.1); CPU workloads match the LLC voltage to the cores.
+    llc_voltage = gfx_voltage if graphics else core_voltage
+    return LoadSet((
+        DomainLoad(DomainKind.CORE0, 0.5 * cores_power, core_voltage, 0.22),
+        DomainLoad(DomainKind.CORE1, 0.5 * cores_power, core_voltage, 0.22),
+        DomainLoad(DomainKind.LLC, llc_power, llc_voltage, 0.22),
+        DomainLoad(
+            DomainKind.GFX,
+            gfx_power,
+            gfx_voltage,
+            0.45,
+            active=graphics or gfx_power > 0.0,
+        ),
+        DomainLoad(DomainKind.SA, sa_power, DEFAULT_DOMAINS[DomainKind.SA].fixed_voltage_v, 0.22, power_gated_rail=False),
+        DomainLoad(DomainKind.IO, io_power, DEFAULT_DOMAINS[DomainKind.IO].fixed_voltage_v, 0.22, power_gated_rail=False),
+    ))
+
+
+def power_state_loads(power_state: PackageCState) -> LoadSet:
+    """The loads of a package power state (C0_MIN, C2, ..., C8).
+
+    The state's profile fixes them, whatever the TDP.
+    """
+    if power_state not in POWER_STATE_PROFILES:
+        raise ModelDomainError(
+            f"no default profile for power state {power_state}; "
+            "use for_active_workload for C0"
+        )
+    return LoadSet(POWER_STATE_PROFILES[power_state].loads())
+
+
+class LoadSets:
+    """The load sets of one grid build or one simulation batch, each built once.
+
+    A grid revisits few ``(TDP, workload type)`` pairs and power states but
+    many application ratios, so the operating points built through one
+    memo share one :class:`LoadSet` per pair or state: the loads are built,
+    validated and hashed once.  A memo lives only as long as its caller
+    keeps it -- the engines make one per grid build or batch -- so nothing
+    grows across runs and a cold run stays cold.
+    """
+
+    __slots__ = ("_sets",)
+
+    def __init__(self) -> None:
+        self._sets: Dict[object, LoadSet] = {}
+
+    def active(self, tdp_w: float, workload_type: WorkloadType) -> LoadSet:
+        """:func:`active_loads` of ``(tdp_w, workload_type)``, built once."""
+        key = (tdp_w, workload_type)
+        loads = self._sets.get(key)
+        if loads is None:
+            loads = self._sets[key] = active_loads(tdp_w, workload_type)
+        return loads
+
+    def power_state(self, power_state: PackageCState) -> LoadSet:
+        """:func:`power_state_loads` of ``power_state``, built once."""
+        loads = self._sets.get(power_state)
+        if loads is None:
+            loads = self._sets[power_state] = power_state_loads(power_state)
+        return loads
 
 
 @dataclass(frozen=True)
@@ -120,7 +230,8 @@ class OperatingConditions:
             raise ModelDomainError(
                 f"application_ratio must be in (0, 1], got {self.application_ratio!r}"
             )
-        validate_load_set(self.loads)
+        if type(self.loads) is not LoadSet:
+            validate_load_set(self.loads)
 
     @property
     def nominal_power_w(self) -> float:
@@ -148,36 +259,20 @@ class OperatingConditions:
         application_ratio: float,
         workload_type: WorkloadType,
         curves: Optional[NominalPowerCurves] = None,
+        load_sets: Optional[LoadSets] = None,
     ) -> "OperatingConditions":
         """Build the conditions for an active (C0) workload at ``tdp_w``.
 
-        Per-domain nominal powers come from the Table 2 nominal-power curves;
-        per-domain voltages follow the DVFS operating point the TDP sustains.
+        The loads are :func:`active_loads` over ``curves``; pass
+        ``load_sets`` instead to share the default curves' loads with every
+        other point of a grid at the same TDP and workload type.
         """
-        curves = curves if curves is not None else DEFAULT_NOMINAL_CURVES
-        core_voltage = compute_voltage_for_tdp(tdp_w)
-        gfx_voltage = gfx_voltage_for_tdp(tdp_w, workload_type)
-        cores_power = curves.cores_power_w(tdp_w, workload_type)
-        gfx_power = curves.gfx_power_w(tdp_w, workload_type)
-        llc_power = curves.llc_power_w(tdp_w, workload_type)
-        sa_power, io_power = curves.uncore_power_w(tdp_w)
-        graphics = workload_type is WorkloadType.GRAPHICS
-        # Graphics workloads run the LLC at a higher voltage than the cores
-        # (Sec. 7.1); CPU workloads match the LLC voltage to the cores.
-        llc_voltage = gfx_voltage if graphics else core_voltage
+        if load_sets is not None and curves is not None:
+            raise ConfigurationError("pass curves or load_sets, not both")
         loads = (
-            DomainLoad(DomainKind.CORE0, 0.5 * cores_power, core_voltage, 0.22),
-            DomainLoad(DomainKind.CORE1, 0.5 * cores_power, core_voltage, 0.22),
-            DomainLoad(DomainKind.LLC, llc_power, llc_voltage, 0.22),
-            DomainLoad(
-                DomainKind.GFX,
-                gfx_power,
-                gfx_voltage,
-                0.45,
-                active=graphics or gfx_power > 0.0,
-            ),
-            DomainLoad(DomainKind.SA, sa_power, DEFAULT_DOMAINS[DomainKind.SA].fixed_voltage_v, 0.22, power_gated_rail=False),
-            DomainLoad(DomainKind.IO, io_power, DEFAULT_DOMAINS[DomainKind.IO].fixed_voltage_v, 0.22, power_gated_rail=False),
+            load_sets.active(tdp_w, workload_type)
+            if load_sets is not None
+            else active_loads(tdp_w, workload_type, curves)
         )
         return cls(
             tdp_w=tdp_w,
@@ -190,23 +285,34 @@ class OperatingConditions:
 
     @classmethod
     def for_power_state(
-        cls, tdp_w: float, power_state: PackageCState
+        cls,
+        tdp_w: float,
+        power_state: PackageCState,
+        load_sets: Optional[LoadSets] = None,
     ) -> "OperatingConditions":
-        """Build the conditions for a package power state (C0_MIN, C2, ..., C8)."""
-        if power_state not in POWER_STATE_PROFILES:
-            raise ModelDomainError(
-                f"no default profile for power state {power_state}; "
-                "use for_active_workload for C0"
-            )
+        """Build the conditions for a package power state (C0_MIN, C2, ..., C8).
+
+        The loads are :func:`power_state_loads`, shared through
+        ``load_sets`` when given.
+        """
+        loads = (
+            load_sets.power_state(power_state)
+            if load_sets is not None
+            else power_state_loads(power_state)
+        )
         profile = POWER_STATE_PROFILES[power_state]
         return cls(
             tdp_w=tdp_w,
             application_ratio=profile.application_ratio,
             workload_type=WorkloadType.IDLE,
             power_state=power_state,
-            loads=tuple(profile.loads()),
+            loads=loads,
             board_vr_state=profile.board_vr_state,
         )
+
+
+#: The fields a columnar lane builds on first read.
+_LANE_DETAIL = frozenset(("breakdown", "rail_voltages_v"))
 
 
 @dataclass(frozen=True)
@@ -233,6 +339,11 @@ class PdnEvaluation:
     Evaluations are immutable through their public surface -- the breakdown
     is frozen and both maps are read-only views -- so the engines hand the
     same cached object to every caller.
+
+    An evaluation from the columnar core carries only the four scalars; its
+    ``breakdown`` and ``rail_voltages_v`` are built from the block's shared
+    columns on first read (under the block's lock) and kept.  Equality,
+    ``repr`` and the pickled state are those of an eagerly built evaluation.
     """
 
     pdn_name: str
@@ -245,10 +356,31 @@ class PdnEvaluation:
     def __post_init__(self) -> None:
         object.__setattr__(self, "rail_voltages_v", read_only(self.rail_voltages_v))
 
+    def __getattr__(self, name: str) -> object:
+        # Reached only for attributes missing from the instance: the detail
+        # of a columnar lane before its first read.
+        if name in _LANE_DETAIL:
+            state = self.__dict__
+            block = state.get("_block")
+            if block is not None:
+                return block.detail(self, name)
+            if name in state:  # built by another thread since the lookup
+                return state[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
     def __getstate__(self) -> Dict[str, object]:
-        # A mappingproxy cannot be pickled: ship the plain dict (the same
-        # state earlier versions pickled) and re-wrap it on load.
-        return {**self.__dict__, "rail_voltages_v": dict(self.rail_voltages_v)}
+        # A mappingproxy cannot be pickled: ship the plain dict, in the field
+        # order earlier versions pickled, and re-wrap it on load.
+        return {
+            "pdn_name": self.pdn_name,
+            "nominal_power_w": self.nominal_power_w,
+            "supply_power_w": self.supply_power_w,
+            "breakdown": self.breakdown,
+            "chip_input_current_a": self.chip_input_current_a,
+            "rail_voltages_v": dict(self.rail_voltages_v),
+        }
 
     def __setstate__(self, state: Dict[str, object]) -> None:
         self.__dict__.update(state, rail_voltages_v=read_only(state["rail_voltages_v"]))

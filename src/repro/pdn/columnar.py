@@ -39,6 +39,7 @@ surfaces.  Capability is advertised per instance by :func:`supports_columns`.
 
 from __future__ import annotations
 
+import threading
 from types import MappingProxyType
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -141,28 +142,38 @@ class ConditionsBatch:
         ar: List[float] = []
         states: List[VRPowerState] = []
         codes: List[float] = []
-        # Per-domain columns as positional (lists, expected kind) slots so the
-        # hot loop appends to local lists without dict/enum lookups.
+        # Per-domain columns of each distinct load set, as positional (lists,
+        # expected kind) slots so the loop appends to local lists without
+        # dict/enum lookups.  The points of a grid share their load sets
+        # (see LoadSets), so each set is read once and its row gathered
+        # per lane; identity keys are safe, ``conditions`` pins the loads.
         slots = [
             ([], [], [], [], [], kind) for kind in _DOMAIN_ORDER
         ]
+        row_of: Dict[int, int] = {}
+        rows: List[int] = []
         for c in conditions:
             loads = c.loads
-            if len(loads) != n_domains:
-                return None
+            row = row_of.get(id(loads))
+            if row is None:
+                if len(loads) != n_domains:
+                    return None
+                for load, (nom, volt, leak, act, gate, kind) in zip(loads, slots):
+                    if load.kind is not kind:
+                        return None
+                    nom.append(load.nominal_power_w)
+                    volt.append(load.voltage_v)
+                    leak.append(load.leakage_fraction)
+                    act.append(load.active)
+                    gate.append(load.power_gated_rail)
+                row = row_of[id(loads)] = len(row_of)
+            rows.append(row)
             state = c.board_vr_state
             tdp.append(c.tdp_w)
             ar.append(c.application_ratio)
             states.append(state)
             codes.append(float(state.value))
-            for load, (nom, volt, leak, act, gate, kind) in zip(loads, slots):
-                if load.kind is not kind:
-                    return None
-                nom.append(load.nominal_power_w)
-                volt.append(load.voltage_v)
-                leak.append(load.leakage_fraction)
-                act.append(load.active)
-                gate.append(load.power_gated_rail)
+        lanes = np.array(rows, dtype=np.intp)
         batch = cls.__new__(cls)
         batch.conditions = conditions
         batch.n = len(conditions)
@@ -171,22 +182,22 @@ class ConditionsBatch:
         batch.board_states = states
         batch.state_codes = np.array(codes, dtype=np.float64)
         batch.nominal = {
-            kind: np.array(nom, dtype=np.float64)
+            kind: np.array(nom, dtype=np.float64)[lanes]
             for nom, _, _, _, _, kind in slots
         }
         batch.voltage = {
-            kind: np.array(volt, dtype=np.float64)
+            kind: np.array(volt, dtype=np.float64)[lanes]
             for _, volt, _, _, _, kind in slots
         }
         batch.leakage = {
-            kind: np.array(leak, dtype=np.float64)
+            kind: np.array(leak, dtype=np.float64)[lanes]
             for _, _, leak, _, _, kind in slots
         }
         batch.active = {
-            kind: np.array(act, dtype=bool) for _, _, _, act, _, kind in slots
+            kind: np.array(act, dtype=bool)[lanes] for _, _, _, act, _, kind in slots
         }
         batch.gated_rail = {
-            kind: np.array(gate, dtype=bool) for _, _, _, _, gate, kind in slots
+            kind: np.array(gate, dtype=bool)[lanes] for _, _, _, _, gate, kind in slots
         }
         batch.effective = {
             k: np.where(batch.active[k], batch.nominal[k], 0.0) for k in _DOMAIN_ORDER
@@ -795,88 +806,116 @@ def _flexwatts_class():
 
 
 # --------------------------------------------------------------------------- #
-# Materialization and dispatch
+# Lanes and dispatch
 # --------------------------------------------------------------------------- #
-def _column_dicts(entries, n):
-    """Expand ``(name, values, mask)`` columns into one dict per lane.
+class _BlockDetail:
+    """The loss and rail-voltage columns of one evaluated block.
 
-    Masks that are all-true collapse to the unmasked fast path, where the
-    per-lane dicts are built with ``dict(zip(...))`` over transposed rows.
+    Shared by the block's lanes: each lane's :class:`LossBreakdown` and
+    rail-voltage map are built from these columns the first time the lane's
+    ``breakdown`` or ``rail_voltages_v`` is read, then kept on the lane (see
+    :meth:`PdnEvaluation.__getattr__`).  Sweeps read neither, so most lanes
+    never pay for them.  Builds run under the block's lock: cached lanes are
+    shared across threads, and every reader must see one result.
     """
-    names = []
+
+    __slots__ = ("_loss", "_rails", "_lists", "_lock")
+
+    def __init__(self, loss: _LossColumns, rail_voltages):
+        self._loss = loss
+        self._rails = rail_voltages
+        self._lists = None
+        self._lock = threading.Lock()
+
+    def detail(self, evaluation: PdnEvaluation, name: str) -> object:
+        """Build ``evaluation``'s detail once and return its field ``name``."""
+        state = evaluation.__dict__
+        with self._lock:
+            if "_block" in state:
+                if self._lists is None:
+                    self._lists = self._to_lists()
+                losses, details, rails = self._lists
+                lane = state["_lane"]
+                breakdown = object.__new__(LossBreakdown)
+                # Frozen dataclass: fill the dict in place, in field order.
+                breakdown.__dict__.update(
+                    on_chip_vr_w=losses[0][lane],
+                    off_chip_vr_w=losses[1][lane],
+                    conduction_compute_w=losses[2][lane],
+                    conduction_uncore_w=losses[3][lane],
+                    other_w=losses[4][lane],
+                    rail_details=MappingProxyType(_lane_dict(details, lane)),
+                )
+                state["breakdown"] = breakdown
+                state["rail_voltages_v"] = MappingProxyType(_lane_dict(rails, lane))
+                del state["_block"], state["_lane"]
+            return state[name]
+
+    def _to_lists(self):
+        loss = self._loss
+        losses = tuple(
+            column.tolist()
+            for column in (
+                loss.on_chip_vr_w,
+                loss.off_chip_vr_w,
+                loss.conduction_compute_w,
+                loss.conduction_uncore_w,
+                loss.other_w,
+            )
+        )
+        return losses, _dict_columns(loss.details), _dict_columns(self._rails)
+
+
+def _dict_columns(entries):
+    """``(name, values, mask)`` columns as (unmasked, masked) value lists.
+
+    A mask that is true on every lane of the block counts as no mask, so
+    unmasked names come first in each lane's dict, then masked ones where
+    their lane is set -- the key order of every columnar lane since the
+    kernels were written, which pickled entries preserve.
+    """
     unmasked = []
     masked = []
     for name, values, mask in entries:
         if mask is not None and bool(mask.all()):
             mask = None
         if mask is None:
-            names.append(name)
-            unmasked.append(values.tolist())
+            unmasked.append((name, values.tolist()))
         else:
             masked.append((name, values.tolist(), mask.tolist()))
-    if not masked:
-        if not names:
-            return [{} for _ in range(n)]
-        return [dict(zip(names, row)) for row in zip(*unmasked)]
-    rows = (
-        [dict(zip(names, row)) for row in zip(*unmasked)]
-        if names
-        else [{} for _ in range(n)]
-    )
+    return unmasked, masked
+
+
+def _lane_dict(columns, lane: int) -> Dict[str, float]:
+    """One lane's ``{name: value}`` map from :func:`_dict_columns` output."""
+    unmasked, masked = columns
+    row = {name: values[lane] for name, values in unmasked}
     for name, values, mask in masked:
-        for i, keep in enumerate(mask):
-            if keep:
-                rows[i][name] = values[i]
-    return rows
+        if mask[lane]:
+            row[name] = values[lane]
+    return row
 
 
-def _materialize(batch, pdn_name, supply, current, loss, rail_voltages):
-    """Expand column results into per-lane :class:`PdnEvaluation` objects."""
-    n = batch.n
-    detail_rows = _column_dicts(loss.details, n)
-    rail_rows = _column_dicts(rail_voltages, n)
-    # Construct via __new__ + __dict__ to skip the frozen-dataclass __init__
-    # (object.__setattr__ per field, and the copy __post_init__ makes before
-    # wrapping a map read-only -- the per-lane dicts here are fresh), which
-    # is equivalent and much faster per lane.
+def _lanes(batch, pdn_name, supply, current, loss, rail_voltages):
+    """One :class:`PdnEvaluation` per lane, its detail left in the columns."""
+    block = _BlockDetail(loss, rail_voltages)
+    # Construct via __new__ and fill the dict in place, skipping the
+    # frozen-dataclass __init__ (object.__setattr__ per field).
     new = object.__new__
-    proxy = MappingProxyType
-    breakdown_cls = LossBreakdown
     evaluation_cls = PdnEvaluation
     out = []
     append = out.append
-    for nominal, supply_w, current_a, on, off, cc, cu, other, rail_details, voltages in zip(
-        batch.nominal_total.tolist(),
-        supply.tolist(),
-        current.tolist(),
-        loss.on_chip_vr_w.tolist(),
-        loss.off_chip_vr_w.tolist(),
-        loss.conduction_compute_w.tolist(),
-        loss.conduction_uncore_w.tolist(),
-        loss.other_w.tolist(),
-        detail_rows,
-        rail_rows,
-    ):
-        # Frozen dataclasses: plain ``__dict__ = ...`` routes through the
-        # overridden __setattr__ and raises; updating the dict in place does
-        # not.
-        breakdown = new(breakdown_cls)
-        breakdown.__dict__.update(
-            on_chip_vr_w=on,
-            off_chip_vr_w=off,
-            conduction_compute_w=cc,
-            conduction_uncore_w=cu,
-            other_w=other,
-            rail_details=proxy(rail_details),
-        )
+    for lane, (nominal, supply_w, current_a) in enumerate(zip(
+        batch.nominal_total.tolist(), supply.tolist(), current.tolist()
+    )):
         evaluation = new(evaluation_cls)
         evaluation.__dict__.update(
             pdn_name=pdn_name,
             nominal_power_w=nominal,
             supply_power_w=supply_w,
-            breakdown=breakdown,
             chip_input_current_a=current_a,
-            rail_voltages_v=proxy(voltages),
+            _block=block,
+            _lane=lane,
         )
         append(evaluation)
     return out
@@ -903,7 +942,7 @@ def _evaluate_flexwatts(pdn, batch: ConditionsBatch, mode=None):
             raise ColumnarFallback("FlexWatts side model is patched")
         sub = batch.take(lanes)
         supply, current, loss, rails = _COLUMN_KERNELS[type(side)](side, sub)
-        for lane, result in zip(lanes, _materialize(sub, final_name, supply, current, loss, rails)):
+        for lane, result in zip(lanes, _lanes(sub, final_name, supply, current, loss, rails)):
             results[lane] = result
     return results
 
@@ -967,6 +1006,6 @@ def evaluate_columns(
         if type(pdn) is _flexwatts_class():
             return _evaluate_flexwatts(pdn, batch, mode)
         supply, current, loss, rails = _COLUMN_KERNELS[type(pdn)](pdn, batch)
-        return _materialize(batch, pdn.name, supply, current, loss, rails)
+        return _lanes(batch, pdn.name, supply, current, loss, rails)
     except ColumnarFallback:
         return None

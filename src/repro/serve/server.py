@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.resultset import ResultSet
-from repro.analysis.study import scenario_records
+from repro.analysis.study import study_resultset, study_units
 from repro.cache import canonical_key
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS, METRICS_SCHEMA_VERSION
@@ -510,27 +510,13 @@ class EvaluationServer:
             )
             for name in names:
                 self._spot.pdn(name)  # fail fast on unknown PDNs
-            units: List[Tuple[str, object, tuple]] = []
-            for scenario in study.scenarios:
-                conditions = scenario.conditions()
-                units.extend((name, conditions, scenario.overrides) for name in names)
+            units = study_units(study, names)
         except ReproError as error:
             raise _HttpError(400, str(error)) from None
         self._check_budget(len(units))
 
         def assemble(results: List[Optional[object]]) -> ResultSet:
-            """Rebuild rows exactly as :meth:`PdnSpot.run` would."""
-            records = []
-            cursor = 0
-            for scenario in study.scenarios:
-                paired = [
-                    (name, results[cursor + offset])
-                    for offset, name in enumerate(names)
-                    if results[cursor + offset] is not None
-                ]
-                cursor += len(names)
-                records.extend(scenario_records(scenario, paired))
-            return ResultSet.from_records(records, name=study.name)
+            return study_resultset(study, names, results)
 
         return await self._coalesced_response(
             "sweep", self._sweep_coalescer, units, assemble, request

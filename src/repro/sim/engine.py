@@ -22,7 +22,7 @@ from repro.core.mode_switching import ModeSwitchController, ModeSwitchOverheads
 from repro.core.runtime_estimator import RuntimeInputEstimator
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
-from repro.pdn.base import OperatingConditions, PdnEvaluation, PowerDeliveryNetwork
+from repro.pdn.base import LoadSets, OperatingConditions, PdnEvaluation, PowerDeliveryNetwork
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.soc.pmu import PmuTelemetry, PowerManagementUnit
@@ -52,23 +52,29 @@ ModeEvaluator = Callable[
 ]
 
 
-def phase_conditions(phase: WorkloadPhase, tdp_w: float) -> OperatingConditions:
+def phase_conditions(
+    phase: WorkloadPhase, tdp_w: float, load_sets: Optional[LoadSets] = None
+) -> OperatingConditions:
     """The operating point one workload phase is evaluated at.
 
     Active C0 phases carry their benchmark's application ratio and workload
     type; every other phase takes both from the package power-state profile.
     This is *the* phase-to-operating-point mapping -- the simulator, the
     telemetry profile and any external tooling must agree on it.
+    ``load_sets`` shares the loads with the other points of a batch.
     """
     if phase.power_state is PackageCState.C0 and phase.benchmark is not None:
         return OperatingConditions.for_active_workload(
             tdp_w=tdp_w,
             application_ratio=phase.benchmark.application_ratio,
             workload_type=phase.benchmark.workload_type,
+            load_sets=load_sets,
         )
     if phase.power_state is PackageCState.C0:
         raise ConfigurationError("a C0 phase needs a benchmark")
-    return OperatingConditions.for_power_state(tdp_w, phase.power_state)
+    return OperatingConditions.for_power_state(
+        tdp_w, phase.power_state, load_sets=load_sets
+    )
 
 
 def phase_duration(phase: WorkloadPhase, trace_period_s: float) -> float:
@@ -281,13 +287,16 @@ class IntervalSimulator:
         trace: WorkloadTrace,
         memo: Dict[PointKey, int],
         conditions: List[OperatingConditions],
+        load_sets: Optional[LoadSets] = None,
     ) -> PhasePlan:
         """Resolve ``trace`` at this TDP into a :class:`PhasePlan`.
 
         New operating points are appended to ``conditions`` and interned in
         ``memo`` (keyed by :func:`phase_point_key`), so every distinct point
         is built once however many phases -- or, with a shared memo, however
-        many traces -- reach it.
+        many traces -- reach it.  Points share their loads through
+        ``load_sets`` (a fresh memo when not given), which a batch shares
+        across its plans like ``memo``.
 
         A trace whose phases all resolve to zero duration is rejected: it has
         no simulable time, so every aggregate would silently be zero.
@@ -300,6 +309,8 @@ class IntervalSimulator:
                 f"trace {trace.name!r} has no phase with a non-zero duration; "
                 "nothing to simulate"
             )
+        if load_sets is None:
+            load_sets = LoadSets()
         indices: List[int] = []
         kept_s: List[float] = []
         points: List[int] = []
@@ -310,7 +321,7 @@ class IntervalSimulator:
             key = phase_point_key(phase, self._tdp_w)
             point = memo.get(key)
             if point is None:
-                conditions.append(phase_conditions(phase, self._tdp_w))
+                conditions.append(phase_conditions(phase, self._tdp_w, load_sets))
                 point = memo[key] = len(conditions) - 1
             indices.append(index)
             kept_s.append(duration_s)

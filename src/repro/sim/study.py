@@ -61,7 +61,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
 from repro.obs.runstats import RunStats, executor_label
 from repro.pdn import columnar as columnar_core
-from repro.pdn.base import OperatingConditions, PdnEvaluation, conditions_key
+from repro.pdn.base import LoadSets, OperatingConditions, PdnEvaluation, conditions_key
 from repro.power.parameters import PdnTechnologyParameters
 from repro.sim.adapters import simulation_record
 from repro.sim.engine import (
@@ -517,8 +517,8 @@ class SimEngine(TwoTierCacheMixin):
         1. Each ``(scenario, seed)`` trace is built once, and each
            ``(trace, TDP, trace period)`` is resolved once into a
            :class:`~repro.sim.engine.PhasePlan` that every PDN unit on it
-           shares; phases map to operating points through a memo that lives
-           only for this batch.
+           shares; phases map to operating points, and points to shared
+           load sets, through memos that live only for this batch.
         2. Every static-PDN point goes through one
            :meth:`PdnSpot.evaluate_units` call: columnar, counted by the
            phase-level cache and written through to its disk tier.
@@ -540,6 +540,7 @@ class SimEngine(TwoTierCacheMixin):
             traces: Dict[Tuple[str, int], WorkloadTrace] = {}
             memo: Dict[PointKey, int] = {}
             conditions: List[OperatingConditions] = []
+            load_sets = LoadSets()
             plans: Dict[Tuple[object, ...], Tuple[IntervalSimulator, PhasePlan]] = {}
             unit_plans: List[Tuple[IntervalSimulator, PhasePlan]] = []
             for _, point, _ in unit_list:
@@ -556,7 +557,7 @@ class SimEngine(TwoTierCacheMixin):
                         tdp_w=point.tdp_w, trace_period_s=point.trace_period_s
                     )
                     entry = plans[key] = (
-                        simulator, simulator.plan(trace, memo, conditions)
+                        simulator, simulator.plan(trace, memo, conditions, load_sets)
                     )
                 unit_plans.append(entry)
             tables = self._phase_tables(unit_list, unit_plans, conditions)
