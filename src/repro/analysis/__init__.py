@@ -16,8 +16,6 @@ the multi-dimensional exploration tool the paper describes.
   results back into the :class:`PdnSpot` cache.
 * :mod:`repro.analysis.resultset` -- the columnar :class:`ResultSet` container
   with filter/pivot/normalise helpers and JSON/CSV serialisation.
-* :mod:`repro.analysis.sweep` -- tombstone of the removed legacy sweep
-  helpers (importing one raises with its Study replacement spelled out).
 * :mod:`repro.analysis.validation` -- the model-validation harness that mimics
   Sec. 4.3: a synthetic "measured" reference with parameter perturbations and
   measurement noise, against which the models' ETEE predictions are scored.
@@ -26,20 +24,25 @@ the multi-dimensional exploration tool the paper describes.
   examples and benchmark harness.
 """
 
-from repro.analysis.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
-from repro.analysis.pdnspot import CacheInfo, PdnSpot
-from repro.analysis.resultset import MISSING, ResultSet
-from repro.analysis.study import Scenario, Study, StudyBuilder, evaluate_study
-from repro.analysis.validation import ValidationHarness, ValidationRecord, ValidationSummary
-from repro.analysis.comparison import normalised_metric_table
-from repro.analysis.reporting import format_table
-from repro.analysis.sensitivity import SensitivityAnalysis, SensitivityRecord
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.executor import (
+        Executor,
+        ProcessExecutor,
+        SerialExecutor,
+        ThreadExecutor,
+        make_executor,
+    )
+    from repro.analysis.pdnspot import CacheInfo, PdnSpot
+    from repro.analysis.resultset import MISSING, ResultSet
+    from repro.analysis.study import Scenario, Study, StudyBuilder, evaluate_study
+    from repro.analysis.validation import ValidationHarness, ValidationRecord, ValidationSummary
+    from repro.analysis.comparison import normalised_metric_table
+    from repro.analysis.reporting import format_table
+    from repro.analysis.sensitivity import SensitivityAnalysis, SensitivityRecord
 
 __all__ = [
     "PdnSpot",
@@ -65,11 +68,15 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # The removed sweep_* helpers were re-exported here; route the lookup to
-    # the tombstone module so both import spellings raise the same guidance.
-    from repro.analysis import sweep as _sweep
-
-    if name in _sweep._REMOVED:
-        return getattr(_sweep, name)  # raises ImportError with the mapping
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.analysis.executor": (
+        "Executor", "ProcessExecutor", "SerialExecutor", "ThreadExecutor", "make_executor",
+    ),
+    "repro.analysis.pdnspot": ("CacheInfo", "PdnSpot"),
+    "repro.analysis.resultset": ("MISSING", "ResultSet"),
+    "repro.analysis.study": ("Scenario", "Study", "StudyBuilder", "evaluate_study"),
+    "repro.analysis.validation": ("ValidationHarness", "ValidationRecord", "ValidationSummary"),
+    "repro.analysis.comparison": ("normalised_metric_table",),
+    "repro.analysis.reporting": ("format_table",),
+    "repro.analysis.sensitivity": ("SensitivityAnalysis", "SensitivityRecord"),
+})

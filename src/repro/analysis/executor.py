@@ -55,11 +55,9 @@ True
 
 from __future__ import annotations
 
-import asyncio
 import copy
 import os
 from abc import ABC, abstractmethod
-from concurrent import futures
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -642,6 +640,8 @@ class ThreadExecutor(Executor):
             for chunk in chunks:
                 yield _evaluate_chunk_in_process(engine, chunk)
             return
+        from concurrent import futures
+
         with futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             submitted = [
                 pool.submit(_evaluate_chunk_in_process, engine, chunk)
@@ -673,6 +673,8 @@ class ProcessExecutor(Executor):
             for chunk in chunks:
                 yield _evaluate_chunk_in_process(engine, chunk)
             return
+        from concurrent import futures
+
         config = engine.worker_config()
         tracing = obs_trace.tracing_enabled()
         with futures.ProcessPoolExecutor(
@@ -747,44 +749,6 @@ def make_executor(
     raise ConfigurationError(
         f"executor must be None, a name, or an Executor instance, "
         f"got {type(executor).__name__}"
-    )
-
-
-async def evaluate_units_async(
-    engine: EvaluationEngine,
-    units: Iterable[EvalUnit],
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
-) -> List[EvalResult]:
-    """Evaluate ``units`` without blocking the running event loop.
-
-    The awaitable dispatch seam the evaluation service is built on: the
-    blocking :meth:`Executor.evaluate_units` drive (cache lookup, dedupe,
-    shard, evaluate, merge-back, canonical reassembly) runs on the loop's
-    default thread-pool executor while the caller's coroutine is suspended.
-    Results -- and every cache side effect -- are exactly those of the
-    synchronous call.
-
-    Parameters
-    ----------
-    engine:
-        Any :class:`EvaluationEngine` (the analytic or the simulation
-        engine, or a test stub).
-    units:
-        The ``(pdn name, point, overrides)`` units, evaluated in order.
-    executor, jobs:
-        The backend the dispatched batch itself runs on, resolved by
-        :func:`make_executor`; the default is a :class:`SerialExecutor`
-        on the seam thread (identical accounting to the engine's serial
-        path).
-    """
-    backend = make_executor(executor, jobs=jobs)
-    if backend is None:
-        backend = SerialExecutor(jobs=1)
-    unit_list = list(units)
-    loop = asyncio.get_running_loop()
-    return await loop.run_in_executor(
-        None, backend.evaluate_units, engine, unit_list
     )
 
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import (
     EvalUnit,
@@ -36,7 +37,6 @@ from repro.analysis.executor import (
     WorkerConfig,
     make_executor,
 )
-from repro.cache import DiskCache, DiskCacheLike, parameters_fingerprint, resolve_disk_cache
 from repro.analysis.resultset import Record, ResultSet
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
@@ -47,8 +47,6 @@ from repro.analysis.study import (
     study_resultset,
     study_units,
 )
-from repro.cost.board_area import BoardAreaModel
-from repro.cost.bom import BomModel
 from repro.pdn import columnar as columnar_core
 from repro.pdn.base import (
     OperatingConditions,
@@ -57,13 +55,17 @@ from repro.pdn.base import (
     conditions_key,
 )
 from repro.pdn.registry import available_pdns, build_pdn
-from repro.perf.model import PerformanceModel, PerformanceResult
 from repro.power.domains import WorkloadType
 from repro.power.parameters import PdnTechnologyParameters, default_parameters
 from repro.power.power_states import PackageCState
 from repro.util.errors import ConfigurationError
-from repro.workloads.base import Benchmark
-from repro.workloads.battery_life import BATTERY_LIFE_WORKLOADS
+
+if TYPE_CHECKING:  # imported on first use: the disk tier and the convenience models
+    from repro.cache.store import DiskCache, DiskCacheLike
+    from repro.cost.board_area import BoardAreaModel
+    from repro.cost.bom import BomModel
+    from repro.perf.model import PerformanceModel, PerformanceResult
+    from repro.workloads.base import Benchmark
 
 
 @dataclass(frozen=True)
@@ -146,11 +148,6 @@ class PdnSpot(TwoTierCacheMixin):
             name: build_pdn(name, self.parameters) for name in names
         }
         self._baseline_name = baseline_name
-        self._performance_model = PerformanceModel(
-            self._pdns[baseline_name], evaluator=self._evaluate_instance
-        )
-        self._bom_model = BomModel()
-        self._area_model = BoardAreaModel()
         self._cache_enabled = enable_cache
         self._cache: Dict[Tuple[object, ...], PdnEvaluation] = {}
         self._cache_hits = 0
@@ -164,11 +161,15 @@ class PdnSpot(TwoTierCacheMixin):
                 "disk_cache requires enable_cache=True: the disk tier sits "
                 "behind the memo cache"
             )
-        self._disk_cache = resolve_disk_cache(
-            disk_cache,
-            namespace="pdnspot",
-            fingerprint=parameters_fingerprint(self.parameters),
-        )
+        self._disk_cache: Optional[DiskCache] = None
+        if disk_cache is not None:
+            from repro.cache.store import parameters_fingerprint, resolve_disk_cache
+
+            self._disk_cache = resolve_disk_cache(
+                disk_cache,
+                namespace="pdnspot",
+                fingerprint=parameters_fingerprint(self.parameters),
+            )
         self._columnar = bool(columnar)
         #: Parameter-override PDN variants, keyed by (overrides, pdn name).
         self._variants: Dict[Tuple[OverrideKey, str], PowerDeliveryNetwork] = {}
@@ -592,6 +593,26 @@ class PdnSpot(TwoTierCacheMixin):
     # ------------------------------------------------------------------ #
     # Performance, battery life, cost, area
     # ------------------------------------------------------------------ #
+    @cached_property
+    def _performance_model(self) -> PerformanceModel:
+        from repro.perf.model import PerformanceModel
+
+        return PerformanceModel(
+            self._pdns[self._baseline_name], evaluator=self._evaluate_instance
+        )
+
+    @cached_property
+    def _bom_model(self) -> BomModel:
+        from repro.cost.bom import BomModel
+
+        return BomModel()
+
+    @cached_property
+    def _area_model(self) -> BoardAreaModel:
+        from repro.cost.board_area import BoardAreaModel
+
+        return BoardAreaModel()
+
     def performance(
         self, pdn_name: str, benchmark: Benchmark, tdp_w: float
     ) -> PerformanceResult:
@@ -611,6 +632,8 @@ class PdnSpot(TwoTierCacheMixin):
 
         Returns workload name -> PDN name -> average supply power (watts).
         """
+        from repro.workloads.battery_life import BATTERY_LIFE_WORKLOADS
+
         table: Dict[str, Dict[str, float]] = {}
         for workload in BATTERY_LIFE_WORKLOADS:
             table[workload.name] = {

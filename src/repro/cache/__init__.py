@@ -11,20 +11,25 @@ directory warmed by one process makes identical runs in *any* later process
 See :doc:`/guides/caching` for the architecture and CLI usage.
 """
 
-from repro.cache.store import (
-    CACHE_FORMAT_VERSION,
-    CACHE_STATS_SCHEMA_VERSION,
-    DiskCache,
-    DiskCacheLike,
-    DiskCacheStats,
-    cache_dir_summary,
-    cache_io_section,
-    cache_stats_payload,
-    canonical_key,
-    parameters_fingerprint,
-    prune_cache_dir,
-    resolve_disk_cache,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cache.store import (
+        CACHE_FORMAT_VERSION,
+        CACHE_STATS_SCHEMA_VERSION,
+        DiskCache,
+        DiskCacheLike,
+        DiskCacheStats,
+        cache_dir_summary,
+        cache_io_section,
+        cache_stats_payload,
+        canonical_key,
+        parameters_fingerprint,
+        prune_cache_dir,
+        resolve_disk_cache,
+    )
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
@@ -40,3 +45,11 @@ __all__ = [
     "prune_cache_dir",
     "resolve_disk_cache",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cache.store": (
+        "CACHE_FORMAT_VERSION", "CACHE_STATS_SCHEMA_VERSION", "DiskCache", "DiskCacheLike",
+        "DiskCacheStats", "cache_dir_summary", "cache_io_section", "cache_stats_payload",
+        "canonical_key", "parameters_fingerprint", "prune_cache_dir", "resolve_disk_cache",
+    ),
+})

@@ -45,22 +45,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+import time
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.analysis.executor import EXECUTORS, ExecutorLike
-from repro.analysis.pdnspot import PdnSpot
-from repro.optimize import (
-    DEFAULT_OBJECTIVES,
-    OBJECTIVES,
-    STRATEGIES,
-    EvaluationSettings,
-    run_optimization,
-)
 from repro.analysis.reporting import format_mapping_table, format_table
-from repro.analysis.resultset import MISSING, ResultSet
-from repro.core.hybrid_vr import PdnMode
-from repro.core.runtime_estimator import RuntimeInputEstimator
-from repro.pdn.base import OperatingConditions
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.serve.protocol import (  # noqa: F401 - canonical home; re-exported
@@ -68,11 +57,12 @@ from repro.serve.protocol import (  # noqa: F401 - canonical home; re-exported
     build_simulate_study,
     build_sweep_study,
 )
-from repro.sim.study import run_sim
 from repro.util.errors import ConfigurationError, ReproError
-from repro.workloads.graphics import THREEDMARK06_BENCHMARKS
 from repro.workloads.scenarios import DEFAULT_SEED, available_scenarios
-from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
+
+if TYPE_CHECKING:  # each handler imports what its command runs
+    from repro.analysis.pdnspot import PdnSpot
+    from repro.analysis.resultset import ResultSet
 
 PDN_ORDER = ("IVR", "MBVR", "LDO", "I+MBVR", "FlexWatts")
 
@@ -155,6 +145,94 @@ def _package_version() -> str:
     return __version__
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A sub-command parser that can add its flags the first time it is used.
+
+    ``optimize`` takes its flags' choices from the optimizer's objective
+    and strategy registries; adding them up front would import the
+    optimizer, and the simulator behind it, for every command.  Parsing or
+    formatting help adds them.
+    """
+
+    def __init__(self, *args,
+                 add_flags: Optional[Callable[[argparse.ArgumentParser], None]] = None,
+                 **kwargs):
+        super().__init__(*args, **kwargs)
+        self._add_flags = add_flags
+
+    def _flags(self) -> None:
+        if self._add_flags is not None:
+            add_flags, self._add_flags = self._add_flags, None
+            add_flags(self)
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._flags()
+        return super().parse_known_args(args, namespace)
+
+    def format_usage(self) -> str:
+        self._flags()
+        return super().format_usage()
+
+    def format_help(self) -> str:
+        self._flags()
+        return super().format_help()
+
+
+def _optimize_flags(optimize: argparse.ArgumentParser) -> None:
+    from repro.optimize.objectives import DEFAULT_OBJECTIVES, OBJECTIVES
+    from repro.optimize.strategies import STRATEGIES
+
+    optimize.add_argument(
+        "--objectives", nargs="+", choices=sorted(OBJECTIVES),
+        default=list(DEFAULT_OBJECTIVES), metavar="NAME",
+        help="objectives to optimise (default: "
+        + " ".join(DEFAULT_OBJECTIVES)
+        + "; available: " + ", ".join(sorted(OBJECTIVES)) + ")",
+    )
+    optimize.add_argument(
+        "--strategy", choices=sorted(STRATEGIES), default="grid",
+        help="search strategy (default: grid; random and evolutionary are "
+        "seeded and reproducible)",
+    )
+    optimize.add_argument(
+        "--budget", type=int, default=None, metavar="N",
+        help="candidate budget (default: exhaustive for grid, 16 for the "
+        "sampling strategies)",
+    )
+    optimize.add_argument(
+        "--seed", type=int, default=0,
+        help="RNG seed of the sampling strategies (default: 0)",
+    )
+    optimize.add_argument(
+        "--pdns", nargs="+", default=None,
+        help="topology axis of the design space (default: every registered PDN)",
+    )
+    optimize.add_argument(
+        "--param", action="append", default=None, metavar="NAME=V1,V2,...",
+        help="add a technology-parameter axis (component sizing), e.g. "
+        "--param ivr_tolerance_band_v=0.015,0.020,0.025; repeatable",
+    )
+    optimize.add_argument(
+        "--tdps", type=float, nargs="+", default=None, metavar="W",
+        help="TDP set candidates are judged under (default: 4 18 50)",
+    )
+    optimize.add_argument(
+        "--scenario", nargs="+", choices=available_scenarios(), default=None,
+        metavar="NAME",
+        help="scenario traces behind the power/energy objectives "
+        "(default: bursty-interactive)",
+    )
+    optimize.add_argument(
+        "--format", choices=("table", "json", "csv"), default="table",
+        help="output format (default: table)",
+    )
+    optimize.add_argument("--output", default=None, help="write to this file instead of stdout")
+    _add_executor_flags(optimize)
+    _add_cache_flag(optimize)
+    _add_server_flag(optimize)
+    _add_trace_flag(optimize)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -164,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version", action="version", version=f"%(prog)s {_package_version()}"
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     etee = subparsers.add_parser("etee", help="compare ETEE across PDNs at one operating point")
     etee.add_argument("--tdp", type=float, default=18.0, help="thermal design power in watts")
@@ -272,60 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_server_flag(simulate)
     _add_trace_flag(simulate)
 
-    optimize = subparsers.add_parser(
+    subparsers.add_parser(
         "optimize",
         help="search PDN designs against multiple objectives and extract the "
         "Pareto front",
+        add_flags=_optimize_flags,
     )
-    optimize.add_argument(
-        "--objectives", nargs="+", choices=sorted(OBJECTIVES),
-        default=list(DEFAULT_OBJECTIVES), metavar="NAME",
-        help="objectives to optimise (default: "
-        + " ".join(DEFAULT_OBJECTIVES)
-        + "; available: " + ", ".join(sorted(OBJECTIVES)) + ")",
-    )
-    optimize.add_argument(
-        "--strategy", choices=sorted(STRATEGIES), default="grid",
-        help="search strategy (default: grid; random and evolutionary are "
-        "seeded and reproducible)",
-    )
-    optimize.add_argument(
-        "--budget", type=int, default=None, metavar="N",
-        help="candidate budget (default: exhaustive for grid, 16 for the "
-        "sampling strategies)",
-    )
-    optimize.add_argument(
-        "--seed", type=int, default=0,
-        help="RNG seed of the sampling strategies (default: 0)",
-    )
-    optimize.add_argument(
-        "--pdns", nargs="+", default=None,
-        help="topology axis of the design space (default: every registered PDN)",
-    )
-    optimize.add_argument(
-        "--param", action="append", default=None, metavar="NAME=V1,V2,...",
-        help="add a technology-parameter axis (component sizing), e.g. "
-        "--param ivr_tolerance_band_v=0.015,0.020,0.025; repeatable",
-    )
-    optimize.add_argument(
-        "--tdps", type=float, nargs="+", default=None, metavar="W",
-        help="TDP set candidates are judged under (default: 4 18 50)",
-    )
-    optimize.add_argument(
-        "--scenario", nargs="+", choices=available_scenarios(), default=None,
-        metavar="NAME",
-        help="scenario traces behind the power/energy objectives "
-        "(default: bursty-interactive)",
-    )
-    optimize.add_argument(
-        "--format", choices=("table", "json", "csv"), default="table",
-        help="output format (default: table)",
-    )
-    optimize.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_executor_flags(optimize)
-    _add_cache_flag(optimize)
-    _add_server_flag(optimize)
-    _add_trace_flag(optimize)
 
     serve = subparsers.add_parser(
         "serve",
@@ -401,6 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
 # --------------------------------------------------------------------------- #
 def _resultset_table(resultset: ResultSet, title: str = "") -> str:
     """Render any :class:`ResultSet` as an aligned plain-text table."""
+    from repro.analysis.resultset import MISSING
+
     rows = [
         ["" if cell is MISSING else cell for cell in (record.get(column, MISSING) for column in resultset.columns)]
         for record in resultset.to_records()
@@ -429,6 +463,9 @@ def run_etee(
 
 
 def run_performance(spot: PdnSpot, tdp_w: float, suite: str, as_json: bool = False) -> str:
+    from repro.workloads.graphics import THREEDMARK06_BENCHMARKS
+    from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
+
     benchmarks = SPEC_CPU2006_BENCHMARKS if suite == "spec" else THREEDMARK06_BENCHMARKS
     table = spot.compare_performance(benchmarks, tdp_w)
     if as_json:
@@ -489,6 +526,10 @@ def run_figures(
 def run_predict(
     spot: PdnSpot, tdp_w: float, ar: float, workload: WorkloadType, as_json: bool = False
 ) -> str:
+    from repro.core.hybrid_vr import PdnMode
+    from repro.core.runtime_estimator import RuntimeInputEstimator
+    from repro.pdn.base import OperatingConditions
+
     flexwatts = spot.pdn("FlexWatts")
     conditions = OperatingConditions.for_active_workload(tdp_w, ar, workload)
     telemetry = RuntimeInputEstimator.estimate_from_conditions(conditions)
@@ -605,6 +646,8 @@ def run_simulate(
         )
         if resultset is not None:
             return _render(resultset, output_format, title="Scenario simulation")
+    from repro.sim.study import run_sim
+
     study = build_simulate_study(scenarios, tdps, seed, pdns)
     resultset = run_sim(study, executor=executor, jobs=jobs, cache_dir=cache_dir)
     return _render(resultset, output_format, title="Scenario simulation")
@@ -706,6 +749,9 @@ def run_optimize(
             return _render_optimize(
                 results, front, knee, response.strategy or strategy, output_format
             )
+    from repro.optimize.objectives import EvaluationSettings
+    from repro.optimize.runner import run_optimization
+
     space = build_optimize_space(pdns, param_axes)
     settings_kwargs = {}
     if tdps:
@@ -854,13 +900,19 @@ def _dispatch(args: argparse.Namespace) -> int:
     metrics counter samples) even when the command fails or the serve
     daemon is interrupted.
     """
+    entered_s = time.perf_counter()
     trace_path = getattr(args, "trace", None)
     if trace_path is None:
         return _run_command(args)
+    from repro import IMPORT_STARTED_S
     from repro.obs import METRICS, install_tracer, uninstall_tracer
     from repro.obs import write_chrome_trace
 
-    install_tracer()
+    # Start-up on the timeline: from the first line of ``repro/__init__``
+    # (imports, argument parsing) to here.
+    install_tracer().complete(
+        "setup.import", IMPORT_STARTED_S, entered_s, category="setup"
+    )
     try:
         return _run_command(args)
     finally:
@@ -950,6 +1002,8 @@ def _run_command(args: argparse.Namespace) -> int:
             args.output,
         )
         return 0
+    from repro.analysis.pdnspot import PdnSpot
+
     spot = PdnSpot(disk_cache=getattr(args, "cache_dir", None))
     if args.command == "etee":
         print(run_etee(spot, args.tdp, args.ar, args.workload, as_json=args.json))

@@ -20,12 +20,17 @@ three key ideas map onto the modules of this package:
    voltage-noise-free switching flow and its latency/area overheads.
 """
 
-from repro.core.hybrid_vr import HybridVoltageRegulator, PdnMode
-from repro.core.flexwatts import FlexWattsPdn
-from repro.core.mode_predictor import EteeCurveSet, ModePredictor
-from repro.core.calibration import build_default_predictor
-from repro.core.mode_switching import ModeSwitchController, ModeSwitchOverheads
-from repro.core.runtime_estimator import RuntimeInputEstimator
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.hybrid_vr import HybridVoltageRegulator, PdnMode
+    from repro.core.flexwatts import FlexWattsPdn
+    from repro.core.mode_predictor import EteeCurveSet, ModePredictor
+    from repro.core.calibration import build_default_predictor
+    from repro.core.mode_switching import ModeSwitchController, ModeSwitchOverheads
+    from repro.core.runtime_estimator import RuntimeInputEstimator
 
 __all__ = [
     "PdnMode",
@@ -38,3 +43,12 @@ __all__ = [
     "ModeSwitchOverheads",
     "RuntimeInputEstimator",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.core.hybrid_vr": ("HybridVoltageRegulator", "PdnMode"),
+    "repro.core.flexwatts": ("FlexWattsPdn",),
+    "repro.core.mode_predictor": ("EteeCurveSet", "ModePredictor"),
+    "repro.core.calibration": ("build_default_predictor",),
+    "repro.core.mode_switching": ("ModeSwitchController", "ModeSwitchOverheads"),
+    "repro.core.runtime_estimator": ("RuntimeInputEstimator",),
+})

@@ -24,10 +24,9 @@ load-line penalty" behaviour the paper reports, rather than re-deriving it.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.core.hybrid_vr import PdnMode
-from repro.core.mode_switching import ModeSwitchController
 from repro.core.runtime_estimator import RuntimeInputEstimator
 from repro.pdn.base import OperatingConditions, PdnEvaluation, PowerDeliveryNetwork
 from repro.pdn.imbvr import IMbvrPdn
@@ -35,6 +34,9 @@ from repro.pdn.ldo import LdoPdn
 from repro.power.parameters import PdnTechnologyParameters
 from repro.soc.pmu import PmuTelemetry
 from repro.util.validation import require_positive
+
+if TYPE_CHECKING:  # built on first use: only simulations switch modes
+    from repro.core.mode_switching import ModeSwitchController
 
 
 class FlexWattsPdn(PowerDeliveryNetwork):
@@ -53,9 +55,7 @@ class FlexWattsPdn(PowerDeliveryNetwork):
         self._ivr_mode_model = IMbvrPdn(self.parameters, input_loadline_scale=scale)
         self._ldo_mode_model = LdoPdn(self.parameters, input_loadline_scale=scale)
         self._predictor = predictor
-        self._switch_controller = (
-            switch_controller if switch_controller is not None else ModeSwitchController()
-        )
+        self._switch_controller = switch_controller
 
     # ------------------------------------------------------------------ #
     # Mode handling
@@ -63,6 +63,10 @@ class FlexWattsPdn(PowerDeliveryNetwork):
     @property
     def switch_controller(self) -> ModeSwitchController:
         """The mode-switch controller tracking the hybrid PDN's current mode."""
+        if self._switch_controller is None:
+            from repro.core.mode_switching import ModeSwitchController
+
+            self._switch_controller = ModeSwitchController()
         return self._switch_controller
 
     @property

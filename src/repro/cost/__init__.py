@@ -13,9 +13,14 @@ per-rail overhead.
   area comparison.
 """
 
-from repro.cost.iccmax import pdn_iccmax_summary, total_iccmax_a
-from repro.cost.bom import BomModel, BomEstimate
-from repro.cost.board_area import BoardAreaModel, BoardAreaEstimate
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.cost.iccmax import pdn_iccmax_summary, total_iccmax_a
+    from repro.cost.bom import BomModel, BomEstimate
+    from repro.cost.board_area import BoardAreaModel, BoardAreaEstimate
 
 __all__ = [
     "pdn_iccmax_summary",
@@ -25,3 +30,9 @@ __all__ = [
     "BoardAreaModel",
     "BoardAreaEstimate",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cost.iccmax": ("pdn_iccmax_summary", "total_iccmax_a"),
+    "repro.cost.bom": ("BomModel", "BomEstimate"),
+    "repro.cost.board_area": ("BoardAreaModel", "BoardAreaEstimate"),
+})

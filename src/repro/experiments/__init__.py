@@ -22,16 +22,21 @@ Module                      Paper artifact
 ==========================  ====================================================
 """
 
-from repro.experiments import (
-    fig2_performance_model,
-    fig3_vr_efficiency,
-    fig4_validation,
-    fig5_loss_breakdown,
-    fig7_spec_4w,
-    fig8_evaluation,
-    optimize_pdn,
-)
-from repro.experiments.runner import run_all_experiments
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.experiments import (
+        fig2_performance_model,
+        fig3_vr_efficiency,
+        fig4_validation,
+        fig5_loss_breakdown,
+        fig7_spec_4w,
+        fig8_evaluation,
+        optimize_pdn,
+    )
+    from repro.experiments.runner import run_all_experiments
 
 __all__ = [
     "fig2_performance_model",
@@ -43,3 +48,7 @@ __all__ = [
     "optimize_pdn",
     "run_all_experiments",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.experiments.runner": ("run_all_experiments",),
+})

@@ -21,30 +21,35 @@ daemon.  The surfaces are ``--trace FILE`` on the batch CLI commands,
 containers.  See ``docs/guides/observability.md`` for the span taxonomy.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_LATENCY_BOUNDS_S,
-    Gauge,
-    Histogram,
-    METRICS,
-    METRICS_SCHEMA_VERSION,
-    MetricsRegistry,
-    get_metrics,
-)
-from repro.obs.runstats import RunStats
-from repro.obs.trace import (
-    SpanRecord,
-    Tracer,
-    active_tracer,
-    attach_pmu_tracing,
-    counter_event,
-    install_tracer,
-    instant,
-    span,
-    tracing_enabled,
-    uninstall_tracer,
-    write_chrome_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.metrics import (
+        Counter,
+        DEFAULT_LATENCY_BOUNDS_S,
+        Gauge,
+        Histogram,
+        METRICS,
+        METRICS_SCHEMA_VERSION,
+        MetricsRegistry,
+        get_metrics,
+    )
+    from repro.obs.runstats import RunStats
+    from repro.obs.trace import (
+        SpanRecord,
+        Tracer,
+        active_tracer,
+        attach_pmu_tracing,
+        counter_event,
+        install_tracer,
+        instant,
+        span,
+        tracing_enabled,
+        uninstall_tracer,
+        write_chrome_trace,
+    )
 
 __all__ = [
     "Counter",
@@ -68,3 +73,16 @@ __all__ = [
     "uninstall_tracer",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.metrics": (
+        "Counter", "DEFAULT_LATENCY_BOUNDS_S", "Gauge", "Histogram", "METRICS",
+        "METRICS_SCHEMA_VERSION", "MetricsRegistry", "get_metrics",
+    ),
+    "repro.obs.runstats": ("RunStats",),
+    "repro.obs.trace": (
+        "SpanRecord", "Tracer", "active_tracer", "attach_pmu_tracing", "counter_event",
+        "install_tracer", "instant", "span", "tracing_enabled", "uninstall_tracer",
+        "write_chrome_trace",
+    ),
+})

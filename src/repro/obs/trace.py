@@ -192,6 +192,26 @@ class Tracer:
         """A context manager recording one complete span around its body."""
         return _ActiveSpan(self, name, category, dict(attributes))
 
+    def complete(self, name: str, start_s: float, end_s: float,
+                 category: str = "repro", **attributes: object) -> None:
+        """Record one complete span between two ``perf_counter()`` readings.
+
+        For an interval that began before the tracer was installed, such as
+        interpreter start-up.
+        """
+        self._record(
+            SpanRecord(
+                name=name,
+                category=category,
+                phase="X",
+                ts_us=self._to_wall_us(start_s),
+                dur_us=(end_s - start_s) * 1e6,
+                pid=os.getpid(),
+                tid=threading.get_ident(),
+                args=dict(attributes),
+            )
+        )
+
     def instant(self, name: str, category: str = "repro",
                 **attributes: object) -> None:
         """Record one zero-duration instant event."""

@@ -15,32 +15,37 @@ See the optimisation guide (``docs/guides/optimization.md``) for the full
 workflow.
 """
 
-from repro.optimize.objectives import (
-    DEFAULT_OBJECTIVES,
-    OBJECTIVES,
-    CandidateEvaluator,
-    EvaluationSettings,
-    Objective,
-    resolve_objectives,
-)
-from repro.optimize.pareto import (
-    annotate,
-    dominates,
-    knee_point,
-    pareto_front,
-    pareto_indices,
-    scalarize,
-)
-from repro.optimize.runner import OptimizationOutcome, run_optimization
-from repro.optimize.space import DesignPoint, DesignSpace, DesignSpaceBuilder
-from repro.optimize.strategies import (
-    STRATEGIES,
-    EvolutionarySearch,
-    GridSearch,
-    RandomSearch,
-    SearchStrategy,
-    make_strategy,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.optimize.objectives import (
+        DEFAULT_OBJECTIVES,
+        OBJECTIVES,
+        CandidateEvaluator,
+        EvaluationSettings,
+        Objective,
+        resolve_objectives,
+    )
+    from repro.optimize.pareto import (
+        annotate,
+        dominates,
+        knee_point,
+        pareto_front,
+        pareto_indices,
+        scalarize,
+    )
+    from repro.optimize.runner import OptimizationOutcome, run_optimization
+    from repro.optimize.space import DesignPoint, DesignSpace, DesignSpaceBuilder
+    from repro.optimize.strategies import (
+        STRATEGIES,
+        EvolutionarySearch,
+        GridSearch,
+        RandomSearch,
+        SearchStrategy,
+        make_strategy,
+    )
 
 __all__ = [
     "DesignPoint",
@@ -67,3 +72,19 @@ __all__ = [
     "OptimizationOutcome",
     "run_optimization",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.optimize.objectives": (
+        "DEFAULT_OBJECTIVES", "OBJECTIVES", "CandidateEvaluator", "EvaluationSettings",
+        "Objective", "resolve_objectives",
+    ),
+    "repro.optimize.pareto": (
+        "annotate", "dominates", "knee_point", "pareto_front", "pareto_indices", "scalarize",
+    ),
+    "repro.optimize.runner": ("OptimizationOutcome", "run_optimization"),
+    "repro.optimize.space": ("DesignPoint", "DesignSpace", "DesignSpaceBuilder"),
+    "repro.optimize.strategies": (
+        "STRATEGIES", "EvolutionarySearch", "GridSearch", "RandomSearch", "SearchStrategy",
+        "make_strategy",
+    ),
+})

@@ -23,13 +23,18 @@ All models share the same interface
 the platform supply, the ETEE, and the loss breakdown of Fig. 5.
 """
 
-from repro.pdn.base import OperatingConditions, PdnEvaluation, PowerDeliveryNetwork
-from repro.pdn.losses import LossBreakdown
-from repro.pdn.ivr import IvrPdn
-from repro.pdn.mbvr import MbvrPdn
-from repro.pdn.ldo import LdoPdn
-from repro.pdn.imbvr import IMbvrPdn
-from repro.pdn.registry import available_pdns, build_pdn
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.pdn.base import OperatingConditions, PdnEvaluation, PowerDeliveryNetwork
+    from repro.pdn.losses import LossBreakdown
+    from repro.pdn.ivr import IvrPdn
+    from repro.pdn.mbvr import MbvrPdn
+    from repro.pdn.ldo import LdoPdn
+    from repro.pdn.imbvr import IMbvrPdn
+    from repro.pdn.registry import available_pdns, build_pdn
 
 __all__ = [
     "PowerDeliveryNetwork",
@@ -43,3 +48,13 @@ __all__ = [
     "available_pdns",
     "build_pdn",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.pdn.base": ("OperatingConditions", "PdnEvaluation", "PowerDeliveryNetwork"),
+    "repro.pdn.losses": ("LossBreakdown",),
+    "repro.pdn.ivr": ("IvrPdn",),
+    "repro.pdn.mbvr": ("MbvrPdn",),
+    "repro.pdn.ldo": ("LdoPdn",),
+    "repro.pdn.imbvr": ("IMbvrPdn",),
+    "repro.pdn.registry": ("available_pdns", "build_pdn"),
+})

@@ -15,12 +15,17 @@ performance in three steps:
 Fig. 2(b).
 """
 
-from repro.perf.frequency_sensitivity import (
-    FrequencySensitivityModel,
-    power_for_frequency_increase_w,
-)
-from repro.perf.budget_breakdown import budget_breakdown_for_tdp, worst_case_pdn_loss
-from repro.perf.model import PerformanceModel, PerformanceResult
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.perf.frequency_sensitivity import (
+        FrequencySensitivityModel,
+        power_for_frequency_increase_w,
+    )
+    from repro.perf.budget_breakdown import budget_breakdown_for_tdp, worst_case_pdn_loss
+    from repro.perf.model import PerformanceModel, PerformanceResult
 
 __all__ = [
     "FrequencySensitivityModel",
@@ -30,3 +35,11 @@ __all__ = [
     "PerformanceModel",
     "PerformanceResult",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.perf.frequency_sensitivity": (
+        "FrequencySensitivityModel", "power_for_frequency_increase_w",
+    ),
+    "repro.perf.budget_breakdown": ("budget_breakdown_for_tdp", "worst_case_pdn_loss"),
+    "repro.perf.model": ("PerformanceModel", "PerformanceResult"),
+})

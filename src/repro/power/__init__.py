@@ -19,20 +19,25 @@ Contents:
   leakage with the evaluation scenarios of Sec. 7.
 """
 
-from repro.power.domains import (
-    COMPUTE_DOMAINS,
-    Domain,
-    DomainKind,
-    DomainLoad,
-    NominalPowerCurves,
-    WorkloadType,
-)
-from repro.power.guardband import guardband_power_w, power_gate_power_w
-from repro.power.leakage import scale_power_with_voltage, leakage_temperature_factor
-from repro.power.parameters import PdnTechnologyParameters, default_parameters
-from repro.power.power_states import PackageCState, POWER_STATE_PROFILES
-from repro.power.budget import PowerBudgetManager, PowerBudgetSplit
-from repro.power.thermal import ThermalModel
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.power.domains import (
+        COMPUTE_DOMAINS,
+        Domain,
+        DomainKind,
+        DomainLoad,
+        NominalPowerCurves,
+        WorkloadType,
+    )
+    from repro.power.guardband import guardband_power_w, power_gate_power_w
+    from repro.power.leakage import scale_power_with_voltage, leakage_temperature_factor
+    from repro.power.parameters import PdnTechnologyParameters, default_parameters
+    from repro.power.power_states import PackageCState, POWER_STATE_PROFILES
+    from repro.power.budget import PowerBudgetManager, PowerBudgetSplit
+    from repro.power.thermal import ThermalModel
 
 __all__ = [
     "DomainKind",
@@ -53,3 +58,16 @@ __all__ = [
     "PowerBudgetSplit",
     "ThermalModel",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.power.domains": (
+        "COMPUTE_DOMAINS", "Domain", "DomainKind", "DomainLoad", "NominalPowerCurves",
+        "WorkloadType",
+    ),
+    "repro.power.guardband": ("guardband_power_w", "power_gate_power_w"),
+    "repro.power.leakage": ("scale_power_with_voltage", "leakage_temperature_factor"),
+    "repro.power.parameters": ("PdnTechnologyParameters", "default_parameters"),
+    "repro.power.power_states": ("PackageCState", "POWER_STATE_PROFILES"),
+    "repro.power.budget": ("PowerBudgetManager", "PowerBudgetSplit"),
+    "repro.power.thermal": ("ThermalModel",),
+})

@@ -15,29 +15,34 @@ concurrent overlapping grids into single-flight evaluations:
 See :doc:`/guides/serving` for the architecture and operational semantics.
 """
 
-from repro.serve.client import (
-    EvaluationResponse,
-    ServeClient,
-    ServerError,
-    ServerUnavailable,
-)
-from repro.serve.coalescer import Coalescer, CoalescerStats
-from repro.serve.protocol import (
-    EVALUATION_ENDPOINTS,
-    OptimizeRequest,
-    ProtocolError,
-    SimulateRequest,
-    SweepRequest,
-    parse_optimize_request,
-    parse_simulate_request,
-    parse_sweep_request,
-)
-from repro.serve.server import (
-    DEFAULT_PORT,
-    EvaluationServer,
-    RunningServer,
-    start_in_thread,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.client import (
+        EvaluationResponse,
+        ServeClient,
+        ServerError,
+        ServerUnavailable,
+    )
+    from repro.serve.coalescer import Coalescer, CoalescerStats
+    from repro.serve.protocol import (
+        EVALUATION_ENDPOINTS,
+        OptimizeRequest,
+        ProtocolError,
+        SimulateRequest,
+        SweepRequest,
+        parse_optimize_request,
+        parse_simulate_request,
+        parse_sweep_request,
+    )
+    from repro.serve.server import (
+        DEFAULT_PORT,
+        EvaluationServer,
+        RunningServer,
+        start_in_thread,
+    )
 
 __all__ = [
     "Coalescer",
@@ -59,3 +64,13 @@ __all__ = [
     "parse_sweep_request",
     "start_in_thread",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.serve.client": ("EvaluationResponse", "ServeClient", "ServerError", "ServerUnavailable"),
+    "repro.serve.coalescer": ("Coalescer", "CoalescerStats"),
+    "repro.serve.protocol": (
+        "EVALUATION_ENDPOINTS", "OptimizeRequest", "ProtocolError", "SimulateRequest",
+        "SweepRequest", "parse_optimize_request", "parse_simulate_request", "parse_sweep_request",
+    ),
+    "repro.serve.server": ("DEFAULT_PORT", "EvaluationServer", "RunningServer", "start_in_thread"),
+})

@@ -15,7 +15,7 @@ first request's future.
 **Per-tick batching.**  Keys that are not in flight are appended to a
 pending batch; a flush is scheduled with ``loop.call_soon``, so every
 request decomposed within the same event-loop scheduling tick lands in
-**one** :func:`~repro.analysis.executor.evaluate_units_async` dispatch
+**one** :func:`evaluate_units_async` dispatch
 (optionally widened by ``batch_window_s``).  The engine's executor backend
 then dedupes, shards, and merges results into the shared two-tier cache
 exactly as a local batch run would.
@@ -33,19 +33,58 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import (
     EvalResult,
     EvalUnit,
     EvaluationEngine,
     ExecutorLike,
-    evaluate_units_async,
+    SerialExecutor,
+    make_executor,
 )
 from repro.obs import trace as obs_trace
 
 #: An engine cache key (opaque: whatever ``engine.cache_key`` returns).
 CacheKey = Tuple[object, ...]
+
+
+async def evaluate_units_async(
+    engine: EvaluationEngine,
+    units: Iterable[EvalUnit],
+    executor: ExecutorLike = None,
+    jobs: Optional[int] = None,
+) -> List[EvalResult]:
+    """Evaluate ``units`` without blocking the running event loop.
+
+    The awaitable dispatch seam the evaluation service is built on: the
+    blocking :meth:`~repro.analysis.executor.Executor.evaluate_units` drive
+    (cache lookup, dedupe, shard, evaluate, merge-back, canonical
+    reassembly) runs on the loop's default thread-pool executor while the
+    caller's coroutine is suspended.  Results -- and every cache side
+    effect -- are exactly those of the synchronous call.
+
+    Parameters
+    ----------
+    engine:
+        Any :class:`~repro.analysis.executor.EvaluationEngine` (the analytic
+        or the simulation engine, or a test stub).
+    units:
+        The ``(pdn name, point, overrides)`` units, evaluated in order.
+    executor, jobs:
+        The backend the dispatched batch itself runs on, resolved by
+        :func:`~repro.analysis.executor.make_executor`; the default is a
+        :class:`~repro.analysis.executor.SerialExecutor` on the seam thread
+        (identical accounting to the engine's serial path).
+    """
+    backend = make_executor(executor, jobs=jobs)
+    if backend is None:
+        backend = SerialExecutor(jobs=1)
+    unit_list = list(units)
+    loop = asyncio.get_running_loop()
+    return await loop.run_in_executor(
+        None, backend.evaluate_units, engine, unit_list
+    )
 
 
 @dataclass
@@ -94,7 +133,7 @@ class Coalescer:
         define unit identity; its two-tier cache serves repeats.
     executor, jobs:
         Backend each dispatched batch runs on (forwarded to
-        :func:`~repro.analysis.executor.evaluate_units_async`).
+        :func:`evaluate_units_async`).
     batch_window_s:
         Extra time a scheduled flush waits before collecting the pending
         batch.  ``0`` (default) flushes on the next event-loop tick --

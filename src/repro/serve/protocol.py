@@ -26,15 +26,17 @@ deadline).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.study import Study
-from repro.optimize import DEFAULT_OBJECTIVES, OBJECTIVES, STRATEGIES, DesignSpace
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
-from repro.sim.study import SimStudy
 from repro.util.errors import ReproError
 from repro.workloads.scenarios import DEFAULT_SEED, available_scenarios
+
+if TYPE_CHECKING:  # imported where used: a sweep never loads sim or optimize
+    from repro.optimize.space import DesignSpace
+    from repro.sim.study import SimStudy
 
 #: The endpoint names of the evaluation (POST) API, in route order.
 EVALUATION_ENDPOINTS = ("sweep", "simulate", "optimize")
@@ -88,6 +90,8 @@ def build_simulate_study(
     pdns: Optional[Sequence[str]] = None,
 ) -> SimStudy:
     """Assemble simulate axes (CLI flags or request fields) into a :class:`SimStudy`."""
+    from repro.sim.study import SimStudy
+
     builder = (
         SimStudy.builder("cli-simulate")
         .scenarios(*(scenarios if scenarios else available_scenarios()))
@@ -104,6 +108,8 @@ def build_optimize_space(
     param_axes: Optional[Sequence[Tuple[str, Sequence[object]]]] = None,
 ) -> DesignSpace:
     """Assemble optimize axes (CLI flags or request fields) into a :class:`DesignSpace`."""
+    from repro.optimize.space import DesignSpace
+
     builder = DesignSpace.builder("cli-optimize")
     if pdns:
         builder.pdns(*pdns)
@@ -284,11 +290,17 @@ class SimulateRequest:
         return build_simulate_study(self.scenarios, self.tdps, self.seed, self.pdns)
 
 
+def _default_objectives() -> Tuple[str, ...]:
+    from repro.optimize.objectives import DEFAULT_OBJECTIVES
+
+    return tuple(DEFAULT_OBJECTIVES)
+
+
 @dataclass(frozen=True)
 class OptimizeRequest:
     """A ``POST /v1/optimize`` body: one design-space search."""
 
-    objectives: Tuple[str, ...] = tuple(DEFAULT_OBJECTIVES)
+    objectives: Tuple[str, ...] = field(default_factory=_default_objectives)
     strategy: str = "grid"
     budget: Optional[int] = None
     seed: int = 0
@@ -356,6 +368,9 @@ def parse_simulate_request(body: object) -> SimulateRequest:
 
 def parse_optimize_request(body: object) -> OptimizeRequest:
     """Validate a decoded ``/v1/optimize`` JSON body into an :class:`OptimizeRequest`."""
+    from repro.optimize.objectives import OBJECTIVES
+    from repro.optimize.strategies import STRATEGIES
+
     mapping = _require_object(body)
     _reject_unknown_fields(mapping, _OPTIMIZE_FIELDS)
     objectives = _read_string_list(mapping, "objectives", choices=sorted(OBJECTIVES))
@@ -375,7 +390,7 @@ def parse_optimize_request(body: object) -> OptimizeRequest:
     pdns = _read_string_list(mapping, "pdns")
     return OptimizeRequest(
         objectives=(
-            tuple(objectives) if objectives is not None else tuple(DEFAULT_OBJECTIVES)
+            tuple(objectives) if objectives is not None else _default_objectives()
         ),
         strategy=strategy,
         budget=budget,

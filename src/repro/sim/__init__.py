@@ -18,27 +18,32 @@ engine, returning a :class:`~repro.analysis.resultset.ResultSet` built by
 the adapters in :mod:`repro.sim.adapters`.
 """
 
-from repro.sim.adapters import (
-    SIM_METRIC_COLUMNS,
-    phases_to_resultset,
-    results_to_resultset,
-    simulation_record,
-)
-from repro.sim.engine import (
-    IntervalSimulator,
-    PhaseRecord,
-    SimulationResult,
-    phase_conditions,
-    phase_duration,
-    telemetry_profile,
-)
-from repro.sim.study import (
-    SimEngine,
-    SimPoint,
-    SimStudy,
-    SimStudyBuilder,
-    run_sim,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.adapters import (
+        SIM_METRIC_COLUMNS,
+        phases_to_resultset,
+        results_to_resultset,
+        simulation_record,
+    )
+    from repro.sim.engine import (
+        IntervalSimulator,
+        PhaseRecord,
+        SimulationResult,
+        phase_conditions,
+        phase_duration,
+        telemetry_profile,
+    )
+    from repro.sim.study import (
+        SimEngine,
+        SimPoint,
+        SimStudy,
+        SimStudyBuilder,
+        run_sim,
+    )
 
 __all__ = [
     "IntervalSimulator",
@@ -57,3 +62,14 @@ __all__ = [
     "results_to_resultset",
     "phases_to_resultset",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.sim.adapters": (
+        "SIM_METRIC_COLUMNS", "phases_to_resultset", "results_to_resultset", "simulation_record",
+    ),
+    "repro.sim.engine": (
+        "IntervalSimulator", "PhaseRecord", "SimulationResult", "phase_conditions",
+        "phase_duration", "telemetry_profile",
+    ),
+    "repro.sim.study": ("SimEngine", "SimPoint", "SimStudy", "SimStudyBuilder", "run_sim"),
+})

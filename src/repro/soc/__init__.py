@@ -13,19 +13,24 @@
   the sustained operating point within the TDP's energy budget).
 """
 
-from repro.soc.dvfs import (
-    VoltageFrequencyCurve,
-    CORE_VF_CURVE,
-    GFX_VF_CURVE,
-    compute_voltage_for_tdp,
-    gfx_voltage_for_tdp,
-    sustained_core_frequency_ghz,
-    sustained_gfx_frequency_ghz,
-)
-from repro.soc.processor import Processor, ProcessorConfiguration
-from repro.soc.activity_sensors import ActivityEvent, ActivitySensor, ActivityMonitor
-from repro.soc.pmu import PowerManagementUnit, PmuTelemetry
-from repro.soc.turbo import TurboBoostModel
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.soc.dvfs import (
+        VoltageFrequencyCurve,
+        CORE_VF_CURVE,
+        GFX_VF_CURVE,
+        compute_voltage_for_tdp,
+        gfx_voltage_for_tdp,
+        sustained_core_frequency_ghz,
+        sustained_gfx_frequency_ghz,
+    )
+    from repro.soc.processor import Processor, ProcessorConfiguration
+    from repro.soc.activity_sensors import ActivityEvent, ActivitySensor, ActivityMonitor
+    from repro.soc.pmu import PowerManagementUnit, PmuTelemetry
+    from repro.soc.turbo import TurboBoostModel
 
 __all__ = [
     "VoltageFrequencyCurve",
@@ -44,3 +49,14 @@ __all__ = [
     "PmuTelemetry",
     "TurboBoostModel",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.soc.dvfs": (
+        "VoltageFrequencyCurve", "CORE_VF_CURVE", "GFX_VF_CURVE", "compute_voltage_for_tdp",
+        "gfx_voltage_for_tdp", "sustained_core_frequency_ghz", "sustained_gfx_frequency_ghz",
+    ),
+    "repro.soc.processor": ("Processor", "ProcessorConfiguration"),
+    "repro.soc.activity_sensors": ("ActivityEvent", "ActivitySensor", "ActivityMonitor"),
+    "repro.soc.pmu": ("PowerManagementUnit", "PmuTelemetry"),
+    "repro.soc.turbo": ("TurboBoostModel",),
+})

@@ -14,29 +14,34 @@ subpackage:
   FlexWatts mode predictor.
 """
 
-from repro.util.errors import (
-    ConfigurationError,
-    ModelDomainError,
-    ReproError,
-    UnsupportedOperatingPointError,
-)
-from repro.util.units import (
-    amps_from_milliamps,
-    milliamps_from_amps,
-    milliohms_to_ohms,
-    millivolts_to_volts,
-    milliwatts_to_watts,
-    ohms_to_milliohms,
-    volts_to_millivolts,
-    watts_to_milliwatts,
-)
-from repro.util.validation import (
-    require_fraction,
-    require_in_range,
-    require_non_negative,
-    require_positive,
-)
-from repro.util.interpolate import LinearTable1D, BilinearTable2D, clamp
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.util.errors import (
+        ConfigurationError,
+        ModelDomainError,
+        ReproError,
+        UnsupportedOperatingPointError,
+    )
+    from repro.util.units import (
+        amps_from_milliamps,
+        milliamps_from_amps,
+        milliohms_to_ohms,
+        millivolts_to_volts,
+        milliwatts_to_watts,
+        ohms_to_milliohms,
+        volts_to_millivolts,
+        watts_to_milliwatts,
+    )
+    from repro.util.validation import (
+        require_fraction,
+        require_in_range,
+        require_non_negative,
+        require_positive,
+    )
+    from repro.util.interpolate import LinearTable1D, BilinearTable2D, clamp
 
 __all__ = [
     "ReproError",
@@ -59,3 +64,17 @@ __all__ = [
     "BilinearTable2D",
     "clamp",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.util.errors": (
+        "ConfigurationError", "ModelDomainError", "ReproError", "UnsupportedOperatingPointError",
+    ),
+    "repro.util.units": (
+        "amps_from_milliamps", "milliamps_from_amps", "milliohms_to_ohms", "millivolts_to_volts",
+        "milliwatts_to_watts", "ohms_to_milliohms", "volts_to_millivolts", "watts_to_milliwatts",
+    ),
+    "repro.util.validation": (
+        "require_fraction", "require_in_range", "require_non_negative", "require_positive",
+    ),
+    "repro.util.interpolate": ("LinearTable1D", "BilinearTable2D", "clamp"),
+})

@@ -23,19 +23,24 @@ Supporting models:
   default efficiency surfaces of Table 2 / Fig. 3.
 """
 
-from repro.vr.base import RegulatorOperatingPoint, VoltageRegulator
-from repro.vr.switching import SwitchingRegulator, SwitchingRegulatorDesign, VRPowerState
-from repro.vr.integrated import IntegratedVoltageRegulator
-from repro.vr.ldo import LdoMode, LowDropoutRegulator
-from repro.vr.power_gate import PowerGate
-from repro.vr.tolerance_band import ToleranceBand
-from repro.vr.load_line import LoadLine
-from repro.vr.efficiency_curves import (
-    default_board_vr,
-    default_input_vr,
-    default_ivr,
-    default_ldo,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.vr.base import RegulatorOperatingPoint, VoltageRegulator
+    from repro.vr.switching import SwitchingRegulator, SwitchingRegulatorDesign, VRPowerState
+    from repro.vr.integrated import IntegratedVoltageRegulator
+    from repro.vr.ldo import LdoMode, LowDropoutRegulator
+    from repro.vr.power_gate import PowerGate
+    from repro.vr.tolerance_band import ToleranceBand
+    from repro.vr.load_line import LoadLine
+    from repro.vr.efficiency_curves import (
+        default_board_vr,
+        default_input_vr,
+        default_ivr,
+        default_ldo,
+    )
 
 __all__ = [
     "VoltageRegulator",
@@ -54,3 +59,16 @@ __all__ = [
     "default_ivr",
     "default_ldo",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.vr.base": ("RegulatorOperatingPoint", "VoltageRegulator"),
+    "repro.vr.switching": ("SwitchingRegulator", "SwitchingRegulatorDesign", "VRPowerState"),
+    "repro.vr.integrated": ("IntegratedVoltageRegulator",),
+    "repro.vr.ldo": ("LdoMode", "LowDropoutRegulator"),
+    "repro.vr.power_gate": ("PowerGate",),
+    "repro.vr.tolerance_band": ("ToleranceBand",),
+    "repro.vr.load_line": ("LoadLine",),
+    "repro.vr.efficiency_curves": (
+        "default_board_vr", "default_input_vr", "default_ivr", "default_ldo",
+    ),
+})

@@ -22,22 +22,27 @@ and performance scalability.
   CLI ``simulate`` sub-command dispatch over.
 """
 
-from repro.workloads.base import Benchmark, WorkloadPhase, WorkloadTrace
-from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS, spec_cpu2006_suite
-from repro.workloads.graphics import THREEDMARK06_BENCHMARKS, graphics_suite
-from repro.workloads.battery_life import (
-    BATTERY_LIFE_WORKLOADS,
-    BatteryLifeWorkload,
-    battery_life_suite,
-)
-from repro.workloads.synthetic import SyntheticTraceGenerator, power_virus_benchmark
-from repro.workloads.scenarios import (
-    ScenarioSpec,
-    available_scenarios,
-    build_scenario_trace,
-    get_scenario,
-    register_scenario,
-)
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Benchmark, WorkloadPhase, WorkloadTrace
+    from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS, spec_cpu2006_suite
+    from repro.workloads.graphics import THREEDMARK06_BENCHMARKS, graphics_suite
+    from repro.workloads.battery_life import (
+        BATTERY_LIFE_WORKLOADS,
+        BatteryLifeWorkload,
+        battery_life_suite,
+    )
+    from repro.workloads.synthetic import SyntheticTraceGenerator, power_virus_benchmark
+    from repro.workloads.scenarios import (
+        ScenarioSpec,
+        available_scenarios,
+        build_scenario_trace,
+        get_scenario,
+        register_scenario,
+    )
 
 __all__ = [
     "Benchmark",
@@ -58,3 +63,17 @@ __all__ = [
     "get_scenario",
     "register_scenario",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workloads.base": ("Benchmark", "WorkloadPhase", "WorkloadTrace"),
+    "repro.workloads.spec_cpu2006": ("SPEC_CPU2006_BENCHMARKS", "spec_cpu2006_suite"),
+    "repro.workloads.graphics": ("THREEDMARK06_BENCHMARKS", "graphics_suite"),
+    "repro.workloads.battery_life": (
+        "BATTERY_LIFE_WORKLOADS", "BatteryLifeWorkload", "battery_life_suite",
+    ),
+    "repro.workloads.synthetic": ("SyntheticTraceGenerator", "power_virus_benchmark"),
+    "repro.workloads.scenarios": (
+        "ScenarioSpec", "available_scenarios", "build_scenario_trace", "get_scenario",
+        "register_scenario",
+    ),
+})

@@ -6,7 +6,6 @@ from repro.analysis.comparison import best_pdn, merge_comparisons, normalised_me
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_mapping_table, format_table
 from repro.analysis.study import Study
-from repro.analysis.sweep import records_for_pdn
 from repro.analysis.validation import ValidationHarness
 from repro.pdn.base import OperatingConditions
 from repro.power.domains import WorkloadType
@@ -94,7 +93,7 @@ class TestSweeps:
     def test_records_for_pdn_filter(self):
         spot = PdnSpot(pdn_names=["IVR", "MBVR"])
         records = spot.run(Study.over_tdps((4.0,))).to_records()
-        assert len(records_for_pdn(records, "IVR")) == 1
+        assert len([record for record in records if record["pdn"] == "IVR"]) == 1
 
 
 class TestValidationHarness:

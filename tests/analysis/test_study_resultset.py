@@ -274,29 +274,6 @@ class TestSeedEquivalence:
         actual = spot.run(Study.over_power_states(18.0)).to_records()
         assert actual == expected
 
-    @pytest.mark.parametrize(
-        "name", ["sweep_tdp", "sweep_application_ratio", "sweep_power_states"]
-    )
-    def test_removed_shims_raise_with_study_replacement(self, name):
-        # Both historical import spellings must fail with the same guidance.
-        with pytest.raises(ImportError, match="was removed") as excinfo:
-            getattr(__import__("repro.analysis.sweep", fromlist=[name]), name)
-        assert "Study" in str(excinfo.value)
-        import repro.analysis
-
-        with pytest.raises(ImportError, match="was removed"):
-            getattr(repro.analysis, name)
-
-    def test_removal_error_names_the_docs_page(self):
-        from repro.analysis.sweep import MIGRATION_GUIDE
-
-        with pytest.raises(ImportError) as excinfo:
-            from repro.analysis.sweep import sweep_tdp  # noqa: F401
-        message = str(excinfo.value)
-        assert MIGRATION_GUIDE in message
-        assert "docs/guides/migration.md" in message
-        assert "to_records()" in message
-
     def test_pdn_restriction(self, spot):
         study = Study.builder("subset").tdps(4.0).pdns("IVR", "FlexWatts").build()
         records = spot.run(study).to_records()

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.optimize.objectives import DEFAULT_OBJECTIVES
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.serve.protocol import (
+    OptimizeRequest,
     ProtocolError,
     parse_optimize_request,
     parse_simulate_request,
@@ -107,6 +109,8 @@ class TestSimulateParsing:
 class TestOptimizeParsing:
     def test_defaults(self):
         request = parse_optimize_request({})
+        assert request.objectives == tuple(DEFAULT_OBJECTIVES)
+        assert OptimizeRequest().objectives == tuple(DEFAULT_OBJECTIVES)
         assert request.strategy == "grid"
         assert request.seed == 0
         assert request.budget is None

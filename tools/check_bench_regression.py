@@ -3,12 +3,14 @@
 
 Compares a fresh ``--benchmark-json`` output against the committed baseline
 (``benchmarks/baseline/BENCH_sweep.json``) and exits non-zero when the gated
-benchmark's mean time regressed by more than ``--threshold`` (default 2x).
+benchmark's median time regressed by more than ``--threshold`` (default 2x).
+Medians, not means: one slow round (a page fault, a noisy neighbour) moves
+a mean of a few rounds far more than it moves their median.
 
 Because absolute timings differ between the machine that produced the
 baseline and the CI runner, the gate can instead be expressed relative to a
 reference benchmark from the *same* run with ``--relative-to``: the gated
-quantity becomes ``mean(gated) / mean(reference)`` in both runs, which
+quantity becomes ``median(gated) / median(reference)`` in both runs, which
 cancels machine speed and isolates genuine efficiency regressions (for the
 cached-grid benchmark: cache hits suddenly costing like misses).
 
@@ -31,8 +33,16 @@ The committed baseline uses the *compact* format (per-benchmark summary
 stats only, no raw per-round samples); this script reads both the compact
 format and raw ``--benchmark-json`` output interchangeably.
 
+A gate must clear the noise it measures.  When the baseline records each
+benchmark's interquartile range, the tool takes the gated quantity's
+relative spread (IQR / median, summed over both sides of a ratio) and
+refuses to run -- exit status 1 with an error -- a ``--threshold`` whose
+allowed regression is smaller than that spread, or a ``--max-ratio`` that
+the baseline's own value, widened by that spread, would cross.  Baselines
+compacted before the IQR was kept are reported as unchecked.
+
 ``--max-ratio`` adds a baseline-independent gate on the current run: with
-``--relative-to`` it asserts ``mean(gated) / mean(reference) <= max-ratio``
+``--relative-to`` it asserts ``median(gated) / median(reference) <= max-ratio``
 on the CI machine itself.  CI uses it to require the vectorized columnar
 path to beat the per-point path by at least 10x (``--max-ratio 0.1``).
 
@@ -51,11 +61,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 
-def load_means(path: Path) -> Dict[str, float]:
-    """Benchmark name -> mean seconds from a benchmark JSON file.
+#: Per-benchmark summary: ``median`` seconds and, when recorded, the
+#: interquartile range ``iqr`` (``None`` in baselines that predate it).
+Summary = Dict[str, Optional[float]]
+
+
+def load_stats(path: Path) -> Dict[str, Summary]:
+    """Benchmark name -> median seconds and IQR from a benchmark JSON file.
 
     Accepts both supported layouts:
 
@@ -70,44 +85,56 @@ def load_means(path: Path) -> Dict[str, float]:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as error:
         raise SystemExit(f"error: cannot read benchmark JSON {path}: {error}")
-    means: Dict[str, float] = {}
     benchmarks = payload.get("benchmarks", [])
     if isinstance(benchmarks, dict):
-        for name, stats in benchmarks.items():
-            mean = stats.get("mean") if isinstance(stats, dict) else None
-            if isinstance(name, str) and isinstance(mean, (int, float)):
-                means[name] = float(mean)
+        entries = benchmarks.items()
     else:
-        for entry in benchmarks:
-            name = entry.get("name")
-            mean = entry.get("stats", {}).get("mean")
-            if isinstance(name, str) and isinstance(mean, (int, float)):
-                means[name] = float(mean)
-    if not means:
+        entries = ((entry.get("name"), entry.get("stats")) for entry in benchmarks)
+    summaries: Dict[str, Summary] = {}
+    for name, stats in entries:
+        if not isinstance(name, str) or not isinstance(stats, dict):
+            continue
+        median = stats.get("median")
+        if isinstance(median, (int, float)):
+            iqr = stats.get("iqr")
+            summaries[name] = {
+                "median": float(median),
+                "iqr": float(iqr) if isinstance(iqr, (int, float)) else None,
+            }
+    if not summaries:
         raise SystemExit(f"error: no benchmarks found in {path}")
-    return means
+    return summaries
+
+
+def _summary(summaries: Dict[str, Summary], name: str, label: str) -> Summary:
+    if name not in summaries:
+        raise SystemExit(
+            f"error: benchmark {name!r} not in the {label} run; "
+            f"available: {', '.join(sorted(summaries))}"
+        )
+    if summaries[name]["median"] <= 0.0:
+        raise SystemExit(f"error: median of {name!r} in the {label} run is not positive")
+    return summaries[name]
 
 
 def gated_quantity(
-    means: Dict[str, float], benchmark: str, relative_to: Optional[str], label: str
-) -> float:
-    """The gated mean (seconds), optionally normalised by a reference mean."""
-    if benchmark not in means:
-        raise SystemExit(
-            f"error: benchmark {benchmark!r} not in the {label} run; "
-            f"available: {', '.join(sorted(means))}"
-        )
-    value = means[benchmark]
+    summaries: Dict[str, Summary], benchmark: str, relative_to: Optional[str], label: str
+) -> Tuple[float, Optional[float]]:
+    """The gated median (seconds, or a ratio of medians) and its relative spread.
+
+    The spread is the IQR over the median, summed over the two benchmarks
+    of a ratio; ``None`` when a run does not record the IQR.
+    """
+    gated = _summary(summaries, benchmark, label)
+    parts = [gated]
+    value = gated["median"]
     if relative_to is not None:
-        if relative_to not in means:
-            raise SystemExit(
-                f"error: reference benchmark {relative_to!r} not in the {label} run"
-            )
-        reference = means[relative_to]
-        if reference <= 0.0:
-            raise SystemExit(f"error: reference mean in the {label} run is not positive")
-        value /= reference
-    return value
+        reference = _summary(summaries, relative_to, label)
+        parts.append(reference)
+        value /= reference["median"]
+    if any(part["iqr"] is None for part in parts):
+        return value, None
+    return value, sum(part["iqr"] / part["median"] for part in parts)
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -127,7 +154,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument(
         "--relative-to",
         default=None,
-        help="normalise the gated mean by this benchmark's mean from the "
+        help="normalise the gated median by this benchmark's median from the "
         "same run (cancels machine speed between baseline and CI)",
     )
     parser.add_argument(
@@ -155,16 +182,16 @@ def main(argv: Optional[list] = None) -> int:
         if args.relative_to is None:
             parser.error("--max-ratio needs --relative-to (it gates a ratio)")
 
-    current_means = load_means(args.current)
-    baseline_means = load_means(args.baseline)
-    current = gated_quantity(current_means, args.benchmark, args.relative_to, "current")
-    baseline = gated_quantity(baseline_means, args.benchmark, args.relative_to, "baseline")
-    if baseline <= 0.0:
-        raise SystemExit("error: baseline quantity is not positive")
+    current_stats = load_stats(args.current)
+    baseline_stats = load_stats(args.baseline)
+    current, _ = gated_quantity(current_stats, args.benchmark, args.relative_to, "current")
+    baseline, spread = gated_quantity(
+        baseline_stats, args.benchmark, args.relative_to, "baseline"
+    )
     ratio = current / baseline
 
     unit = "x vs reference" if args.relative_to else " s"
-    print(f"benchmark-regression gate: {args.benchmark}")
+    print(f"benchmark-regression gate: {args.benchmark} (medians)")
     if args.relative_to:
         print(f"  normalised by:   {args.relative_to}")
     print(f"  baseline:        {baseline:.6g}{unit}")
@@ -172,14 +199,34 @@ def main(argv: Optional[list] = None) -> int:
     print(f"  ratio:           {ratio:.3f} (threshold {args.threshold:g})")
 
     # Informational comparison of every benchmark the two runs share.
-    shared = sorted(set(current_means) & set(baseline_means))
+    shared = sorted(set(current_stats) & set(baseline_stats))
     if shared:
-        print("  shared benchmarks (current/baseline mean):")
+        print("  shared benchmarks (current/baseline median):")
         for name in shared:
-            if baseline_means[name] > 0.0:
+            if baseline_stats[name]["median"] > 0.0:
                 print(
-                    f"    {name}: {current_means[name] / baseline_means[name]:.3f}"
+                    f"    {name}: "
+                    f"{current_stats[name]['median'] / baseline_stats[name]['median']:.3f}"
                 )
+
+    # A gate whose margin lies inside the baseline's own run-to-run spread
+    # would pass or fail on noise: refuse it rather than report either.
+    if spread is None:
+        print("  spread:          not recorded in the baseline (no IQR); unchecked")
+    else:
+        print(f"  spread:          {spread:.3f} (IQR / median in the baseline)")
+        if args.threshold - 1.0 < spread:
+            raise SystemExit(
+                f"error: --threshold {args.threshold:g} allows {args.threshold - 1.0:.3g} "
+                f"of regression, inside the recorded spread {spread:.3g}: the gate "
+                "cannot tell a regression from noise"
+            )
+        if args.max_ratio is not None and args.max_ratio < baseline * (1.0 + spread):
+            raise SystemExit(
+                f"error: --max-ratio {args.max_ratio:g} is within the recorded spread "
+                f"{spread:.3g} of the baseline's {baseline:.3g}: the gate cannot tell "
+                "a regression from noise"
+            )
 
     failed = False
     if args.max_ratio is not None:

@@ -12,7 +12,8 @@ enough for two process-executor chunks (>=256 evaluation units), with
    distinct worker pids, none of them the parent's: the worker span
    batches crossed the fork boundary.
 3. **Layer coverage** -- executor lifecycle spans (dedupe, dispatch,
-   merge-back) and engine spans appear.
+   merge-back) and engine spans appear, and one ``setup.import`` span
+   covers start-up: it ends before the sweep's first span starts.
 4. **Counter track** -- the final metrics samples include the cache-tier
    counters (``cache.*``) and the columnar-dispatch counters
    (``executor.columnar.*``), with totals consistent with the grid size.
@@ -95,6 +96,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                         "executor.merge_back", "executor.chunk",
                         "engine.run", "engine.columnar_block"):
             expect(required in names, f"missing span {required!r}")
+
+        setup = [event for event in spans if event["name"] == "setup.import"]
+        expect(len(setup) == 1, f"expected one setup.import span, got {len(setup)}")
+        setup_end = setup[0]["ts"] + setup[0]["dur"]
+        expect(setup[0]["dur"] > 0, "setup.import span has no duration")
+        expect(
+            all(setup_end <= event["ts"] for event in spans if event is not setup[0]),
+            "setup.import span overlaps the sweep's spans",
+        )
+        print(f"  setup.import: {setup[0]['dur'] / 1e3:.1f} ms")
 
         chunk_pids = {
             event["pid"] for event in spans if event["name"] == "executor.chunk"

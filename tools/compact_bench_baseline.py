@@ -3,8 +3,9 @@
 
 Raw ``--benchmark-json`` output stores every per-round timing sample plus
 full machine/commit metadata -- ~20k lines for the benchmark suite, almost
-all of it noise for the regression gate, which only compares means.  This
-tool strips a run down to per-benchmark summary statistics::
+all of it noise for the regression gate, which compares medians and checks
+each gate against the recorded interquartile range.  This tool strips a run
+down to per-benchmark summary statistics::
 
     {
       "format": "bench-baseline-compact/1",
@@ -13,8 +14,8 @@ tool strips a run down to per-benchmark summary statistics::
       "benchmarks": {
         "test_bench_sweep_grid_cached": {
           "group": "sweep",
-          "mean": 0.0123, "median": 0.0121, "stddev": 0.0004,
-          "min": 0.0119, "max": 0.0182, "rounds": 57
+          "mean": 0.0123, "median": 0.0121, "iqr": 0.0003,
+          "stddev": 0.0004, "min": 0.0119, "max": 0.0182, "rounds": 57
         },
         ...
       }
@@ -38,7 +39,7 @@ import sys
 from pathlib import Path
 
 #: The summary statistics kept per benchmark, in output order.
-SUMMARY_STATS = ("mean", "median", "stddev", "min", "max", "rounds")
+SUMMARY_STATS = ("mean", "median", "iqr", "stddev", "min", "max", "rounds")
 
 FORMAT_TAG = "bench-baseline-compact/1"
 
