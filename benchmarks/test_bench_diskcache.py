@@ -111,7 +111,7 @@ def test_bench_disk_cache_cold_process(benchmark, tmp_path_factory, grid_referen
     def run(spot):
         return spot.run(study, executor="process", jobs=PARALLEL_JOBS)
 
-    resultset = benchmark.pedantic(run, setup=setup, rounds=1, iterations=1)
+    resultset = benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
     assert resultset == grid_reference
     # Outside the timed region: the merge-back populated the whole store.
     assert spots[-1].disk_cache.stats().entries == GRID_ROWS

@@ -62,7 +62,7 @@ def test_bench_optimize_grid_cold_serial(benchmark, grid_reference):
         run_optimization,
         args=(_space(),),
         kwargs={"evaluator": evaluator},
-        rounds=1,
+        rounds=5,
         iterations=1,
     )
     assert len(outcome.results) == CANDIDATES
@@ -88,7 +88,7 @@ def test_bench_optimize_grid_cold_process(benchmark, grid_reference):
             "executor": "process",
             "jobs": PARALLEL_JOBS,
         },
-        rounds=1,
+        rounds=5,
         iterations=1,
     )
     assert len(outcome.results) == CANDIDATES

@@ -78,7 +78,7 @@ def test_bench_serve_independent_cold_runs(benchmark, serve_reference):
     process.
     """
     results = benchmark.pedantic(
-        lambda: [_cold_run() for _ in range(N_CLIENTS)], rounds=1, iterations=1
+        lambda: [_cold_run() for _ in range(N_CLIENTS)], rounds=5, iterations=1
     )
     assert len(results) == N_CLIENTS
     for resultset in results:
@@ -103,8 +103,10 @@ def test_bench_serve_concurrent_coalesced(benchmark, serve_reference):
         handles.append(handle)
         return (handle,), {}
 
-    responses = benchmark.pedantic(_concurrent_burst, setup=setup, rounds=1, iterations=1)
     try:
+        responses = benchmark.pedantic(
+            _concurrent_burst, setup=setup, rounds=5, iterations=1
+        )
         assert len(responses) == N_CLIENTS
         for response in responses:
             assert response.status == "ok"

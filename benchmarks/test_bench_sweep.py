@@ -189,7 +189,7 @@ def test_bench_sim_scenarios_cold_process(benchmark, sim_scenario_reference):
         engine.run,
         args=(study,),
         kwargs={"executor": "process", "jobs": PARALLEL_JOBS},
-        rounds=1,
+        rounds=5,
         iterations=1,
     )
     assert len(resultset) == SIM_SCENARIO_ROWS
@@ -229,7 +229,7 @@ def test_bench_sweep_fig7_scale_cold_process(benchmark, fig7_scale_reference):
         spot.run,
         args=(study,),
         kwargs={"executor": "process", "jobs": PARALLEL_JOBS},
-        rounds=1,
+        rounds=5,
         iterations=1,
     )
     assert len(resultset) == FIG7_SCALE_ROWS

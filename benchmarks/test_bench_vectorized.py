@@ -124,7 +124,7 @@ def test_bench_vectorized_columnar_process(
         spot.evaluate_units,
         args=(fig7_scale_units,),
         kwargs={"executor": "process", "jobs": PARALLEL_JOBS},
-        rounds=1,
+        rounds=5,
         iterations=1,
     )
     assert len(evaluations) == ROWS

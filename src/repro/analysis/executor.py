@@ -13,11 +13,13 @@ reference).  An :class:`Executor` turns that list into evaluations:
    counted as hits, exactly as a serial run would count them);
 2. the remaining units are **deduplicated** -- only the first occurrence of
    each distinct cache key is computed -- and sharded into deterministic
-   contiguous chunks (:func:`shard`);
+   contiguous chunks (:func:`shard`); the distinct keys are looked up in one
+   :meth:`~EvaluationEngine.cache_lookup_many` call;
 3. the chunks are evaluated by the backend (in-process, a thread pool, or a
    process pool with picklable work units), in whatever order they complete;
-4. every computed evaluation is **merged back** into the engine's shared
-   memo cache (counted as misses), duplicate units are then resolved from
+4. every computed chunk is **merged back** into the engine's shared memo
+   cache in one :meth:`~EvaluationEngine.cache_install_many` call (counted
+   as misses), duplicate units are then resolved from
    the freshly warmed cache (counted as hits), and the results are
    reassembled in canonical unit order.
 
@@ -37,7 +39,7 @@ Backends
     mainly help when evaluations are interleaved with other blocking work.
 :class:`ProcessExecutor`
     A :class:`concurrent.futures.ProcessPoolExecutor` per call.  Work units
-    are picklable ``(slot, pdn_name, conditions, overrides)`` tuples; each
+    are picklable ``(pdn_name, conditions, overrides)`` tuples; each
     worker process rebuilds the evaluation engine once from a
     :class:`WorkerConfig` recipe and streams evaluations back.  This is the
     backend that actually parallelises the CPU-bound grid math.
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import copy
 import os
+from contextlib import closing
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
@@ -97,16 +100,13 @@ EvalResult = object
 #: technology-parameter overrides.
 EvalUnit = Tuple[str, EvalPoint, OverrideKey]
 
-#: A dispatchable task: an evaluation unit tagged with its result slot.
-Task = Tuple[int, str, EvalPoint, OverrideKey]
-
-#: A completed chunk: ``(slot, result)`` pairs, in any order.
-ChunkResult = List[Tuple[int, EvalResult]]
-
-#: What a process-pool worker ships back per chunk: the result pairs,
-#: whether the columnar path evaluated them, and the worker's drained
-#: trace-span batch (empty when tracing is disabled).
-WorkerChunkPayload = Tuple[ChunkResult, bool, List["obs_trace.SpanRecord"]]
+#: What a process-pool worker ships back per chunk: the chunk's results in
+#: unit order, whether the columnar path evaluated them, the worker's drained
+#: trace-span batch (empty when tracing is disabled) and the worker's
+#: counter deltas over the chunk (merged into the parent's registry).
+WorkerChunkPayload = Tuple[
+    List[EvalResult], bool, List["obs_trace.SpanRecord"], Dict[str, int]
+]
 
 # Instruments bound once at import time (hot paths never do a registry
 # lookup).  Cache-tier counters tick on the parent side of any fork --
@@ -150,12 +150,20 @@ class EvaluationEngine(Protocol):
         """The memo-cache key of one evaluation unit."""
         ...  # pragma: no cover - protocol
 
-    def cache_lookup(self, key: Tuple[object, ...]) -> Optional[EvalResult]:
-        """The cached result (read-only, shared), or ``None`` (hit-counted)."""
+    def cache_lookup_many(
+        self, keys: Sequence[Tuple[object, ...]]
+    ) -> List[Optional[EvalResult]]:
+        """Per key, the cached result (read-only, shared) or ``None``.
+
+        Every found key counts as one hit; a lookup of one key is a batch
+        of one.
+        """
         ...  # pragma: no cover - protocol
 
-    def cache_install(self, key: Tuple[object, ...], result: EvalResult) -> EvalResult:
-        """Merge one computed result into the cache (miss-counted)."""
+    def cache_install_many(
+        self, keys: Sequence[Tuple[object, ...]], results: Sequence[EvalResult]
+    ) -> List[EvalResult]:
+        """Merge computed results into the cache (one miss per key)."""
         ...  # pragma: no cover - protocol
 
     def evaluate_uncached(
@@ -209,8 +217,9 @@ class EvaluationEngine(Protocol):
 class TwoTierCacheMixin:
     """Shared memory-then-disk cache fall-through for evaluation engines.
 
-    Implements the :meth:`cache_lookup` / :meth:`cache_install` half of the
-    :class:`EvaluationEngine` protocol once, for every engine that keeps a
+    Implements the :meth:`cache_lookup_many` / :meth:`cache_install_many`
+    half of the :class:`EvaluationEngine` protocol once, for every engine
+    that keeps a
     locked in-memory memo dict in front of an optional
     :class:`~repro.cache.DiskCache`.  The host class provides the state --
     ``_cache``, ``_cache_lock``, ``_cache_hits``, ``_cache_misses``,
@@ -239,27 +248,46 @@ class TwoTierCacheMixin:
         """What a lookup hands out for a cached master (host engines override)."""
         raise NotImplementedError  # pragma: no cover - host engines override
 
-    def cache_lookup(self, key: Tuple[object, ...]) -> Optional[EvalResult]:
-        """The cached result (via :meth:`_copy_cached`), or ``None`` (hit-counted).
+    def cache_lookup_many(
+        self, keys: Sequence[Tuple[object, ...]]
+    ) -> List[Optional[EvalResult]]:
+        """Per key, the cached result (via :meth:`_copy_cached`) or ``None``.
 
-        A memory miss falls through to the attached
-        :class:`~repro.cache.DiskCache` (when there is one); a disk hit is
-        promoted into the memory cache so later lookups skip the
-        filesystem, and both tiers' hits are counted identically.
+        The memory tier is read under one lock acquisition.  Each memory
+        miss falls through to the attached :class:`~repro.cache.DiskCache`
+        (when there is one), key by key; a disk hit is promoted into the
+        memory cache so later lookups skip the filesystem, and both tiers'
+        hits are counted identically.  Each cache counter ticks at most once
+        per call, by the batch's count.
         """
         with self._cache_lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                _MEMORY_HITS.inc()
-                return self._copy_cached(cached)
-        if self._disk_cache is None:
-            _LOOKUP_MISSES.inc()
-            return None
+            found = list(map(self._cache.get, keys))
+            missing = [index for index, value in enumerate(found) if value is None]
+            memory_hits = len(found) - len(missing)
+            self._cache_hits += memory_hits
+            if memory_hits:
+                copy = self._copy_cached
+                found = [None if value is None else copy(value) for value in found]
+        if memory_hits:
+            _MEMORY_HITS.inc(memory_hits)
+        disk_hits = 0
+        if self._disk_cache is not None:
+            for index in missing:
+                promoted = self._disk_lookup(keys[index])
+                if promoted is not None:
+                    found[index] = promoted
+                    disk_hits += 1
+        if disk_hits:
+            _DISK_HITS.inc(disk_hits)
+        if len(missing) > disk_hits:
+            _LOOKUP_MISSES.inc(len(missing) - disk_hits)
+        return found
+
+    def _disk_lookup(self, key: Tuple[object, ...]) -> Optional[EvalResult]:
+        """One memory miss served from disk and promoted (hit-counted), or ``None``."""
         disk_key = self._disk_key(key)
         payload = self._disk_cache.get(disk_key)
         if payload is None:
-            _LOOKUP_MISSES.inc()
             return None
         if not isinstance(payload, self._payload_type):
             # Structurally valid entry, wrong payload class (e.g. written by
@@ -270,33 +298,32 @@ class TwoTierCacheMixin:
                 f"payload is {type(payload).__name__}, "
                 f"expected {self._payload_type.__name__}",
             )
-            _LOOKUP_MISSES.inc()
             return None
         with self._cache_lock:
             master = self._cache.setdefault(key, payload)
             self._cache_hits += 1
-            _DISK_HITS.inc()
             return self._copy_cached(master)
 
-    def cache_install(
-        self, key: Tuple[object, ...], result: EvalResult
-    ) -> EvalResult:
-        """Merge one computed result into the cache (counted as a miss).
+    def cache_install_many(
+        self, keys: Sequence[Tuple[object, ...]], results: Sequence[EvalResult]
+    ) -> List[EvalResult]:
+        """Merge computed results into the cache (one miss per key).
 
-        This is the merge-back half of parallel execution: worker-computed
-        results become shared cache masters and the caller gets what a
-        serial miss would have produced (see :meth:`_copy_cached`).  With a disk
-        store attached the result is also written through, so later
-        processes start warm.
+        This is the merge-back half of execution: computed results become
+        shared cache masters and the caller gets, per key, what a serial
+        miss would have produced (see :meth:`_copy_cached`).  With a disk
+        store attached every result is also written through, entry by
+        entry, so later processes start warm.
         """
         with self._cache_lock:
-            self._cache_misses += 1
-            self._cache[key] = result
-            copy = self._copy_cached(result)
-        _CACHE_INSTALLS.inc()
+            self._cache_misses += len(keys)
+            self._cache.update(zip(keys, results))
+            copies = list(map(self._copy_cached, results))
+        _CACHE_INSTALLS.inc(len(keys))
         if self._disk_cache is not None:
-            self._disk_cache.put(self._disk_key(key), result)
-        return copy
+            for key, result in zip(keys, results):
+                self._disk_cache.put(self._disk_key(key), result)
+        return copies
 
 
 def default_jobs() -> int:
@@ -379,22 +406,30 @@ def _init_worker(config: WorkerRecipe, tracing: bool = False) -> None:
         obs_trace.install_tracer()
 
 
-def _evaluate_chunk(chunk: List[Task]) -> WorkerChunkPayload:
-    """Evaluate one task chunk in a worker process.
+def _evaluate_chunk(chunk: List[EvalUnit]) -> WorkerChunkPayload:
+    """Evaluate one chunk of units in a worker process.
 
-    Returns the ``(slot, result)`` pairs together with the columnar flag
-    (counted by the *parent*, whose metrics registry survives the pool)
-    and the worker tracer's drained span batch.
+    Returns the results in unit order together with the columnar flag
+    (counted by the *parent*, whose metrics registry survives the pool),
+    the worker tracer's drained span batch and the worker's counter deltas
+    over this chunk (the columnar-block and calibration counters tick here,
+    in the worker, and would otherwise be lost with it).
     """
     if _WORKER_ENGINE is None:  # pragma: no cover - initializer always runs first
         raise ConfigurationError("worker process was not initialised")
+    before = METRICS.counter_values()
     with obs_trace.span("executor.chunk", category="executor",
                         units=len(chunk)) as active:
-        pairs, used_columnar = _compute_chunk(_WORKER_ENGINE, chunk)
+        results, used_columnar = _compute_chunk(_WORKER_ENGINE, chunk)
         active.set("columnar", used_columnar)
+    deltas = {
+        name: value - before.get(name, 0)
+        for name, value in METRICS.counter_values().items()
+        if value != before.get(name, 0)
+    }
     tracer = obs_trace.active_tracer()
     spans = tracer.drain() if tracer is not None else []
-    return pairs, used_columnar, spans
+    return results, used_columnar, spans, deltas
 
 
 class Executor(ABC):
@@ -437,110 +472,142 @@ class Executor(ABC):
     ) -> List[EvalResult]:
         """Evaluate ``units`` through this backend, in canonical unit order.
 
-        With the engine cache enabled, already-cached units are served
-        immediately, distinct uncached units are computed exactly once across
-        all workers, and every computed evaluation is merged back into the
-        shared cache before duplicates are resolved from it.  With the cache
-        disabled every unit is dispatched as-is (the seed-equivalent cost
-        model the benchmarks rely on).
+        With the engine cache enabled, every unit's key is built once, the
+        distinct keys are looked up in one call, distinct uncached units are
+        computed exactly once across all workers, and each computed chunk is
+        merged back into the shared cache in one call before duplicates are
+        resolved from it.  With the cache disabled every unit is dispatched
+        as-is (the seed-equivalent cost model the benchmarks rely on).
         """
         unit_list = list(units)
         if not unit_list:
             return []
-        results: List[Optional[EvalResult]] = [None] * len(unit_list)
-        if engine.cache_enabled:
-            # Each unit's key is built once, here, and reused at merge-back
-            # (by slot) and reassembly.
-            primaries: Dict[Tuple[object, ...], int] = {}
-            duplicates: List[Tuple[int, Tuple[object, ...]]] = []
-            with obs_trace.span("executor.dedupe", category="executor",
-                                backend=self.name) as dedupe_span:
-                cache_key = engine.cache_key
-                for slot, (name, point, overrides) in enumerate(unit_list):
-                    key = cache_key(name, point, overrides)
-                    if key in primaries:
-                        duplicates.append((slot, key))
-                        continue
-                    cached = engine.cache_lookup(key)
-                    if cached is not None:
-                        results[slot] = cached
-                    else:
-                        primaries[key] = slot
-                dedupe_span.set("units", len(unit_list))
-                dedupe_span.set("dispatched", len(primaries))
-                dedupe_span.set("duplicates", len(duplicates))
-            keys = {slot: key for key, slot in primaries.items()}
-            tasks: List[Task] = [(slot, *unit_list[slot]) for slot in keys]
-            chunks = shard(*self._plan_shards(engine, tasks))
-            if self.uses_parent_models or len(chunks) == 1:
-                # Only the dispatched units need their models primed (a fully
-                # warm batch never reaches the workers); the single-chunk case
-                # covers the process backend's in-process fallback.
-                engine.prime_for_execution(unit_list[slot] for slot in keys)
-            with obs_trace.span("executor.dispatch", category="executor",
-                                backend=self.name, jobs=self.jobs,
-                                chunks=len(chunks)):
-                for chunk_result in self._run_chunks(engine, chunks):
-                    with obs_trace.span("executor.merge_back",
-                                        category="executor",
-                                        units=len(chunk_result)):
-                        for slot, evaluation in chunk_result:
-                            results[slot] = engine.cache_install(keys[slot], evaluation)
-            with obs_trace.span("executor.reassemble", category="executor",
-                                duplicates=len(duplicates)):
-                for slot, key in duplicates:
-                    resolved = engine.cache_lookup(key)
-                    if resolved is None:  # pragma: no cover - install precedes this
-                        raise ConfigurationError(
-                            "cache merge-back lost an evaluation; this is a bug"
-                        )
-                    results[slot] = resolved
-        else:
-            tasks = [(slot, *unit) for slot, unit in enumerate(unit_list)]
-            chunks = shard(*self._plan_shards(engine, tasks))
-            if self.uses_parent_models or len(chunks) == 1:
-                engine.prime_for_execution(unit_list)
-            with obs_trace.span("executor.dispatch", category="executor",
-                                backend=self.name, jobs=self.jobs,
-                                chunks=len(chunks)):
-                for chunk_result in self._run_chunks(engine, chunks):
-                    for slot, evaluation in chunk_result:
-                        results[slot] = evaluation
-        missing = [slot for slot, result in enumerate(results) if result is None]
-        if missing:  # pragma: no cover - defensive: a backend dropped work
+        if not engine.cache_enabled:
+            results: List[Optional[EvalResult]] = [None] * len(unit_list)
+            with closing(self._dispatch(engine, unit_list)) as completed:
+                for positions, evaluations in completed:
+                    for position, evaluation in zip(positions, evaluations):
+                        results[position] = evaluation
+            if any(result is None for result in results):  # pragma: no cover
+                raise ConfigurationError(
+                    f"executor {self.name!r} returned no result for some units"
+                )
+            return results
+        with obs_trace.span("executor.dedupe", category="executor",
+                            backend=self.name) as dedupe_span:
+            cache_key = engine.cache_key
+            keys = [cache_key(name, point, overrides)
+                    for name, point, overrides in unit_list]
+            # Each distinct key gets an index in first-appearance order;
+            # ``unit_index[slot]`` names the distinct key of each unit.
+            distinct: Dict[Tuple[object, ...], int] = {}
+            unit_index = [distinct.setdefault(key, len(distinct)) for key in keys]
+            duplicates = len(unit_list) - len(distinct)
+            if duplicates:
+                first_slot = [0] * len(distinct)
+                for slot in range(len(unit_list) - 1, -1, -1):
+                    first_slot[unit_index[slot]] = slot
+            else:
+                first_slot = unit_index
+            distinct_keys = list(distinct)
+            resolved = engine.cache_lookup_many(distinct_keys)
+            pending = [index for index, result in enumerate(resolved) if result is None]
+            dedupe_span.set("units", len(unit_list))
+            dedupe_span.set("dispatched", len(pending))
+            dedupe_span.set("duplicates", duplicates)
+        pending_units = [unit_list[first_slot[index]] for index in pending]
+        installed = 0
+        with closing(self._dispatch(engine, pending_units)) as completed:
+            for positions, evaluations in completed:
+                with obs_trace.span("executor.merge_back", category="executor",
+                                    units=len(evaluations)):
+                    chunk = [pending[position] for position in positions]
+                    merged = engine.cache_install_many(
+                        [distinct_keys[index] for index in chunk], evaluations
+                    )
+                    for index, result in zip(chunk, merged):
+                        resolved[index] = result
+                    installed += len(chunk)
+        if installed != len(pending):  # pragma: no cover - a backend dropped work
             raise ConfigurationError(
-                f"executor {self.name!r} returned no result for {len(missing)} units"
+                f"executor {self.name!r} returned no result for "
+                f"{len(pending) - installed} units"
             )
+        with obs_trace.span("executor.reassemble", category="executor",
+                            duplicates=duplicates):
+            if not duplicates:
+                return resolved
+            results = [resolved[index] for index in unit_index]
+            # Duplicates read the freshly warmed cache, one hit each, exactly
+            # as a unit-by-unit serial run would count them.
+            slots = [
+                slot for slot, index in enumerate(unit_index) if first_slot[index] != slot
+            ]
+            found = engine.cache_lookup_many([keys[slot] for slot in slots])
+            if any(result is None for result in found):  # pragma: no cover
+                raise ConfigurationError(
+                    "cache merge-back lost an evaluation; this is a bug"
+                )
+            for slot, result in zip(slots, found):
+                results[slot] = result
         return results
 
+    def _dispatch(
+        self, engine: EvaluationEngine, units: List[EvalUnit]
+    ) -> Iterator[Tuple[List[int], List[EvalResult]]]:
+        """Shard ``units``, evaluate the chunks, and yield each as it completes.
+
+        Yields ``(positions, results)``: the chunk's positions in ``units``
+        and its results in the same order.  Callers merge each chunk while
+        the ``executor.dispatch`` span is open, and close the generator when
+        they stop (``contextlib.closing``), so the span and the backend's
+        pool end in order even when a merge raises.
+        """
+        plan = self._plan_shards(engine, units)
+        chunks = [[units[position] for position in positions] for positions in plan]
+        if self.uses_parent_models or len(chunks) == 1:
+            # Only the dispatched units need their models primed (a fully
+            # warm batch never reaches the workers); the single-chunk case
+            # covers the process backend's in-process fallback.
+            engine.prime_for_execution(units)
+        with obs_trace.span("executor.dispatch", category="executor",
+                            backend=self.name, jobs=self.jobs,
+                            chunks=len(chunks)):
+            for index, results in self._run_chunks(engine, chunks):
+                yield plan[index], results
+
     def _plan_shards(
-        self, engine: EvaluationEngine, tasks: List[Task]
-    ) -> Tuple[List[Task], int]:
-        """The (task order, shard count) this backend dispatches with.
+        self, engine: EvaluationEngine, units: Sequence[EvalUnit]
+    ) -> List[List[int]]:
+        """The chunks, as positions in ``units``, this backend dispatches.
 
         For per-point engines this is the historical plan: input order,
         sharded into up to ``jobs`` contiguous chunks.  For columnar-capable
-        engines the tasks are first grouped by ``(pdn name, overrides)`` --
-        stable within each group, groups in first-appearance order -- so
-        contiguous chunks become whole column blocks, and the shard count is
-        capped so no chunk drops below :data:`MIN_COLUMNAR_CHUNK` units
-        (a vectorized pass over a sliver is all fixed overhead).  Both plans
-        are deterministic functions of ``(engine capability, tasks, jobs)``.
+        engines the shard count is capped so no chunk drops below
+        :data:`MIN_COLUMNAR_CHUNK` units (a vectorized pass over a sliver is
+        all fixed overhead), and with more than one shard the units are
+        first grouped by ``(pdn name, overrides)`` -- stable within each
+        group, groups in first-appearance order -- so contiguous chunks
+        become whole column blocks.  One shard keeps input order: the
+        engine's :meth:`~EvaluationEngine.evaluate_columns` does the
+        grouping.  Both plans are deterministic functions of ``(engine
+        capability, units, jobs)``.
         """
-        if not getattr(engine, "columnar_enabled", False):
-            return tasks, self.jobs
-        groups: Dict[Tuple[str, OverrideKey], List[Task]] = {}
-        for task in tasks:
-            groups.setdefault((task[1], task[3]), []).append(task)
-        ordered = [task for group in groups.values() for task in group]
-        shards = min(self.jobs, max(1, len(ordered) // MIN_COLUMNAR_CHUNK))
-        return ordered, shards
+        if not engine.columnar_enabled:
+            return shard(range(len(units)), self.jobs)
+        shards = min(self.jobs, max(1, len(units) // MIN_COLUMNAR_CHUNK))
+        if shards == 1:
+            return shard(range(len(units)), 1)
+        groups: Dict[Tuple[str, OverrideKey], List[int]] = {}
+        for position, (name, _, overrides) in enumerate(units):
+            groups.setdefault((name, overrides), []).append(position)
+        return shard([p for group in groups.values() for p in group], shards)
 
     @abstractmethod
     def _run_chunks(
-        self, engine: EvaluationEngine, chunks: List[List[Task]]
-    ) -> Iterator[ChunkResult]:
-        """Evaluate every chunk, yielding completed chunks in any order."""
+        self, engine: EvaluationEngine, chunks: List[List[EvalUnit]]
+    ) -> Iterator[Tuple[int, List[EvalResult]]]:
+        """Evaluate every chunk, yielding ``(chunk index, results)`` in any order."""
 
 
 #: Minimum units per chunk when the engine evaluates columns: below this a
@@ -551,9 +618,9 @@ MIN_COLUMNAR_CHUNK = 128
 
 
 def _evaluate_chunk_in_process(
-    engine: EvaluationEngine, chunk: List[Task]
-) -> ChunkResult:
-    """Evaluate one task chunk against the caller's own engine (no cache I/O).
+    engine: EvaluationEngine, chunk: List[EvalUnit]
+) -> List[EvalResult]:
+    """Evaluate one chunk against the caller's own engine (no cache I/O).
 
     This is where the columnar negotiation happens, once per chunk: a
     columnar-capable engine gets the whole chunk as one batch and returns
@@ -563,36 +630,25 @@ def _evaluate_chunk_in_process(
     """
     with obs_trace.span("executor.chunk", category="executor",
                         units=len(chunk)) as active:
-        pairs, used_columnar = _compute_chunk(engine, chunk)
+        results, used_columnar = _compute_chunk(engine, chunk)
         active.set("columnar", used_columnar)
     _note_chunk(len(chunk), used_columnar)
-    return pairs
+    return results
 
 
 def _compute_chunk(
-    engine: EvaluationEngine, chunk: List[Task]
-) -> Tuple[ChunkResult, bool]:
+    engine: EvaluationEngine, chunk: List[EvalUnit]
+) -> Tuple[List[EvalResult], bool]:
     """Run the columnar negotiation for one chunk.
 
-    Returns the ``(slot, result)`` pairs plus whether the engine's
-    vectorized columnar path produced them (``False`` means every unit
-    went through the per-point seam).
+    Returns the results in unit order plus whether the engine's vectorized
+    columnar path produced them (``False`` means every unit went through
+    the per-point seam).
     """
-    evaluate_columns = getattr(engine, "evaluate_columns", None)
-    if evaluate_columns is not None:
-        evaluations = evaluate_columns([task[1:] for task in chunk])
-        if evaluations is not None:
-            return (
-                [(task[0], result) for task, result in zip(chunk, evaluations)],
-                True,
-            )
-    return (
-        [
-            (slot, engine.evaluate_uncached(name, point, overrides))
-            for slot, name, point, overrides in chunk
-        ],
-        False,
-    )
+    evaluations = engine.evaluate_columns(chunk)
+    if evaluations is not None:
+        return evaluations, True
+    return [engine.evaluate_uncached(*unit) for unit in chunk], False
 
 
 def _note_chunk(units: int, used_columnar: bool) -> None:
@@ -616,10 +672,10 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def _run_chunks(
-        self, engine: EvaluationEngine, chunks: List[List[Task]]
-    ) -> Iterator[ChunkResult]:
-        for chunk in chunks:
-            yield _evaluate_chunk_in_process(engine, chunk)
+        self, engine: EvaluationEngine, chunks: List[List[EvalUnit]]
+    ) -> Iterator[Tuple[int, List[EvalResult]]]:
+        for index, chunk in enumerate(chunks):
+            yield index, _evaluate_chunk_in_process(engine, chunk)
 
 
 class ThreadExecutor(Executor):
@@ -634,21 +690,21 @@ class ThreadExecutor(Executor):
     name = "thread"
 
     def _run_chunks(
-        self, engine: EvaluationEngine, chunks: List[List[Task]]
-    ) -> Iterator[ChunkResult]:
+        self, engine: EvaluationEngine, chunks: List[List[EvalUnit]]
+    ) -> Iterator[Tuple[int, List[EvalResult]]]:
         if len(chunks) <= 1:
-            for chunk in chunks:
-                yield _evaluate_chunk_in_process(engine, chunk)
+            for index, chunk in enumerate(chunks):
+                yield index, _evaluate_chunk_in_process(engine, chunk)
             return
         from concurrent import futures
 
         with futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            submitted = [
-                pool.submit(_evaluate_chunk_in_process, engine, chunk)
-                for chunk in chunks
-            ]
+            submitted = {
+                pool.submit(_evaluate_chunk_in_process, engine, chunk): index
+                for index, chunk in enumerate(chunks)
+            }
             for future in futures.as_completed(submitted):
-                yield future.result()
+                yield submitted[future], future.result()
 
 
 class ProcessExecutor(Executor):
@@ -656,22 +712,23 @@ class ProcessExecutor(Executor):
 
     Each worker process rebuilds the evaluation engine once from the
     caller's :class:`WorkerConfig` (pool initializer), then evaluates
-    picklable task chunks; evaluations stream back to the parent, which owns
-    the cache merge.  Worker start-up (interpreter fork/spawn plus the
-    FlexWatts predictor calibration) costs tens of milliseconds per worker,
-    so this backend pays off on grids whose serial cost dwarfs that.
+    picklable unit chunks; evaluations stream back to the parent, which owns
+    the cache merge, together with each chunk's trace spans and counter
+    deltas.  Worker start-up (interpreter fork/spawn plus the FlexWatts
+    predictor calibration) costs tens of milliseconds per worker, so this
+    backend pays off on grids whose serial cost dwarfs that.
     """
 
     name = "process"
     uses_parent_models = False
 
     def _run_chunks(
-        self, engine: EvaluationEngine, chunks: List[List[Task]]
-    ) -> Iterator[ChunkResult]:
+        self, engine: EvaluationEngine, chunks: List[List[EvalUnit]]
+    ) -> Iterator[Tuple[int, List[EvalResult]]]:
         if len(chunks) <= 1:
             # One chunk cannot overlap with anything; skip the pool start-up.
-            for chunk in chunks:
-                yield _evaluate_chunk_in_process(engine, chunk)
+            for index, chunk in enumerate(chunks):
+                yield index, _evaluate_chunk_in_process(engine, chunk)
             return
         from concurrent import futures
 
@@ -682,14 +739,18 @@ class ProcessExecutor(Executor):
             initializer=_init_worker,
             initargs=(config, tracing),
         ) as pool:
-            submitted = [pool.submit(_evaluate_chunk, chunk) for chunk in chunks]
+            submitted = {
+                pool.submit(_evaluate_chunk, chunk): index
+                for index, chunk in enumerate(chunks)
+            }
             for future in futures.as_completed(submitted):
-                pairs, used_columnar, spans = future.result()
-                _note_chunk(len(pairs), used_columnar)
+                results, used_columnar, spans, deltas = future.result()
+                _note_chunk(len(results), used_columnar)
+                METRICS.absorb_counters(deltas)
                 tracer = obs_trace.active_tracer()
                 if spans and tracer is not None:
                     tracer.absorb(spans)
-                yield pairs
+                yield submitted[future], results
 
 
 #: Registry of the built-in backends, keyed by their CLI/``make_executor`` name.

@@ -84,9 +84,8 @@ class CacheInfo:
 
 
 # Columnar-dispatch instruments, bound once at import time.  They tick in
-# whichever process runs the block (the parent for serial/thread backends;
-# worker-side ticks are process-local and intentionally not merged -- the
-# parent's executor-level counters already cover dispatched units).
+# whichever process runs the block; a process-pool worker ships its ticks
+# back with each chunk and the parent absorbs them.
 _COLUMNAR_BLOCKS = METRICS.counter("engine.columnar.blocks")
 _COLUMNAR_BLOCK_UNITS = METRICS.counter("engine.columnar.block_units")
 _SCALAR_FALLBACK_BLOCKS = METRICS.counter("engine.scalar_fallback.blocks")
@@ -236,7 +235,7 @@ class PdnSpot(TwoTierCacheMixin):
         """The attached on-disk store (second cache tier), if any."""
         return self._disk_cache
 
-    # Two-tier cache_lookup / cache_install come from TwoTierCacheMixin.
+    # Two-tier cache_lookup_many / cache_install_many come from TwoTierCacheMixin.
     _payload_type = PdnEvaluation
 
     @staticmethod
@@ -272,8 +271,8 @@ class PdnSpot(TwoTierCacheMixin):
         single-unit compute seam (the reference oracle the columnar path is
         gated against); executor workers call it for every unit that does not
         ride :meth:`evaluate_columns`.  The driver owns the cache interaction
-        (:meth:`cache_lookup` / :meth:`cache_install`), so neither the
-        mapping nor the counters are touched here.  Not public sugar -- use
+        (:meth:`cache_lookup_many` / :meth:`cache_install_many`), so neither
+        the mapping nor the counters are touched here.  Not public sugar -- use
         :meth:`evaluate` or :meth:`evaluate_units`.
         """
         return self._variant_pdn(pdn_name, overrides).evaluate(conditions)
@@ -284,15 +283,19 @@ class PdnSpot(TwoTierCacheMixin):
         conditions: OperatingConditions,
         overrides: OverrideKey = (),
     ) -> PdnEvaluation:
-        """Evaluate one PDN at one operating point through the memo cache."""
+        """Evaluate one PDN at one operating point through the memo cache.
+
+        The cache sees a batch of one: one lookup and, on a miss, one
+        install.
+        """
         if not self._cache_enabled:
             return self.evaluate_uncached(pdn_name, conditions, overrides)
-        key = self.cache_key(pdn_name, conditions, overrides)
-        cached = self.cache_lookup(key)
+        keys = [self.cache_key(pdn_name, conditions, overrides)]
+        cached = self.cache_lookup_many(keys)[0]
         if cached is not None:
             return cached
         evaluation = self.evaluate_uncached(pdn_name, conditions, overrides)
-        return self.cache_install(key, evaluation)
+        return self.cache_install_many(keys, [evaluation])[0]
 
     # ------------------------------------------------------------------ #
     # Columnar capability (the vectorized half of the engine protocol)

@@ -24,7 +24,7 @@ load-line penalty" behaviour the paper reports, rather than re-deriving it.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.hybrid_vr import PdnMode
 from repro.core.runtime_estimator import RuntimeInputEstimator
@@ -82,6 +82,28 @@ class FlexWattsPdn(PowerDeliveryNetwork):
         """Mode Algorithm 1 selects for the given operating point."""
         telemetry = RuntimeInputEstimator.estimate_from_conditions(conditions)
         return self.predict_mode_from_telemetry(telemetry)
+
+    def predict_modes(
+        self, conditions: Sequence[OperatingConditions]
+    ) -> List[PdnMode]:
+        """Modes Algorithm 1 selects for a batch of operating points.
+
+        Point for point equal to :meth:`predict_mode`, batched through
+        :meth:`~repro.core.mode_predictor.ModePredictor.predict_modes`.  A
+        predictor with no batch path -- one that only answers
+        ``predict(telemetry)`` -- is asked point by point, and so is a
+        replaced (subclassed, class- or instance-patched) :meth:`predict_mode`
+        or :meth:`predict_mode_from_telemetry`, so the replacement is honoured.
+        """
+        predictor = self.predictor
+        if (
+            getattr(self.predict_mode, "__func__", None) is not _PREDICT_MODE
+            or getattr(self.predict_mode_from_telemetry, "__func__", None)
+            is not _PREDICT_MODE_FROM_TELEMETRY
+            or not hasattr(predictor, "predict_modes")
+        ):
+            return [self.predict_mode(point) for point in conditions]
+        return predictor.predict_modes(conditions)
 
     def predict_mode_from_telemetry(self, telemetry: PmuTelemetry) -> PdnMode:
         """Mode Algorithm 1 selects for the given PMU telemetry."""
@@ -153,3 +175,9 @@ class FlexWattsPdn(PowerDeliveryNetwork):
             "behind a shared V_IN, dedicated board rails for SA/IO, with "
             "Algorithm-1 mode prediction"
         )
+
+
+#: The per-point Algorithm-1 methods :meth:`FlexWattsPdn.predict_modes`
+#: batches; a replacement of either sends it back point by point.
+_PREDICT_MODE = FlexWattsPdn.predict_mode
+_PREDICT_MODE_FROM_TELEMETRY = FlexWattsPdn.predict_mode_from_telemetry

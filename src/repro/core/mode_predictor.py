@@ -28,7 +28,7 @@ from repro.power.power_states import PackageCState
 from repro.soc.pmu import PmuTelemetry
 from repro.core.hybrid_vr import PdnMode
 from repro.util.errors import ConfigurationError, ModelDomainError
-from repro.util.interpolate import LinearTable1D
+from repro.util.interpolate import LinearTable1D, StackedTables1D
 from repro.util.validation import require_fraction, require_positive
 
 
@@ -48,6 +48,11 @@ class EteeCurveSet:
     )
     #: package power state -> ETEE.
     power_state_etee: Dict[PackageCState, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        # workload type -> (curves, TDP array, StackedTables1D); not a field,
+        # so equality, repr and canonical keys see only the stored curves.
+        self._stacked: Dict[WorkloadType, tuple] = {}
 
     def add_active_curve(
         self,
@@ -92,14 +97,20 @@ class EteeCurveSet:
             return self.power_state_etee[shallowest]
         raise ModelDomainError("no power-state ETEE curves stored in this curve set")
 
-    def _active_lookup(
-        self, tdp_w: float, application_ratio: float, workload_type: WorkloadType
-    ) -> float:
-        if workload_type not in self.active_curves or not self.active_curves[workload_type]:
+    def _stored_curves(
+        self, workload_type: WorkloadType
+    ) -> List[Tuple[float, LinearTable1D]]:
+        curves = self.active_curves.get(workload_type)
+        if not curves:
             raise ModelDomainError(
                 f"no ETEE curves stored for workload type {workload_type}"
             )
-        curves = self.active_curves[workload_type]
+        return curves
+
+    def _active_lookup(
+        self, tdp_w: float, application_ratio: float, workload_type: WorkloadType
+    ) -> float:
+        curves = self._stored_curves(workload_type)
         tdps = [tdp for tdp, _ in curves]
         if tdp_w <= tdps[0]:
             return curves[0][1](application_ratio)
@@ -113,6 +124,57 @@ class EteeCurveSet:
         return low_curve(application_ratio) * (1.0 - weight) + high_curve(
             application_ratio
         ) * weight
+
+    def etee_many(
+        self,
+        tdp_w,
+        application_ratio,
+        workload_type: WorkloadType,
+        power_state: PackageCState,
+    ):
+        """:meth:`etee` over float64 arrays of TDPs and ARs.
+
+        Every element shares ``workload_type`` and ``power_state``; element
+        for element the result equals :meth:`etee`.  Idle lookups broadcast
+        the one stored value; active lookups read the two stored AR curves
+        around each TDP through one :class:`StackedTables1D` and blend them
+        with the scalar path's clamping, bisection
+        (``np.searchsorted(side="left")``) and arithmetic.
+        """
+        import numpy as np  # only batch callers pay for numpy
+
+        if power_state.is_idle or workload_type is WorkloadType.IDLE:
+            return np.full(len(tdp_w), self._power_state_lookup(power_state))
+        tdps, tables = self._stacked_curves(workload_type)
+        below = tdp_w <= tdps[0]
+        above = tdp_w >= tdps[-1]
+        inside = ~(below | above)
+        # Lanes outside the stored range read the one curve they clamp to.
+        hi = np.where(below, 0, np.where(above, len(tdps) - 1, np.searchsorted(tdps, tdp_w)))
+        lo = np.where(inside, hi - 1, hi)
+        etees = tables.evaluate(np.concatenate((lo, hi)), np.tile(application_ratio, 2))
+        low_etee, high_etee = etees[: len(tdp_w)], etees[len(tdp_w) :]
+        weight = (tdp_w - tdps[lo]) / np.where(inside, tdps[hi] - tdps[lo], 1.0)
+        return np.where(inside, low_etee * (1.0 - weight) + high_etee * weight, high_etee)
+
+    def _stacked_curves(self, workload_type: WorkloadType):
+        """The stored TDPs and AR curves of ``workload_type`` as arrays.
+
+        Built on the first batch lookup and rebuilt only when the stored
+        curves change.
+        """
+        curves = self._stored_curves(workload_type)
+        stacked = self._stacked.get(workload_type)
+        if stacked is None or stacked[0] != curves:
+            import numpy as np  # only batch callers pay for numpy
+
+            stacked = (
+                list(curves),
+                np.array([tdp for tdp, _ in curves]),
+                StackedTables1D([curve for _, curve in curves]),
+            )
+            self._stacked[workload_type] = stacked
+        return stacked[1], stacked[2]
 
     def stored_tdps_w(self, workload_type: WorkloadType) -> List[float]:
         """TDP grid points stored for ``workload_type`` (for introspection)."""
@@ -161,6 +223,45 @@ class ModePredictor:
         if ivr_etee >= ldo_etee:
             return PdnMode.IVR_MODE
         return PdnMode.LDO_MODE
+
+    def predict_modes(self, points: Sequence[object]) -> List[PdnMode]:
+        """Algorithm 1 over a batch: per point, the mode :meth:`predict` selects.
+
+        ``points`` carry the four Algorithm-1 inputs as ``tdp_w``,
+        ``application_ratio``, ``workload_type`` and ``power_state``
+        attributes (:class:`~repro.pdn.base.OperatingConditions` or
+        :class:`PmuTelemetry`).  Points sharing a workload type and power
+        state are looked up together through :meth:`EteeCurveSet.etee_many`;
+        ties resolve to IVR-Mode, as in :meth:`predict`.
+        """
+        import numpy as np  # only batch callers pay for numpy
+
+        workload_types = [point.workload_type for point in points]
+        power_states = [point.power_state for point in points]
+        tdp_w = np.array([point.tdp_w for point in points], dtype=np.float64)
+        application_ratio = np.array(
+            [point.application_ratio for point in points], dtype=np.float64
+        )
+        # Lanes grouped by their (workload type, power state) members' ids:
+        # hashing an Enum member is a Python-level call, hashing ints is not.
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        for lane, members in enumerate(zip(map(id, workload_types), map(id, power_states))):
+            groups.setdefault(members, []).append(lane)
+        ivr_mode = np.empty(len(workload_types), dtype=bool)
+        for lanes in groups.values():
+            index = np.array(lanes, dtype=np.intp)
+            inputs = (
+                tdp_w[index],
+                application_ratio[index],
+                workload_types[lanes[0]],
+                power_states[lanes[0]],
+            )
+            ivr_etee = self._ivr_curves.etee_many(*inputs)
+            ldo_etee = self._ldo_curves.etee_many(*inputs)
+            ivr_mode[index] = ivr_etee >= ldo_etee
+        return [
+            PdnMode.IVR_MODE if pick else PdnMode.LDO_MODE for pick in ivr_mode.tolist()
+        ]
 
     def predicted_gain(self, telemetry: PmuTelemetry) -> float:
         """Expected ETEE advantage of the chosen mode over the other one."""

@@ -13,9 +13,10 @@ thin wrapper over this module), so every latency distribution in the
 process shares one bucket layout and one serialized shape.
 
 Worker processes spawned by the process executor accumulate into their own
-registry; only their trace spans ship back to the parent.  Counters that
-must appear in the parent's snapshot are therefore incremented on the
-parent side of the fork (see ``repro/analysis/executor.py``).
+registry; each chunk ships its counter deltas back to the parent beside
+its trace spans, and the parent absorbs them
+(:meth:`MetricsRegistry.absorb_counters`), so the parent's counters cover
+work done on both sides of the fork.
 """
 
 from __future__ import annotations
@@ -51,7 +52,13 @@ class Counter:
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
-        """Add ``amount`` (default 1) to the counter."""
+        """Add ``amount`` (default 1) to the counter.
+
+        Raises :class:`ValueError` for a negative ``amount``: a counter
+        never decreases.
+        """
+        if amount < 0:
+            raise ValueError(f"counter increment must be >= 0, got {amount!r}")
         with self._lock:
             self._value += amount
 
@@ -183,6 +190,22 @@ class MetricsRegistry:
                 histogram = Histogram(bounds or DEFAULT_LATENCY_BOUNDS_S)
                 self._histograms[name] = histogram
             return histogram
+
+    def counter_values(self) -> Dict[str, int]:
+        """The current value of every registered counter, by name."""
+        with self._lock:
+            counters = dict(self._counters)
+        return {name: counter.value for name, counter in counters.items()}
+
+    def absorb_counters(self, deltas: Dict[str, int]) -> None:
+        """Add counter deltas recorded elsewhere (a worker process's chunk).
+
+        The process executor ships each worker chunk's counter deltas back
+        beside its span batch; absorbing them here makes the parent's
+        counters cover work done on both sides of the fork.
+        """
+        for name, delta in deltas.items():
+            self.counter(name).inc(delta)
 
     def snapshot(self) -> Dict[str, object]:
         """The registry as one JSON-ready document (stable, versioned schema).

@@ -922,11 +922,11 @@ def _lanes(batch, pdn_name, supply, current, loss, rail_voltages):
 
 
 def _evaluate_flexwatts(pdn, batch: ConditionsBatch, mode=None):
-    """Columnar FlexWatts evaluation: predict per lane, batch per mode."""
+    """Columnar FlexWatts evaluation: predict every lane at once, batch per mode."""
     from repro.core.hybrid_vr import PdnMode
 
     if mode is None:
-        modes = [pdn.predict_mode(c) for c in batch.conditions]
+        modes = pdn.predict_modes(batch.conditions)
         final_name = pdn.name
     else:
         modes = [mode] * batch.n

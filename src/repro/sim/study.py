@@ -431,7 +431,7 @@ class SimEngine(TwoTierCacheMixin):
                 digest = self._trace_digests.setdefault(ident, digest)
         return (*key, ("trace", digest))
 
-    # Two-tier cache_lookup / cache_install come from TwoTierCacheMixin
+    # Two-tier cache_lookup_many / cache_install_many come from TwoTierCacheMixin
     # (with _disk_key above adding the trace digest to disk addresses).
     _payload_type = SimulationResult
 
@@ -630,7 +630,7 @@ class SimEngine(TwoTierCacheMixin):
             parameters=self._parameters_for(overrides),
             predictor=self._predictor_for(overrides),
         )
-        predicted = {point: pdn.predict_mode(conditions[point]) for point in points}
+        predicted = dict(zip(points, pdn.predict_modes([conditions[p] for p in points])))
         scans = [
             simulator.scan_modes(plan, ModeSwitchController(), predicted)
             for simulator, plan in unit_plans
@@ -674,12 +674,12 @@ class SimEngine(TwoTierCacheMixin):
         """
         if not self._cache_enabled:
             return self.evaluate_uncached(pdn_name, point, overrides)
-        key = self.cache_key(pdn_name, point, overrides)
-        cached = self.cache_lookup(key)
+        keys = [self.cache_key(pdn_name, point, overrides)]
+        cached = self.cache_lookup_many(keys)[0]
         if cached is not None:
             return cached
         result = self.evaluate_uncached(pdn_name, point, overrides)
-        return self.cache_install(key, result)
+        return self.cache_install_many(keys, [result])[0]
 
     # ------------------------------------------------------------------ #
     # Lazily built, override-keyed shared state

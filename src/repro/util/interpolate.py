@@ -91,6 +91,52 @@ class LinearTable1D:
         return self._ys[lo] + slope * (x - self._xs[lo])
 
 
+class StackedTables1D:
+    """Several :class:`LinearTable1D` tables as NumPy arrays, for lane-wise lookups.
+
+    The arrays are built once, at construction.  :meth:`evaluate` looks
+    element ``i`` of ``x`` up in table ``index[i]``; element for element the
+    result equals calling that table: the same end handling, the count of
+    breakpoints below ``x`` (``bisect_left``) for the segment, and the same
+    ``(x - xs[lo]) / span`` weight and ``ys[lo] * (1 - w) + ys[hi] * w``
+    blend in float64.
+    """
+
+    def __init__(self, tables: Sequence[LinearTable1D]):
+        import numpy as np  # only batch callers pay for numpy
+
+        width = max(len(table._xs) for table in tables)
+        # Rows of shorter tables pad with +inf breakpoints, which no query
+        # counts as lying below it.
+        self._xs = np.full((len(tables), width), np.inf)
+        self._ys = np.zeros((len(tables), width))
+        for row, table in enumerate(tables):
+            self._xs[row, : len(table._xs)] = table._xs
+            self._ys[row, : len(table._ys)] = table._ys
+        self._last = np.array([len(table._xs) - 1 for table in tables])
+        self._last_xs = np.array([table._xs[-1] for table in tables])
+        self._clamp_ends = np.array([table._clamp_ends for table in tables])
+
+    def evaluate(self, index, x):
+        """Table ``index[i]`` at ``x[i]`` for every element of the float64 array ``x``."""
+        import numpy as np  # only batch callers pay for numpy
+
+        # Queries outside a table land on its first or last segment, which
+        # is where that table extrapolates from.
+        hi = np.clip(np.count_nonzero(self._xs[index] < x[:, None], axis=1), 1, self._last[index])
+        lo = hi - 1
+        x_lo, x_hi = self._xs[index, lo], self._xs[index, hi]
+        y_lo, y_hi = self._ys[index, lo], self._ys[index, hi]
+        weight = (x - x_lo) / (x_hi - x_lo)
+        inside = y_lo * (1.0 - weight) + y_hi * weight
+        below = x <= self._xs[index, 0]
+        outside = below | (x >= self._last_xs[index])
+        clamped = np.where(below, y_lo, y_hi)
+        extrapolated = y_lo + (y_hi - y_lo) / (x_hi - x_lo) * (x - x_lo)
+        ends = np.where(self._clamp_ends[index], clamped, extrapolated)
+        return np.where(outside, ends, inside)
+
+
 class BilinearTable2D:
     """Bilinear lookup table over a rectangular (x, y) grid.
 

@@ -108,6 +108,26 @@ class TestModelEquivalence:
         assert not columnar.supports_columns(build_pdn("IVR"))
 
 
+    @pytest.mark.parametrize("target", ["class", "instance"])
+    @pytest.mark.parametrize("method", ["predict_mode", "predict_mode_from_telemetry"])
+    def test_patched_mode_prediction_honoured_in_columnar_sweep(
+        self, monkeypatch, target, method
+    ):
+        from repro.core.flexwatts import FlexWattsPdn
+
+        spot = PdnSpot(enable_cache=False)
+        flexwatts = spot.pdn("FlexWatts")
+        if method == "predict_mode":
+            pinned = lambda *args: PdnMode.LDO_MODE  # noqa: E731
+        else:
+            pinned = lambda *args: PdnMode.IVR_MODE  # noqa: E731
+        monkeypatch.setattr(FlexWattsPdn if target == "class" else flexwatts, method, pinned)
+        conditions = random_conditions(random.Random(41), 40)
+        units = [("FlexWatts", c, ()) for c in conditions]
+        got = spot.evaluate_units(units)
+        assert got == [flexwatts.evaluate(c, pinned()) for c in conditions]
+
+
 # --------------------------------------------------------------------------- #
 # Engine level: evaluate_units through the columnar negotiation
 # --------------------------------------------------------------------------- #

@@ -15,6 +15,7 @@ import pytest
 
 from repro.analysis.executor import (
     EXECUTORS,
+    MIN_COLUMNAR_CHUNK,
     Executor,
     ProcessExecutor,
     SerialExecutor,
@@ -25,6 +26,7 @@ from repro.analysis.executor import (
 )
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.study import Study
+from repro.obs.metrics import METRICS
 from repro.pdn.base import OperatingConditions
 from repro.power.domains import WorkloadType
 from repro.util.errors import ConfigurationError
@@ -136,11 +138,8 @@ class _ReversedCompletionExecutor(SerialExecutor):
 
     def _run_chunks(self, spot, chunks):
         results = [
-            [
-                (slot, spot.evaluate_uncached(name, conditions, overrides))
-                for slot, name, conditions, overrides in chunk
-            ]
-            for chunk in chunks
+            (index, [spot.evaluate_uncached(*unit) for unit in chunk])
+            for index, chunk in enumerate(chunks)
         ]
         yield from reversed(results)
 
@@ -212,6 +211,36 @@ class TestCacheMergeBack:
         second = spot.evaluate("IVR", _active_point())
         assert second is first
         assert second.rail_voltages_v
+
+
+# --------------------------------------------------------------------------- #
+# Worker metrics across the fork boundary
+# --------------------------------------------------------------------------- #
+class TestWorkerMetrics:
+    def test_process_workers_ship_their_columnar_counts(self):
+        """Columnar blocks run in the workers; their counts reach the parent."""
+        study = (
+            Study.builder("worker-metrics")
+            .tdps(4.0, 10.0, 18.0, 36.0, 50.0)
+            .application_ratios(0.4, 0.5, 0.6, 0.7, 0.8)
+            .workload_types(WorkloadType.CPU_SINGLE_THREAD, WorkloadType.CPU_MULTI_THREAD,
+                            WorkloadType.GRAPHICS)
+            .build()
+        )
+        assert len(study) * 5 > 2 * MIN_COLUMNAR_CHUNK
+        block_units = METRICS.counter("engine.columnar.block_units")
+        chunks = METRICS.counter("executor.chunks")
+
+        def run(**dispatch):
+            before = (block_units.value, chunks.value)
+            resultset = PdnSpot().run(study, **dispatch)
+            return resultset, block_units.value - before[0], chunks.value - before[1]
+
+        serial, serial_units, serial_chunks = run()
+        parallel, parallel_units, parallel_chunks = run(executor="process", jobs=2)
+        assert parallel == serial
+        assert (serial_chunks, parallel_chunks) == (1, 2)
+        assert parallel_units == serial_units == len(study) * 5
 
 
 # --------------------------------------------------------------------------- #

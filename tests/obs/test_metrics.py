@@ -34,6 +34,14 @@ class TestInstruments:
             thread.join()
         assert counter.value == 4000
 
+    def test_counter_rejects_negative_increments(self):
+        counter = MetricsRegistry().counter("hits")
+        counter.inc(3)
+        counter.inc(0)
+        with pytest.raises(ValueError, match=">= 0"):
+            counter.inc(-1)
+        assert counter.value == 3
+
     def test_gauge_last_write_wins(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("depth")
@@ -67,6 +75,12 @@ class TestRegistry:
         assert registry.counter("a") is registry.counter("a")
         assert registry.gauge("b") is registry.gauge("b")
         assert registry.histogram("c") is registry.histogram("c")
+
+    def test_counter_values_and_absorbed_deltas(self):
+        registry = MetricsRegistry()
+        registry.counter("a").inc(2)
+        registry.absorb_counters({"a": 3, "worker.only": 4})
+        assert registry.counter_values() == {"a": 5, "worker.only": 4}
 
     def test_snapshot_schema_is_stable(self):
         """The contract behind GET /v1/metrics and the trace counter track."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import Counter
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import pytest
 
@@ -38,14 +38,21 @@ class CountingEngine:
     def cache_key(self, name, point, overrides) -> Tuple[object, ...]:
         return (name, point, overrides)
 
-    def cache_lookup(self, key) -> Optional[object]:
+    def cache_lookup_many(self, keys) -> List[Optional[object]]:
         with self._lock:
-            return self._cache.get(key)
+            return [self._cache.get(key) for key in keys]
 
-    def cache_install(self, key, result):
+    def cache_install_many(self, keys, results) -> List[object]:
         with self._lock:
-            self._cache[key] = result
-            return result
+            self._cache.update(zip(keys, results))
+            return list(results)
+
+    @property
+    def columnar_enabled(self) -> bool:
+        return False
+
+    def evaluate_columns(self, units) -> None:
+        return None  # no batch path: every unit goes through evaluate_uncached
 
     def evaluate_uncached(self, name, point, overrides):
         gate = self.gates.get(name)
