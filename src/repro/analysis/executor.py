@@ -468,7 +468,10 @@ class Executor(ABC):
     # The shard / evaluate / merge / reassemble driver
     # ------------------------------------------------------------------ #
     def evaluate_units(
-        self, engine: EvaluationEngine, units: Iterable[EvalUnit]
+        self,
+        engine: EvaluationEngine,
+        units: Iterable[EvalUnit],
+        on_lookup: Optional[Callable[[int], None]] = None,
     ) -> List[EvalResult]:
         """Evaluate ``units`` through this backend, in canonical unit order.
 
@@ -478,6 +481,9 @@ class Executor(ABC):
         merged back into the shared cache in one call before duplicates are
         resolved from it.  With the cache disabled every unit is dispatched
         as-is (the seed-equivalent cost model the benchmarks rely on).
+
+        ``on_lookup``, when given, is called once with the number of distinct
+        keys that lookup served from the cache (never with the cache off).
         """
         unit_list = list(units)
         if not unit_list:
@@ -512,6 +518,8 @@ class Executor(ABC):
             distinct_keys = list(distinct)
             resolved = engine.cache_lookup_many(distinct_keys)
             pending = [index for index, result in enumerate(resolved) if result is None]
+            if on_lookup is not None:
+                on_lookup(len(distinct_keys) - len(pending))
             dedupe_span.set("units", len(unit_list))
             dedupe_span.set("dispatched", len(pending))
             dedupe_span.set("duplicates", duplicates)

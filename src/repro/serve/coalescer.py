@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import (
     EvalResult,
@@ -54,6 +54,7 @@ async def evaluate_units_async(
     units: Iterable[EvalUnit],
     executor: ExecutorLike = None,
     jobs: Optional[int] = None,
+    on_lookup: Optional[Callable[[int], None]] = None,
 ) -> List[EvalResult]:
     """Evaluate ``units`` without blocking the running event loop.
 
@@ -76,6 +77,10 @@ async def evaluate_units_async(
         :func:`~repro.analysis.executor.make_executor`; the default is a
         :class:`~repro.analysis.executor.SerialExecutor` on the seam thread
         (identical accounting to the engine's serial path).
+    on_lookup:
+        Called on the seam thread with the number of distinct keys the
+        batch's cache lookup served (see
+        :meth:`~repro.analysis.executor.Executor.evaluate_units`).
     """
     backend = make_executor(executor, jobs=jobs)
     if backend is None:
@@ -83,7 +88,7 @@ async def evaluate_units_async(
     unit_list = list(units)
     loop = asyncio.get_running_loop()
     return await loop.run_in_executor(
-        None, backend.evaluate_units, engine, unit_list
+        None, backend.evaluate_units, engine, unit_list, on_lookup
     )
 
 
@@ -104,6 +109,10 @@ class CoalescerStats:
         Executor dispatches issued (scheduling ticks that had work).
     largest_batch:
         Size of the largest single dispatch.
+    keys_from_cache:
+        Dispatched keys the engine's two-tier cache served, counted from
+        each successful dispatch's own lookup; the other dispatched keys
+        were computed.
     """
 
     units_requested: int = 0
@@ -111,6 +120,7 @@ class CoalescerStats:
     keys_dispatched: int = 0
     batches_dispatched: int = 0
     largest_batch: int = 0
+    keys_from_cache: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a JSON-ready mapping (stable key order)."""
@@ -120,6 +130,7 @@ class CoalescerStats:
             "keys_dispatched": self.keys_dispatched,
             "batches_dispatched": self.batches_dispatched,
             "largest_batch": self.largest_batch,
+            "keys_from_cache": self.keys_from_cache,
         }
 
 
@@ -234,11 +245,14 @@ class Coalescer:
         """Evaluate one batch on the seam and settle its in-flight futures."""
         keys = [key for key, _ in batch]
         units = [unit for _, unit in batch]
+        # Filled on the seam thread, read here once the dispatch is done.
+        served: List[int] = []
         try:
             with obs_trace.span("serve.coalescer.flush", category="serve",
                                 units=len(units)):
                 results = await evaluate_units_async(
-                    self._engine, units, executor=self._executor, jobs=self._jobs
+                    self._engine, units, executor=self._executor, jobs=self._jobs,
+                    on_lookup=served.append,
                 )
         except Exception as error:  # noqa: BLE001 - settled into the futures
             for key in keys:
@@ -246,6 +260,7 @@ class Coalescer:
                 if future is not None and not future.done():
                     future.set_exception(error)
         else:
+            self.stats.keys_from_cache += sum(served)
             for key, result in zip(keys, results):
                 future = self._inflight.pop(key, None)
                 if future is not None and not future.done():

@@ -56,7 +56,7 @@ def simulation_record(
         mode_switch_time_s=result.mode_switch_time_s,
         mode_switch_energy_j=result.mode_switch_energy_j,
     )
-    if any(r.pdn_mode is not None for r in result.phase_records):
+    if result.adaptive:
         record["ivr_mode_time_s"] = result.time_in_mode_s(PdnMode.IVR_MODE)
         record["ldo_mode_time_s"] = result.time_in_mode_s(PdnMode.LDO_MODE)
     return record

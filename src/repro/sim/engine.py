@@ -11,10 +11,12 @@ thrashing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from operator import mul
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import attrgetter, eq, mul
+from typing import (
+    Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.core.flexwatts import FlexWattsPdn
 from repro.core.hybrid_vr import PdnMode
@@ -139,18 +141,57 @@ class PhaseRecord:
     mode_switched: bool = False
 
 
+class _PhaseColumns(NamedTuple):
+    """A result's phase records as parallel columns, one per record field.
+
+    The mode columns are ``None`` for a static PDN: no record carries a mode.
+    """
+
+    phase_index: Sequence[int]
+    power_state: Sequence[str]
+    workload_type: Sequence[str]
+    duration_s: Sequence[float]
+    supply_power_w: Sequence[float]
+    energy_j: Sequence[float]
+    pdn_mode: Optional[Sequence[str]] = None
+    mode_switched: Optional[Sequence[bool]] = None
+
+    def records(self) -> Tuple[PhaseRecord, ...]:
+        """The :class:`PhaseRecord` of each phase, in order."""
+        columns = self if self.pdn_mode is not None else self[:6]
+        return tuple(map(PhaseRecord, *columns))
+
+    @classmethod
+    def from_records(cls, records: Sequence[PhaseRecord]) -> "_PhaseColumns":
+        """The columns of eagerly built ``records``."""
+        if not records:
+            return cls((), (), (), (), (), ())
+        columns = cls(*zip(*map(attrgetter(*cls._fields), records)))
+        if all(mode is None for mode in columns.pdn_mode):
+            return columns._replace(pdn_mode=None, mode_switched=None)
+        return columns
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Aggregate outcome of simulating one trace on one PDN (read-only).
 
     Results are frozen and hold their phase records in a tuple, so a cached
     result can be handed to every caller without a copy.
+
+    A result from :meth:`IntervalSimulator.replay` holds its phases as
+    columns: the summaries sum them, and ``phase_records`` is built from
+    them on first read and kept (a pickle builds them without keeping
+    them).  Equality, hash, ``repr`` and the pickled state are those of an
+    eagerly built result.
     """
 
     pdn_name: str
     trace_name: str
     tdp_w: float
-    phase_records: Tuple[PhaseRecord, ...] = ()
+    # A default factory leaves no class attribute, so ``__getattr__`` is
+    # reached while a columnar result has not built its records.
+    phase_records: Tuple[PhaseRecord, ...] = field(default_factory=tuple)
     mode_switch_count: int = 0
     mode_switch_time_s: float = 0.0
     mode_switch_energy_j: float = 0.0
@@ -158,22 +199,55 @@ class SimulationResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "phase_records", tuple(self.phase_records))
 
+    @classmethod
+    def _from_columns(cls, columns: _PhaseColumns, **values: object) -> "SimulationResult":
+        """A columnar result: ``phase_records`` is built on first read."""
+        result = object.__new__(cls)
+        result.__dict__.update(values, _columns=columns)
+        return result
+
+    def __getattr__(self, name: str) -> object:
+        # Reached only for attributes missing from the instance: the records
+        # of a columnar result, or the columns of an eagerly built one, before
+        # their first read.  setdefault keeps one copy when threads race.
+        state = self.__dict__
+        if name == "phase_records" and "_columns" in state:
+            return state.setdefault(name, state["_columns"].records())
+        if name == "_columns" and "phase_records" in state:
+            return state.setdefault(
+                name, _PhaseColumns.from_records(state["phase_records"])
+            )
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The fields alone, in the order an eagerly built result pickles them.
+        # Records built for the pickle are not kept: a disk write-through
+        # leaves a cached columnar result as small as it was.
+        state = {name: self.__dict__.get(name) for name in self.__dataclass_fields__}
+        if state["phase_records"] is None:
+            state["phase_records"] = self._columns.records()
+        return state
+
     def __setstate__(self, state: Dict[str, object]) -> None:
         # Entries pickled before results were read-only hold a list.
         self.__dict__.update(state, phase_records=tuple(state["phase_records"]))
 
     @property
+    def adaptive(self) -> bool:
+        """Whether the phases carry a PDN mode (a hybrid-PDN run)."""
+        return self._columns.pdn_mode is not None
+
+    @property
     def total_time_s(self) -> float:
         """Total simulated time, including mode-switch flows."""
-        return sum(record.duration_s for record in self.phase_records) + self.mode_switch_time_s
+        return sum(self._columns.duration_s) + self.mode_switch_time_s
 
     @property
     def total_energy_j(self) -> float:
         """Total energy drawn from the platform supply."""
-        return (
-            sum(record.energy_j for record in self.phase_records)
-            + self.mode_switch_energy_j
-        )
+        return sum(self._columns.energy_j) + self.mode_switch_energy_j
 
     @property
     def average_power_w(self) -> float:
@@ -185,14 +259,11 @@ class SimulationResult:
 
     def time_in_mode_s(self, mode: PdnMode) -> float:
         """Time spent with the hybrid PDN in ``mode`` (FlexWatts runs only)."""
-        return sum(
-            (
-                record.duration_s
-                for record in self.phase_records
-                if record.pdn_mode == mode.value
-            ),
-            0.0,
-        )
+        columns = self._columns
+        if columns.pdn_mode is None:
+            return 0.0
+        in_mode = map(eq, columns.pdn_mode, repeat(mode.value))
+        return sum(compress(columns.duration_s, in_mode), 0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,7 +477,8 @@ class IntervalSimulator:
         advances the controller's residency clock; a wanted switch the guard
         allows is performed at the phase boundary, and a vetoed one keeps the
         current mode.  Besides resolving the plan, this scan is the only
-        per-phase Python loop of an unobserved simulation.
+        per-phase Python loop of an unobserved simulation: the replay builds
+        columns, and records are built only when someone reads them.
         """
         modes: List[PdnMode] = []
         switches: List[Tuple[int, PdnMode, float]] = []
@@ -437,10 +509,12 @@ class IntervalSimulator:
         """Build one PDN's result over a resolved plan.
 
         Without a ``scan`` the PDN is static: ``power`` maps each point to
-        its supply power and the records are one pass over the plan's
-        columns.  With the :class:`ModeScan` of a hybrid PDN, ``power`` maps
-        every pair of :meth:`ModeScan.reads` to its supply power, and each
-        switch pays the flow's latency at the pre-switch mode's power.
+        its supply power.  With the :class:`ModeScan` of a hybrid PDN,
+        ``power`` maps every pair of :meth:`ModeScan.reads` to its supply
+        power, and each switch pays the flow's latency at the pre-switch
+        mode's power.  The result holds the phases as columns -- the plan's
+        own, plus each phase's power and energy and, for a hybrid PDN, its
+        mode name and switch flag -- and builds no record.
 
         A PMU is driven only when someone observes it: the caller passes one,
         or tracing is on (its telemetry then becomes ``pmu.telemetry``
@@ -463,22 +537,22 @@ class IntervalSimulator:
                 switched, switch_time_s, switch_energy_j = self._account_switches(
                     plan, power, scan
                 )
-                mode_columns = (map(_MODE_NAMES.__getitem__, scan.modes), switched)
+                mode_columns = (list(map(_MODE_NAMES.__getitem__, scan.modes)), switched)
                 switch_count = len(scan.switches)
-            records = tuple(map(
-                PhaseRecord, plan.indices, plan.state_names, plan.workload_names,
-                durations_s, powers, map(mul, powers, durations_s), *mode_columns,
-            ))
+            columns = _PhaseColumns(
+                plan.indices, plan.state_names, plan.workload_names, durations_s,
+                powers, list(map(mul, powers, durations_s)), *mode_columns,
+            )
             if pmu is not None:
                 self._drive_pmu(plan, pmu, scan)
-            _SIM_PHASES.inc(len(records))
-            run_span.set("phases", len(records))
+            _SIM_PHASES.inc(len(durations_s))
+            run_span.set("phases", len(durations_s))
             run_span.set("mode_switches", switch_count)
-        return SimulationResult(
+        return SimulationResult._from_columns(
+            columns,
             pdn_name=pdn_name,
             trace_name=plan.trace_name,
             tdp_w=self._tdp_w,
-            phase_records=records,
             mode_switch_count=switch_count,
             mode_switch_time_s=switch_time_s,
             mode_switch_energy_j=switch_energy_j,

@@ -165,6 +165,79 @@ class TestSingleFlight:
         assert set(engine.eval_counts.values()) == {1}
 
 
+class TestKeysFromCache:
+    """``keys_from_cache`` counts, per dispatch, the keys its own cache
+    lookup served; the rest of ``keys_dispatched`` were computed."""
+
+    def test_cold_then_warm_key(self):
+        engine = CountingEngine()
+
+        async def main():
+            coalescer = Coalescer(engine)
+            await coalescer.evaluate(units_for("A", [0]))
+            cold = coalescer.stats.keys_from_cache
+            await coalescer.evaluate(units_for("A", [0, 1]))
+            return coalescer, cold
+
+        coalescer, cold = asyncio.run(main())
+        assert cold == 0
+        assert coalescer.stats.keys_dispatched == 3
+        assert coalescer.stats.keys_from_cache == 1  # A0 warm, A1 computed
+        assert set(engine.eval_counts.values()) == {1}
+
+    def test_overlapping_dispatches_count_their_own_lookups(self):
+        """A dispatch held in flight on its seam thread while a second one
+        runs to completion: each adds only what its own lookup served, when
+        it settles."""
+        class EnteredEngine(CountingEngine):
+            """Signals once the slow key's evaluation (after the lookup) starts."""
+
+            def __init__(self):
+                super().__init__()
+                self.entered = threading.Event()
+
+            def evaluate_uncached(self, name, point, overrides):
+                if name == "slow":
+                    self.entered.set()
+                return super().evaluate_uncached(name, point, overrides)
+
+        engine = EnteredEngine()
+        engine.gates["slow"] = threading.Event()
+
+        async def main():
+            coalescer = Coalescer(engine)
+            await coalescer.evaluate(units_for("A", [0, 1]))  # warm A0, A1
+            first = asyncio.ensure_future(
+                coalescer.evaluate(units_for("A", [0]) + units_for("slow", [0]))
+            )
+            for _ in range(3000):
+                if engine.entered.is_set():  # first's lookup is done
+                    break
+                await asyncio.sleep(0.01)
+            assert engine.entered.is_set()
+            second = await coalescer.evaluate(
+                units_for("A", [1]) + units_for("B", [0])
+            )
+            during = coalescer.stats.keys_from_cache
+            engine.gates["slow"].set()
+            await first
+            await coalescer.drain()
+            return coalescer, second, during
+
+        coalescer, second, during = asyncio.run(main())
+        assert second == [("result", "A", 1, ()), ("result", "B", 0, ())]
+        assert coalescer.stats.batches_dispatched == 3
+        assert during == 1  # the second dispatch's A1 only
+        assert coalescer.stats.keys_from_cache == 2
+        assert coalescer.stats.keys_dispatched == 6
+
+    def test_appended_after_the_existing_keys(self):
+        assert list(Coalescer(CountingEngine()).stats.as_dict()) == [
+            "units_requested", "keys_coalesced", "keys_dispatched",
+            "batches_dispatched", "largest_batch", "keys_from_cache",
+        ]
+
+
 class TestFailurePropagation:
     def test_dispatch_error_reaches_every_awaiting_request(self):
         class ExplodingEngine(CountingEngine):

@@ -146,6 +146,7 @@ class TestIntrospection:
 
     def test_stats_document_shape(self, client):
         client.sweep(tdps=[4.0], pdns=["IVR"])
+        client.sweep(tdps=[4.0], pdns=["IVR"])  # dispatched again, from cache
         stats = client.stats()
         assert set(stats) == {"server", "endpoints", "coalescer", "cache"}
         assert stats["server"]["uptime_s"] > 0
@@ -156,6 +157,8 @@ class TestIntrospection:
         assert sum(histogram["buckets"].values()) == histogram["count"]
         coalescer = stats["coalescer"]["sweep"]
         assert coalescer["keys_dispatched"] >= 1
+        assert coalescer["keys_from_cache"] >= 1
+        assert list(coalescer)[-1] == "keys_from_cache"
         memory = stats["cache"]["memory"]
         assert {"pdnspot", "sim", "sim_phases"} <= set(memory)
         assert {"hits", "misses", "hit_rate", "size"} == set(memory["pdnspot"])

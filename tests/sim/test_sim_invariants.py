@@ -10,15 +10,22 @@ every PDN through the engine's batch pass:
 - phase durations sum to the trace horizon (total time minus switch time);
 - successive mode switches are at least the minimum residency apart;
 - serial, two-process and served runs agree.
+
+Results keep their phases as columns until the records are first read, so
+the energy and horizon invariants are checked twice on fresh results: from
+the summary properties before any record exists, then from the records
+once built.  Column sums and record sums must agree exactly.
 """
 
 from __future__ import annotations
 
 import math
+import pickle
 import random
 
 import pytest
 
+from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_switching import ModeSwitchController
 from repro.serve import ServeClient, start_in_thread
 from repro.serve.protocol import build_simulate_study
@@ -44,9 +51,8 @@ def _draws(seed: int, count: int):
 DRAWS = _draws(20201017, 12)
 
 
-@pytest.fixture(scope="module")
-def batch_runs():
-    """``(draw, trace, {pdn: SimulationResult})`` for every draw."""
+def _simulate_draws():
+    """``(draw, trace, {pdn: SimulationResult})`` for every draw, freshly run."""
     units = [
         (name, SimPoint(scenario=scenario, tdp_w=tdp_w, seed=seed), ())
         for scenario, seed, tdp_w in DRAWS
@@ -61,6 +67,12 @@ def batch_runs():
         )
         for scenario, seed, tdp_w in DRAWS
     ]
+
+
+@pytest.fixture(scope="module")
+def batch_runs():
+    """The draws' results, shared by the tests that read records."""
+    return _simulate_draws()
 
 
 def _runs(batch_runs):
@@ -97,6 +109,64 @@ class TestEnergyInvariants:
             )
             horizon_s = sum(phase_duration(phase, 1.0) for phase in trace.phases)
             assert phase_s == horizon_s, name
+
+
+class TestSummariesBeforeAndAfterRecords:
+    """The energy and horizon invariants on columnar results: from the
+    summaries while no record exists, then from the built records."""
+
+    def test_columns_then_records(self):
+        checked = 0
+        for (_, _, tdp_w), trace, by_pdn in _simulate_draws():
+            live = [
+                phase for phase in trace.phases if phase_duration(phase, 1.0) > 0.0
+            ]
+            nominal_j = sum(
+                phase_conditions(phase, tdp_w).nominal_power_w
+                * phase_duration(phase, 1.0)
+                for phase in live
+            )
+            horizon_s = sum(phase_duration(phase, 1.0) for phase in trace.phases)
+            for name, result in by_pdn.items():
+                assert "phase_records" not in result.__dict__, name
+                # From the summaries alone.
+                total_j = result.total_energy_j
+                total_s = result.total_time_s
+                mode_s = [result.time_in_mode_s(mode) for mode in PdnMode]
+                assert 0.0 < nominal_j / total_j <= 1.0, name
+                assert total_s == horizon_s + result.mode_switch_time_s, name
+                assert result.average_power_w == total_j / total_s
+                assert "phase_records" not in result.__dict__, name
+                # From the records, once built: the same sums, exactly.
+                records = result.phase_records
+                assert len(records) == len(live)
+                for record in records:
+                    assert record.energy_j == record.supply_power_w * record.duration_s
+                    nominal_w = phase_conditions(
+                        trace.phases[record.phase_index], tdp_w
+                    ).nominal_power_w
+                    assert 0.0 < nominal_w / record.supply_power_w <= 1.0, name
+                phase_j = sum(record.energy_j for record in records)
+                phase_s = sum(record.duration_s for record in records)
+                assert total_j == phase_j + result.mode_switch_energy_j, name
+                assert total_s == phase_s + result.mode_switch_time_s, name
+                assert phase_s == horizon_s, name
+                assert mode_s == [
+                    sum(
+                        (r.duration_s for r in records if r.pdn_mode == mode.value),
+                        0.0,
+                    )
+                    for mode in PdnMode
+                ]
+                assert (result.total_energy_j, result.total_time_s) == (total_j, total_s)
+                # An unpickled (eager) result sums its records to the same.
+                loaded = pickle.loads(pickle.dumps(result))
+                assert "_columns" not in loaded.__dict__
+                assert (loaded.total_energy_j, loaded.total_time_s) == (total_j, total_s)
+                assert [loaded.time_in_mode_s(mode) for mode in PdnMode] == mode_s
+                assert loaded.adaptive is result.adaptive is (name == "FlexWatts")
+                checked += 1
+        assert checked == len(DRAWS) * len(PDN_NAMES)
 
 
 class TestModeSwitchInvariants:
