@@ -12,6 +12,12 @@ core, not grid materialisation):
 * ``columnar_process`` -- the columnar path sharded across 4 worker
   processes, whole column blocks per chunk.
 
+A fourth column, ``columnar_calibration_size``, makes one columnar call per
+PDN over the FlexWatts calibration grid (132 lanes): the size at which
+calibration and the interval simulator call the kernels, where a call's
+fixed cost outweighs its per-lane work.  It is reported for its trend line
+and gated by nothing.
+
 Every column is asserted bit-identical to the default engine's evaluations;
 the columnar/per-point ratio is gated in CI by
 ``tools/check_bench_regression.py --max-ratio 0.1`` (the columnar path must
@@ -23,6 +29,13 @@ import pytest
 
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.study import Study
+from repro.core.calibration import (
+    DEFAULT_AR_GRID,
+    DEFAULT_TDP_GRID_W,
+    _calibration_conditions,
+)
+from repro.pdn import columnar
+from repro.power.power_states import BATTERY_LIFE_STATES
 
 #: The fig7-scale grid (keep in sync with ``test_bench_sweep.py``).
 TDPS_W = tuple(4.0 + index * (46.0 / 15.0) for index in range(16))
@@ -129,3 +142,22 @@ def test_bench_vectorized_columnar_process(
     )
     assert len(evaluations) == ROWS
     assert evaluations == vectorized_reference
+
+
+@pytest.mark.benchmark(group="vectorized-eval")
+def test_bench_vectorized_columnar_calibration_size(benchmark):
+    """One calibration-grid-sized columnar call per PDN (reported, not gated)."""
+    conditions = _calibration_conditions(
+        DEFAULT_TDP_GRID_W, DEFAULT_AR_GRID, BATTERY_LIFE_STATES
+    )
+    spot = PdnSpot(enable_cache=False)
+    pdns = [spot.pdn(name) for name in spot.pdns]
+    _ = spot.pdn("FlexWatts").predictor  # calibrate outside the timing
+
+    def one_call_per_pdn():
+        return [columnar.evaluate_columns(pdn, conditions) for pdn in pdns]
+
+    evaluations = benchmark.pedantic(
+        one_call_per_pdn, rounds=5, iterations=1, warmup_rounds=1
+    )
+    assert evaluations == [[pdn.evaluate(c) for c in conditions] for pdn in pdns]

@@ -21,7 +21,7 @@ from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_predictor import EteeCurveSet, ModePredictor
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
-from repro.pdn.base import OperatingConditions
+from repro.pdn.base import LoadSets, OperatingConditions
 from repro.power.domains import WorkloadType
 from repro.power.power_states import BATTERY_LIFE_STATES, PackageCState
 
@@ -92,17 +92,24 @@ def _calibration_conditions(tdp_grid_w, ar_grid, power_states):
     Operating points describe the workload, not the PDN: every hybrid
     instance calibrated over the same grid -- both of its modes, and any
     number of parameter-override variants -- shares one conditions list.
+    The points of one ``(TDP, workload type)`` pair share one load set.
     """
+    load_sets = LoadSets()
     active = [
         OperatingConditions.for_active_workload(
-            tdp_w=tdp_w, application_ratio=ar, workload_type=workload_type
+            tdp_w=tdp_w,
+            application_ratio=ar,
+            workload_type=workload_type,
+            load_sets=load_sets,
         )
         for workload_type in ACTIVE_WORKLOAD_TYPES
         for tdp_w in tdp_grid_w
         for ar in ar_grid
     ]
     states = [
-        OperatingConditions.for_power_state(POWER_STATE_REFERENCE_TDP_W, state)
+        OperatingConditions.for_power_state(
+            POWER_STATE_REFERENCE_TDP_W, state, load_sets=load_sets
+        )
         for state in power_states
     ]
     return active + states

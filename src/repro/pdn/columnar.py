@@ -21,10 +21,15 @@ possible:
 * Transcendentals (``**``, ``exp``) are *not* bit-stable under SIMD, so they
   go through the unique-value memos of :mod:`repro.util.vecmath`, which call
   the scalar CPython operation once per distinct input.
-* Quantities that only depend on the TDP column (regulator Iccmax sizing,
-  per-phase loss coefficients) are computed by calling the *scalar* sizing
-  helpers once per unique TDP and scattering the results, so there is no
-  reimplementation to drift.
+* Nothing is written twice.  Quantities that only depend on the TDP column
+  (regulator Iccmax sizing, peak powers) call the *scalar* sizing helpers
+  once per unique TDP; the batch computes that TDP reduction once and every
+  kernel call reuses it.  Board-regulator loss coefficients are one array
+  formula over the per-state table and PS0 terms the scalar
+  ``_board_phase_configs`` reads too.  Per-domain quantities are stacked in
+  one (6, n) matrix per quantity, so the guardband step is one pass over all
+  six domains; sums across domains stay explicit and left to right.  The
+  batch's memos die with it: nothing is kept between batches.
 
 Fallback contract
 -----------------
@@ -57,9 +62,16 @@ from repro.pdn.ldo import LDO_UNCORE_RAILS, LdoPdn
 from repro.pdn.losses import LossBreakdown
 from repro.pdn.mbvr import MBVR_RAILS, MbvrPdn
 from repro.power.domains import COMPUTE_DOMAINS, DomainKind
-from repro.util.vecmath import exact_exp, exact_pow2, per_unique
+from repro.util.vecmath import (
+    exact_exp,
+    exact_pow,
+    exact_pow2,
+    map_unique,
+    unique_inverse,
+)
 from repro.vr.efficiency_curves import (
-    _board_phase_configs,
+    BOARD_STATE_COEFFICIENTS,
+    board_ps0_terms,
     default_board_vr,
     default_ivr,
 )
@@ -83,6 +95,17 @@ _DOMAIN_ORDER: Tuple[DomainKind, ...] = tuple(DomainKind)
 # duplicating literals.
 _BOARD_DESIGN = default_board_vr("columnar_probe", MIN_BOARD_VR_ICCMAX_A).design
 _IVR_DESIGN = default_ivr("columnar_probe").design
+
+#: :data:`BOARD_STATE_COEFFICIENTS` as a (4, states) matrix indexed by
+#: ``VRPowerState.value``; undefined states are NaN columns.
+_BOARD_STATE_TABLE = np.full((4, len(VRPowerState)), np.nan)
+for _state, _coefficients in BOARD_STATE_COEFFICIENTS.items():
+    _BOARD_STATE_TABLE[:, _state.value] = _coefficients
+_BOARD_STATE_DEFINED = ~np.isnan(_BOARD_STATE_TABLE[0])
+
+#: The per-domain load quantities a batch stacks into (6, n) matrices; the
+#: ``effective`` (active-or-zero nominal power) matrix derives from them.
+_DOMAIN_QUANTITIES = ("nominal", "voltage", "leakage", "active", "gated_rail")
 
 
 class ColumnarFallback(Exception):
@@ -108,12 +131,15 @@ def _peak_powers(tdp_w: float) -> Dict[DomainKind, float]:
 # Column layout
 # --------------------------------------------------------------------------- #
 class ConditionsBatch:
-    """A grid of operating conditions laid out as per-column NumPy arrays.
+    """A grid of operating conditions laid out as NumPy columns.
 
-    Scalar per-condition attributes become float64 arrays; per-domain load
-    attributes become one array per :class:`DomainKind`.  ``from_conditions``
-    returns ``None`` when the batch cannot be represented (loads not in
-    canonical domain order), which callers treat as "use the scalar path".
+    Scalar per-condition attributes become float64 arrays.  Each per-domain
+    load attribute becomes one (6, n) matrix in ``stacked``, rows in
+    canonical domain order; ``nominal[kind]``, ``voltage[kind]`` and the
+    other per-domain lookups are row views of those matrices.
+    ``from_conditions`` returns ``None`` when the batch cannot be represented
+    (loads not in canonical domain order), which callers treat as "use the
+    scalar path".
     """
 
     __slots__ = (
@@ -121,8 +147,8 @@ class ConditionsBatch:
         "n",
         "tdp_w",
         "application_ratio",
-        "board_states",
         "state_codes",
+        "stacked",
         "nominal",
         "voltage",
         "leakage",
@@ -130,6 +156,7 @@ class ConditionsBatch:
         "gated_rail",
         "effective",
         "nominal_total",
+        "_tdp_unique",
     )
 
     @classmethod
@@ -138,10 +165,6 @@ class ConditionsBatch:
     ) -> Optional["ConditionsBatch"]:
         conditions = list(conditions)
         n_domains = len(_DOMAIN_ORDER)
-        tdp: List[float] = []
-        ar: List[float] = []
-        states: List[VRPowerState] = []
-        codes: List[float] = []
         # Per-domain columns of each distinct load set, as positional (lists,
         # expected kind) slots so the loop appends to local lists without
         # dict/enum lookups.  The points of a grid share their load sets
@@ -151,67 +174,59 @@ class ConditionsBatch:
             ([], [], [], [], [], kind) for kind in _DOMAIN_ORDER
         ]
         row_of: Dict[int, int] = {}
-        rows: List[int] = []
-        for c in conditions:
-            loads = c.loads
-            row = row_of.get(id(loads))
-            if row is None:
-                if len(loads) != n_domains:
+        rows = [row_of.setdefault(id(c.loads), len(row_of)) for c in conditions]
+        for loads in {id(c.loads): c.loads for c in conditions}.values():
+            if len(loads) != n_domains:
+                return None
+            for load, (nom, volt, leak, act, gate, kind) in zip(loads, slots):
+                if load.kind is not kind:
                     return None
-                for load, (nom, volt, leak, act, gate, kind) in zip(loads, slots):
-                    if load.kind is not kind:
-                        return None
-                    nom.append(load.nominal_power_w)
-                    volt.append(load.voltage_v)
-                    leak.append(load.leakage_fraction)
-                    act.append(load.active)
-                    gate.append(load.power_gated_rail)
-                row = row_of[id(loads)] = len(row_of)
-            rows.append(row)
-            state = c.board_vr_state
-            tdp.append(c.tdp_w)
-            ar.append(c.application_ratio)
-            states.append(state)
-            codes.append(float(state.value))
+                nom.append(load.nominal_power_w)
+                volt.append(load.voltage_v)
+                leak.append(load.leakage_fraction)
+                act.append(load.active)
+                gate.append(load.power_gated_rail)
         lanes = np.array(rows, dtype=np.intp)
         batch = cls.__new__(cls)
         batch.conditions = conditions
         batch.n = len(conditions)
-        batch.tdp_w = np.array(tdp, dtype=np.float64)
-        batch.application_ratio = np.array(ar, dtype=np.float64)
-        batch.board_states = states
-        batch.state_codes = np.array(codes, dtype=np.float64)
-        batch.nominal = {
-            kind: np.array(nom, dtype=np.float64)[lanes]
-            for nom, _, _, _, _, kind in slots
-        }
-        batch.voltage = {
-            kind: np.array(volt, dtype=np.float64)[lanes]
-            for _, volt, _, _, _, kind in slots
-        }
-        batch.leakage = {
-            kind: np.array(leak, dtype=np.float64)[lanes]
-            for _, _, leak, _, _, kind in slots
-        }
-        batch.active = {
-            kind: np.array(act, dtype=bool)[lanes] for _, _, _, act, _, kind in slots
-        }
-        batch.gated_rail = {
-            kind: np.array(gate, dtype=bool)[lanes] for _, _, _, _, gate, kind in slots
-        }
-        batch.effective = {
-            k: np.where(batch.active[k], batch.nominal[k], 0.0) for k in _DOMAIN_ORDER
-        }
+        batch.tdp_w = np.array([c.tdp_w for c in conditions], dtype=np.float64)
+        batch.application_ratio = np.array(
+            [c.application_ratio for c in conditions], dtype=np.float64
+        )
+        # ``_value_`` is the member's raw value; ``.value`` is a slower property.
+        batch.state_codes = np.array(
+            [c.board_vr_state._value_ for c in conditions], dtype=np.intp
+        )
+
+        def stack(column: int, dtype) -> "np.ndarray":
+            matrix = np.array([slot[column] for slot in slots], dtype=dtype)
+            return np.take(matrix, lanes, axis=1)
+
+        batch._install(
+            {
+                "nominal": stack(0, np.float64),
+                "voltage": stack(1, np.float64),
+                "leakage": stack(2, np.float64),
+                "active": stack(3, bool),
+                "gated_rail": stack(4, bool),
+            }
+        )
         # Sequential sum in load order, mirroring the nominal_power_w property.
         total = None
-        for kind in _DOMAIN_ORDER:
-            total = (
-                batch.effective[kind]
-                if total is None
-                else total + batch.effective[kind]
-            )
+        for row in batch.stacked["effective"]:
+            total = row if total is None else total + row
         batch.nominal_total = total
         return batch
+
+    def _install(self, stacked: Dict[str, "np.ndarray"]) -> None:
+        """Install the (6, n) matrices, their per-domain row views and an
+        empty per-batch TDP memo."""
+        stacked["effective"] = np.where(stacked["active"], stacked["nominal"], 0.0)
+        self.stacked = stacked
+        for name, matrix in stacked.items():
+            setattr(self, name, dict(zip(_DOMAIN_ORDER, matrix)))
+        self._tdp_unique = None
 
     def take(self, indices: Sequence[int]) -> "ConditionsBatch":
         """A sub-batch holding the lanes in ``indices`` (in that order)."""
@@ -221,20 +236,25 @@ class ConditionsBatch:
         sub.n = len(sub.conditions)
         sub.tdp_w = self.tdp_w[idx]
         sub.application_ratio = self.application_ratio[idx]
-        sub.board_states = [self.board_states[i] for i in indices]
         sub.state_codes = self.state_codes[idx]
-        sub.nominal = {k: v[idx] for k, v in self.nominal.items()}
-        sub.voltage = {k: v[idx] for k, v in self.voltage.items()}
-        sub.leakage = {k: v[idx] for k, v in self.leakage.items()}
-        sub.active = {k: v[idx] for k, v in self.active.items()}
-        sub.gated_rail = {k: v[idx] for k, v in self.gated_rail.items()}
-        sub.effective = {k: v[idx] for k, v in self.effective.items()}
+        sub._install(
+            {
+                name: np.take(self.stacked[name], idx, axis=1)
+                for name in _DOMAIN_QUANTITIES
+            }
+        )
         sub.nominal_total = self.nominal_total[idx]
         return sub
 
     def per_unique_tdp(self, fn) -> "np.ndarray":
-        """Apply scalar ``fn`` once per unique TDP and scatter back."""
-        return per_unique(self.tdp_w, fn)
+        """Apply scalar ``fn`` once per unique TDP and scatter back.
+
+        The TDP column's unique values and inverse are computed on the first
+        call and reused by every later one on this batch.
+        """
+        if self._tdp_unique is None:
+            self._tdp_unique = unique_inverse(self.tdp_w)
+        return map_unique(self._tdp_unique, fn)
 
 
 class _LossColumns:
@@ -309,36 +329,39 @@ def _scale_power_vec(power, voltage, guardband, leakage_fraction, exponent):
 def _apply_guardbands_vec(batch, tolerance_band_v, gated_kinds, params):
     """Vector mirror of :func:`repro.pdn.common.apply_guardbands`.
 
-    Returns ``{kind: gated_power_w array}``.
+    One pass over the batch's (6, n) domain matrices; the power-gate term is
+    a second pass over just the gated rows with a non-zero impedance.
+    Returns ``{kind: gated_power_w row}``.
     """
-    out: Dict[DomainKind, "np.ndarray"] = {}
-    for kind in _DOMAIN_ORDER:
-        nominal = batch.nominal[kind]
-        voltage = batch.voltage[kind]
-        leakage = batch.leakage[kind]
-        m = batch.active[kind] & (nominal != 0.0)
-        pgb = np.where(
-            m,
-            _scale_power_vec(
-                nominal, voltage, tolerance_band_v, leakage, params.leakage_exponent
-            ),
-            0.0,
+    stacked = batch.stacked
+    nominal = stacked["nominal"]
+    voltage = stacked["voltage"]
+    leakage = stacked["leakage"]
+    exponent = params.leakage_exponent
+    gated = np.where(
+        stacked["active"] & (nominal != 0.0),
+        _scale_power_vec(nominal, voltage, tolerance_band_v, leakage, exponent),
+        0.0,
+    )
+    impedances = params.power_gate_impedance_ohm
+    rows = [
+        row
+        for row, kind in enumerate(_DOMAIN_ORDER)
+        if kind in gated_kinds and impedances.get(kind, 0.0) != 0.0
+    ]
+    if rows:
+        impedance = np.array([[impedances[_DOMAIN_ORDER[row]]] for row in rows])
+        pgb = gated[rows]
+        gated_voltage = voltage[rows] + tolerance_band_v
+        current = pgb / gated_voltage
+        drop = impedance * current
+        rescaled = _scale_power_vec(
+            pgb, gated_voltage, drop, leakage[rows], exponent
         )
-        ppg = pgb
-        if kind in gated_kinds:
-            impedance = params.power_gate_impedance_ohm.get(kind, 0.0)
-            if impedance != 0.0:
-                gated_voltage = voltage + tolerance_band_v
-                current = pgb / gated_voltage
-                drop = impedance * current
-                rescaled = _scale_power_vec(
-                    pgb, gated_voltage, drop, leakage, params.leakage_exponent
-                )
-                ppg = np.where(
-                    (pgb != 0.0) & batch.gated_rail[kind], rescaled, pgb
-                )
-        out[kind] = ppg
-    return out
+        gated[rows] = np.where(
+            (pgb != 0.0) & stacked["gated_rail"][rows], rescaled, pgb
+        )
+    return dict(zip(_DOMAIN_ORDER, gated))
 
 
 def _guardband_loss_sum(batch, gated, kinds):
@@ -387,32 +410,31 @@ def _loadline_vec(impedance_ohm, rail_voltage, rail_power, application_ratio):
 def _switching_coefficients(batch, iccmax):
     """Per-lane phase-configuration coefficients of a board regulator.
 
-    Computed by calling the scalar :func:`_board_phase_configs` once per
-    unique ``(iccmax, power state)`` pair.  Raises :class:`ColumnarFallback`
-    when any lane's power state is undefined for the regulator (the scalar
-    path raises ``ConfigurationError`` there).
+    The array form of :func:`repro.vr.efficiency_curves._board_phase_configs`:
+    the same PS0 terms, scaled by each lane's row of the per-state table.
+    Raises :class:`ColumnarFallback` when any lane's power state is
+    undefined for the regulator (the scalar path raises
+    ``ConfigurationError`` there).
     """
-    key = iccmax + 1j * batch.state_codes
-    uniq, inverse = np.unique(key, return_inverse=True)
-    rows = []
-    for pair in uniq.tolist():
-        state = VRPowerState(int(pair.imag))
-        config = _board_phase_configs(pair.real).get(state)
-        if config is None:
-            raise ColumnarFallback(
-                f"power state {state.name} undefined for board regulators"
-            )
-        rows.append(
-            (
-                config.quiescent_w,
-                config.switching_w_per_v_a,
-                config.conduction_ohm,
-                config.drive_w_per_a,
-            )
+    codes = batch.state_codes
+    undefined = ~_BOARD_STATE_DEFINED[codes]
+    if undefined.any():
+        state = VRPowerState(int(codes[undefined][0]))
+        raise ColumnarFallback(
+            f"power state {state.name} undefined for board regulators"
         )
-    table = np.array(rows, dtype=np.float64)[inverse]
+    quiescent_scale, switching, conduction_scale, drive = np.take(
+        _BOARD_STATE_TABLE, codes, axis=1
+    )
+    quiescent_ps0, conduction_ps0 = board_ps0_terms(
+        np.maximum(iccmax, 1.0), exact_pow
+    )
     return _SwitchingCoeffs(
-        table[:, 0], table[:, 1], table[:, 2], table[:, 3], iccmax
+        quiescent_scale * quiescent_ps0,
+        switching,
+        conduction_scale * conduction_ps0,
+        drive,
+        iccmax,
     )
 
 
@@ -467,9 +489,14 @@ def _board_rail_vec(batch, rail_power, rail_voltage, impedance_ohm, sizing_curre
     )
 
 
-def _ivr_domain_input(batch, kind, gated_power, input_voltage_v):
-    """Vector mirror of one per-domain IVR conversion (active-lane mask, P_in)."""
-    voltage = batch.voltage[kind]
+def _ivr_domain_inputs(batch, gated, kinds, input_voltage_v):
+    """Vector mirror of the per-domain IVR conversions of ``kinds``.
+
+    One pass over a (len(kinds), n) stack, so one ``exact_exp``; returns the
+    active-lane masks and input powers, one row per kind.
+    """
+    voltage = batch.stacked["voltage"][[_DOMAIN_ORDER.index(k) for k in kinds]]
+    gated_power = np.stack([gated[kind] for kind in kinds])
     m = gated_power > 0.0
     current = gated_power / voltage
     iccmax = np.maximum(5.0, 2.0 * gated_power / voltage)
@@ -502,8 +529,8 @@ def _evaluate_ivr(pdn: IvrPdn, batch: ConditionsBatch):
     input_voltage_v = params.ivr_input_voltage_v
     input_rail = np.zeros(batch.n)
     compute_share = np.zeros(batch.n)
-    for kind in _DOMAIN_ORDER:
-        m, domain_input = _ivr_domain_input(batch, kind, gated[kind], input_voltage_v)
+    masks, inputs = _ivr_domain_inputs(batch, gated, _DOMAIN_ORDER, input_voltage_v)
+    for kind, m, domain_input in zip(_DOMAIN_ORDER, masks, inputs):
         loss.on_chip_vr_w = np.where(
             m, loss.on_chip_vr_w + (domain_input - gated[kind]), loss.on_chip_vr_w
         )
@@ -671,8 +698,8 @@ def _imbvr_compute_side(pdn: IMbvrPdn, batch: ConditionsBatch, loss, impedance_o
 
     input_voltage_v = params.ivr_input_voltage_v
     input_rail = np.zeros(batch.n)
-    for kind in COMPUTE_DOMAINS:
-        m, domain_input = _ivr_domain_input(batch, kind, gated[kind], input_voltage_v)
+    masks, inputs = _ivr_domain_inputs(batch, gated, COMPUTE_DOMAINS, input_voltage_v)
+    for kind, m, domain_input in zip(COMPUTE_DOMAINS, masks, inputs):
         loss.on_chip_vr_w = np.where(
             m, loss.on_chip_vr_w + (domain_input - gated[kind]), loss.on_chip_vr_w
         )
@@ -940,7 +967,9 @@ def _evaluate_flexwatts(pdn, batch: ConditionsBatch, mode=None):
             continue
         if not supports_columns(side):
             raise ColumnarFallback("FlexWatts side model is patched")
-        sub = batch.take(lanes)
+        # A forced mode sends every lane to one side: evaluate the batch
+        # itself, keeping its memos, instead of a copy.
+        sub = batch if len(lanes) == batch.n else batch.take(lanes)
         supply, current, loss, rails = _COLUMN_KERNELS[type(side)](side, sub)
         for lane, result in zip(lanes, _lanes(sub, final_name, supply, current, loss, rails)):
             results[lane] = result

@@ -25,16 +25,32 @@ from typing import Callable
 import numpy as _np
 
 
+def unique_inverse(values):
+    """``(unique values as Python floats, inverse index)`` of ``values``.
+
+    The reduction :func:`per_unique` starts from; a caller that maps several
+    functions over one column computes it once and hands it to
+    :func:`map_unique` each time.
+    """
+    arr = _np.asarray(values, dtype=_np.float64)
+    uniq, inverse = _np.unique(arr, return_inverse=True)
+    return uniq.tolist(), inverse.reshape(arr.shape)
+
+
+def map_unique(unique, fn: Callable[[float], float]):
+    """Apply scalar ``fn`` to each value of a :func:`unique_inverse` pair and
+    scatter the results back to the lanes."""
+    values, inverse = unique
+    return _np.array([fn(v) for v in values], dtype=_np.float64)[inverse]
+
+
 def per_unique(values, fn: Callable[[float], float]):
     """Apply scalar ``fn`` once per unique value and scatter back.
 
     ``fn`` receives a Python ``float`` and must return one, so the result of
     every lane is exactly what the scalar model would have computed for it.
     """
-    arr = _np.asarray(values, dtype=_np.float64)
-    uniq, inverse = _np.unique(arr, return_inverse=True)
-    mapped = _np.array([fn(v) for v in uniq.tolist()], dtype=_np.float64)
-    return mapped[inverse].reshape(arr.shape)
+    return map_unique(unique_inverse(values), fn)
 
 
 def exact_pow(base, exponent):
@@ -55,38 +71,12 @@ def exact_pow2(base, exponent_a, exponent_b):
     over the same ratio column); each lane is still computed with CPython
     ``float.__pow__`` exactly as the scalar model does.
     """
-    arr = _np.asarray(base, dtype=_np.float64)
-    uniq, inverse = _np.unique(arr, return_inverse=True)
-    lanes = uniq.tolist()
+    lanes, inverse = unique_inverse(base)
     mapped_a = _np.array([v**exponent_a for v in lanes], dtype=_np.float64)
     mapped_b = _np.array([v**exponent_b for v in lanes], dtype=_np.float64)
-    return (
-        mapped_a[inverse].reshape(arr.shape),
-        mapped_b[inverse].reshape(arr.shape),
-    )
+    return mapped_a[inverse], mapped_b[inverse]
 
 
 def exact_exp(x):
     """``math.exp`` applied per lane, bit-identical to the scalar model."""
     return per_unique(x, math.exp)
-
-
-def per_unique_pairs(keys, values, fn):
-    """Apply scalar ``fn(key, value)`` once per unique ``(key, value)`` pair.
-
-    Used for quantities that depend on two low-cardinality columns at once
-    (e.g. a regulator power state and its TDP-derived sizing current).
-    ``keys`` is a sequence of hashable objects, ``values`` a float array.
-    Returns a float64 array.
-    """
-    arr = _np.asarray(values, dtype=_np.float64)
-    out = _np.empty(arr.shape, dtype=_np.float64)
-    memo = {}
-    lanes = arr.tolist()
-    for index, (key, value) in enumerate(zip(keys, lanes)):
-        pair = (key, value)
-        result = memo.get(pair)
-        if result is None:
-            result = memo[pair] = fn(key, value)
-        out[index] = result
-    return out

@@ -37,6 +37,29 @@ DEFAULT_IVR_INPUT_VOLTAGE_V = 1.8
 DEFAULT_SUPPLY_VOLTAGE_V = 7.2
 
 
+#: Per-power-state loss coefficients of a board regulator, as (quiescent
+#: scale, switching W per V*A, conduction scale, drive W per A).  The two
+#: scales multiply the PS0 quiescent loss and conduction resistance of
+#: :func:`board_ps0_terms`.  PS2 is undefined.  The scalar
+#: :func:`_board_phase_configs` and the columnar core both read this table.
+BOARD_STATE_COEFFICIENTS = {
+    VRPowerState.PS0: (1.0, 0.008, 1.0, 0.010),
+    VRPowerState.PS1: (0.25, 0.005, 4.0, 0.008),
+    VRPowerState.PS3: (0.08, 0.004, 10.0, 0.006),
+    VRPowerState.PS4: (0.02, 0.003, 25.0, 0.005),
+}
+
+
+def board_ps0_terms(size_factor, power=pow):
+    """PS0 quiescent loss (W) and conduction resistance (ohm) at a size factor.
+
+    ``size_factor`` is the regulator's Iccmax clamped to at least 1 A; it may
+    be a float or a NumPy column, with ``power`` the matching exact power
+    function (the columnar core passes ``repro.util.vecmath.exact_pow``).
+    """
+    return 0.035 + 0.0008 * size_factor, 0.011 * power(20.0 / size_factor, 0.3)
+
+
 def _board_phase_configs(iccmax_a: float) -> dict:
     """Build the per-power-state loss coefficients of a board regulator.
 
@@ -45,34 +68,18 @@ def _board_phase_configs(iccmax_a: float) -> dict:
     bias and gate-drive overheads are larger.  Conduction resistance scales
     inversely with the rating (more phases in parallel).
     """
-    size_factor = max(iccmax_a, 1.0)
-    quiescent_ps0 = 0.035 + 0.0008 * size_factor
-    conduction_ps0 = 0.011 * (20.0 / size_factor) ** 0.3
+    quiescent_ps0, conduction_ps0 = board_ps0_terms(max(iccmax_a, 1.0))
+    # PS0's scales are 1.0, and 1.0 * x == x, so its coefficients are the
+    # PS0 terms themselves.
     return {
-        VRPowerState.PS0: PhaseConfiguration(
-            quiescent_w=quiescent_ps0,
-            switching_w_per_v_a=0.008,
-            conduction_ohm=conduction_ps0,
-            drive_w_per_a=0.010,
-        ),
-        VRPowerState.PS1: PhaseConfiguration(
-            quiescent_w=0.25 * quiescent_ps0,
-            switching_w_per_v_a=0.005,
-            conduction_ohm=4.0 * conduction_ps0,
-            drive_w_per_a=0.008,
-        ),
-        VRPowerState.PS3: PhaseConfiguration(
-            quiescent_w=0.08 * quiescent_ps0,
-            switching_w_per_v_a=0.004,
-            conduction_ohm=10.0 * conduction_ps0,
-            drive_w_per_a=0.006,
-        ),
-        VRPowerState.PS4: PhaseConfiguration(
-            quiescent_w=0.02 * quiescent_ps0,
-            switching_w_per_v_a=0.003,
-            conduction_ohm=25.0 * conduction_ps0,
-            drive_w_per_a=0.005,
-        ),
+        state: PhaseConfiguration(
+            quiescent_w=quiescent_scale * quiescent_ps0,
+            switching_w_per_v_a=switching,
+            conduction_ohm=conduction_scale * conduction_ps0,
+            drive_w_per_a=drive,
+        )
+        for state, (quiescent_scale, switching, conduction_scale, drive)
+        in BOARD_STATE_COEFFICIENTS.items()
     }
 
 

@@ -20,7 +20,8 @@ from repro.core.hybrid_vr import PdnMode
 from repro.pdn import columnar
 from repro.pdn.base import OperatingConditions
 from repro.pdn.registry import build_pdn
-from repro.power.domains import WorkloadType
+from repro.power.domains import DomainKind, WorkloadType
+from repro.power.parameters import PdnTechnologyParameters
 from repro.power.power_states import BATTERY_LIFE_STATES
 from repro.obs.metrics import METRICS
 from repro.sim.study import SimEngine, SimPoint
@@ -92,6 +93,50 @@ class TestModelEquivalence:
         results = columnar.evaluate_columns(flexwatts, conditions, mode=mode)
         assert results is not None
         assert results == [flexwatts.evaluate_in_mode(c, mode) for c in conditions]
+
+    @pytest.mark.parametrize("pdn_name", PDN_NAMES)
+    def test_one_lane_batches_match_oracle(self, pdn_name):
+        pdn = build_pdn(pdn_name)
+        for conditions in random_conditions(random.Random(61), 8):
+            assert columnar.evaluate_columns(pdn, [conditions]) == [
+                pdn.evaluate(conditions)
+            ]
+
+    @pytest.mark.parametrize("mode", list(PdnMode))
+    def test_forced_mode_sub_batch_after_parent_memos(self, mode):
+        conditions = random_conditions(random.Random(67), 50)
+        parent = columnar.ConditionsBatch.from_conditions(conditions)
+        mbvr = build_pdn("MBVR")
+        assert columnar.evaluate_columns(mbvr, conditions, batch=parent) == [
+            mbvr.evaluate(c) for c in conditions
+        ]
+        assert parent._tdp_unique is not None, "the parent's TDP memo is filled"
+        lanes = [31, 2, 2, 17, 44, 5, 38, 9, 0]
+        sub = parent.take(lanes)
+        flexwatts = build_pdn("FlexWatts")
+        results = columnar.evaluate_columns(
+            flexwatts, sub.conditions, mode=mode, batch=sub
+        )
+        assert results == [
+            flexwatts.evaluate_in_mode(conditions[lane], mode) for lane in lanes
+        ]
+
+    @pytest.mark.parametrize("pdn_name", PDN_NAMES)
+    def test_zero_power_gate_impedance_matches_oracle(self, pdn_name):
+        defaults = PdnTechnologyParameters().power_gate_impedance_ohm
+        parameters = PdnTechnologyParameters().with_overrides(
+            power_gate_impedance_ohm={
+                **defaults,
+                DomainKind.CORE1: 0.0,
+                DomainKind.GFX: 0.0,
+                DomainKind.IO: 0.0,
+            }
+        )
+        pdn = build_pdn(pdn_name, parameters)
+        conditions = random_conditions(random.Random(71), 40)
+        results = columnar.evaluate_columns(pdn, conditions)
+        assert results is not None
+        assert results == [pdn.evaluate(c) for c in conditions]
 
     def test_instance_patch_loses_capability(self):
         pdn = build_pdn("MBVR")
