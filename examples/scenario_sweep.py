@@ -7,8 +7,8 @@ the :class:`~repro.analysis.resultset.ResultSet` toolkit on the simulation
 output:
 
 1. simulate every registered scenario on every PDN at a tablet-class and a
-   desktop-class TDP, in parallel, and check the parallel run is
-   bit-identical to the serial one (the PR guarantee),
+   desktop-class TDP on two worker processes, and check the parallel run is
+   bit-identical to the serial one (the executor's guarantee),
 2. normalise the total energy to the IVR baseline and pivot it into a
    scenario x PDN table, and
 3. drill into one adaptive run's per-phase records to show where FlexWatts
@@ -47,7 +47,7 @@ def main() -> None:
     # 1. Parallel simulation, checked bit-identical against serial.  The
     #    executor deduplicates, shards and reassembles in canonical order, so
     #    only the wall clock may differ.
-    results = engine.run(study, executor="thread", jobs=4)
+    results = engine.run(study, executor="process", jobs=2)
     assert engine.run(study) == results, "parallel must equal serial"
 
     # 2. Energy normalised to the IVR PDN, one row per scenario x TDP.

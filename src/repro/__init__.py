@@ -92,7 +92,6 @@ if TYPE_CHECKING:
         Executor,
         ProcessExecutor,
         SerialExecutor,
-        ThreadExecutor,
         make_executor,
     )
     from repro.analysis.pdnspot import CacheInfo, PdnSpot
@@ -130,7 +129,6 @@ __all__ = [
     "ResultSet",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "FlexWattsPdn",
@@ -171,7 +169,7 @@ __all__ = [
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.analysis.executor": (
-        "Executor", "ProcessExecutor", "SerialExecutor", "ThreadExecutor", "make_executor",
+        "Executor", "ProcessExecutor", "SerialExecutor", "make_executor",
     ),
     "repro.analysis.pdnspot": ("CacheInfo", "PdnSpot"),
     "repro.analysis.resultset": ("ResultSet",),

@@ -11,8 +11,8 @@ the multi-dimensional exploration tool the paper describes.
 * :mod:`repro.analysis.study` -- the declarative :class:`Study` grid and its
   fluent :class:`StudyBuilder`.
 * :mod:`repro.analysis.executor` -- pluggable execution backends
-  (:class:`SerialExecutor`, :class:`ThreadExecutor`, :class:`ProcessExecutor`)
-  that shard a study grid, evaluate chunks concurrently and merge worker
+  (:class:`SerialExecutor`, :class:`ProcessExecutor`) that shard a study
+  grid, evaluate chunks in order or on worker processes and merge the
   results back into the :class:`PdnSpot` cache.
 * :mod:`repro.analysis.resultset` -- the columnar :class:`ResultSet` container
   with filter/pivot/normalise helpers and JSON/CSV serialisation.
@@ -33,12 +33,11 @@ if TYPE_CHECKING:
         Executor,
         ProcessExecutor,
         SerialExecutor,
-        ThreadExecutor,
         make_executor,
     )
     from repro.analysis.pdnspot import CacheInfo, PdnSpot
     from repro.analysis.resultset import MISSING, ResultSet
-    from repro.analysis.study import Scenario, Study, StudyBuilder, evaluate_study
+    from repro.analysis.study import Scenario, Study, StudyBuilder
     from repro.analysis.validation import ValidationHarness, ValidationRecord, ValidationSummary
     from repro.analysis.comparison import normalised_metric_table
     from repro.analysis.reporting import format_table
@@ -49,7 +48,6 @@ __all__ = [
     "CacheInfo",
     "Executor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
     "Study",
@@ -57,7 +55,6 @@ __all__ = [
     "Scenario",
     "ResultSet",
     "MISSING",
-    "evaluate_study",
     "ValidationHarness",
     "ValidationRecord",
     "ValidationSummary",
@@ -70,11 +67,11 @@ __all__ = [
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.analysis.executor": (
-        "Executor", "ProcessExecutor", "SerialExecutor", "ThreadExecutor", "make_executor",
+        "Executor", "ProcessExecutor", "SerialExecutor", "make_executor",
     ),
     "repro.analysis.pdnspot": ("CacheInfo", "PdnSpot"),
     "repro.analysis.resultset": ("MISSING", "ResultSet"),
-    "repro.analysis.study": ("Scenario", "Study", "StudyBuilder", "evaluate_study"),
+    "repro.analysis.study": ("Scenario", "Study", "StudyBuilder"),
     "repro.analysis.validation": ("ValidationHarness", "ValidationRecord", "ValidationSummary"),
     "repro.analysis.comparison": ("normalised_metric_table",),
     "repro.analysis.reporting": ("format_table",),

@@ -15,8 +15,8 @@ reference).  An :class:`Executor` turns that list into evaluations:
    each distinct cache key is computed -- and sharded into deterministic
    contiguous chunks (:func:`shard`); the distinct keys are looked up in one
    :meth:`~EvaluationEngine.cache_lookup_many` call;
-3. the chunks are evaluated by the backend (in-process, a thread pool, or a
-   process pool with picklable work units), in whatever order they complete;
+3. the chunks are evaluated by the backend (in-process, or on a process pool
+   with picklable work units), in whatever order they complete;
 4. every computed chunk is **merged back** into the engine's shared memo
    cache in one :meth:`~EvaluationEngine.cache_install_many` call (counted
    as misses), duplicate units are then resolved from
@@ -32,11 +32,7 @@ Backends
 --------
 :class:`SerialExecutor`
     Evaluates chunks in order on the calling thread.  The default engine path
-    (``executor=None``) is equivalent but skips the sharding machinery.
-:class:`ThreadExecutor`
-    A :class:`concurrent.futures.ThreadPoolExecutor` per call.  The PDN
-    models are pure Python, so the GIL serialises the actual math; threads
-    mainly help when evaluations are interleaved with other blocking work.
+    (``executor=None``) is a one-chunk serial run.
 :class:`ProcessExecutor`
     A :class:`concurrent.futures.ProcessPoolExecutor` per call.  Work units
     are picklable ``(pdn_name, conditions, overrides)`` tuples; each
@@ -50,7 +46,7 @@ Example
 >>> spot = PdnSpot()
 >>> study = Study.over_tdps([4.0, 18.0, 50.0])
 >>> serial = spot.run(study)
->>> parallel = spot.run(study, executor="thread", jobs=2)
+>>> parallel = spot.run(study, executor="process", jobs=2)
 >>> serial == parallel
 True
 """
@@ -205,10 +201,6 @@ class EvaluationEngine(Protocol):
         """
         ...  # pragma: no cover - protocol
 
-    def prime_for_execution(self, units: Iterable[EvalUnit]) -> None:
-        """Build lazily initialised shared state before workers run."""
-        ...  # pragma: no cover - protocol
-
     def worker_config(self) -> WorkerRecipe:
         """The picklable recipe process-pool workers rebuild the engine from."""
         ...  # pragma: no cover - protocol
@@ -331,6 +323,18 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def _check_jobs(jobs: Optional[int]) -> None:
+    """Reject a ``jobs`` value that is not ``None`` or a positive ``int``."""
+    if jobs is None:
+        return
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise ConfigurationError(
+            f"jobs must be a positive int, got {type(jobs).__name__} {jobs!r}"
+        )
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be positive, got {jobs}")
+
+
 def shard(items: Sequence[object], shards: int) -> List[List[object]]:
     """Split ``items`` into at most ``shards`` deterministic contiguous chunks.
 
@@ -442,18 +446,11 @@ class Executor(ABC):
         sharded into at most this many chunks.
     """
 
-    #: Registry name of the backend (``serial``/``thread``/``process``).
+    #: Registry name of the backend (``serial``/``process``).
     name: ClassVar[str] = ""
 
-    #: Whether chunks evaluate against the caller's own PDN models.  True for
-    #: the in-process backends (serial/thread), whose workers need the
-    #: caller's lazily built state primed first; process workers rebuild
-    #: their own engines, so parent-side priming would be wasted work.
-    uses_parent_models: ClassVar[bool] = True
-
     def __init__(self, jobs: Optional[int] = None):
-        if jobs is not None and jobs < 1:
-            raise ConfigurationError(f"executor jobs must be positive, got {jobs}")
+        _check_jobs(jobs)
         self._jobs = jobs
 
     @property
@@ -573,11 +570,6 @@ class Executor(ABC):
         """
         plan = self._plan_shards(engine, units)
         chunks = [[units[position] for position in positions] for positions in plan]
-        if self.uses_parent_models or len(chunks) == 1:
-            # Only the dispatched units need their models primed (a fully
-            # warm batch never reaches the workers); the single-chunk case
-            # covers the process backend's in-process fallback.
-            engine.prime_for_execution(units)
         with obs_trace.span("executor.dispatch", category="executor",
                             backend=self.name, jobs=self.jobs,
                             chunks=len(chunks)):
@@ -686,35 +678,6 @@ class SerialExecutor(Executor):
             yield index, _evaluate_chunk_in_process(engine, chunk)
 
 
-class ThreadExecutor(Executor):
-    """Evaluate chunks on a :class:`~concurrent.futures.ThreadPoolExecutor`.
-
-    Workers share the caller's PDN models (read-only after
-    :meth:`PdnSpot.prime_for_execution`); the evaluations themselves hold the
-    GIL, so wall-clock gains are modest for this pure-Python workload -- see
-    :class:`ProcessExecutor` for actual CPU parallelism.
-    """
-
-    name = "thread"
-
-    def _run_chunks(
-        self, engine: EvaluationEngine, chunks: List[List[EvalUnit]]
-    ) -> Iterator[Tuple[int, List[EvalResult]]]:
-        if len(chunks) <= 1:
-            for index, chunk in enumerate(chunks):
-                yield index, _evaluate_chunk_in_process(engine, chunk)
-            return
-        from concurrent import futures
-
-        with futures.ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            submitted = {
-                pool.submit(_evaluate_chunk_in_process, engine, chunk): index
-                for index, chunk in enumerate(chunks)
-            }
-            for future in futures.as_completed(submitted):
-                yield submitted[future], future.result()
-
-
 class ProcessExecutor(Executor):
     """Evaluate chunks on a :class:`~concurrent.futures.ProcessPoolExecutor`.
 
@@ -728,7 +691,6 @@ class ProcessExecutor(Executor):
     """
 
     name = "process"
-    uses_parent_models = False
 
     def _run_chunks(
         self, engine: EvaluationEngine, chunks: List[List[EvalUnit]]
@@ -764,7 +726,6 @@ class ProcessExecutor(Executor):
 #: Registry of the built-in backends, keyed by their CLI/``make_executor`` name.
 EXECUTORS: Dict[str, Callable[..., Executor]] = {
     SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
     ProcessExecutor.name: ProcessExecutor,
 }
 
@@ -784,8 +745,7 @@ def make_executor(
     looked up in :data:`EXECUTORS`; an :class:`Executor` instance is passed
     through unchanged (``jobs`` must then be ``None`` or match).
     """
-    if jobs is not None and jobs < 1:
-        raise ConfigurationError(f"jobs must be positive, got {jobs}")
+    _check_jobs(jobs)
     if executor is None:
         if jobs is None or jobs == 1:
             return None
@@ -819,14 +779,3 @@ def make_executor(
         f"executor must be None, a name, or an Executor instance, "
         f"got {type(executor).__name__}"
     )
-
-
-def parallel_requested(executor: ExecutorLike = None, jobs: Optional[int] = None) -> bool:
-    """Whether ``executor`` / ``jobs`` select a parallel backend.
-
-    The one gate the figure drivers use to decide between the seed-identical
-    serial path and a parallel prewarm; it validates the arguments exactly
-    like :func:`make_executor` (so an invalid ``jobs`` raises instead of
-    silently falling back to serial).
-    """
-    return make_executor(executor, jobs=jobs) is not None

@@ -152,8 +152,8 @@ class PdnSpot(TwoTierCacheMixin):
         self._cache_hits = 0
         self._cache_misses = 0
         # Guards the cache mapping, its hit/miss counters and the variant
-        # table: concurrent evaluate calls (ThreadExecutor workers or
-        # user threads) must not lose counter updates or race dict growth.
+        # table: concurrent evaluate calls from user threads must not lose
+        # counter updates or race dict growth.
         self._cache_lock = threading.Lock()
         if disk_cache is not None and not enable_cache:
             raise ConfigurationError(
@@ -304,8 +304,9 @@ class PdnSpot(TwoTierCacheMixin):
     #: Instance-level replacements of any of these mark a patched engine
     #: (tests gate concurrency or inject failures by swapping them); a
     #: patched engine declines columnar batches so every unit flows through
-    #: the patched seam.
-    _ENGINE_PATCHABLE = ("evaluate_uncached", "_evaluate_cached", "evaluate")
+    #: the patched seam.  Only the per-unit compute seam counts: no batch
+    #: ever calls ``evaluate``.
+    _ENGINE_PATCHABLE = ("evaluate_uncached",)
 
     @property
     def columnar_enabled(self) -> bool:
@@ -399,25 +400,6 @@ class PdnSpot(TwoTierCacheMixin):
             columnar=self._columnar,
         )
 
-    def prime_for_execution(self, units: Iterable[EvalUnit]) -> None:
-        """Build every model (and lazy predictor) the units need, up front.
-
-        Thread-pool workers treat the PDN models as read-only; the two pieces
-        of lazily built state -- parameter-override variants and the FlexWatts
-        Algorithm-1 predictor calibration -- are forced here, on the calling
-        thread, before any worker runs.
-        """
-        seen = set()
-        for name, _, overrides in units:
-            key = (overrides, name)
-            if key in seen:
-                continue
-            seen.add(key)
-            pdn = self._variant_pdn(name, overrides)
-            # Touching .predictor forces the lazy Algorithm-1 calibration on
-            # hybrid PDNs; static PDNs have no such attribute.
-            getattr(pdn, "predictor", None)
-
     def _evaluate_instance(
         self, pdn: PowerDeliveryNetwork, conditions: OperatingConditions
     ) -> PdnEvaluation:
@@ -436,39 +418,15 @@ class PdnSpot(TwoTierCacheMixin):
 
         **The** public batch entry point: every grid workload (studies,
         figure drivers, the optimizer, the evaluation service) reduces to
-        this call.  With the default ``executor=None`` (and ``jobs`` unset
-        or 1) the units run on the calling thread -- through the vectorized
-        columnar core when this engine has it enabled, per point otherwise
-        -- with the seed's bit-identical results and cache accounting.
-        Otherwise the resolved :class:`~repro.analysis.executor.Executor`
-        shards the units into column blocks, evaluates chunks concurrently,
-        merges worker results back into this engine's cache and returns the
-        evaluations in canonical unit order.
+        this call.  Every backend -- the default ``executor=None`` (one
+        serial chunk on the calling thread) included -- deduplicates, serves
+        cached units, hands the misses to :meth:`evaluate_columns` chunk by
+        chunk (per point when this engine declines the batch), merges the
+        results back into this engine's cache and returns the evaluations in
+        canonical unit order, with the seed's bit-identical results and
+        cache accounting.
         """
-        backend = make_executor(executor, jobs=jobs)
-        if backend is None:
-            if self._columnar:
-                if not self._cache_enabled:
-                    # No cache accounting to preserve: hand the whole batch
-                    # to the columnar core directly (it falls back to the
-                    # per-point oracle per block, or declines entirely when
-                    # this engine instance is patched).
-                    unit_list = list(units)
-                    evaluations = self.evaluate_columns(unit_list)
-                    if evaluations is not None:
-                        return evaluations
-                    return [
-                        self.evaluate_uncached(name, conditions, overrides)
-                        for name, conditions, overrides in unit_list
-                    ]
-                # The serial drive preserves per-unit cache accounting
-                # exactly while letting whole column blocks ride the
-                # vectorized path (one chunk, no pool, no pickling).
-                return SerialExecutor(jobs=1).evaluate_units(self, units)
-            return [
-                self._evaluate_cached(name, conditions, overrides)
-                for name, conditions, overrides in units
-            ]
+        backend = make_executor(executor, jobs=jobs) or SerialExecutor(jobs=1)
         return backend.evaluate_units(self, units)
 
     def run(
@@ -491,7 +449,7 @@ class PdnSpot(TwoTierCacheMixin):
             The scenario grid to evaluate.
         executor:
             ``None`` (serial, the default), a backend name (``"serial"``,
-            ``"thread"``, ``"process"``) or an
+            ``"process"``) or an
             :class:`~repro.analysis.executor.Executor` instance.  Parallel
             backends shard the grid, evaluate chunks concurrently, merge the
             evaluations back into this engine's cache, and reassemble the

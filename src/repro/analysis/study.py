@@ -9,16 +9,15 @@ convenience constructors (:meth:`Study.over_tdps`,
 :meth:`Study.over_application_ratios`, :meth:`Study.over_power_states`).
 
 A study says *what* to evaluate; :meth:`repro.analysis.pdnspot.PdnSpot.run`
-(cached, parameter-override aware) or :func:`evaluate_study` (plain PDN
-instances) say *how*, and both return a
+(cached, parameter-override aware) says *how* and returns a
 :class:`repro.analysis.resultset.ResultSet`.
 
 Scenario iteration order is deterministic -- parameter overrides, then
 workload type, then TDP, then application ratio for the active part, followed
 by TDP then power state for the idle part -- and is the row order of every
-study :class:`~repro.analysis.resultset.ResultSet`.  Every evaluator builds
-its units with :func:`study_units` and its result with
-:func:`study_resultset`.
+study :class:`~repro.analysis.resultset.ResultSet`.  Every study runner
+(:meth:`PdnSpot.run` and the daemon's ``/v1/sweep``) builds its units with
+:func:`study_units` and its result with :func:`study_resultset`.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import repeat
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union,
+    Dict, List, Mapping, Optional, Sequence, Tuple, TypeVar, Union,
 )
 
 from repro.analysis.resultset import MISSING, Record, ResultSet
@@ -34,12 +33,10 @@ from repro.pdn.base import (
     LoadSets,
     OperatingConditions,
     PdnEvaluation,
-    PowerDeliveryNetwork,
-    evaluate_pdn,
 )
 from repro.power.domains import WorkloadType
 from repro.power.power_states import BATTERY_LIFE_STATES, PackageCState
-from repro.util.errors import ConfigurationError, ModelDomainError
+from repro.util.errors import ConfigurationError
 
 #: A parameter-override set, normalised to a hashable sorted tuple of pairs.
 OverrideKey = Tuple[Tuple[str, object], ...]
@@ -362,10 +359,8 @@ class StudyBuilder:
 
 
 # ---------------------------------------------------------------------- #
-# Grid units and result assembly (shared by every study evaluator)
+# Grid units and result assembly (shared by every study runner)
 # ---------------------------------------------------------------------- #
-Evaluator = Callable[[PowerDeliveryNetwork, OperatingConditions], PdnEvaluation]
-
 Label = TypeVar("Label")
 
 #: The value columns of every sweep row, after the scenario's fields.
@@ -441,61 +436,3 @@ def study_resultset(
         for key in order
     }
     return ResultSet(columns, name=study.name)
-
-
-def evaluate_study(
-    study: Study,
-    pdns: Union[Mapping[str, PowerDeliveryNetwork], Iterable[PowerDeliveryNetwork]],
-    evaluate: Optional[Evaluator] = None,
-) -> ResultSet:
-    """Evaluate ``study`` against concrete PDN instances.
-
-    The uncached evaluator behind the Fig. 4 validation grids
-    (:mod:`repro.experiments.fig4_validation`).  It builds its units and its
-    :class:`ResultSet` through :func:`study_units` and
-    :func:`study_resultset`, like :meth:`PdnSpot.run`, but has no memo cache
-    and no parameter-override support (overrides need a :class:`PdnSpot`,
-    which owns the parameter set and can rebuild its models -- use
-    :meth:`PdnSpot.run`).
-
-    Parameters
-    ----------
-    study:
-        The scenario grid to evaluate.
-    pdns:
-        The PDN models, either as a ``name -> instance`` mapping or as an
-        iterable of instances (keyed by their ``name`` attribute).
-    evaluate:
-        Optional evaluation hook ``(pdn, conditions) -> PdnEvaluation``;
-        defaults to calling ``pdn.evaluate`` directly.
-    """
-    if isinstance(pdns, Mapping):
-        items: List[Tuple[str, PowerDeliveryNetwork]] = list(pdns.items())
-    else:
-        # Preserve duplicates and order: callers may pass several same-named
-        # instances (e.g. nominal vs perturbed parameters) and expect one
-        # record per instance.
-        items = [(pdn.name, pdn) for pdn in pdns]
-    if study.pdn_names is not None:
-        provided = {name for name, _ in items}
-        missing = [name for name in study.pdn_names if name not in provided]
-        if missing:
-            raise ConfigurationError(
-                f"study {study.name!r} needs PDNs not provided: {', '.join(missing)}"
-            )
-        by_name = {}
-        for name, pdn in items:
-            by_name.setdefault(name, pdn)
-        items = [(name, by_name[name]) for name in study.pdn_names]
-    if any(scenario.overrides for scenario in study.scenarios):
-        raise ModelDomainError(
-            "parameter-override scenarios need a PdnSpot engine; "
-            "use PdnSpot.run(study)"
-        )
-    if evaluate is None:
-        evaluate = evaluate_pdn
-    evaluations = [
-        evaluate(pdn, conditions)
-        for pdn, conditions, _ in study_units(study, [pdn for _, pdn in items])
-    ]
-    return study_resultset(study, [name for name, _ in items], evaluations)

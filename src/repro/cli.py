@@ -25,8 +25,11 @@ dependency); ``--json`` (and ``--format json|csv`` on ``sweep``/``export``)
 emits the underlying data for scripting.  The ``sweep`` command builds a
 declarative :class:`~repro.analysis.study.Study` from its axis flags and runs
 it through the cached :meth:`PdnSpot.run` engine; ``--jobs N`` /
-``--executor {serial,thread,process}`` (also on ``export`` and ``figures``)
-evaluate the grid through a parallel backend with identical results.
+``--executor {serial,process}`` (also on ``export`` and ``figures``)
+select the execution backend; results are identical either way.  Serial
+runs evaluate in one chunk on the calling thread; ``process`` shards the
+grid over worker processes, which pays off only on grids whose serial cost
+dwarfs the workers' start-up.
 ``--cache-dir DIR`` (on every grid command) attaches the persistent on-disk
 evaluation store (see :mod:`repro.cache`): the first run populates the
 directory, every later run -- in any process -- replays its grid points from
@@ -95,7 +98,7 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor", choices=sorted(EXECUTORS), default=None,
-        help="execution backend (serial, thread, process); results are "
+        help="execution backend (serial, process); results are "
         "identical to serial, only the evaluation schedule changes",
     )
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.executor import ExecutorLike, parallel_requested
+from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_table
 from repro.analysis.resultset import ResultSet
-from repro.analysis.study import Study, evaluate_study
+from repro.analysis.study import Study
 from repro.analysis.validation import ValidationHarness
-from repro.pdn.registry import build_pdn
 from repro.power.domains import WorkloadType
 
 #: The TDPs of the Fig. 4 panels.
@@ -41,6 +40,12 @@ FIG4_WORKLOAD_TYPES: Sequence[WorkloadType] = (
 FIG4_PDNS: Sequence[str] = ("IVR", "MBVR", "LDO")
 
 
+def _engine(pdn_names: Sequence[str], cache_dir: Optional[str]) -> PdnSpot:
+    """A fresh engine over ``pdn_names`` (IVR is the baseline when present)."""
+    baseline = "IVR" if "IVR" in pdn_names else pdn_names[0]
+    return PdnSpot(pdn_names=list(pdn_names), baseline_name=baseline, disk_cache=cache_dir)
+
+
 def etee_grid_resultset(
     tdps_w: Sequence[float] = FIG4_TDPS_W,
     application_ratios: Sequence[float] = FIG4_ARS,
@@ -54,7 +59,7 @@ def etee_grid_resultset(
     """The Fig. 4(a-i) predicted-ETEE grid as a :class:`ResultSet`.
 
     Pass a shared ``spot`` to evaluate through its memo cache (as the
-    experiment runner does); standalone calls evaluate fresh PDN instances.
+    experiment runner does); standalone calls build a fresh engine.
     ``executor`` / ``jobs`` select a parallel backend; this is the largest
     per-figure grid, so it is the first to benefit from ``--jobs``.
     ``cache_dir`` attaches the persistent disk tier (see :mod:`repro.cache`)
@@ -68,11 +73,8 @@ def etee_grid_resultset(
         .pdns(*pdn_names)
         .build()
     )
-    if spot is None and (cache_dir is not None or parallel_requested(executor, jobs)):
-        spot = PdnSpot(pdn_names=list(pdn_names), disk_cache=cache_dir)
-    if spot is not None:
-        return spot.run(study, executor=executor, jobs=jobs)
-    return evaluate_study(study, [build_pdn(name) for name in pdn_names])
+    spot = spot if spot is not None else _engine(pdn_names, cache_dir)
+    return spot.run(study, executor=executor, jobs=jobs)
 
 
 def etee_grid(
@@ -99,11 +101,8 @@ def power_state_grid_resultset(
     study = Study.over_power_states(tdp_w, name="fig4-power-states").with_pdns(
         *pdn_names
     )
-    if spot is None and (cache_dir is not None or parallel_requested(executor, jobs)):
-        spot = PdnSpot(pdn_names=list(pdn_names), disk_cache=cache_dir)
-    if spot is not None:
-        return spot.run(study, executor=executor, jobs=jobs)
-    return evaluate_study(study, [build_pdn(name) for name in pdn_names])
+    spot = spot if spot is not None else _engine(pdn_names, cache_dir)
+    return spot.run(study, executor=executor, jobs=jobs)
 
 
 def power_state_grid(

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.executor import ExecutorLike, parallel_requested
+from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_table
 from repro.pdn.base import OperatingConditions
@@ -60,8 +60,8 @@ def loss_breakdown(
 
     Evaluations go through the (optionally shared) :class:`PdnSpot` cache, so
     the operating points this figure shares with the Fig. 4/Fig. 8 grids are
-    not recomputed.  With a parallel ``executor`` the distinct operating
-    points are pre-evaluated as one batch; the breakdown loop below then runs
+    not recomputed.  The distinct operating points are pre-evaluated as one
+    batch through ``executor`` / ``jobs``; the breakdown loop below then runs
     entirely on cache hits.
     """
     if spot is None:
@@ -69,22 +69,21 @@ def loss_breakdown(
             pdn_names=list(pdn_names),
             baseline_name="IVR" if "IVR" in pdn_names else pdn_names[0],
         )
-    if parallel_requested(executor, jobs):
-        spot.evaluate_units(
+    spot.evaluate_units(
+        (
             (
-                (
-                    pdn_name,
-                    OperatingConditions.for_active_workload(
-                        tdp_w, application_ratio, WorkloadType.CPU_MULTI_THREAD
-                    ),
-                    (),
-                )
-                for pdn_name in pdn_names
-                for tdp_w in tdps_w
-            ),
-            executor=executor,
-            jobs=jobs,
-        )
+                pdn_name,
+                OperatingConditions.for_active_workload(
+                    tdp_w, application_ratio, WorkloadType.CPU_MULTI_THREAD
+                ),
+                (),
+            )
+            for pdn_name in pdn_names
+            for tdp_w in tdps_w
+        ),
+        executor=executor,
+        jobs=jobs,
+    )
     records: List[Dict[str, float]] = []
     ivr_current_by_tdp: Dict[float, float] = {}
     for pdn_name in pdn_names:

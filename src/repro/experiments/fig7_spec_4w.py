@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.executor import ExecutorLike, parallel_requested
+from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_table
 from repro.pdn.base import OperatingConditions
@@ -36,27 +36,26 @@ def spec_performance_at_4w(
 
     Every (PDN, benchmark) point shares the cached baseline evaluation, so
     the IVR reference is computed once per benchmark instead of once per
-    candidate PDN.  With a parallel ``executor`` the distinct (PDN, operating
-    point) pairs behind the performance model are pre-evaluated as one batch,
-    and the per-benchmark loop below runs on cache hits.
+    candidate PDN.  The distinct (PDN, operating point) pairs behind the
+    performance model are pre-evaluated as one batch through ``executor`` /
+    ``jobs``, and the per-benchmark loop below runs on cache hits.
     """
     spot = spot if spot is not None else PdnSpot(pdn_names=list(pdn_names))
-    if parallel_requested(executor, jobs):
-        spot.evaluate_units(
+    spot.evaluate_units(
+        (
             (
-                (
-                    pdn_name,
-                    OperatingConditions.for_active_workload(
-                        tdp_w, benchmark.application_ratio, benchmark.workload_type
-                    ),
-                    (),
-                )
-                for benchmark in SPEC_CPU2006_BENCHMARKS
-                for pdn_name in pdn_names
-            ),
-            executor=executor,
-            jobs=jobs,
-        )
+                pdn_name,
+                OperatingConditions.for_active_workload(
+                    tdp_w, benchmark.application_ratio, benchmark.workload_type
+                ),
+                (),
+            )
+            for benchmark in SPEC_CPU2006_BENCHMARKS
+            for pdn_name in pdn_names
+        ),
+        executor=executor,
+        jobs=jobs,
+    )
     records: List[Dict[str, object]] = []
     for benchmark in SPEC_CPU2006_BENCHMARKS:
         row: Dict[str, object] = {

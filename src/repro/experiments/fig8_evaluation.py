@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.comparison import normalised_metric_table
-from repro.analysis.executor import EvalUnit, ExecutorLike, parallel_requested
+from repro.analysis.executor import EvalUnit, ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_mapping_table, format_table
 from repro.pdn.base import OperatingConditions
@@ -152,13 +152,12 @@ def format_figure8(
 ) -> str:
     """Render all five Fig. 8 panels.
 
-    With a parallel ``executor`` the distinct operating points behind all
-    five panels are evaluated as one sharded batch first (see
+    The distinct operating points behind all five panels are evaluated as
+    one batch through ``executor`` / ``jobs`` first (see
     :func:`prewarm_figure8`); the panel construction then runs on cache hits.
     """
     spot = spot if spot is not None else _spot()
-    if parallel_requested(executor, jobs):
-        prewarm_figure8(spot, executor=executor, jobs=jobs)
+    prewarm_figure8(spot, executor=executor, jobs=jobs)
     sections = [
         _format_sweep(
             spec_performance_sweep(spot=spot),

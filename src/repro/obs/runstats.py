@@ -32,8 +32,8 @@ class RunStats:
         hits and no misses).
     executor:
         Name of the backend that dispatched the run (``serial`` /
-        ``thread`` / ``process``), or ``default`` for the engine's
-        built-in serial path.
+        ``process``), or ``default`` for the engine's built-in serial
+        path.
     """
 
     units: int

@@ -82,9 +82,7 @@ async def evaluate_units_async(
         batch's cache lookup served (see
         :meth:`~repro.analysis.executor.Executor.evaluate_units`).
     """
-    backend = make_executor(executor, jobs=jobs)
-    if backend is None:
-        backend = SerialExecutor(jobs=1)
+    backend = make_executor(executor, jobs=jobs) or SerialExecutor(jobs=1)
     unit_list = list(units)
     loop = asyncio.get_running_loop()
     return await loop.run_in_executor(

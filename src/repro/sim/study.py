@@ -12,7 +12,7 @@ technology-parameter overrides -- and :func:`run_sim` (or
 :class:`SimEngine` implements the same execution-engine protocol as
 :class:`~repro.analysis.pdnspot.PdnSpot` (see
 :mod:`repro.analysis.executor`), so simulation grids dispatch through the
-unchanged ``SerialExecutor`` / ``ThreadExecutor`` / ``ProcessExecutor``
+unchanged ``SerialExecutor`` / ``ProcessExecutor``
 backends: work units are picklable ``(pdn name, SimPoint, overrides)``
 references (workers rebuild traces from the scenario registry and the PDN
 models from the parameter set), results are memo-cached and merged back, and
@@ -25,7 +25,7 @@ Example
 >>> from repro.sim.study import SimStudy, run_sim
 >>> study = SimStudy.over_scenarios(["duty-cycled-background"], tdps_w=[18.0])
 >>> serial = run_sim(study)
->>> parallel = run_sim(study, executor="thread", jobs=2)
+>>> parallel = run_sim(study, executor="process", jobs=2)
 >>> serial == parallel
 True
 """
@@ -448,18 +448,6 @@ class SimEngine(TwoTierCacheMixin):
             baseline_name=self._baseline_name,
         )
 
-    def prime_for_execution(self, units: Iterable[Tuple[str, SimPoint, OverrideKey]]) -> None:
-        """Build every lazily built model the units need, up front.
-
-        Thread-pool workers treat the engine as read-only apart from the
-        locked caches; the expensive lazy state -- the FlexWatts Algorithm-1
-        predictor calibration, per override set -- is forced here on the
-        calling thread before any worker runs.
-        """
-        for name, _, overrides in units:
-            if name == FlexWattsPdn.name:
-                self._predictor_for(overrides)
-
     def evaluate_uncached(
         self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()
     ) -> SimulationResult:
@@ -749,9 +737,7 @@ class SimEngine(TwoTierCacheMixin):
         the results back into this engine's memo cache and returns them in
         canonical unit order.
         """
-        backend = make_executor(executor, jobs=jobs)
-        if backend is None:
-            backend = SerialExecutor(jobs=1)
+        backend = make_executor(executor, jobs=jobs) or SerialExecutor(jobs=1)
         return backend.evaluate_units(self, units)
 
     def run(

@@ -246,3 +246,31 @@ class TestTicksPerCall:
         # Cold: one miss tick and one install tick (plus one memory-hit tick
         # for duplicates); warm: one memory-hit tick -- whatever the size.
         assert max(per_call) <= 3
+
+
+class TestScalarEngineMatchesPerUnit:
+    def test_duplicates_with_disk_tier(self, tmp_path):
+        """A ``columnar=False`` engine batches through the same executor path."""
+        units = _duplicate_heavy_units()
+        roots = [tmp_path / "bulk", tmp_path / "per-unit"]
+        for root in roots:
+            PdnSpot(disk_cache=root, columnar=False).evaluate_units(units[::2])
+        bulk = PdnSpot(disk_cache=roots[0], columnar=False)
+        reference = PdnSpot(disk_cache=roots[1], columnar=False)
+        chunks = METRICS.counter("executor.chunks")
+        passes = []
+        for _ in range(2):  # disk-warm, then memory-warm
+            before = chunks.value
+            results, counted = _bulk(bulk, units)
+            passes.append((counted, chunks.value - before))
+            expected, expected_counted = _per_unit(reference, units)
+            assert results == expected
+            assert results == PdnSpot(enable_cache=False).evaluate_units(units)
+            assert counted == expected_counted
+            assert bulk.cache_info() == reference.cache_info()
+            assert bulk.disk_cache.stats() == reference.disk_cache.stats()
+        (disk_warm, disk_chunks), (memory_warm, memory_chunks) = passes
+        assert disk_warm["cache.disk.hits"] > 0
+        assert disk_chunks == 1  # one serial chunk for the disk misses
+        assert memory_warm["cache.memory.hits"] == len(units)
+        assert memory_chunks == 0  # the memory-warm pass computed nothing

@@ -224,7 +224,24 @@ class TestEngineEquivalence:
         assert spot.evaluate_columns(units) is None
         assert spot.evaluate_units(units) == [sentinel] * len(units)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("enable_cache", [True, False])
+    @pytest.mark.parametrize("method", ["evaluate", "_evaluate_cached"])
+    def test_evaluate_patch_keeps_columnar(self, monkeypatch, method, enable_cache):
+        # No batch calls ``evaluate`` or ``_evaluate_cached``, so patching
+        # either must not turn the engine's columnar path off.
+        spot = PdnSpot(enable_cache=enable_cache)
+        monkeypatch.setattr(
+            spot, method, lambda name, c, overrides=(): "patched"
+        )
+        conditions = random_conditions(random.Random(5), 6)
+        units = [("IVR", c, ()) for c in conditions]
+        block_units = METRICS.counter("engine.columnar.block_units")
+        before = block_units.value
+        results = spot.evaluate_units(units)
+        assert block_units.value - before == len(units)
+        assert results == [spot.evaluate_uncached(*unit) for unit in units]
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_executor_columnar_shards_bit_identical(self, backend):
         # 300 units across two override variants: enough for multiple whole
         # column blocks per shard, small enough for a test-suite budget.

@@ -16,12 +16,9 @@ import pytest
 from repro.analysis.executor import (
     EXECUTORS,
     MIN_COLUMNAR_CHUNK,
-    Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
-    parallel_requested,
     shard,
 )
 from repro.analysis.pdnspot import PdnSpot
@@ -124,7 +121,7 @@ class TestBackendEquivalence:
 
     def test_executor_instance_and_jobs_shortcut(self, serial_reference):
         reference, _ = serial_reference
-        assert PdnSpot().run(_grid_study(), executor=ThreadExecutor(jobs=2)) == reference
+        assert PdnSpot().run(_grid_study(), executor=SerialExecutor(jobs=2)) == reference
         assert PdnSpot().run(_grid_study(), jobs=2) == reference  # process shortcut
 
 
@@ -202,7 +199,7 @@ class TestCacheMergeBack:
         # must not be able to change them at all.
         spot = PdnSpot()
         first = spot.evaluate_units(
-            [("IVR", _active_point(), ())], executor="thread", jobs=2
+            [("IVR", _active_point(), ())], executor="serial", jobs=2
         )[0]
         with pytest.raises((AttributeError, TypeError)):
             first.rail_voltages_v.clear()
@@ -290,13 +287,13 @@ class TestMakeExecutor:
         assert backend.jobs == 2
 
     def test_instance_passes_through(self):
-        backend = ThreadExecutor(jobs=2)
+        backend = SerialExecutor(jobs=2)
         assert make_executor(backend) is backend
         assert make_executor(backend, jobs=2) is backend
 
     def test_conflicting_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            make_executor(ThreadExecutor(jobs=2), jobs=3)
+            make_executor(SerialExecutor(jobs=2), jobs=3)
 
     def test_defaulted_instance_adopts_explicit_jobs(self):
         # ProcessExecutor() leaves jobs to the machine default; an explicit
@@ -316,23 +313,21 @@ class TestMakeExecutor:
         assert backend.jobs == 5
         assert backend.tag == "audit"
 
-    def test_parallel_requested_gate(self):
-        assert parallel_requested() is False
-        assert parallel_requested(jobs=1) is False
-        assert parallel_requested(jobs=2) is True
-        assert parallel_requested("serial") is True
-        with pytest.raises(ConfigurationError):
-            parallel_requested(jobs=0)  # invalid jobs raises, never serial-fallback
+    @pytest.mark.parametrize("name", ["distributed", "thread"])
+    def test_unknown_name_rejected(self, name):
+        with pytest.raises(ConfigurationError, match="choose from: process, serial"):
+            make_executor(name)
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_executor("distributed")
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_executor("thread", jobs=0)
-        with pytest.raises(ConfigurationError):
-            ThreadExecutor(jobs=-1)
+    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2", True])
+    def test_invalid_jobs_rejected(self, jobs):
+        with pytest.raises(ConfigurationError, match="jobs"):
+            make_executor("serial", jobs=jobs)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            make_executor(None, jobs=jobs)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            SerialExecutor(jobs=jobs)
+        with pytest.raises(ConfigurationError, match="jobs"):
+            PdnSpot().evaluate_units([], executor="serial", jobs=jobs)
 
     def test_executor_must_be_known_type(self):
         with pytest.raises(ConfigurationError):

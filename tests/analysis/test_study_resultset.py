@@ -7,12 +7,12 @@ import pytest
 
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.resultset import MISSING, ResultSet
-from repro.analysis.study import Scenario, Study, evaluate_study
+from repro.analysis.study import Scenario, Study
 from repro.pdn.base import OperatingConditions
 from repro.pdn.registry import build_pdn
 from repro.power.domains import WorkloadType
 from repro.power.power_states import BATTERY_LIFE_STATES, PackageCState
-from repro.util.errors import ConfigurationError, ModelDomainError
+from repro.util.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -283,16 +283,6 @@ class TestSeedEquivalence:
         study = Study.builder("bad").tdps(4.0).pdns("NOPE").build()
         with pytest.raises(ConfigurationError):
             spot.run(study)
-
-    def test_evaluate_study_rejects_overrides(self):
-        study = (
-            Study.builder("what-if")
-            .tdps(4.0)
-            .parameter_grid({"ivr_tolerance_band_v": 0.01})
-            .build()
-        )
-        with pytest.raises(ModelDomainError):
-            evaluate_study(study, [build_pdn("IVR")])
 
 
 def _count_evaluations(spot):

@@ -32,9 +32,9 @@ class TestRunStatsValue:
         assert executor_label("process") == "process"
 
         class Named:
-            name = "thread"
+            name = "custom"
 
-        assert executor_label(Named()) == "thread"
+        assert executor_label(Named()) == "custom"
 
 
 class TestEngineAttachment:

@@ -355,13 +355,13 @@ class TestRunOptimization:
         assert serial.front == parallel.front
         assert serial.knee == parallel.knee
 
-    def test_thread_backend_matches_too(self):
+    def test_sharded_serial_backend_matches_too(self):
         space = DesignSpace.over_pdns(["IVR", "FlexWatts"])
         serial = run_optimization(space, settings=FAST_SETTINGS)
-        threaded = run_optimization(
-            space, settings=FAST_SETTINGS, executor="thread", jobs=2
+        sharded = run_optimization(
+            space, settings=FAST_SETTINGS, executor="serial", jobs=2
         )
-        assert serial.results == threaded.results
+        assert serial.results == sharded.results
 
     def test_single_candidate_space(self):
         outcome = run_optimization(

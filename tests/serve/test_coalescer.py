@@ -62,9 +62,6 @@ class CountingEngine:
             self.eval_counts[(name, point, overrides)] += 1
         return ("result", name, point, overrides)
 
-    def prime_for_execution(self, units) -> None:
-        pass
-
     def worker_config(self):  # pragma: no cover - no process backend in tests
         raise NotImplementedError
 

@@ -115,6 +115,14 @@ class TestBackendEquivalence:
         assert warm_info.misses == cold_info.misses  # nothing recomputed
         assert warm_info.hits == cold_info.hits + len(reference)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_cache_disabled_matches_cached_results(self, backend, serial_reference):
+        reference, _ = serial_reference
+        engine = SimEngine(enable_cache=False)
+        resultset = engine.run(_grid_study(), executor=backend, jobs=3)
+        assert resultset == reference
+        assert engine.cache_info().size == 0
+
     def test_serial_and_parallel_json_is_bit_identical(self, serial_reference):
         reference, _ = serial_reference
         parallel = SimEngine().run(_grid_study(), executor="process", jobs=4)
@@ -149,11 +157,18 @@ class TestEngineSemantics:
         assert first == second
         assert first.mode_switch_count > 0
 
+    @pytest.mark.parametrize("jobs", [2.5, "2", True])
+    def test_invalid_jobs_rejected(self, jobs):
+        # Rejected at the engine boundary, before any unit is sharded.
+        units = [("IVR", SimPoint(scenario="race-to-idle", tdp_w=18.0), ())]
+        with pytest.raises(ConfigurationError, match="jobs"):
+            SimEngine().evaluate_units(units, executor="serial", jobs=jobs)
+
     def test_duplicate_units_counted_like_serial(self):
         point = SimPoint(scenario="race-to-idle", tdp_w=18.0)
         units = [("IVR", point, ())] * 3
         engine = SimEngine()
-        results = engine.evaluate_units(units, executor="thread", jobs=2)
+        results = engine.evaluate_units(units, executor="serial", jobs=2)
         info = engine.cache_info()
         assert (info.hits, info.misses, info.size) == (2, 1, 1)
         assert results[0] == results[1] == results[2]

@@ -145,14 +145,15 @@ class TestParallelFlags:
         assert args.jobs == 4 and args.executor == "process"
         args = build_parser().parse_args(["export", "fig4-grid", "--jobs", "2"])
         assert args.jobs == 2 and args.executor is None
-        args = build_parser().parse_args(["figures", "--quick", "--executor", "thread"])
-        assert args.executor == "thread"
+        args = build_parser().parse_args(["figures", "--quick", "--executor", "serial"])
+        assert args.executor == "serial"
 
-    def test_unknown_executor_rejected(self):
+    @pytest.mark.parametrize("executor", ["gpu", "thread"])
+    def test_unknown_executor_rejected(self, executor):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--tdps", "4", "--executor", "gpu"])
+            build_parser().parse_args(["sweep", "--tdps", "4", "--executor", executor])
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_parallel_sweep_output_identical_to_serial(self, spot, executor):
         serial = run_sweep(spot, (4.0, 18.0), ars=(0.4, 0.56), output_format="csv")
         parallel = run_sweep(
@@ -168,7 +169,7 @@ class TestParallelFlags:
     def test_parallel_export_identical_to_serial(self):
         serial = run_export("fig4-power-states", output_format="csv")
         parallel = run_export(
-            "fig4-power-states", output_format="csv", executor="thread", jobs=2
+            "fig4-power-states", output_format="csv", executor="serial", jobs=2
         )
         assert parallel == serial
 
