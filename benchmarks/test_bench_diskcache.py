@@ -7,9 +7,7 @@ The ``disk-cache`` group tracks the cost trajectory of the two-tier cache
   (model evaluation plus the pickling/fsync overhead of populating disk);
 * **disk-warm** -- a *fresh* engine (empty memory tier, as every new
   process starts) against the directory the cold run populated: every unit
-  must be served from disk without recomputation;
-* both repeated through the process backend, where a warm directory lets
-  the parent serve the whole grid before any worker is spawned.
+  must be served from disk without recomputation.
 
 ``tools/check_bench_regression.py`` gates the warm column relative to the
 cold column from the same run, so CI catches a disk tier whose hits start
@@ -30,10 +28,6 @@ GRID_POWER_STATES = ("C0_MIN", "C2", "C8")
 GRID_ROWS = (
     len(GRID_TDPS_W) * len(GRID_ARS) + len(GRID_TDPS_W) * len(GRID_POWER_STATES)
 ) * 5
-
-#: Worker count of the parallel benchmark columns.
-PARALLEL_JOBS = 4
-
 
 def _grid_study() -> Study:
     return (
@@ -91,43 +85,6 @@ def test_bench_disk_cache_warm(benchmark, warm_cache_dir, grid_reference):
     def run(spot):
         resultset = spot.run(study)
         assert spot.cache_info().misses == 0  # nothing recomputed
-        return resultset
-
-    resultset = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)
-    assert resultset == grid_reference
-
-
-@pytest.mark.benchmark(group="disk-cache-parallel")
-def test_bench_disk_cache_cold_process(benchmark, tmp_path_factory, grid_reference):
-    """Cold process-parallel grid: workers compute, merge-back populates disk."""
-    study = _grid_study()
-
-    spots = []
-
-    def setup():
-        spots.append(PdnSpot(disk_cache=tmp_path_factory.mktemp("disk-cold-proc")))
-        return (spots[-1],), {}
-
-    def run(spot):
-        return spot.run(study, executor="process", jobs=PARALLEL_JOBS)
-
-    resultset = benchmark.pedantic(run, setup=setup, rounds=5, iterations=1)
-    assert resultset == grid_reference
-    # Outside the timed region: the merge-back populated the whole store.
-    assert spots[-1].disk_cache.stats().entries == GRID_ROWS
-
-
-@pytest.mark.benchmark(group="disk-cache-parallel")
-def test_bench_disk_cache_warm_process(benchmark, warm_cache_dir, grid_reference):
-    """Warm directory + process backend: served before any worker spawns."""
-    study = _grid_study()
-
-    def setup():
-        return (PdnSpot(disk_cache=warm_cache_dir),), {}
-
-    def run(spot):
-        resultset = spot.run(study, executor="process", jobs=PARALLEL_JOBS)
-        assert spot.cache_info().misses == 0  # no dispatch, no pool start-up
         return resultset
 
     resultset = benchmark.pedantic(run, setup=setup, rounds=3, iterations=1)

@@ -1,13 +1,11 @@
 """Benchmark E-OPT: the design-space exploration subsystem.
 
-Three benchmark columns track the optimizer's perf trajectory:
+Two benchmark columns track the optimizer's perf trajectory:
 
 * ``optimize`` / cold grid serial -- an exhaustive grid search over a
   figure-scale space (5 topologies x 3 tolerance-band sizings, ~2600
   analytic evaluation units through the default four objectives) with the
   memo caches disabled: the seed-equivalent cost of one full search.
-* ``optimize`` / cold grid process -- the same search through the process
-  backend with 4 jobs; the outcome is asserted bit-identical.
 * ``optimize`` / warm random search -- a seeded random search against a
   pre-warmed evaluator: every candidate resolves from the memo caches.
   Gated by ``tools/check_bench_regression.py`` relative to the cold serial
@@ -34,10 +32,6 @@ CANDIDATES = len(SPACE_PDNS) * len(TOLERANCE_BANDS_V)
 #: Budget and seed of the warm random-search column.
 RANDOM_BUDGET = 10
 SEED = 0
-
-#: Worker count of the parallel benchmark column (the acceptance point).
-PARALLEL_JOBS = 4
-
 
 def _space() -> DesignSpace:
     return (
@@ -68,31 +62,6 @@ def test_bench_optimize_grid_cold_serial(benchmark, grid_reference):
     assert len(outcome.results) == CANDIDATES
     assert outcome.results == grid_reference.results
     assert outcome.knee_pdn == "FlexWatts"
-
-
-@pytest.mark.benchmark(group="optimize")
-def test_bench_optimize_grid_cold_process(benchmark, grid_reference):
-    """The parallel cold search: units sharded across 4 worker processes.
-
-    Worker start-up (fork plus predictor calibration) is part of the timed
-    section -- the real cost of ``optimize --jobs 4`` -- so the comparison
-    against the serial column is honest; the outcome is asserted
-    bit-identical regardless.
-    """
-    evaluator = CandidateEvaluator(resolve_objectives(), enable_cache=False)
-    outcome = benchmark.pedantic(
-        run_optimization,
-        args=(_space(),),
-        kwargs={
-            "evaluator": evaluator,
-            "executor": "process",
-            "jobs": PARALLEL_JOBS,
-        },
-        rounds=5,
-        iterations=1,
-    )
-    assert len(outcome.results) == CANDIDATES
-    assert outcome.results == grid_reference.results
 
 
 @pytest.mark.benchmark(group="optimize")

@@ -1,21 +1,17 @@
-"""Benchmark E-SWEEP: the pdnspot-cache study grid and the executor backends.
+"""Benchmark E-SWEEP: the pdnspot-cache study grid and the simulation grid.
 
-Four benchmark groups track the sweep engine's perf trajectory:
+Three benchmark groups track the sweep engine's perf trajectory:
 
 * ``sweep-grid`` -- the original TDP x AR x power-state study through
   ``PdnSpot.run`` with the cache disabled (seed-equivalent cost) and warm
   (the cached-grid benchmark gated by ``tools/check_bench_regression.py``).
-* ``sweep-warm-parallel`` -- the same warm grid through the process
-  backend, asserting the parallel ``ResultSet`` equals serial.
 * ``sweep-cold-fig7-scale`` -- a figure-regeneration-scale grid (~4800
-  evaluation units) cold, serial versus the process backend with 4 jobs; on
-  a multi-core runner the process column should be measurably faster, and
-  the results are asserted identical either way.  The serial column (5
-  rounds) is gated with ``--max-ratio`` against the per-point oracle column
-  of ``test_bench_vectorized.py``.
+  evaluation units) cold.  The serial column (5 rounds) is gated with
+  ``--max-ratio`` against the per-point oracle column of
+  ``test_bench_vectorized.py``.
 * ``sim-scenarios`` -- the trace-driven scenario grid of the ``sim``
   experiment (8 scenarios x 2 TDPs x 5 PDNs, ~3000 simulated phases) through
-  ``SimEngine.run``: cold serial versus the process backend and versus the
+  ``SimEngine.run``: cold serial versus the
   per-unit ``evaluate_uncached`` loop (the oracle the batch is gated
   against with ``--max-ratio``), plus the warm (memo-cached) run gated
   against the cold serial column by ``tools/check_bench_regression.py``.
@@ -42,10 +38,6 @@ FIG7_SCALE_ARS = tuple(0.40 + index * 0.02 for index in range(20))
 FIG7_SCALE_WORKLOADS = ("cpu_single_thread", "cpu_multi_thread", "graphics")
 FIG7_SCALE_ROWS = len(FIG7_SCALE_TDPS_W) * len(FIG7_SCALE_ARS) * len(FIG7_SCALE_WORKLOADS) * 5
 
-#: Worker count of the parallel benchmark columns (the acceptance point).
-PARALLEL_JOBS = 4
-
-
 def _grid_study() -> Study:
     return (
         Study.builder("pdnspot-cache-grid")
@@ -68,7 +60,7 @@ def _fig7_scale_study() -> Study:
 
 @pytest.fixture(scope="module")
 def fig7_scale_reference():
-    """The serial fig7-scale ResultSet the parallel runs must reproduce."""
+    """The cached fig7-scale ResultSet the cold run must reproduce."""
     return PdnSpot().run(_fig7_scale_study())
 
 
@@ -91,17 +83,6 @@ def test_bench_sweep_grid_cached(benchmark):
     info = spot.cache_info()
     assert info.hits > 0
     assert info.size == GRID_ROWS  # one entry per distinct (pdn, conditions)
-
-
-@pytest.mark.benchmark(group="sweep-warm-parallel")
-@pytest.mark.parametrize("backend", ["process"])
-def test_bench_sweep_grid_cached_parallel(benchmark, backend):
-    """A warm grid through a parallel backend equals the serial result."""
-    spot = PdnSpot()
-    study = _grid_study()
-    serial = spot.run(study)  # warm the cache serially
-    resultset = benchmark(spot.run, study, executor=backend, jobs=PARALLEL_JOBS)
-    assert resultset == serial
 
 
 #: Rounds of the fig7-scale cold serial column, which CI gates against the
@@ -128,7 +109,7 @@ SIM_SCENARIO_ROWS = 8 * 2 * 5
 
 @pytest.fixture(scope="module")
 def sim_scenario_reference():
-    """The serial scenario ResultSet the parallel run must reproduce."""
+    """The cached scenario ResultSet every timed column must reproduce."""
     return SimEngine().run(scenario_study())
 
 
@@ -175,28 +156,6 @@ def test_bench_sim_scenarios_per_unit_serial(benchmark, sim_scenario_reference):
 
 
 @pytest.mark.benchmark(group="sim-scenarios")
-def test_bench_sim_scenarios_cold_process(benchmark, sim_scenario_reference):
-    """The parallel cold run: simulations sharded across 4 worker processes.
-
-    As with the fig7-scale column, worker start-up (fork plus predictor
-    calibration) is part of the timed section -- the real cost of
-    ``simulate --jobs 4`` -- so the comparison against the serial column is
-    honest; the results are asserted bit-identical regardless.
-    """
-    engine = SimEngine(enable_cache=False)
-    study = scenario_study()
-    resultset = benchmark.pedantic(
-        engine.run,
-        args=(study,),
-        kwargs={"executor": "process", "jobs": PARALLEL_JOBS},
-        rounds=5,
-        iterations=1,
-    )
-    assert len(resultset) == SIM_SCENARIO_ROWS
-    assert resultset == sim_scenario_reference
-
-
-@pytest.mark.benchmark(group="sim-scenarios")
 def test_bench_sim_scenarios_warm(benchmark, sim_scenario_reference):
     """The memo-cached grid: every simulation served as a cache hit.
 
@@ -212,25 +171,3 @@ def test_bench_sim_scenarios_warm(benchmark, sim_scenario_reference):
     info = engine.cache_info()
     assert info.hits > 0
     assert info.size == SIM_SCENARIO_ROWS
-
-
-@pytest.mark.benchmark(group="sweep-cold-fig7-scale")
-def test_bench_sweep_fig7_scale_cold_process(benchmark, fig7_scale_reference):
-    """The parallel cold run: sharded across 4 worker processes.
-
-    Worker start-up (fork plus predictor calibration) is part of the timed
-    section -- that is the real cost a user pays for ``--jobs 4`` -- so the
-    speedup over the serial column is honest; on a single-CPU runner this
-    column is expected to be slower, on multi-core CI measurably faster.
-    """
-    spot = PdnSpot(enable_cache=False)
-    study = _fig7_scale_study()
-    resultset = benchmark.pedantic(
-        spot.run,
-        args=(study,),
-        kwargs={"executor": "process", "jobs": PARALLEL_JOBS},
-        rounds=5,
-        iterations=1,
-    )
-    assert len(resultset) == FIG7_SCALE_ROWS
-    assert resultset == fig7_scale_reference

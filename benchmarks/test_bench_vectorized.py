@@ -9,10 +9,8 @@ core, not grid materialisation):
   pass per ``(pdn, conditions-batch)`` through ``PdnSpot.evaluate_units``.
 * ``per_point_serial`` -- the scalar reference oracle (``columnar=False``),
   i.e. the pre-redesign cost of the same batch.
-* ``columnar_process`` -- the columnar path sharded across 4 worker
-  processes, whole column blocks per chunk.
 
-A fourth column, ``columnar_calibration_size``, makes one columnar call per
+A third column, ``columnar_calibration_size``, makes one columnar call per
 PDN over the FlexWatts calibration grid (132 lanes): the size at which
 calibration and the interval simulator call the kernels, where a call's
 fixed cost outweighs its per-lane work.  It is reported for its trend line
@@ -42,8 +40,6 @@ TDPS_W = tuple(4.0 + index * (46.0 / 15.0) for index in range(16))
 ARS = tuple(0.40 + index * 0.02 for index in range(20))
 WORKLOADS = ("cpu_single_thread", "cpu_multi_thread", "graphics")
 ROWS = len(TDPS_W) * len(ARS) * len(WORKLOADS) * 5
-
-PARALLEL_JOBS = 4
 
 #: Rounds of the per-point oracle column, the denominator of the columnar
 #: and fig7-scale sweep ``--max-ratio`` gates.
@@ -95,7 +91,7 @@ def test_bench_vectorized_columnar_serial(
         iterations=1,
         warmup_rounds=1,
     )
-    assert spot.columnar_enabled
+    assert spot.evaluate_columns([]) == []  # the engine offers its columns
     assert len(evaluations) == ROWS
     assert evaluations == vectorized_reference
 
@@ -117,29 +113,7 @@ def test_bench_vectorized_per_point_serial(
         rounds=PER_POINT_ROUNDS,
         iterations=1,
     )
-    assert not spot.columnar_enabled
-    assert len(evaluations) == ROWS
-    assert evaluations == vectorized_reference
-
-
-@pytest.mark.benchmark(group="vectorized-eval")
-def test_bench_vectorized_columnar_process(
-    benchmark, fig7_scale_units, vectorized_reference
-):
-    """Columnar sharding: whole column blocks per worker-process chunk.
-
-    Worker start-up (fork plus predictor calibration) is part of the timed
-    section, as in the other cold process columns; on a single-CPU runner
-    this is expected to trail the serial columnar column.
-    """
-    spot = PdnSpot(enable_cache=False)
-    evaluations = benchmark.pedantic(
-        spot.evaluate_units,
-        args=(fig7_scale_units,),
-        kwargs={"executor": "process", "jobs": PARALLEL_JOBS},
-        rounds=5,
-        iterations=1,
-    )
+    assert spot.evaluate_columns([]) is None  # the engine declines every batch
     assert len(evaluations) == ROWS
     assert evaluations == vectorized_reference
 

@@ -12,8 +12,8 @@ This example walks the full optimisation workflow the subsystem provides:
 3. rank the evaluated candidates with a weighted scalarisation (cost-heavy
    weights pull the cheap IVR baseline ahead of the expensive MBVR/LDO
    designs while the hybrid keeps the lead), and
-4. show the parallel-determinism guarantee: the same search through the
-   process backend returns a bit-identical result set.
+4. show the seeded-determinism guarantee: the same seeded search run again
+   on fresh engines returns a bit-identical result set.
 
 Run with::
 
@@ -115,21 +115,16 @@ def weighted_ranking() -> None:
     print("Default objectives:", ", ".join(o.name for o in objectives))
 
 
-def parallel_determinism() -> None:
-    """Step 4: the process backend reproduces the serial search bit for bit."""
+def seeded_determinism() -> None:
+    """Step 4: a seeded search reproduces itself bit for bit."""
     space = sizing_space()
-    serial = run_optimization(space, strategy="random", budget=BUDGET, seed=SEED)
-    parallel = run_optimization(
-        space,
-        strategy="random",
-        budget=BUDGET,
-        seed=SEED,
-        executor="process",
-        jobs=4,
+    first, second = (
+        run_optimization(space, strategy="random", budget=BUDGET, seed=SEED)
+        for _ in range(2)
     )
     print(
-        "Parallel (process, 4 jobs) result set identical to serial:",
-        serial.results == parallel.results,
+        f"Seed {SEED} search repeated on fresh engines, result set identical:",
+        first.results.to_json() == second.results.to_json(),
     )
 
 
@@ -137,7 +132,7 @@ def main() -> None:
     paper_conclusion()
     strategy_comparison()
     weighted_ranking()
-    parallel_determinism()
+    seeded_determinism()
 
 
 if __name__ == "__main__":

@@ -2,13 +2,13 @@
 """Scenario sweep: trace-driven simulation as a first-class study.
 
 This example runs a :class:`~repro.sim.study.SimStudy` -- a grid of
-registered scenario traces x TDPs -- through the executor engine, then uses
+registered scenario traces x TDPs -- through the simulation engine, then uses
 the :class:`~repro.analysis.resultset.ResultSet` toolkit on the simulation
 output:
 
 1. simulate every registered scenario on every PDN at a tablet-class and a
-   desktop-class TDP on two worker processes, and check the parallel run is
-   bit-identical to the serial one (the executor's guarantee),
+   desktop-class TDP, and check that a rerun is served from the engine's
+   memo cache with a bit-identical result set,
 2. normalise the total energy to the IVR baseline and pivot it into a
    scenario x PDN table, and
 3. drill into one adaptive run's per-phase records to show where FlexWatts
@@ -44,11 +44,12 @@ def main() -> None:
     engine = SimEngine()
     study = build_study()
 
-    # 1. Parallel simulation, checked bit-identical against serial.  The
-    #    executor deduplicates, shards and reassembles in canonical order, so
-    #    only the wall clock may differ.
-    results = engine.run(study, executor="process", jobs=2)
-    assert engine.run(study) == results, "parallel must equal serial"
+    # 1. One batch over the whole grid; the rerun is all cache hits and
+    #    must equal the cold run bit for bit.
+    results = engine.run(study)
+    rerun = engine.run(study)
+    assert rerun.to_json() == results.to_json(), "a cached rerun must be identical"
+    assert rerun.run_stats.cache_misses == 0, "the rerun must be all cache hits"
 
     # 2. Energy normalised to the IVR PDN, one row per scenario x TDP.
     normalised = results.normalize_to(

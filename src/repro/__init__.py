@@ -88,12 +88,6 @@ def _lazy_exports(
 
 
 if TYPE_CHECKING:
-    from repro.analysis.executor import (
-        Executor,
-        ProcessExecutor,
-        SerialExecutor,
-        make_executor,
-    )
     from repro.analysis.pdnspot import CacheInfo, PdnSpot
     from repro.analysis.resultset import ResultSet
     from repro.analysis.study import Scenario, Study, StudyBuilder
@@ -127,10 +121,6 @@ __all__ = [
     "StudyBuilder",
     "Scenario",
     "ResultSet",
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "make_executor",
     "FlexWattsPdn",
     "PdnMode",
     "OperatingConditions",
@@ -168,9 +158,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.analysis.executor": (
-        "Executor", "ProcessExecutor", "SerialExecutor", "make_executor",
-    ),
     "repro.analysis.pdnspot": ("CacheInfo", "PdnSpot"),
     "repro.analysis.resultset": ("ResultSet",),
     "repro.analysis.study": ("Scenario", "Study", "StudyBuilder"),

@@ -10,10 +10,10 @@ the multi-dimensional exploration tool the paper describes.
   :meth:`PdnSpot.evaluate_units`).
 * :mod:`repro.analysis.study` -- the declarative :class:`Study` grid and its
   fluent :class:`StudyBuilder`.
-* :mod:`repro.analysis.executor` -- pluggable execution backends
-  (:class:`SerialExecutor`, :class:`ProcessExecutor`) that shard a study
-  grid, evaluate chunks in order or on worker processes and merge the
-  results back into the :class:`PdnSpot` cache.
+* :mod:`repro.analysis.executor` -- the one dispatch path
+  (:func:`~repro.analysis.executor.evaluate_units`) behind every engine's
+  batch entry point: dedupe, one columnar chunk, cache merge-back and
+  canonical reassembly.
 * :mod:`repro.analysis.resultset` -- the columnar :class:`ResultSet` container
   with filter/pivot/normalise helpers and JSON/CSV serialisation.
 * :mod:`repro.analysis.validation` -- the model-validation harness that mimics
@@ -29,12 +29,6 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 
 if TYPE_CHECKING:
-    from repro.analysis.executor import (
-        Executor,
-        ProcessExecutor,
-        SerialExecutor,
-        make_executor,
-    )
     from repro.analysis.pdnspot import CacheInfo, PdnSpot
     from repro.analysis.resultset import MISSING, ResultSet
     from repro.analysis.study import Scenario, Study, StudyBuilder
@@ -46,10 +40,6 @@ if TYPE_CHECKING:
 __all__ = [
     "PdnSpot",
     "CacheInfo",
-    "Executor",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "make_executor",
     "Study",
     "StudyBuilder",
     "Scenario",
@@ -66,9 +56,6 @@ __all__ = [
 
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.analysis.executor": (
-        "Executor", "ProcessExecutor", "SerialExecutor", "make_executor",
-    ),
     "repro.analysis.pdnspot": ("CacheInfo", "PdnSpot"),
     "repro.analysis.resultset": ("MISSING", "ResultSet"),
     "repro.analysis.study": ("Scenario", "Study", "StudyBuilder"),

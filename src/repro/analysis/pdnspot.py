@@ -29,18 +29,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.executor import (
-    EvalUnit,
-    ExecutorLike,
-    SerialExecutor,
-    TwoTierCacheMixin,
-    WorkerConfig,
-    make_executor,
-)
+from repro.analysis.executor import EvalUnit, TwoTierCacheMixin, evaluate_units
 from repro.analysis.resultset import Record, ResultSet
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
-from repro.obs.runstats import RunStats, executor_label
+from repro.obs.runstats import RunStats
 from repro.analysis.study import (
     OverrideKey,
     Study,
@@ -58,7 +51,7 @@ from repro.pdn.registry import available_pdns, build_pdn
 from repro.power.domains import WorkloadType
 from repro.power.parameters import PdnTechnologyParameters, default_parameters
 from repro.power.power_states import PackageCState
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, ReproError
 
 if TYPE_CHECKING:  # imported on first use: the disk tier and the convenience models
     from repro.cache.store import DiskCache, DiskCacheLike
@@ -83,9 +76,7 @@ class CacheInfo:
         return self.hits / total if total else 0.0
 
 
-# Columnar-dispatch instruments, bound once at import time.  They tick in
-# whichever process runs the block; a process-pool worker ships its ticks
-# back with each chunk and the parent absorbs them.
+# Columnar-dispatch instruments, bound once at import time.
 _COLUMNAR_BLOCKS = METRICS.counter("engine.columnar.blocks")
 _COLUMNAR_BLOCK_UNITS = METRICS.counter("engine.columnar.block_units")
 _SCALAR_FALLBACK_BLOCKS = METRICS.counter("engine.scalar_fallback.blocks")
@@ -269,13 +260,27 @@ class PdnSpot(TwoTierCacheMixin):
 
         The :class:`~repro.analysis.executor.EvaluationEngine` protocol's
         single-unit compute seam (the reference oracle the columnar path is
-        gated against); executor workers call it for every unit that does not
-        ride :meth:`evaluate_columns`.  The driver owns the cache interaction
-        (:meth:`cache_lookup_many` / :meth:`cache_install_many`), so neither
-        the mapping nor the counters are touched here.  Not public sugar -- use
-        :meth:`evaluate` or :meth:`evaluate_units`.
+        gated against): :meth:`evaluate` and every batch unit that does not
+        ride :meth:`evaluate_columns` land here.  The dispatch path owns the
+        cache interaction (:meth:`cache_lookup_many` /
+        :meth:`cache_install_many`), so neither the mapping nor the counters
+        are touched here.  Not public sugar -- use :meth:`evaluate` or
+        :meth:`evaluate_units`.
+
+        A model error is re-raised as its own type, chained, with a prefix
+        naming the failing point, so one bad point of a large grid says
+        which point it was.
         """
-        return self._variant_pdn(pdn_name, overrides).evaluate(conditions)
+        pdn = self._variant_pdn(pdn_name, overrides)
+        try:
+            return pdn.evaluate(conditions)
+        except ReproError as error:
+            raise type(error)(
+                f"{pdn_name} at TDP {conditions.tdp_w:g} W, "
+                f"AR {conditions.application_ratio:g}, "
+                f"workload {conditions.workload_type.value}, "
+                f"power state {conditions.power_state.value}: {error}"
+            ) from error
 
     def _evaluate_cached(
         self,
@@ -307,11 +312,6 @@ class PdnSpot(TwoTierCacheMixin):
     #: the patched seam.  Only the per-unit compute seam counts: no batch
     #: ever calls ``evaluate``.
     _ENGINE_PATCHABLE = ("evaluate_uncached",)
-
-    @property
-    def columnar_enabled(self) -> bool:
-        """Whether batches may take the vectorized columnar path."""
-        return self._columnar
 
     def evaluate_columns(
         self, units: Sequence[EvalUnit]
@@ -391,15 +391,6 @@ class PdnSpot(TwoTierCacheMixin):
                 results[index] = evaluation
         return results
 
-    def worker_config(self) -> WorkerConfig:
-        """The picklable recipe process-pool workers rebuild this engine from."""
-        return WorkerConfig(
-            parameters=self.parameters,
-            pdn_names=tuple(self._pdns),
-            baseline_name=self._baseline_name,
-            columnar=self._columnar,
-        )
-
     def _evaluate_instance(
         self, pdn: PowerDeliveryNetwork, conditions: OperatingConditions
     ) -> PdnEvaluation:
@@ -408,33 +399,21 @@ class PdnSpot(TwoTierCacheMixin):
             return self._evaluate_cached(pdn.name, conditions)
         return pdn.evaluate(conditions)
 
-    def evaluate_units(
-        self,
-        units: Iterable[EvalUnit],
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
-    ) -> List[PdnEvaluation]:
+    def evaluate_units(self, units: Iterable[EvalUnit]) -> List[PdnEvaluation]:
         """Evaluate ``(pdn_name, conditions, overrides)`` units, in order.
 
         **The** public batch entry point: every grid workload (studies,
         figure drivers, the optimizer, the evaluation service) reduces to
-        this call.  Every backend -- the default ``executor=None`` (one
-        serial chunk on the calling thread) included -- deduplicates, serves
-        cached units, hands the misses to :meth:`evaluate_columns` chunk by
-        chunk (per point when this engine declines the batch), merges the
-        results back into this engine's cache and returns the evaluations in
-        canonical unit order, with the seed's bit-identical results and
-        cache accounting.
+        this call.  It deduplicates, serves cached units, hands the misses
+        to :meth:`evaluate_columns` as one batch (per point when this engine
+        declines it), merges the results back into this engine's cache and
+        returns the evaluations in canonical unit order, with the seed's
+        bit-identical results and cache accounting (see
+        :func:`repro.analysis.executor.evaluate_units`).
         """
-        backend = make_executor(executor, jobs=jobs) or SerialExecutor(jobs=1)
-        return backend.evaluate_units(self, units)
+        return evaluate_units(self, units)
 
-    def run(
-        self,
-        study: Study,
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
-    ) -> ResultSet:
+    def run(self, study: Study) -> ResultSet:
         """Execute a declarative :class:`Study` and return its results.
 
         Scenarios are evaluated in grid order against every instantiated PDN
@@ -442,22 +421,6 @@ class PdnSpot(TwoTierCacheMixin):
         scenarios evaluate against variant models built from
         ``self.parameters.with_overrides(...)``.  All evaluations go through
         the memo cache, so overlapping studies share work.
-
-        Parameters
-        ----------
-        study:
-            The scenario grid to evaluate.
-        executor:
-            ``None`` (serial, the default), a backend name (``"serial"``,
-            ``"process"``) or an
-            :class:`~repro.analysis.executor.Executor` instance.  Parallel
-            backends shard the grid, evaluate chunks concurrently, merge the
-            evaluations back into this engine's cache, and reassemble the
-            result set in canonical grid order -- the returned
-            :class:`ResultSet` is identical to the serial one.
-        jobs:
-            Worker count for the parallel backends; ``jobs > 1`` with
-            ``executor=None`` selects the process backend.
         """
         started = time.perf_counter()
         before = self.cache_info()
@@ -469,7 +432,7 @@ class PdnSpot(TwoTierCacheMixin):
             units = study_units(study, names)
         with obs_trace.span("engine.run", category="engine",
                             study=study.name, units=len(units)):
-            evaluations = self.evaluate_units(units, executor=executor, jobs=jobs)
+            evaluations = self.evaluate_units(units)
         with obs_trace.span("engine.assemble", category="engine", units=len(units)):
             results = study_resultset(study, names, evaluations)
         after = self.cache_info()
@@ -478,7 +441,6 @@ class PdnSpot(TwoTierCacheMixin):
             duration_s=time.perf_counter() - started,
             cache_hits=after.hits - before.hits,
             cache_misses=after.misses - before.misses,
-            executor=executor_label(make_executor(executor, jobs=jobs)),
         )
         return results
 

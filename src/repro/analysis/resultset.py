@@ -272,7 +272,7 @@ class ResultSet:
         #: Advisory :class:`~repro.obs.runstats.RunStats` of the run that
         #: produced this table (set by the engines' ``run`` methods).
         #: Never serialized and never part of equality, so bit-identity
-        #: contracts across executors and the serve boundary are untouched.
+        #: contracts across the cache tiers and the serve boundary are untouched.
         self.run_stats = None
 
     # ------------------------------------------------------------------ #

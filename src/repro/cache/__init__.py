@@ -6,7 +6,7 @@ the durable tier below them.  Attach a :class:`DiskCache` (or just a cache
 directory path) to an engine and every computed evaluation is written
 through to disk, every memory miss falls through to a disk lookup, and a
 directory warmed by one process makes identical runs in *any* later process
--- serial or parallel, CLI or CI -- near-instant with bit-identical results.
+-- CLI, daemon or CI -- near-instant with bit-identical results.
 
 See :doc:`/guides/caching` for the architecture and CLI usage.
 """

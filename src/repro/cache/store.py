@@ -355,8 +355,7 @@ class DiskCache:
         The entry is pickled to a temporary file in the entry's directory and
         published atomically with :func:`os.replace`, under a per-entry
         advisory lock (where the platform has ``fcntl``), so concurrent
-        writers -- process-pool workers merging the same key, or two warm
-        runs racing -- always leave one valid entry.  Filesystem failures
+        writers -- two warm runs or daemons racing on the same key -- always leave one valid entry.  Filesystem failures
         degrade to a logged no-op.  Every call's latency lands in the
         process-wide ``cache.disk.put_latency_s`` histogram.
         """

@@ -9,27 +9,22 @@ The CLI exposes the most common analyses without writing any Python::
     python -m repro figures --quick
     python -m repro predict --tdp 50 --ar 0.6 --workload graphics
     python -m repro sweep --tdps 4 18 50 --ars 0.4 0.56 --format csv
-    python -m repro sweep --tdps 4 18 50 --ars 0.4 0.56 --jobs 4
     python -m repro sweep --tdps 4 18 50 --cache-dir ~/.cache/repro
     python -m repro export fig3 --format json --output fig3.json
-    python -m repro simulate --scenario bursty-interactive --jobs 4 --format json
-    python -m repro optimize --strategy random --budget 12 --seed 7 --jobs 4
+    python -m repro simulate --scenario bursty-interactive --format json
+    python -m repro optimize --strategy random --budget 12 --seed 7
     python -m repro cache stats --cache-dir ~/.cache/repro
     python -m repro cache prune --cache-dir ~/.cache/repro --older-than 604800
-    python -m repro serve --cache-dir ~/.cache/repro --jobs 4
+    python -m repro serve --cache-dir ~/.cache/repro
     python -m repro sweep --tdps 4 18 50 --server http://127.0.0.1:8737
-    python -m repro sweep --tdps 4 18 50 --jobs 4 --executor process --trace t.json
+    python -m repro sweep --tdps 4 18 50 --trace t.json
 
 Every sub-command prints a plain-text table by default (no plotting
 dependency); ``--json`` (and ``--format json|csv`` on ``sweep``/``export``)
 emits the underlying data for scripting.  The ``sweep`` command builds a
 declarative :class:`~repro.analysis.study.Study` from its axis flags and runs
-it through the cached :meth:`PdnSpot.run` engine; ``--jobs N`` /
-``--executor {serial,process}`` (also on ``export`` and ``figures``)
-select the execution backend; results are identical either way.  Serial
-runs evaluate in one chunk on the calling thread; ``process`` shards the
-grid over worker processes, which pays off only on grids whose serial cost
-dwarfs the workers' start-up.
+it through the cached :meth:`PdnSpot.run` engine, which evaluates the
+grid's cache misses as one batch on the calling thread.
 ``--cache-dir DIR`` (on every grid command) attaches the persistent on-disk
 evaluation store (see :mod:`repro.cache`): the first run populates the
 directory, every later run -- in any process -- replays its grid points from
@@ -51,7 +46,6 @@ import sys
 import time
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from repro.analysis.executor import EXECUTORS, ExecutorLike
 from repro.analysis.reporting import format_mapping_table, format_table
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
@@ -89,20 +83,6 @@ def _power_state(name: str) -> PackageCState:
         raise argparse.ArgumentTypeError(f"unknown power state {name!r}; choose from: {valid}") from error
 
 
-def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
-    """Attach the parallel-execution flags shared by the grid commands."""
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker count for parallel evaluation (default: serial; "
-        "--jobs N without --executor selects the process backend)",
-    )
-    parser.add_argument(
-        "--executor", choices=sorted(EXECUTORS), default=None,
-        help="execution backend (serial, process); results are "
-        "identical to serial, only the evaluation schedule changes",
-    )
-
-
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
     """Attach the persistent-cache flag shared by the grid commands."""
     parser.add_argument(
@@ -130,8 +110,7 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
         "--trace", default=None, metavar="FILE",
         help="record a span trace of the run and write it to FILE as "
         "Chrome-trace JSON (open in chrome://tracing or ui.perfetto.dev); "
-        "spans cover the executor, cache tiers, engines and -- with "
-        "--executor process -- every worker process",
+        "spans cover start-up, the dispatch path, cache tiers and engines",
     )
 
 
@@ -230,7 +209,6 @@ def _optimize_flags(optimize: argparse.ArgumentParser) -> None:
         help="output format (default: table)",
     )
     optimize.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_executor_flags(optimize)
     _add_cache_flag(optimize)
     _add_server_flag(optimize)
     _add_trace_flag(optimize)
@@ -278,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--quick", action="store_true", help="skip the (slow) Fig. 4 validation grid"
     )
-    _add_executor_flags(figures)
     _add_cache_flag(figures)
     _add_trace_flag(figures)
 
@@ -319,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     sweep.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_executor_flags(sweep)
     _add_cache_flag(sweep)
     _add_server_flag(sweep)
     _add_trace_flag(sweep)
@@ -350,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     simulate.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_executor_flags(simulate)
     _add_cache_flag(simulate)
     _add_server_flag(simulate)
     _add_trace_flag(simulate)
@@ -393,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra coalescing window before dispatching a batch (default: "
         "0, flush every event-loop tick)",
     )
-    _add_executor_flags(serve)
     _add_cache_flag(serve)
     _add_trace_flag(serve)
 
@@ -425,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: json)",
     )
     export.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_executor_flags(export)
     _add_cache_flag(export)
 
     return parser
@@ -508,18 +481,10 @@ def run_cost(spot: PdnSpot, tdp_w: float, as_json: bool = False) -> str:
     )
 
 
-def run_figures(
-    quick: bool,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> str:
+def run_figures(quick: bool, cache_dir: Optional[str] = None) -> str:
     from repro.experiments.runner import run_all_experiments
 
-    outputs = run_all_experiments(
-        include_validation=not quick, executor=executor, jobs=jobs,
-        cache_dir=cache_dir,
-    )
+    outputs = run_all_experiments(include_validation=not quick, cache_dir=cache_dir)
     sections = []
     for key in sorted(outputs):
         sections.append(f"===== {key} =====\n{outputs[key]}")
@@ -608,8 +573,6 @@ def run_sweep(
     power_states: Optional[Sequence[PackageCState]] = None,
     pdns: Optional[Sequence[str]] = None,
     output_format: str = "table",
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     server: Optional[str] = None,
 ) -> str:
     if server is not None:
@@ -620,7 +583,7 @@ def run_sweep(
         if resultset is not None:
             return _render(resultset, output_format, title="Study sweep")
     study = build_sweep_study(tdps, ars, workloads, power_states, pdns)
-    resultset = spot.run(study, executor=executor, jobs=jobs)
+    resultset = spot.run(study)
     return _render(resultset, output_format, title="Study sweep")
 
 
@@ -630,15 +593,11 @@ def run_simulate(
     seed: int = DEFAULT_SEED,
     pdns: Optional[Sequence[str]] = None,
     output_format: str = "table",
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     server: Optional[str] = None,
 ) -> str:
     """Run scenario simulations and render the summary result set.
 
-    ``--jobs``/``--executor`` dispatch the ``(scenario, PDN)`` grid through a
-    parallel backend; the rendered output is bit-identical to the serial run.
     ``--cache-dir`` persists every simulation, so an identical later run --
     in any process -- replays from disk.  ``--server`` routes the grid
     through a running daemon instead (same output, shared warm cache).
@@ -652,7 +611,7 @@ def run_simulate(
     from repro.sim.study import run_sim
 
     study = build_simulate_study(scenarios, tdps, seed, pdns)
-    resultset = run_sim(study, executor=executor, jobs=jobs, cache_dir=cache_dir)
+    resultset = run_sim(study, cache_dir=cache_dir)
     return _render(resultset, output_format, title="Scenario simulation")
 
 
@@ -724,8 +683,6 @@ def run_optimize(
     tdps: Optional[Sequence[float]] = None,
     scenarios: Optional[Sequence[str]] = None,
     output_format: str = "table",
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
     server: Optional[str] = None,
 ) -> str:
@@ -769,8 +726,6 @@ def run_optimize(
         budget=budget,
         seed=seed,
         settings=settings,
-        executor=executor,
-        jobs=jobs,
         cache_dir=cache_dir,
     )
     return _render_optimize(
@@ -778,17 +733,11 @@ def run_optimize(
     )
 
 
-def export_dataset(
-    dataset: str,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-) -> ResultSet:
+def export_dataset(dataset: str, cache_dir: Optional[str] = None) -> ResultSet:
     """Regenerate one exportable figure dataset as a :class:`ResultSet`.
 
-    ``executor`` / ``jobs`` parallelise (and ``cache_dir`` persists) the
-    grid-backed datasets (the Fig. 4 grids); the small closed-form datasets
-    (Fig. 2/3) ignore them.
+    ``cache_dir`` persists the grid-backed datasets (the Fig. 4 grids); the
+    small closed-form datasets (Fig. 2/3) ignore it.
     """
     from repro.experiments import (
         fig2_performance_model,
@@ -803,27 +752,16 @@ def export_dataset(
     if dataset == "fig3":
         return fig3_vr_efficiency.vr_efficiency_resultset()
     if dataset == "fig4-grid":
-        return fig4_validation.etee_grid_resultset(
-            executor=executor, jobs=jobs, cache_dir=cache_dir
-        )
+        return fig4_validation.etee_grid_resultset(cache_dir=cache_dir)
     if dataset == "fig4-power-states":
-        return fig4_validation.power_state_grid_resultset(
-            executor=executor, jobs=jobs, cache_dir=cache_dir
-        )
+        return fig4_validation.power_state_grid_resultset(cache_dir=cache_dir)
     raise ValueError(f"unknown dataset {dataset!r}; choose from: {', '.join(EXPORT_DATASETS)}")
 
 
 def run_export(
-    dataset: str,
-    output_format: str = "json",
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
-    cache_dir: Optional[str] = None,
+    dataset: str, output_format: str = "json", cache_dir: Optional[str] = None
 ) -> str:
-    return _render(
-        export_dataset(dataset, executor=executor, jobs=jobs, cache_dir=cache_dir),
-        output_format,
-    )
+    return _render(export_dataset(dataset, cache_dir=cache_dir), output_format)
 
 
 def run_cache_command(
@@ -926,14 +864,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 def _run_command(args: argparse.Namespace) -> int:
     """Dispatch one parsed command to its implementation."""
     if args.command == "figures":
-        print(
-            run_figures(
-                args.quick,
-                executor=args.executor,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-            )
-        )
+        print(run_figures(args.quick, cache_dir=args.cache_dir))
         return 0
     if args.command == "serve":
         from repro.serve.server import DEFAULT_PORT, EvaluationServer
@@ -942,8 +873,6 @@ def _run_command(args: argparse.Namespace) -> int:
             host=args.host,
             port=args.port if args.port is not None else DEFAULT_PORT,
             cache_dir=args.cache_dir,
-            executor=args.executor,
-            jobs=args.jobs,
             timeout_s=args.timeout,
             max_timeout_s=args.max_timeout,
             max_units=args.max_units,
@@ -959,13 +888,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
     if args.command == "export":
         _emit(
-            run_export(
-                args.dataset,
-                args.format,
-                executor=args.executor,
-                jobs=args.jobs,
-                cache_dir=args.cache_dir,
-            ),
+            run_export(args.dataset, args.format, cache_dir=args.cache_dir),
             args.output,
         )
         return 0
@@ -981,8 +904,6 @@ def _run_command(args: argparse.Namespace) -> int:
                 tdps=args.tdps,
                 scenarios=args.scenario,
                 output_format=args.format,
-                executor=args.executor,
-                jobs=args.jobs,
                 cache_dir=args.cache_dir,
                 server=args.server,
             ),
@@ -997,8 +918,6 @@ def _run_command(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 pdns=args.pdns,
                 output_format=args.format,
-                executor=args.executor,
-                jobs=args.jobs,
                 cache_dir=args.cache_dir,
                 server=args.server,
             ),
@@ -1028,8 +947,6 @@ def _run_command(args: argparse.Namespace) -> int:
                 power_states=args.power_states,
                 pdns=args.pdns,
                 output_format=args.format,
-                executor=args.executor,
-                jobs=args.jobs,
                 server=args.server,
             ),
             args.output,

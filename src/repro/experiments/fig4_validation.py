@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_table
 from repro.analysis.resultset import ResultSet
@@ -52,16 +51,12 @@ def etee_grid_resultset(
     workload_types: Sequence[WorkloadType] = FIG4_WORKLOAD_TYPES,
     pdn_names: Sequence[str] = FIG4_PDNS,
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> ResultSet:
     """The Fig. 4(a-i) predicted-ETEE grid as a :class:`ResultSet`.
 
     Pass a shared ``spot`` to evaluate through its memo cache (as the
     experiment runner does); standalone calls build a fresh engine.
-    ``executor`` / ``jobs`` select a parallel backend; this is the largest
-    per-figure grid, so it is the first to benefit from ``--jobs``.
     ``cache_dir`` attaches the persistent disk tier (see :mod:`repro.cache`)
     to a freshly built engine; ignored when ``spot`` is passed.
     """
@@ -74,7 +69,7 @@ def etee_grid_resultset(
         .build()
     )
     spot = spot if spot is not None else _engine(pdn_names, cache_dir)
-    return spot.run(study, executor=executor, jobs=jobs)
+    return spot.run(study)
 
 
 def etee_grid(
@@ -93,8 +88,6 @@ def power_state_grid_resultset(
     tdp_w: float = 18.0,
     pdn_names: Sequence[str] = FIG4_PDNS,
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> ResultSet:
     """The Fig. 4(j) power-state grid as a :class:`ResultSet`."""
@@ -102,7 +95,7 @@ def power_state_grid_resultset(
         *pdn_names
     )
     spot = spot if spot is not None else _engine(pdn_names, cache_dir)
-    return spot.run(study, executor=executor, jobs=jobs)
+    return spot.run(study)
 
 
 def power_state_grid(
@@ -133,21 +126,13 @@ def format_figure4(
     power_states: List[Dict[str, object]] = None,
     accuracy: Dict[str, Dict[str, float]] = None,
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
 ) -> str:
     """Render the Fig. 4 grid, power-state panel and accuracy summary."""
-    grid = (
-        grid
-        if grid is not None
-        else etee_grid_resultset(spot=spot, executor=executor, jobs=jobs).to_records()
-    )
+    grid = grid if grid is not None else etee_grid_resultset(spot=spot).to_records()
     power_states = (
         power_states
         if power_states is not None
-        else power_state_grid_resultset(
-            spot=spot, executor=executor, jobs=jobs
-        ).to_records()
+        else power_state_grid_resultset(spot=spot).to_records()
     )
     accuracy = accuracy if accuracy is not None else model_accuracy()
     sections = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_table
 from repro.pdn.base import OperatingConditions
@@ -53,61 +52,49 @@ def loss_breakdown(
     application_ratio: float = FIG5_APPLICATION_RATIO,
     pdn_names: Sequence[str] = FIG5_PDNS,
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
 ) -> List[Dict[str, float]]:
     """Loss breakdown (fractions of supply power) per PDN per TDP.
 
-    Evaluations go through the (optionally shared) :class:`PdnSpot` cache, so
-    the operating points this figure shares with the Fig. 4/Fig. 8 grids are
-    not recomputed.  The distinct operating points are pre-evaluated as one
-    batch through ``executor`` / ``jobs``; the breakdown loop below then runs
-    entirely on cache hits.
+    Every point is evaluated once, in one :meth:`PdnSpot.evaluate_units`
+    batch through the (optionally shared) :class:`PdnSpot` cache, so the
+    operating points this figure shares with the Fig. 4/Fig. 8 grids are not
+    recomputed.
     """
     if spot is None:
         spot = PdnSpot(
             pdn_names=list(pdn_names),
             baseline_name="IVR" if "IVR" in pdn_names else pdn_names[0],
         )
-    spot.evaluate_units(
+    points = [(pdn_name, tdp_w) for pdn_name in pdn_names for tdp_w in tdps_w]
+    evaluations = spot.evaluate_units(
         (
-            (
-                pdn_name,
-                OperatingConditions.for_active_workload(
-                    tdp_w, application_ratio, WorkloadType.CPU_MULTI_THREAD
-                ),
-                (),
-            )
-            for pdn_name in pdn_names
-            for tdp_w in tdps_w
-        ),
-        executor=executor,
-        jobs=jobs,
+            pdn_name,
+            OperatingConditions.for_active_workload(
+                tdp_w, application_ratio, WorkloadType.CPU_MULTI_THREAD
+            ),
+            (),
+        )
+        for pdn_name, tdp_w in points
     )
     records: List[Dict[str, float]] = []
     ivr_current_by_tdp: Dict[float, float] = {}
-    for pdn_name in pdn_names:
-        for tdp_w in tdps_w:
-            conditions = OperatingConditions.for_active_workload(
-                tdp_w, application_ratio, WorkloadType.CPU_MULTI_THREAD
-            )
-            evaluation = spot.evaluate(pdn_name, conditions)
-            fractions = evaluation.breakdown.as_fractions_of(evaluation.supply_power_w)
-            if pdn_name == "IVR":
-                ivr_current_by_tdp[tdp_w] = evaluation.chip_input_current_a
-            records.append(
-                {
-                    "pdn": pdn_name,
-                    "tdp_w": tdp_w,
-                    "vr_inefficiency": fractions["vr_inefficiency"],
-                    "conduction_compute": fractions["conduction_compute"],
-                    "conduction_uncore": fractions["conduction_uncore"],
-                    "other": fractions["other"],
-                    "total_loss_fraction": evaluation.loss_fraction,
-                    "chip_input_current_a": evaluation.chip_input_current_a,
-                    "compute_loadline_mohm": _compute_loadline_ohm(pdn_name) * 1e3,
-                }
-            )
+    for (pdn_name, tdp_w), evaluation in zip(points, evaluations):
+        fractions = evaluation.breakdown.as_fractions_of(evaluation.supply_power_w)
+        if pdn_name == "IVR":
+            ivr_current_by_tdp[tdp_w] = evaluation.chip_input_current_a
+        records.append(
+            {
+                "pdn": pdn_name,
+                "tdp_w": tdp_w,
+                "vr_inefficiency": fractions["vr_inefficiency"],
+                "conduction_compute": fractions["conduction_compute"],
+                "conduction_uncore": fractions["conduction_uncore"],
+                "other": fractions["other"],
+                "total_loss_fraction": evaluation.loss_fraction,
+                "chip_input_current_a": evaluation.chip_input_current_a,
+                "compute_loadline_mohm": _compute_loadline_ohm(pdn_name) * 1e3,
+            }
+        )
     # Normalise the chip input current to the IVR PDN (the Fig. 5 line plot).
     for record in records:
         reference = ivr_current_by_tdp.get(record["tdp_w"], 0.0)
@@ -120,15 +107,9 @@ def loss_breakdown(
 def format_figure5(
     records: List[Dict[str, float]] = None,
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
 ) -> str:
     """Render the Fig. 5 loss-breakdown table."""
-    records = (
-        records
-        if records is not None
-        else loss_breakdown(spot=spot, executor=executor, jobs=jobs)
-    )
+    records = records if records is not None else loss_breakdown(spot=spot)
     rows = [
         [
             r["pdn"],

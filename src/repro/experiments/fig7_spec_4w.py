@@ -10,9 +10,8 @@ by ~6 %.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_table
 from repro.pdn.base import OperatingConditions
@@ -29,20 +28,19 @@ def spec_performance_at_4w(
     tdp_w: float = FIG7_TDP_W,
     pdn_names: Sequence[str] = FIG7_PDNS,
     spot: PdnSpot = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
 ) -> List[Dict[str, object]]:
     """Per-benchmark relative performance of each PDN at ``tdp_w``.
 
     Every (PDN, benchmark) point shares the cached baseline evaluation, so
     the IVR reference is computed once per benchmark instead of once per
-    candidate PDN.  The distinct (PDN, operating point) pairs behind the
-    performance model are pre-evaluated as one batch through ``executor`` /
-    ``jobs``, and the per-benchmark loop below runs on cache hits.
+    candidate PDN.  With the cache on, the distinct (PDN, operating point)
+    pairs behind the performance model are pre-evaluated as one batch and
+    the per-benchmark loop below runs on cache hits; with it off the loop
+    could not read that batch, so none is run.
     """
     spot = spot if spot is not None else PdnSpot(pdn_names=list(pdn_names))
-    spot.evaluate_units(
-        (
+    if spot.cache_enabled:
+        spot.evaluate_units(
             (
                 pdn_name,
                 OperatingConditions.for_active_workload(
@@ -52,10 +50,7 @@ def spec_performance_at_4w(
             )
             for benchmark in SPEC_CPU2006_BENCHMARKS
             for pdn_name in pdn_names
-        ),
-        executor=executor,
-        jobs=jobs,
-    )
+        )
     records: List[Dict[str, object]] = []
     for benchmark in SPEC_CPU2006_BENCHMARKS:
         row: Dict[str, object] = {
@@ -82,15 +77,9 @@ def average_performance(records: List[Dict[str, object]] = None) -> Dict[str, fl
 def format_figure7(
     records: List[Dict[str, object]] = None,
     spot: PdnSpot = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
 ) -> str:
     """Render the Fig. 7 table (per benchmark plus the suite average)."""
-    records = (
-        records
-        if records is not None
-        else spec_performance_at_4w(spot=spot, executor=executor, jobs=jobs)
-    )
+    records = records if records is not None else spec_performance_at_4w(spot=spot)
     headers = ["benchmark", "perf. scal."] + list(FIG7_PDNS)
     rows = [
         [record["benchmark"], record["performance_scalability"]]

@@ -22,10 +22,10 @@ the cache across panels too).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.analysis.comparison import normalised_metric_table
-from repro.analysis.executor import EvalUnit, ExecutorLike
+from repro.analysis.executor import EvalUnit
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_mapping_table, format_table
 from repro.pdn.base import OperatingConditions
@@ -48,16 +48,17 @@ def prewarm_figure8(
     spot: PdnSpot,
     tdps_w: Sequence[float] = FIG8_TDPS_W,
     battery_tdp_w: float = 18.0,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
 ) -> None:
     """Pre-evaluate every PDN operating point behind the Fig. 8 panels.
 
     Fig. 8 iterates over per-benchmark, per-TDP and per-power-state points
     through the performance model and the battery-life workloads; the set of
     *distinct* underlying evaluations is assembled here and dispatched as one
-    (parallelisable) batch, so the panel loops afterwards run on cache hits.
+    batch, so the panel loops afterwards run on cache hits.  A spot without
+    a cache could not serve those loops from the batch, so nothing is run.
     """
+    if not spot.cache_enabled:
+        return
     units: List[EvalUnit] = []
     names = tuple(spot.pdns)
     for benchmark in (*SPEC_CPU2006_BENCHMARKS, *THREEDMARK06_BENCHMARKS):
@@ -72,7 +73,7 @@ def prewarm_figure8(
                 continue
             conditions = OperatingConditions.for_power_state(battery_tdp_w, state)
             units.extend((name, conditions, ()) for name in names)
-    spot.evaluate_units(units, executor=executor, jobs=jobs)
+    spot.evaluate_units(units)
 
 
 def spec_performance_sweep(
@@ -145,19 +146,15 @@ def _format_sweep(records: List[Dict[str, object]], title: str) -> str:
     return format_table(headers, rows, title=title)
 
 
-def format_figure8(
-    spot: PdnSpot = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
-) -> str:
+def format_figure8(spot: PdnSpot = None) -> str:
     """Render all five Fig. 8 panels.
 
     The distinct operating points behind all five panels are evaluated as
-    one batch through ``executor`` / ``jobs`` first (see
-    :func:`prewarm_figure8`); the panel construction then runs on cache hits.
+    one batch first (see :func:`prewarm_figure8`); the panel construction
+    then runs on cache hits.
     """
     spot = spot if spot is not None else _spot()
-    prewarm_figure8(spot, executor=executor, jobs=jobs)
+    prewarm_figure8(spot)
     sections = [
         _format_sweep(
             spec_performance_sweep(spot=spot),

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_table
 from repro.optimize import (
@@ -40,8 +39,6 @@ def default_design_space() -> DesignSpace:
 
 def optimize_outcome(
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> OptimizationOutcome:
     """Exhaustive search of the topology space under the default objectives.
@@ -61,22 +58,16 @@ def optimize_outcome(
         default_design_space(),
         strategy="grid",
         evaluator=evaluator,
-        executor=executor,
-        jobs=jobs,
         cache_dir=cache_dir if evaluator is None else None,
     )
 
 
 def format_optimize(
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> str:
     """Render the search outcome plus the front / knee-point conclusion."""
-    outcome = optimize_outcome(
-        spot=spot, executor=executor, jobs=jobs, cache_dir=cache_dir
-    )
+    outcome = optimize_outcome(spot=spot, cache_dir=cache_dir)
     headers = ["PDN"] + [objective.column for objective in outcome.objectives] + [
         "pareto", "knee",
     ]

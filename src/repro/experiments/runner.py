@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.experiments import (
     fig2_performance_model,
@@ -26,8 +25,6 @@ from repro.experiments import (
 def run_all_experiments(
     include_validation: bool = True,
     spot: Optional[PdnSpot] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> Dict[str, str]:
     """Regenerate every figure and return the formatted tables keyed by id.
@@ -42,11 +39,6 @@ def run_all_experiments(
         one evaluation cache) is created here and reused by every figure that
         evaluates PDN operating points, so grid points shared between figures
         are computed once.
-    executor / jobs:
-        Optional parallel execution backend (see
-        :mod:`repro.analysis.executor`), forwarded to every figure driver
-        that evaluates PDN grids; the figure *outputs* are identical either
-        way, only the evaluation schedule changes.
     cache_dir:
         Optional persistent cache directory (see :mod:`repro.cache`): the
         shared analytic engine and the simulation/optimization engines
@@ -61,20 +53,14 @@ def run_all_experiments(
         "fig2a": fig2_performance_model.format_figure2a(),
         "fig2b": fig2_performance_model.format_figure2b(),
         "fig3": fig3_vr_efficiency.format_figure3(),
-        "fig5": fig5_loss_breakdown.format_figure5(spot=spot, executor=executor, jobs=jobs),
-        "fig7": fig7_spec_4w.format_figure7(spot=spot, executor=executor, jobs=jobs),
-        "fig8": fig8_evaluation.format_figure8(spot=spot, executor=executor, jobs=jobs),
-        "sim": sim_scenarios.format_sim_scenarios(
-            executor=executor, jobs=jobs, cache_dir=cache_dir
-        ),
-        "optimize": optimize_pdn.format_optimize(
-            spot=spot, executor=executor, jobs=jobs, cache_dir=cache_dir
-        ),
+        "fig5": fig5_loss_breakdown.format_figure5(spot=spot),
+        "fig7": fig7_spec_4w.format_figure7(spot=spot),
+        "fig8": fig8_evaluation.format_figure8(spot=spot),
+        "sim": sim_scenarios.format_sim_scenarios(cache_dir=cache_dir),
+        "optimize": optimize_pdn.format_optimize(spot=spot, cache_dir=cache_dir),
     }
     if include_validation:
-        outputs["fig4"] = fig4_validation.format_figure4(
-            spot=spot, executor=executor, jobs=jobs
-        )
+        outputs["fig4"] = fig4_validation.format_figure4(spot=spot)
     return outputs
 
 

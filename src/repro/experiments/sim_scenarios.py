@@ -5,9 +5,7 @@ over time-varying workloads while paying only the 94 us mode-switch flow --
 are exercised here over the registered scenario generators
 (:mod:`repro.workloads.scenarios`) at a low and a high TDP.  The output is
 the energy of every PDN normalised to the IVR baseline per scenario, plus
-FlexWatts' mode-switch activity, produced by one :class:`SimStudy` run
-through the executor engine (``executor``/``jobs`` parallelise it with
-bit-identical results).
+FlexWatts' mode-switch activity, produced by one :class:`SimStudy` run.
 
 Shapes the reproduction must preserve: FlexWatts never draws more energy
 than the *worse* of I+MBVR and LDO on any scenario, and on idle-heavy
@@ -18,7 +16,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.reporting import format_table
 from repro.analysis.resultset import ResultSet
 from repro.sim.adapters import SIM_METRIC_COLUMNS
@@ -50,8 +47,6 @@ def scenario_resultset(
     engine: Optional[SimEngine] = None,
     scenarios: Optional[Sequence[str]] = None,
     tdps_w: Sequence[float] = SIM_TDPS_W,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> ResultSet:
     """Summary rows of every ``(scenario, TDP, PDN)`` simulation.
@@ -61,19 +56,15 @@ def scenario_resultset(
     """
     if engine is None:
         engine = SimEngine(disk_cache=cache_dir)
-    return engine.run(scenario_study(scenarios, tdps_w), executor=executor, jobs=jobs)
+    return engine.run(scenario_study(scenarios, tdps_w))
 
 
 def format_sim_scenarios(
     engine: Optional[SimEngine] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[str] = None,
 ) -> str:
     """Energy per scenario normalised to IVR, plus FlexWatts switch counts."""
-    results = scenario_resultset(
-        engine, executor=executor, jobs=jobs, cache_dir=cache_dir
-    )
+    results = scenario_resultset(engine, cache_dir=cache_dir)
     normalised = results.normalize_to(
         "IVR",
         value_columns=("total_energy_j",),

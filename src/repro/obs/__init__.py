@@ -5,16 +5,15 @@ raises:
 
 * **Where did the time go?** -- :mod:`repro.obs.trace`, a thread-safe span
   tracer with a context-manager API, monotonic clocks and a zero-allocation
-  no-op path when disabled.  Spans recorded in :class:`ProcessExecutor`
-  workers ship back to the parent as picklable batches, so one exported
-  Chrome-trace/Perfetto JSON file covers the fork boundary.
+  no-op path when disabled, exported as one Chrome-trace/Perfetto JSON
+  file.
 * **How often did each path run?** -- :mod:`repro.obs.metrics`, a
   process-wide registry of counters, gauges and log-spaced histograms with
   a stable snapshot schema, generalized out of the serve-local statistics
   of PR 6.
 
-Every evaluation layer is instrumented through this package: the executor
-shard lifecycle, the two-tier cache, the columnar engine dispatch, disk
+Every evaluation layer is instrumented through this package: the dispatch
+path (dedupe, chunk, merge-back, reassembly), the two-tier cache, the columnar engine dispatch, disk
 cache I/O, FlexWatts calibration, the interval simulator and the serving
 daemon.  The surfaces are ``--trace FILE`` on the batch CLI commands,
 ``GET /v1/metrics`` on the daemon, and :class:`RunStats` attached to result

@@ -11,12 +11,6 @@ The histogram generalizes the fixed log-spaced latency histogram the
 evaluation service introduced in PR 6 (``repro/serve/stats.py`` is now a
 thin wrapper over this module), so every latency distribution in the
 process shares one bucket layout and one serialized shape.
-
-Worker processes spawned by the process executor accumulate into their own
-registry; each chunk ships its counter deltas back to the parent beside
-its trace spans, and the parent absorbs them
-(:meth:`MetricsRegistry.absorb_counters`), so the parent's counters cover
-work done on both sides of the fork.
 """
 
 from __future__ import annotations
@@ -190,22 +184,6 @@ class MetricsRegistry:
                 histogram = Histogram(bounds or DEFAULT_LATENCY_BOUNDS_S)
                 self._histograms[name] = histogram
             return histogram
-
-    def counter_values(self) -> Dict[str, int]:
-        """The current value of every registered counter, by name."""
-        with self._lock:
-            counters = dict(self._counters)
-        return {name: counter.value for name, counter in counters.items()}
-
-    def absorb_counters(self, deltas: Dict[str, int]) -> None:
-        """Add counter deltas recorded elsewhere (a worker process's chunk).
-
-        The process executor ships each worker chunk's counter deltas back
-        beside its span batch; absorbing them here makes the parent's
-        counters cover work done on both sides of the fork.
-        """
-        for name, delta in deltas.items():
-            self.counter(name).inc(delta)
 
     def snapshot(self) -> Dict[str, object]:
         """The registry as one JSON-ready document (stable, versioned schema).

@@ -6,14 +6,14 @@ container the run produced: ``ResultSet.run_stats`` after
 :meth:`PdnSpot.run` / :meth:`SimEngine.run`, and
 ``OptimizationOutcome.run_stats`` after :func:`run_optimization`.  It is
 advisory metadata: never serialized with the container and never part of
-container equality, so bit-identity contracts between serial and parallel
-runs (and across the serve boundary) are untouched.
+container equality, so bit-identity contracts (cached vs uncached, local
+vs served) are untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -30,17 +30,12 @@ class RunStats:
         Memory-tier cache traffic the run generated (deltas of the
         engine's ``cache_info()`` counters, so a warm rerun shows all
         hits and no misses).
-    executor:
-        Name of the backend that dispatched the run (``serial`` /
-        ``process``), or ``default`` for the engine's built-in serial
-        path.
     """
 
     units: int
     duration_s: float
     cache_hits: int
     cache_misses: int
-    executor: str = "default"
 
     @property
     def hit_rate(self) -> float:
@@ -56,15 +51,4 @@ class RunStats:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "hit_rate": self.hit_rate,
-            "executor": self.executor,
         }
-
-
-def executor_label(executor: Optional[object]) -> str:
-    """The :class:`RunStats` label of an ``executor=`` argument."""
-    if executor is None:
-        return "default"
-    name = getattr(executor, "name", None)
-    if isinstance(name, str) and name:
-        return name
-    return str(executor)

@@ -3,9 +3,7 @@
 One :class:`Tracer` collects :class:`SpanRecord` events -- durationful
 spans, instants and counter samples -- from every thread of a process.
 Durations come from the monotonic :func:`time.perf_counter` clock;
-timestamps are wall-aligned at tracer construction so span batches
-recorded in *different processes* (the process-pool workers) land on one
-consistent timeline when merged into the parent's tracer.
+timestamps are wall-aligned at tracer construction.
 
 The module-level API is the instrumentation surface the rest of the
 library uses::
@@ -24,12 +22,6 @@ Nesting is tracked per thread: each span records its enclosing span's
 name in ``args["parent"]``.  Coroutines interleaving on one event-loop
 thread share that stack, so parent attribution inside ``repro.serve`` is
 best-effort; timestamps and durations are always exact.
-
-Worker processes build their own :class:`Tracer` (see
-``repro.analysis.executor._init_worker``), :meth:`Tracer.drain` their
-records -- plain picklable dataclasses -- into the chunk result, and the
-parent :meth:`Tracer.absorb`\\ s them, preserving the worker's pid/tid so
-the exported trace shows every process lane.
 """
 
 from __future__ import annotations
@@ -51,7 +43,7 @@ TRACE_SCHEMA_VERSION = 1
 
 @dataclass
 class SpanRecord:
-    """One recorded trace event (picklable across the fork boundary).
+    """One recorded trace event.
 
     ``phase`` follows the Chrome trace-event phases: ``"X"`` for complete
     spans, ``"i"`` for instants, ``"C"`` for counter samples.
@@ -245,19 +237,8 @@ class Tracer:
         )
 
     # ------------------------------------------------------------------ #
-    # Batch transport (the fork boundary) and export
+    # Snapshot and export
     # ------------------------------------------------------------------ #
-    def drain(self) -> List[SpanRecord]:
-        """Remove and return every record (the worker-side batch handoff)."""
-        with self._lock:
-            records, self._records = self._records, []
-        return records
-
-    def absorb(self, records: List[SpanRecord]) -> None:
-        """Merge records drained from another tracer (worker span batches)."""
-        with self._lock:
-            self._records.extend(records)
-
     def records(self) -> List[SpanRecord]:
         """A snapshot copy of the collected records."""
         with self._lock:

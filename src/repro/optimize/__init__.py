@@ -8,8 +8,7 @@ derives that conclusion automatically: declare a
 parameter axes), pick objectives and a search strategy, and
 :func:`~repro.optimize.runner.run_optimization` returns the evaluated
 candidates, their Pareto front and the knee-point pick -- with every model
-evaluation dispatched through the memo-cached, executor-parallel Study/Sim
-engines.
+evaluation dispatched through the memo-cached Study/Sim engines.
 
 See the optimisation guide (``docs/guides/optimization.md``) for the full
 workflow.

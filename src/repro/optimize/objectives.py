@@ -16,11 +16,9 @@ the existing memo-cached engines:
   directly -- they are orders of magnitude cheaper than a model evaluation.
 
 Because both engines implement the
-:class:`~repro.analysis.executor.EvaluationEngine` protocol, a batch accepts
-the same ``executor=``/``jobs=`` arguments as every other grid workload:
-candidates are deduplicated, sharded, evaluated in parallel, merged back into
-the shared memo caches, and the objective records are bit-identical to a
-serial evaluation.
+:class:`~repro.analysis.executor.EvaluationEngine` protocol, a batch rides
+the same dispatch path as every other grid workload: candidates are
+deduplicated, evaluated, and merged back into the shared memo caches.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.resultset import Record
 from repro.analysis.study import OverrideKey
@@ -291,19 +288,13 @@ class CandidateEvaluator:
     # ------------------------------------------------------------------ #
     # Batch evaluation
     # ------------------------------------------------------------------ #
-    def evaluate_batch(
-        self,
-        points: Sequence[DesignPoint],
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
-    ) -> List[Record]:
+    def evaluate_batch(self, points: Sequence[DesignPoint]) -> List[Record]:
         """Objective records for ``points``, in input order.
 
         Every static operating point and every scenario simulation the batch
         needs is assembled into one unit list per engine and dispatched as a
-        single (parallelisable, deduplicated, memo-cached) call; the
-        objective arithmetic afterwards is pure Python, so a parallel batch
-        is bit-identical to a serial one.
+        single (deduplicated, memo-cached) call; the objective arithmetic
+        afterwards is pure Python.
         """
         points = list(points)
         if not points:
@@ -311,8 +302,8 @@ class CandidateEvaluator:
         for point in points:
             self._spot.pdn(point.pdn)  # fail fast on unknown topologies
         selected = {objective.name for objective in self.objectives}
-        analytic = self._analytic_values(points, selected, executor, jobs)
-        simulated = self._sim_values(points, selected, executor, jobs)
+        analytic = self._analytic_values(points, selected)
+        simulated = self._sim_values(points, selected)
         records: List[Record] = []
         for index, point in enumerate(points):
             record: Record = dict(point.record_fields())
@@ -335,8 +326,6 @@ class CandidateEvaluator:
         self,
         points: Sequence[DesignPoint],
         selected: set,
-        executor: ExecutorLike,
-        jobs: Optional[int],
     ) -> List[Dict[str, float]]:
         """Per-point ``etee``/``performance`` values (empty dicts if unused)."""
         wants_etee = "etee" in selected
@@ -371,7 +360,7 @@ class CandidateEvaluator:
                         tdp_w, benchmark.application_ratio, benchmark.workload_type
                     )
                     units.append((settings.baseline_pdn, conditions, ()))
-        evaluations = self._spot.evaluate_units(units, executor=executor, jobs=jobs)
+        evaluations = self._spot.evaluate_units(units)
         lookup: Dict[Tuple[object, ...], PdnEvaluation] = {}
         for unit, evaluation in zip(units, evaluations):
             name, conditions, overrides = unit
@@ -455,8 +444,6 @@ class CandidateEvaluator:
         self,
         points: Sequence[DesignPoint],
         selected: set,
-        executor: ExecutorLike,
-        jobs: Optional[int],
     ) -> List[Dict[str, float]]:
         """Per-point ``power``/``energy`` values (empty dicts if unused)."""
         if not (selected & _SIM_OBJECTIVES):
@@ -470,7 +457,7 @@ class CandidateEvaluator:
                         scenario=scenario, tdp_w=tdp_w, seed=settings.seed
                     )
                     units.append((point.pdn, sim_point, point.overrides))
-        results = self.sim_engine.evaluate_units(units, executor=executor, jobs=jobs)
+        results = self.sim_engine.evaluate_units(units)
         per_point = len(settings.scenarios) * len(settings.tdps_w)
         values: List[Dict[str, float]] = []
         for index in range(len(points)):

@@ -22,10 +22,9 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.resultset import Record, ResultSet
 from repro.obs import trace as obs_trace
-from repro.obs.runstats import RunStats, executor_label
+from repro.obs.runstats import RunStats
 from repro.optimize.objectives import (
     CandidateEvaluator,
     EvaluationSettings,
@@ -33,7 +32,7 @@ from repro.optimize.objectives import (
     resolve_objectives,
 )
 from repro.optimize.pareto import annotate
-from repro.optimize.space import DesignPoint, DesignSpace
+from repro.optimize.space import DesignSpace
 from repro.optimize.strategies import Evaluated, make_strategy
 from repro.power.parameters import PdnTechnologyParameters
 from repro.util.errors import ConfigurationError
@@ -86,8 +85,6 @@ def run_optimization(
     settings: Optional[EvaluationSettings] = None,
     parameters: Optional[PdnTechnologyParameters] = None,
     evaluator: Optional[CandidateEvaluator] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: Optional[object] = None,
 ) -> OptimizationOutcome:
     """Search ``space`` against multiple objectives and rank the outcome.
@@ -106,8 +103,8 @@ def run_optimization(
         Candidate budget for the sampling strategies (grid cap optional).
     seed:
         RNG seed of the sampling strategies (default 0); a fixed seed makes
-        the whole search -- including a parallel one -- reproducible.  Must
-        be left unset with a pre-built strategy instance.
+        the whole search reproducible.  Must be left unset with a pre-built
+        strategy instance.
     settings:
         Operating conditions (TDP set, benchmarks, scenarios, baseline).
     parameters:
@@ -115,9 +112,6 @@ def run_optimization(
     evaluator:
         Optional pre-built :class:`CandidateEvaluator` (shares caches across
         searches); mutually exclusive with ``settings``/``parameters``.
-    executor / jobs:
-        Parallel backend forwarded to every candidate batch; results are
-        bit-identical to the serial search.
     cache_dir:
         Optional persistent cache directory (see :mod:`repro.cache`)
         attached to the fresh evaluator's engines; a warm directory serves
@@ -146,17 +140,15 @@ def run_optimization(
         )
     search = make_strategy(strategy, budget=budget, seed=seed)
 
-    def evaluate(points: Sequence[DesignPoint]) -> List[Record]:
-        """The strategy-facing batch hook (parallelism injected here)."""
-        return evaluator.evaluate_batch(points, executor=executor, jobs=jobs)
-
     started = time.perf_counter()
     before = evaluator.spot.cache_info()
     with obs_trace.span(
         "optimize.search", category="optimize",
         strategy=search.name, space=space.name,
     ) as search_span:
-        evaluated: List[Evaluated] = search.search(space, evaluate, resolved)
+        evaluated: List[Evaluated] = search.search(
+            space, evaluator.evaluate_batch, resolved
+        )
         search_span.set("candidates", len(evaluated))
     if not evaluated:
         raise ConfigurationError(
@@ -169,7 +161,6 @@ def run_optimization(
         duration_s=time.perf_counter() - started,
         cache_hits=after.hits - before.hits,
         cache_misses=after.misses - before.misses,
-        executor=executor_label(executor),
     )
     results = ResultSet.from_records(
         [record for _, record in evaluated], name=space.name

@@ -8,7 +8,7 @@ efficiencies, ...), optionally restricted by *constraints* (predicates over
 candidate points).  A :class:`DesignPoint` is one candidate: a PDN topology
 plus a frozen parameter-override set, picklable and hashable so candidate
 evaluations can ride the memo-cached
-:class:`~repro.analysis.executor.EvaluationEngine` backends unchanged.
+:class:`~repro.analysis.executor.EvaluationEngine` dispatch path unchanged.
 
 Spaces are built either through the fluent :class:`DesignSpaceBuilder`
 (``DesignSpace.builder()``) or the :meth:`DesignSpace.over_pdns` convenience

@@ -6,8 +6,8 @@ Every strategy implements the :class:`SearchStrategy` protocol: given a
 ``(point, record)`` pairs.  The strategies never evaluate anything themselves
 -- candidate batches go through
 :meth:`~repro.optimize.objectives.CandidateEvaluator.evaluate_batch`, which
-dispatches to the memo-cached engines -- so every strategy inherits the
-executor parallelism and the bit-identical parallel-vs-serial guarantee.
+dispatches to the memo-cached engines -- so every strategy inherits their
+deduplication and caching.
 
 Three built-ins cover the classic trade-offs:
 

@@ -16,8 +16,8 @@ first request's future.
 pending batch; a flush is scheduled with ``loop.call_soon``, so every
 request decomposed within the same event-loop scheduling tick lands in
 **one** :func:`evaluate_units_async` dispatch
-(optionally widened by ``batch_window_s``).  The engine's executor backend
-then dedupes, shards, and merges results into the shared two-tier cache
+(optionally widened by ``batch_window_s``).  The dispatch path then
+dedupes, evaluates and merges results into the shared two-tier cache
 exactly as a local batch run would.
 
 **Canonical reassembly.**  ``evaluate`` returns results in the caller's
@@ -39,9 +39,7 @@ from repro.analysis.executor import (
     EvalResult,
     EvalUnit,
     EvaluationEngine,
-    ExecutorLike,
-    SerialExecutor,
-    make_executor,
+    evaluate_units,
 )
 from repro.obs import trace as obs_trace
 
@@ -52,17 +50,14 @@ CacheKey = Tuple[object, ...]
 async def evaluate_units_async(
     engine: EvaluationEngine,
     units: Iterable[EvalUnit],
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     on_lookup: Optional[Callable[[int], None]] = None,
 ) -> List[EvalResult]:
     """Evaluate ``units`` without blocking the running event loop.
 
     The awaitable dispatch seam the evaluation service is built on: the
-    blocking :meth:`~repro.analysis.executor.Executor.evaluate_units` drive
-    (cache lookup, dedupe, shard, evaluate, merge-back, canonical
-    reassembly) runs on the loop's default thread-pool executor while the
-    caller's coroutine is suspended.  Results -- and every cache side
+    blocking :func:`~repro.analysis.executor.evaluate_units` drive (cache
+    lookup, dedupe, evaluate, merge-back, canonical reassembly) runs on the
+    loop's default thread pool while the caller's coroutine is suspended.  Results -- and every cache side
     effect -- are exactly those of the synchronous call.
 
     Parameters
@@ -72,21 +67,15 @@ async def evaluate_units_async(
         or the simulation engine, or a test stub).
     units:
         The ``(pdn name, point, overrides)`` units, evaluated in order.
-    executor, jobs:
-        The backend the dispatched batch itself runs on, resolved by
-        :func:`~repro.analysis.executor.make_executor`; the default is a
-        :class:`~repro.analysis.executor.SerialExecutor` on the seam thread
-        (identical accounting to the engine's serial path).
     on_lookup:
         Called on the seam thread with the number of distinct keys the
         batch's cache lookup served (see
-        :meth:`~repro.analysis.executor.Executor.evaluate_units`).
+        :func:`~repro.analysis.executor.evaluate_units`).
     """
-    backend = make_executor(executor, jobs=jobs) or SerialExecutor(jobs=1)
     unit_list = list(units)
     loop = asyncio.get_running_loop()
     return await loop.run_in_executor(
-        None, backend.evaluate_units, engine, unit_list, on_lookup
+        None, evaluate_units, engine, unit_list, on_lookup
     )
 
 
@@ -102,9 +91,9 @@ class CoalescerStats:
         Units that attached to an already-in-flight key instead of
         dispatching a new evaluation (the single-flight savings).
     keys_dispatched:
-        Distinct keys handed to the executor seam.
+        Distinct keys handed to the dispatch seam.
     batches_dispatched:
-        Executor dispatches issued (scheduling ticks that had work).
+        Dispatches issued (scheduling ticks that had work).
     largest_batch:
         Size of the largest single dispatch.
     keys_from_cache:
@@ -140,9 +129,6 @@ class Coalescer:
     engine:
         The evaluation engine requests decompose onto.  Its cache keys
         define unit identity; its two-tier cache serves repeats.
-    executor, jobs:
-        Backend each dispatched batch runs on (forwarded to
-        :func:`evaluate_units_async`).
     batch_window_s:
         Extra time a scheduled flush waits before collecting the pending
         batch.  ``0`` (default) flushes on the next event-loop tick --
@@ -153,13 +139,9 @@ class Coalescer:
     def __init__(
         self,
         engine: EvaluationEngine,
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
         batch_window_s: float = 0.0,
     ):
         self._engine = engine
-        self._executor = executor
-        self._jobs = jobs
         self._batch_window_s = batch_window_s
         self._inflight: Dict[CacheKey, "asyncio.Future[EvalResult]"] = {}
         self._pending: List[Tuple[CacheKey, EvalUnit]] = []
@@ -227,7 +209,7 @@ class Coalescer:
             loop.call_soon(self._start_flush, loop)
 
     def _start_flush(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Collect the pending batch and dispatch it as one executor call."""
+        """Collect the pending batch and dispatch it as one batch."""
         self._flush_scheduled = False
         if not self._pending:
             return
@@ -249,8 +231,7 @@ class Coalescer:
             with obs_trace.span("serve.coalescer.flush", category="serve",
                                 units=len(units)):
                 results = await evaluate_units_async(
-                    self._engine, units, executor=self._executor, jobs=self._jobs,
-                    on_lookup=served.append,
+                    self._engine, units, on_lookup=served.append
                 )
         except Exception as error:  # noqa: BLE001 - settled into the futures
             for key in keys:

@@ -21,7 +21,7 @@ grid workloads over five endpoints:
 Sweep and simulate requests are decomposed into engine cache keys and
 routed through a per-engine :class:`~repro.serve.coalescer.Coalescer`:
 overlapping concurrent requests cost one evaluation per distinct key and
-fresh keys batch into one executor dispatch per scheduling tick.  Optimize
+fresh keys batch into one dispatch per scheduling tick.  Optimize
 requests single-flight on their canonical request digest (identical
 concurrent searches run once) and serialise per shared evaluator.
 
@@ -48,7 +48,7 @@ Operational semantics:
 When a tracer is installed (``repro serve --trace``), every request is
 wrapped in a ``serve.request`` span with ``serve.parse`` /
 ``serve.dispatch`` / ``serve.reassemble`` children, so a service trace
-shows the full request lifecycle down to the executor chunks.
+shows the full request lifecycle down to the ``executor.chunk`` spans.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.executor import ExecutorLike
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.resultset import ResultSet
 from repro.analysis.study import study_resultset, study_units
@@ -140,10 +139,6 @@ class EvaluationServer:
         Optional persistent cache directory (see :mod:`repro.cache`)
         attached to every owned engine, so the daemon starts warm from
         prior runs and its work persists across restarts.
-    executor, jobs:
-        Backend each coalesced batch dispatches through (forwarded to the
-        executor seam); the default evaluates batches serially on the seam
-        thread.
     timeout_s:
         Default per-request evaluation deadline (seconds).
     max_timeout_s:
@@ -164,8 +159,6 @@ class EvaluationServer:
         host: str = "127.0.0.1",
         port: int = DEFAULT_PORT,
         cache_dir: Optional[str] = None,
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
         timeout_s: float = 60.0,
         max_timeout_s: float = 600.0,
         max_units: int = 50_000,
@@ -176,8 +169,6 @@ class EvaluationServer:
         self._host = host
         self._requested_port = port
         self._cache_dir = str(cache_dir) if cache_dir is not None else None
-        self._executor = executor
-        self._jobs = jobs
         self._timeout_s = timeout_s
         self._max_timeout_s = max_timeout_s
         self._max_units = max_units
@@ -186,14 +177,9 @@ class EvaluationServer:
 
         self._spot = PdnSpot(disk_cache=self._cache_dir)
         self._sim_engine = SimEngine(disk_cache=self._cache_dir)
-        self._sweep_coalescer = Coalescer(
-            self._spot, executor=executor, jobs=jobs, batch_window_s=batch_window_s
-        )
+        self._sweep_coalescer = Coalescer(self._spot, batch_window_s=batch_window_s)
         self._sim_coalescer = Coalescer(
-            self._sim_engine,
-            executor=executor,
-            jobs=jobs,
-            batch_window_s=batch_window_s,
+            self._sim_engine, batch_window_s=batch_window_s
         )
         #: Shared optimize evaluators keyed by (objectives, settings) digest.
         self._evaluators: Dict[str, CandidateEvaluator] = {}
@@ -719,8 +705,6 @@ class EvaluationServer:
                     budget=request.budget,
                     seed=request.seed,
                     evaluator=evaluator,
-                    executor=self._executor,
-                    jobs=self._jobs,
                 ),
             )
 

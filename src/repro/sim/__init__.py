@@ -13,9 +13,9 @@ On top of the engine, :mod:`repro.sim.study` makes simulation a first-class
 grid workload: a :class:`~repro.sim.study.SimStudy` crosses the registered
 scenario generators (:mod:`repro.workloads.scenarios`) with TDPs, seeds and
 parameter overrides, and :func:`~repro.sim.study.run_sim` dispatches the
-grid through the same serial/process executors as the analytic
-engine, returning a :class:`~repro.analysis.resultset.ResultSet` built by
-the adapters in :mod:`repro.sim.adapters`.
+grid through the same dispatch path as the analytic engine, returning a
+:class:`~repro.analysis.resultset.ResultSet` built by the adapters in
+:mod:`repro.sim.adapters`.
 """
 
 from typing import TYPE_CHECKING

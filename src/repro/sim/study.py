@@ -1,4 +1,4 @@
-"""Declarative trace-driven simulation studies on the executor engine.
+"""Declarative trace-driven simulation studies on the shared dispatch path.
 
 The analytic half of the library evaluates :class:`~repro.analysis.study.Study`
 grids through :meth:`PdnSpot.run`; this module gives the *dynamic* half the
@@ -12,21 +12,17 @@ technology-parameter overrides -- and :func:`run_sim` (or
 :class:`SimEngine` implements the same execution-engine protocol as
 :class:`~repro.analysis.pdnspot.PdnSpot` (see
 :mod:`repro.analysis.executor`), so simulation grids dispatch through the
-unchanged ``SerialExecutor`` / ``ProcessExecutor``
-backends: work units are picklable ``(pdn name, SimPoint, overrides)``
-references (workers rebuild traces from the scenario registry and the PDN
-models from the parameter set), results are memo-cached and merged back, and
-the :class:`ResultSet` is reassembled in canonical grid order -- a parallel
-run is bit-identical to the serial one, matching the analytic engine's
-guarantee.
+same :func:`~repro.analysis.executor.evaluate_units` path: work units are
+hashable ``(pdn name, SimPoint, overrides)`` references (traces are rebuilt
+from the scenario registry), results are memo-cached and merged back, and
+the :class:`ResultSet` is reassembled in canonical grid order.
 
 Example
 -------
 >>> from repro.sim.study import SimStudy, run_sim
 >>> study = SimStudy.over_scenarios(["duty-cycled-background"], tdps_w=[18.0])
->>> serial = run_sim(study)
->>> parallel = run_sim(study, executor="process", jobs=2)
->>> serial == parallel
+>>> resultset = run_sim(study)
+>>> len(resultset) == 5  # one row per PDN
 True
 """
 
@@ -38,12 +34,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.executor import (
-    ExecutorLike,
-    SerialExecutor,
-    TwoTierCacheMixin,
-    make_executor,
-)
+from repro.analysis.executor import TwoTierCacheMixin, evaluate_units
 from repro.analysis.pdnspot import CacheInfo, PdnSpot
 from repro.cache import (
     DiskCache,
@@ -59,7 +50,7 @@ from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_switching import ModeSwitchController
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
-from repro.obs.runstats import RunStats, executor_label
+from repro.obs.runstats import RunStats
 from repro.pdn import columnar as columnar_core
 from repro.pdn.base import LoadSets, OperatingConditions, PdnEvaluation, conditions_key
 from repro.power.parameters import PdnTechnologyParameters
@@ -248,35 +239,17 @@ class SimStudyBuilder:
         )
 
 
-@dataclass(frozen=True)
-class SimWorkerConfig:
-    """A picklable recipe for rebuilding a :class:`SimEngine` in a worker."""
-
-    parameters: PdnTechnologyParameters
-    pdn_names: Tuple[str, ...]
-    baseline_name: str
-
-    def build_engine(self) -> "SimEngine":
-        """Build the worker-local (uncached) simulation engine."""
-        return SimEngine(
-            parameters=self.parameters,
-            pdn_names=list(self.pdn_names),
-            baseline_name=self.baseline_name,
-            enable_cache=False,
-        )
-
-
 class SimEngine(TwoTierCacheMixin):
-    """Memo-cached, executor-compatible trace-simulation engine.
+    """Memo-cached trace-simulation engine on the shared dispatch path.
 
     The engine owns a :class:`~repro.analysis.pdnspot.PdnSpot` (PDN models,
     technology parameters, and the *phase-level* evaluation cache that serves
     operating points repeated across traces and scenarios) plus a
     *simulation-level* memo cache keyed by
     ``(overrides, pdn name, SimPoint)``.  It implements the execution-engine
-    protocol of :mod:`repro.analysis.executor`, so
-    :meth:`run` accepts the same ``executor=``/``jobs=`` arguments as
-    :meth:`PdnSpot.run` and parallel results are bit-identical to serial.
+    protocol of :mod:`repro.analysis.executor`, so :meth:`evaluate_units`
+    dedupes, caches and reassembles exactly as :meth:`PdnSpot.evaluate_units`
+    does.
 
     Parameters
     ----------
@@ -287,8 +260,8 @@ class SimEngine(TwoTierCacheMixin):
     baseline_name:
         The PDN used for normalisation (IVR, the state of the art).
     enable_cache:
-        Whether simulations (and phase evaluations) are memoised.  Worker
-        processes disable it -- their units are already deduplicated.
+        Whether simulations (and phase evaluations) are memoised.
+        Disabling reproduces the uncached cost the cold benchmarks measure.
     disk_cache:
         Optional second cache tier.  A cache-directory path attaches *two*
         stores rooted there: one for this engine's simulation results
@@ -334,7 +307,6 @@ class SimEngine(TwoTierCacheMixin):
         #: generator's persisted results.  In-memory keys stay name-based --
         #: the registry is fixed within a process.
         self._trace_digests: Dict[Tuple[str, int], str] = {}
-        self._baseline_name = baseline_name
         self._cache_enabled = enable_cache
         self._cache: Dict[Tuple[object, ...], SimulationResult] = {}
         self._cache_hits = 0
@@ -440,14 +412,6 @@ class SimEngine(TwoTierCacheMixin):
         """The shared cached master: results are read-only, so no copy."""
         return result
 
-    def worker_config(self) -> SimWorkerConfig:
-        """The picklable recipe process-pool workers rebuild this engine from."""
-        return SimWorkerConfig(
-            parameters=self.parameters,
-            pdn_names=tuple(self._spot.pdns),
-            baseline_name=self._baseline_name,
-        )
-
     def evaluate_uncached(
         self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()
     ) -> SimulationResult:
@@ -482,20 +446,6 @@ class SimEngine(TwoTierCacheMixin):
             return self._spot.evaluate(pdn_name, conditions, overrides)
 
         return simulator.run(trace, pdn, evaluate=evaluate)
-
-    @property
-    def columnar_enabled(self) -> bool:
-        """Always ``False``: executors keep per-unit shard planning.
-
-        The flag asks executors to regroup tasks into ``(pdn, overrides)``
-        column blocks of at least
-        :data:`~repro.analysis.executor.MIN_COLUMNAR_CHUNK` units.  One
-        simulation unit is a whole trace replay, so that cap would collapse
-        any realistic grid into one shard; simulations keep the historical
-        plan (input order, up to ``jobs`` chunks), and :meth:`evaluate_columns`
-        still takes every chunk as one batch.
-        """
-        return False
 
     def evaluate_columns(
         self, units: Sequence[Tuple[str, SimPoint, OverrideKey]]
@@ -723,36 +673,25 @@ class SimEngine(TwoTierCacheMixin):
     # Study execution
     # ------------------------------------------------------------------ #
     def evaluate_units(
-        self,
-        units: Iterable[Tuple[str, SimPoint, OverrideKey]],
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
+        self, units: Iterable[Tuple[str, SimPoint, OverrideKey]]
     ) -> List[SimulationResult]:
         """Simulate ``(pdn_name, point, overrides)`` units, in order.
 
         Exactly the contract of :meth:`PdnSpot.evaluate_units` (the single
-        public batch entry point of every engine): every backend --
-        the default serial one included -- deduplicates, serves cached units,
-        hands the misses to :meth:`evaluate_columns` chunk by chunk, merges
-        the results back into this engine's memo cache and returns them in
-        canonical unit order.
+        public batch entry point of every engine): it deduplicates, serves
+        cached units, hands the misses to :meth:`evaluate_columns` as one
+        batch, merges the results back into this engine's memo cache and
+        returns them in canonical unit order.
         """
-        backend = make_executor(executor, jobs=jobs) or SerialExecutor(jobs=1)
-        return backend.evaluate_units(self, units)
+        return evaluate_units(self, units)
 
-    def run(
-        self,
-        study: SimStudy,
-        executor: ExecutorLike = None,
-        jobs: Optional[int] = None,
-    ) -> ResultSet:
+    def run(self, study: SimStudy) -> ResultSet:
         """Execute a :class:`SimStudy` and return its summary results.
 
         Points are simulated in grid order against every instantiated PDN
         (or the study's ``pdn_names`` restriction); the returned
         :class:`ResultSet` holds one summary row per ``(point, pdn)``
-        simulation, in canonical grid order regardless of the backend --
-        a parallel run is bit-identical to the serial one.
+        simulation, in canonical grid order.
         """
         started = time.perf_counter()
         before = self.cache_info()
@@ -768,7 +707,7 @@ class SimEngine(TwoTierCacheMixin):
         ]
         with obs_trace.span("engine.run", category="engine",
                             study=study.name, units=len(units)):
-            results = self.evaluate_units(units, executor=executor, jobs=jobs)
+            results = self.evaluate_units(units)
         records: List[Record] = []
         cursor = 0
         for point in study.points:
@@ -783,7 +722,6 @@ class SimEngine(TwoTierCacheMixin):
             duration_s=time.perf_counter() - started,
             cache_hits=after.hits - before.hits,
             cache_misses=after.misses - before.misses,
-            executor=executor_label(make_executor(executor, jobs=jobs)),
         )
         return resultset
 
@@ -792,15 +730,13 @@ def run_sim(
     study: SimStudy,
     engine: Optional[SimEngine] = None,
     parameters: Optional[PdnTechnologyParameters] = None,
-    executor: ExecutorLike = None,
-    jobs: Optional[int] = None,
     cache_dir: DiskCacheLike = None,
 ) -> ResultSet:
     """Execute ``study`` and return its summary :class:`ResultSet`.
 
     The convenience entry point behind the CLI ``simulate`` sub-command:
     builds a default :class:`SimEngine` (or uses the supplied one) and
-    forwards ``executor``/``jobs`` to the execution backend.  ``cache_dir``
+    runs ``study`` on it.  ``cache_dir``
     attaches the persistent on-disk tier (see :mod:`repro.cache`): a warm
     directory serves every repeated simulation from disk.
     """
@@ -815,4 +751,4 @@ def run_sim(
         )
     if engine is None:
         engine = SimEngine(parameters=parameters, disk_cache=cache_dir)
-    return engine.run(study, executor=executor, jobs=jobs)
+    return engine.run(study)

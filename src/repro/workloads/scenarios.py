@@ -31,8 +31,8 @@ one archetypal client-device workload:
 
 Scenario traces are reproducible work units: ``(scenario name, seed)``
 rebuilds the identical trace in any process, which is what lets
-:mod:`repro.sim.study` ship scenario references (not traces) to process-pool
-workers.  Use :func:`register_scenario` to add project-specific scenarios to
+:mod:`repro.sim.study` key simulations (and their disk-cache entries) by
+scenario reference instead of by trace.  Use :func:`register_scenario` to add project-specific scenarios to
 the registry at runtime.
 """
 
@@ -83,8 +83,8 @@ def _scenario_rng(name: str, seed: int) -> random.Random:
     """A process-independent RNG for one ``(scenario, seed)`` pair.
 
     Seeding :class:`random.Random` with a string hashes it with SHA-512
-    (never the salted ``hash()``), so workers rebuilding a trace from its
-    registry name draw exactly the parent's phase sequence.
+    (never the salted ``hash()``), so every process rebuilding a trace from
+    its registry name draws exactly the same phase sequence.
     """
     return random.Random(f"{name}:{seed}")
 

@@ -10,7 +10,7 @@ from repro.analysis.validation import ValidationHarness
 from repro.pdn.base import OperatingConditions
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
-from repro.util.errors import ConfigurationError
+from repro.util.errors import ConfigurationError, UnsupportedOperatingPointError
 from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
 
 
@@ -73,6 +73,33 @@ class TestPdnSpotFacade:
         )
         evaluation = spot.evaluate("MBVR", conditions)
         assert evaluation.pdn_name == "MBVR"
+
+
+class TestFailingPointError:
+    """A model error names the point it failed at, not only the rail."""
+
+    PREFIX = (
+        "MBVR at TDP 45 W, AR 0.01, workload cpu_multi_thread, power state C0: "
+        "V_Cores: voltage headroom"
+    )
+
+    @pytest.mark.parametrize("enable_cache", [True, False])
+    def test_run_names_the_failing_point(self, enable_cache):
+        study = Study.builder("ar-0.01").tdps(4.0, 45.0).application_ratios(0.01).build()
+        with pytest.raises(UnsupportedOperatingPointError) as raised:
+            PdnSpot(enable_cache=enable_cache).run(study)
+        assert str(raised.value).startswith(self.PREFIX)
+        cause = raised.value.__cause__
+        assert isinstance(cause, UnsupportedOperatingPointError)
+        assert str(cause).startswith("V_Cores: voltage headroom")
+
+    def test_evaluate_names_the_failing_point(self):
+        conditions = OperatingConditions.for_active_workload(
+            45.0, 0.01, WorkloadType.CPU_MULTI_THREAD
+        )
+        with pytest.raises(UnsupportedOperatingPointError) as raised:
+            PdnSpot().evaluate("MBVR", conditions)
+        assert str(raised.value).startswith(self.PREFIX)
 
 
 class TestSweeps:

@@ -1,6 +1,6 @@
 """The bulk two-tier cache seam keeps the per-unit accounting.
 
-``Executor.evaluate_units`` looks up every distinct key in one
+``evaluate_units`` looks up every distinct key in one
 ``cache_lookup_many`` call and installs each computed chunk in one
 ``cache_install_many`` call.  The reference it must match is the per-unit
 path: ``engine.evaluate`` called once per unit, each call a batch of one
@@ -24,6 +24,7 @@ from repro.pdn.registry import available_pdns
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.serve.protocol import build_sweep_study
+from repro.sim.study import SimEngine, SimStudy
 
 CACHE_COUNTERS = (
     "cache.memory.hits",
@@ -77,7 +78,7 @@ def _duplicate_heavy_units() -> List[tuple]:
 
 
 def _counts() -> Dict[str, int]:
-    values = METRICS.counter_values()
+    values = METRICS.snapshot()["counters"]
     return {name: values.get(name, 0) for name in CACHE_COUNTERS}
 
 
@@ -86,13 +87,28 @@ def _delta(before: Dict[str, int]) -> Dict[str, int]:
     return {name: after[name] - before[name] for name in CACHE_COUNTERS}
 
 
-def _bulk(spot: PdnSpot, units):
+def _sim_units() -> List[tuple]:
+    study = SimStudy.over_scenarios(
+        ["duty-cycled-background", "race-to-idle"], tdps_w=[4.0, 50.0],
+        name="bulk-seam-sim",
+    )
+    return [(name, point, point.overrides)
+            for point in study.points for name in available_pdns()]
+
+
+def _duplicate_heavy_sim_units() -> List[tuple]:
+    units = _sim_units() * 3
+    random.Random(7).shuffle(units)
+    return units
+
+
+def _bulk(spot, units):
     before = _counts()
     results = spot.evaluate_units(units)
     return results, _delta(before)
 
 
-def _per_unit(spot: PdnSpot, units):
+def _per_unit(spot, units):
     before = _counts()
     results = [spot.evaluate(name, point, overrides) for name, point, overrides in units]
     return results, _delta(before)
@@ -250,7 +266,7 @@ class TestTicksPerCall:
 
 class TestScalarEngineMatchesPerUnit:
     def test_duplicates_with_disk_tier(self, tmp_path):
-        """A ``columnar=False`` engine batches through the same executor path."""
+        """A ``columnar=False`` engine batches through the same dispatch path."""
         units = _duplicate_heavy_units()
         roots = [tmp_path / "bulk", tmp_path / "per-unit"]
         for root in roots:
@@ -274,3 +290,46 @@ class TestScalarEngineMatchesPerUnit:
         assert disk_chunks == 1  # one serial chunk for the disk misses
         assert memory_warm["cache.memory.hits"] == len(units)
         assert memory_chunks == 0  # the memory-warm pass computed nothing
+
+
+class TestSimEngineMatchesPerUnit:
+    """The simulation engine rides the same seam; its disk address differs.
+
+    Only the engine's own accounting is compared: a simulation batch runs
+    its phases through an inner analytic batch, whose memo traffic (and so
+    the process-wide memory counters) depends on how the units were grouped.
+    """
+
+    @pytest.mark.parametrize(
+        "make_units", [_sim_units, _duplicate_heavy_sim_units],
+        ids=["grid", "duplicate-heavy"],
+    )
+    def test_cold_and_warm_passes(self, make_units):
+        units = make_units()
+        bulk, reference = SimEngine(), SimEngine()
+        for _ in range(2):  # cold, then a warm rerun on the same engines
+            results = bulk.evaluate_units(units)
+            expected = [reference.evaluate(*unit) for unit in units]
+            assert results == expected
+            assert bulk.cache_info() == reference.cache_info()
+
+    def test_disk_hits_promote_and_count_like_per_unit(self, tmp_path):
+        units = _sim_units()
+        roots = [tmp_path / "bulk", tmp_path / "per-unit"]
+        for root in roots:
+            SimEngine(disk_cache=root).evaluate_units(units[::2])
+        bulk = SimEngine(disk_cache=roots[0])
+        reference = SimEngine(disk_cache=roots[1])
+        results, counted = _bulk(bulk, units)
+        expected, expected_counted = _per_unit(reference, units)
+        assert results == expected
+        assert counted["cache.disk.hits"] == expected_counted["cache.disk.hits"]
+        assert counted["cache.disk.hits"] == len(units[::2])
+        assert bulk.cache_info() == reference.cache_info()
+        assert bulk.disk_cache.stats() == reference.disk_cache.stats()
+        # A disk hit was promoted: looking it up again is a memory hit.
+        hits = bulk.cache_info().hits
+        before = _counts()
+        assert bulk.evaluate(*units[0]) == results[0]
+        assert bulk.cache_info().hits == hits + 1
+        assert _delta(before)["cache.disk.hits"] == 0

@@ -7,8 +7,8 @@ every float field, loss breakdown and rail voltage) to the per-point scalar
 oracle.  These tests exercise that contract over randomized grids -- seeded
 ``random.Random`` draws over topology x parameter overrides x operating
 conditions -- plus the negotiated fallbacks: patched models and engines
-must decline the fast path so the patch is honoured, and executor sharding
-of column blocks must reproduce the serial result exactly.
+must decline the fast path so the patch is honoured, and a batch that
+interleaves column blocks must reproduce the per-point result exactly.
 """
 
 import random
@@ -209,8 +209,7 @@ class TestEngineEquivalence:
         ]
         columnar_spot = PdnSpot(enable_cache=False)
         scalar_spot = PdnSpot(enable_cache=False, columnar=False)
-        assert columnar_spot.columnar_enabled
-        assert not scalar_spot.columnar_enabled
+        assert scalar_spot.evaluate_columns(units) is None
         assert columnar_spot.evaluate_units(units) == scalar_spot.evaluate_units(units)
 
     def test_engine_patch_declines_columnar(self, monkeypatch):
@@ -241,10 +240,9 @@ class TestEngineEquivalence:
         assert block_units.value - before == len(units)
         assert results == [spot.evaluate_uncached(*unit) for unit in units]
 
-    @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_executor_columnar_shards_bit_identical(self, backend):
-        # 300 units across two override variants: enough for multiple whole
-        # column blocks per shard, small enough for a test-suite budget.
+    def test_interleaved_column_blocks_bit_identical(self):
+        # 300 units interleaving two override variants: the batch regroups
+        # them into whole column blocks and must still answer in unit order.
         rng = random.Random(29)
         overrides = (("ivr_tolerance_band_v", 0.012),)
         units = [
@@ -252,11 +250,9 @@ class TestEngineEquivalence:
             for conditions in random_conditions(rng, 60)
             for name in PDN_NAMES
         ]
-        serial = PdnSpot(enable_cache=False).evaluate_units(units)
-        parallel = PdnSpot(enable_cache=False).evaluate_units(
-            units, executor=backend, jobs=2
-        )
-        assert parallel == serial
+        columnar_results = PdnSpot(enable_cache=False).evaluate_units(units)
+        per_point = PdnSpot(enable_cache=False, columnar=False).evaluate_units(units)
+        assert columnar_results == per_point
 
 
 # --------------------------------------------------------------------------- #

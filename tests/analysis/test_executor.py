@@ -1,34 +1,31 @@
-"""Executor semantics: identical results, deterministic order, cache merge.
+"""The dispatch path: canonical order, dedupe, cache accounting, negotiation.
 
-The parallel backends must be *invisible* in every observable except wall
-clock: the same :class:`Study` produces the same :class:`ResultSet` through
-every backend, chunk completion order must not leak into row order, and the
-shared :class:`PdnSpot` cache must end a parallel run exactly as warm -- with
-exactly the same hit/miss accounting -- as a serial run would leave it.
+Every engine batch runs through
+:func:`repro.analysis.executor.evaluate_units`.  It must be invisible in
+every observable except wall clock: a batch returns its results in unit
+order, computes each distinct cache key once, and leaves the shared
+:class:`PdnSpot` cache exactly as warm -- with exactly the same hit/miss
+accounting -- as evaluating the units one by one would.
 """
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import random
 import threading
 
 import pytest
 
-from repro.analysis.executor import (
-    EXECUTORS,
-    MIN_COLUMNAR_CHUNK,
-    ProcessExecutor,
-    SerialExecutor,
-    make_executor,
-    shard,
-)
+from repro.analysis.executor import TwoTierCacheMixin, evaluate_units
 from repro.analysis.pdnspot import PdnSpot
-from repro.analysis.study import Study
+from repro.analysis.study import Study, study_units
+from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
 from repro.pdn.base import OperatingConditions
+from repro.pdn.registry import available_pdns
 from repro.power.domains import WorkloadType
-from repro.util.errors import ConfigurationError
-
-BACKENDS = sorted(EXECUTORS)
+from repro.sim.study import SimEngine, SimStudy
 
 
 def _grid_study() -> Study:
@@ -43,164 +40,419 @@ def _grid_study() -> Study:
     )
 
 
+def _grid_units() -> list:
+    return study_units(_grid_study(), tuple(available_pdns()))
+
+
+def _sim_units() -> list:
+    study = (
+        SimStudy.builder("executor-sim-grid")
+        .scenarios("duty-cycled-background", "race-to-idle")
+        .tdps(4.0, 50.0)
+        .build()
+    )
+    return [
+        (name, point, point.overrides)
+        for point in study.points
+        for name in available_pdns()
+    ]
+
+
 def _active_point(tdp_w: float = 4.0) -> OperatingConditions:
     return OperatingConditions.for_active_workload(
         tdp_w, 0.56, WorkloadType.CPU_MULTI_THREAD
     )
 
 
-# --------------------------------------------------------------------------- #
-# Sharding
-# --------------------------------------------------------------------------- #
-class TestShard:
-    def test_concatenation_is_input_and_sizes_balanced(self):
-        items = list(range(13))
-        chunks = shard(items, 4)
-        assert [x for chunk in chunks for x in chunk] == items
-        sizes = {len(chunk) for chunk in chunks}
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_is_deterministic(self):
-        items = list(range(50))
-        assert shard(items, 7) == shard(items, 7)
-
-    def test_more_shards_than_items(self):
-        assert shard([1, 2], 8) == [[1], [2]]
-
-    def test_empty_items(self):
-        assert shard([], 4) == []
-
-    def test_invalid_shard_count(self):
-        with pytest.raises(ConfigurationError):
-            shard([1], 0)
+def _counter_deltas(names, action):
+    """Run ``action`` and return its result plus each counter's increase."""
+    counters = [METRICS.counter(name) for name in names]
+    before = [counter.value for counter in counters]
+    result = action()
+    return result, [counter.value - start for counter, start in zip(counters, before)]
 
 
-# --------------------------------------------------------------------------- #
-# Backend equivalence
-# --------------------------------------------------------------------------- #
-class TestBackendEquivalence:
-    @pytest.fixture(scope="class")
-    def serial_reference(self):
-        spot = PdnSpot()
-        resultset = spot.run(_grid_study())
-        return resultset, spot.cache_info()
+def _spy_batches(engine) -> list:
+    """Record every batch ``engine.evaluate_columns`` is offered."""
+    batches = []
+    original = engine.evaluate_columns
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cold_run_matches_serial(self, backend, serial_reference):
-        reference, reference_info = serial_reference
-        spot = PdnSpot()
-        resultset = spot.run(_grid_study(), executor=backend, jobs=4)
-        assert resultset == reference
-        info = spot.cache_info()
-        assert (info.hits, info.misses, info.size) == (
-            reference_info.hits,
-            reference_info.misses,
-            reference_info.size,
-        )
+    def spy(units):
+        batches.append(list(units))
+        return original(units)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warm_run_is_all_hits_and_equal(self, backend, serial_reference):
-        reference, _ = serial_reference
-        spot = PdnSpot()
-        spot.run(_grid_study())  # warm serially
-        cold_info = spot.cache_info()
-        resultset = spot.run(_grid_study(), executor=backend, jobs=4)
-        assert resultset == reference
-        warm_info = spot.cache_info()
-        assert warm_info.misses == cold_info.misses  # nothing recomputed
-        assert warm_info.hits == cold_info.hits + len(reference)
-        assert warm_info.size == cold_info.size
+    engine.evaluate_columns = spy
+    return batches
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cache_disabled_matches_cached_results(self, backend, serial_reference):
-        reference, _ = serial_reference
-        spot = PdnSpot(enable_cache=False)
-        resultset = spot.run(_grid_study(), executor=backend, jobs=3)
-        assert resultset == reference
-        assert spot.cache_info().size == 0
 
-    def test_executor_instance_and_jobs_shortcut(self, serial_reference):
-        reference, _ = serial_reference
-        assert PdnSpot().run(_grid_study(), executor=SerialExecutor(jobs=2)) == reference
-        assert PdnSpot().run(_grid_study(), jobs=2) == reference  # process shortcut
+#: Per engine: its factory and the units one test batch evaluates.
+ENGINES = {
+    "pdnspot": (PdnSpot, _grid_units),
+    "sim": (SimEngine, _sim_units),
+}
+
+
+@pytest.fixture(params=sorted(ENGINES))
+def engine_kind(request):
+    """``(engine factory, units)`` for each engine on the dispatch path."""
+    factory, units = ENGINES[request.param]
+    return factory, units()
+
+
+@pytest.fixture(scope="module")
+def reference():
+    spot = PdnSpot()
+    resultset = spot.run(_grid_study())
+    return resultset, spot.cache_info()
 
 
 # --------------------------------------------------------------------------- #
-# Deterministic reassembly under out-of-order completion
+# Canonical order
 # --------------------------------------------------------------------------- #
-class _ReversedCompletionExecutor(SerialExecutor):
-    """Completes chunks strictly in reverse submission order."""
+class TestCanonicalOrder:
+    def test_shuffled_units_come_back_in_input_order(self, engine_kind):
+        factory, units = engine_kind
+        random.Random(3).shuffle(units)
+        evaluations = evaluate_units(factory(), units)
+        per_unit = factory(enable_cache=False)
+        assert evaluations == [per_unit.evaluate(*unit) for unit in units]
 
-    name = "reversed"
-
-    def _run_chunks(self, spot, chunks):
-        results = [
-            (index, [spot.evaluate_uncached(*unit) for unit in chunk])
-            for index, chunk in enumerate(chunks)
-        ]
-        yield from reversed(results)
-
-
-class TestDeterministicOrdering:
-    def test_reversed_chunk_completion_preserves_grid_order(self):
-        study = _grid_study()
-        reference = PdnSpot().run(study)
-        spot = PdnSpot()
-        resultset = spot.run(study, executor=_ReversedCompletionExecutor(jobs=5))
-        assert resultset == reference
-        assert resultset.to_records() == reference.to_records()
-
-    def test_batch_order_follows_points_not_completion(self):
+    def test_batch_order_follows_units(self):
         points = [("LDO", _active_point()), ("IVR", _active_point()), ("MBVR", _active_point(18.0))]
-        spot = PdnSpot()
-        evaluations = spot.evaluate_units(
-            [(name, conditions, ()) for name, conditions in points],
-            executor=_ReversedCompletionExecutor(jobs=3),
+        evaluations = PdnSpot().evaluate_units(
+            [(name, conditions, ()) for name, conditions in points]
         )
         assert [e.pdn_name for e in evaluations] == ["LDO", "IVR", "MBVR"]
 
+    def test_empty_units_short_circuit(self, engine_kind):
+        factory, _ = engine_kind
+        assert evaluate_units(factory(), []) == []
+
+    def test_generator_input_is_accepted(self, engine_kind):
+        factory, units = engine_kind
+        from_list = evaluate_units(factory(), units)
+        assert evaluate_units(factory(), (unit for unit in units)) == from_list
+
 
 # --------------------------------------------------------------------------- #
-# Cache merge-back
+# Dedupe and cache accounting
 # --------------------------------------------------------------------------- #
-class TestCacheMergeBack:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parallel_cold_run_warms_the_shared_cache(self, backend):
-        study = _grid_study()
+class TestCacheAccounting:
+    def test_duplicate_heavy_batch_counts_like_per_unit(self, engine_kind):
+        factory, units = engine_kind
+        units = units * 3
+        random.Random(7).shuffle(units)
+        per_unit_engine = factory()
+        per_unit = [per_unit_engine.evaluate(*unit) for unit in units]
+        engine = factory()
+        batches = _spy_batches(engine)
+        assert engine.evaluate_units(units) == per_unit
+        assert engine.cache_info() == per_unit_engine.cache_info()
+        # Every distinct miss in one chunk, in first-appearance order.
+        assert batches == [list(dict.fromkeys(units))]
+
+    def test_identical_units_are_one_miss_and_hits(self, engine_kind):
+        factory, units = engine_kind
+        engine = factory()
+        evaluations = engine.evaluate_units([units[0]] * 3)
+        info = engine.cache_info()
+        assert (info.hits, info.misses, info.size) == (2, 1, 1)
+        assert evaluations[0] is evaluations[1] is evaluations[2]
+
+    def test_cold_run_warms_the_shared_cache(self):
         spot = PdnSpot()
-        spot.run(study, executor=backend, jobs=4)
+        spot.run(_grid_study())
         info = spot.cache_info()
         assert info.misses == info.size > 0
-        # A follow-up serial evaluation of any grid point is a pure hit.
+        # A follow-up single evaluation of any grid point is a pure hit.
         spot.evaluate("IVR", _active_point())
         after = spot.cache_info()
         assert after.misses == info.misses
         assert after.hits == info.hits + 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_duplicate_points_counted_like_serial(self, backend):
-        # Serial accounting for 3 identical points: 1 miss + 2 hits.
-        units = [("IVR", _active_point(), ())] * 3
-        serial_spot = PdnSpot()
-        serial_spot.evaluate_units(units)
-        serial_info = serial_spot.cache_info()
-        spot = PdnSpot()
-        evaluations = spot.evaluate_units(units, executor=backend, jobs=2)
-        info = spot.cache_info()
-        assert (info.hits, info.misses, info.size) == (
-            serial_info.hits,
-            serial_info.misses,
-            serial_info.size,
-        )
-        assert len({e.etee for e in evaluations}) == 1
+    def test_warm_batch_is_all_hits_and_dispatches_nothing(self, engine_kind):
+        factory, units = engine_kind
+        engine = factory()
+        cold = engine.evaluate_units(units)
+        cold_info = engine.cache_info()
+        batches = _spy_batches(engine)
+        assert engine.evaluate_units(units) == cold
+        warm_info = engine.cache_info()
+        assert warm_info.misses == cold_info.misses  # nothing recomputed
+        assert warm_info.hits == cold_info.hits + len(units)
+        assert warm_info.size == cold_info.size
+        assert batches == []
 
+    def test_warm_run_equals_cold_run(self, reference):
+        resultset, _ = reference
+        spot = PdnSpot()
+        spot.run(_grid_study())
+        assert spot.run(_grid_study()) == resultset
+
+    def test_on_lookup_reports_distinct_keys_served_from_cache(self, engine_kind):
+        factory, units = engine_kind
+        engine = factory()
+        engine.evaluate_units(units[:10])
+        served = []
+        evaluate_units(engine, units + units[:4], on_lookup=served.append)
+        assert served == [10]
+
+    def test_on_lookup_is_not_called_with_the_cache_off(self, engine_kind):
+        factory, units = engine_kind
+        served = []
+        evaluate_units(factory(enable_cache=False), units, on_lookup=served.append)
+        assert served == []
+
+    def test_on_lookup_reports_zero_on_a_cold_cache(self, engine_kind):
+        factory, units = engine_kind
+        served = []
+        evaluate_units(factory(), units + units[:2], on_lookup=served.append)
+        assert served == [0]
+
+    def test_mixed_batch_dispatches_only_the_misses(self, engine_kind):
+        factory, units = engine_kind
+        engine = factory()
+        warmed = units[::2]
+        engine.evaluate_units(warmed)
+        batch = units * 2
+        random.Random(11).shuffle(batch)
+        batches = _spy_batches(engine)
+        per_unit = factory(enable_cache=False)
+        assert engine.evaluate_units(batch) == [per_unit.evaluate(*unit) for unit in batch]
+        # One chunk: the cold distinct units, in first-appearance order.
+        assert batches == [[unit for unit in dict.fromkeys(batch) if unit not in warmed]]
+        info = engine.cache_info()
+        assert info.misses == info.size == len(units)
+        assert info.hits == len(batch) - (len(units) - len(warmed))
+
+
+# --------------------------------------------------------------------------- #
+# The cache-off dispatch
+# --------------------------------------------------------------------------- #
+class TestCacheOffDispatch:
+    def test_cache_disabled_matches_cached_results(self, reference):
+        resultset, _ = reference
+        spot = PdnSpot(enable_cache=False)
+        assert spot.run(_grid_study()) == resultset
+        assert spot.cache_info().size == 0
+
+    def test_every_unit_is_computed_in_one_chunk(self, engine_kind):
+        factory, units = engine_kind
+        engine = factory(enable_cache=False)
+        batches = _spy_batches(engine)
+        evaluations = engine.evaluate_units([units[0]] * 3)
+        assert batches == [[units[0]] * 3]  # duplicates not deduped
+        assert evaluations[0] == evaluations[1] == evaluations[2]
+        assert evaluations[0] is not evaluations[1]
+        info = engine.cache_info()
+        assert (info.hits, info.misses, info.size) == (0, 0, 0)
+
+
+# --------------------------------------------------------------------------- #
+# Dispatch counters
+# --------------------------------------------------------------------------- #
+class TestDispatchCounters:
+    COUNTERS = ["executor.chunks", "cache.installs", "cache.lookup.misses"]
+
+    def test_warm_batch_dispatches_no_chunk(self, engine_kind):
+        factory, units = engine_kind
+        engine = factory()
+        engine.evaluate_units(units)
+        _, deltas = _counter_deltas(self.COUNTERS, lambda: engine.evaluate_units(units))
+        assert deltas == [0, 0, 0]
+
+    @pytest.mark.parametrize("enable_cache", [True, False])
+    def test_cold_batch_is_one_chunk(self, enable_cache):
+        units = _grid_units()
+        batch = units + units[:5]
+        spot = PdnSpot(enable_cache=enable_cache)
+        names = self.COUNTERS + ["executor.columnar.units"]
+        _, deltas = _counter_deltas(names, lambda: spot.evaluate_units(batch))
+        if enable_cache:
+            assert deltas == [1, len(units), len(units), len(units)]
+        else:  # no dedupe, no cache traffic: every unit rides the chunk
+            assert deltas == [1, 0, 0, len(batch)]
+
+
+# --------------------------------------------------------------------------- #
+# Dispatch spans (the names perfbench and the trace-smoke check read)
+# --------------------------------------------------------------------------- #
+@pytest.fixture
+def tracer():
+    """An installed tracer, uninstalled again after the test."""
+    tracer = obs_trace.install_tracer()
+    try:
+        yield tracer
+    finally:
+        obs_trace.uninstall_tracer()
+
+
+def _dispatch_spans(tracer):
+    """The batch's own ``executor.*`` spans, keyed by name.
+
+    The simulation engine runs a nested analytic batch inside its chunk;
+    its executor spans carry a ``parent`` or exit first, so the batch's
+    own spans are the top-level ones plus the *last* chunk and merge-back.
+    """
+    spans = {}
+    for record in tracer.records():
+        if record.category != "executor":
+            continue
+        if record.name in ("executor.chunk", "executor.merge_back"):
+            spans[record.name] = record
+        elif "parent" not in record.args:
+            spans.setdefault(record.name, []).append(record)
+    return spans
+
+
+class TestSpans:
+    def test_cold_batch_span_tree(self, engine_kind, tracer):
+        factory, units = engine_kind
+        factory().evaluate_units(units + units[:3])
+        spans = _dispatch_spans(tracer)
+        assert sorted(spans) == [
+            "executor.chunk", "executor.dedupe", "executor.dispatch",
+            "executor.merge_back", "executor.reassemble",
+        ]
+        (dedupe,), (dispatch,), (reassemble,) = (
+            spans["executor.dedupe"], spans["executor.dispatch"],
+            spans["executor.reassemble"],
+        )
+        assert dedupe.args == {
+            "units": len(units) + 3, "dispatched": len(units), "duplicates": 3,
+        }
+        assert dispatch.args == {"chunks": 1}
+        assert spans["executor.chunk"].args == {
+            "units": len(units), "columnar": True, "parent": "executor.dispatch",
+        }
+        assert spans["executor.merge_back"].args == {
+            "units": len(units), "parent": "executor.dispatch",
+        }
+        assert reassemble.args == {"duplicates": 3}
+
+    def test_warm_batch_skips_chunk_and_merge_back(self, engine_kind, tracer):
+        factory, units = engine_kind
+        engine = factory()
+        engine.evaluate_units(units)
+        start = len(tracer.records())
+        engine.evaluate_units(units)
+        spans = [(record.name, record.args) for record in tracer.records()[start:]]
+        assert spans == [
+            ("executor.dedupe", {"units": len(units), "dispatched": 0, "duplicates": 0}),
+            ("executor.dispatch", {"chunks": 0}),
+            ("executor.reassemble", {"duplicates": 0}),
+        ]
+
+    def test_cache_off_batch_is_dispatch_and_chunk(self, engine_kind, tracer):
+        factory, units = engine_kind
+        factory(enable_cache=False).evaluate_units(units + units[:3])
+        spans = _dispatch_spans(tracer)
+        assert sorted(spans) == ["executor.chunk", "executor.dispatch"]
+        assert [record.args for record in spans["executor.dispatch"]] == [{"chunks": 1}]
+        assert spans["executor.chunk"].args["units"] == len(units) + 3
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_chunk_span_records_the_negotiation(self, columnar, tracer):
+        units = [("A", 1, ()), ("B", 2, ())]
+        evaluate_units(_EchoEngine(columnar), units)
+        (chunk,) = [r for r in tracer.records() if r.name == "executor.chunk"]
+        assert chunk.args["columnar"] is columnar
+        assert chunk.args["units"] == len(units)
+
+
+class _EchoEngine(TwoTierCacheMixin):
+    """A minimal memory-only engine whose result for a unit is the unit."""
+
+    _payload_type = tuple
+    cache_enabled = True
+
+    def __init__(self, columnar: bool):
+        self._cache = {}
+        self._cache_lock = threading.Lock()
+        self._cache_hits = self._cache_misses = 0
+        self._disk_cache = None
+        self._columnar = columnar
+        self.per_unit = []
+
+    def cache_key(self, name, point, overrides):
+        return (overrides, name, point)
+
+    @staticmethod
+    def _copy_cached(value):
+        return value
+
+    def evaluate_uncached(self, name, point, overrides):
+        self.per_unit.append((name, point, overrides))
+        return (name, point, overrides)
+
+    def evaluate_columns(self, units):
+        return [tuple(unit) for unit in units] if self._columnar else None
+
+
+# --------------------------------------------------------------------------- #
+# Columnar negotiation
+# --------------------------------------------------------------------------- #
+class TestColumnarNegotiation:
+    COUNTERS = ["executor.columnar.chunks", "executor.columnar.units",
+                "executor.scalar.units"]
+
+    def test_columnar_engine_takes_the_whole_chunk(self):
+        units = _grid_units()
+        _, deltas = _counter_deltas(
+            self.COUNTERS, lambda: PdnSpot().evaluate_units(units)
+        )
+        assert deltas == [1, len(units), 0]
+
+    def test_declined_batch_runs_per_unit(self, reference):
+        resultset, _ = reference
+        spot = PdnSpot(columnar=False)
+        units = _grid_units()
+        (declined,), deltas = _counter_deltas(
+            self.COUNTERS, lambda: [spot.run(_grid_study())]
+        )
+        assert declined == resultset
+        assert deltas == [0, 0, len(units)]
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_negotiation_on_a_minimal_engine(self, columnar):
+        units = [("A", 1, ()), ("B", 2, ()), ("A", 1, ()), ("C", 3, ())]
+        engine = _EchoEngine(columnar)
+        results, deltas = _counter_deltas(
+            self.COUNTERS, lambda: evaluate_units(engine, units)
+        )
+        assert results == units
+        distinct = list(dict.fromkeys(units))
+        if columnar:
+            assert engine.per_unit == []
+            assert deltas == [1, len(distinct), 0]
+        else:
+            assert engine.per_unit == distinct  # declined: per unit, in order
+            assert deltas == [0, 0, len(distinct)]
+
+    def test_patched_seam_sees_every_unit(self, reference):
+        resultset, _ = reference
+        spot = PdnSpot()
+        seen = []
+        original = spot.evaluate_uncached
+
+        def spy(name, conditions, overrides=()):
+            seen.append(name)
+            return original(name, conditions, overrides)
+
+        spot.evaluate_uncached = spy
+        assert spot.run(_grid_study()) == resultset
+        assert len(seen) == len(_grid_units())
+
+
+# --------------------------------------------------------------------------- #
+# Caller isolation
+# --------------------------------------------------------------------------- #
+class TestCallerIsolation:
     def test_merged_entries_are_caller_isolated(self):
         # Merged-back masters are shared with every later hit, so a caller
         # must not be able to change them at all.
         spot = PdnSpot()
-        first = spot.evaluate_units(
-            [("IVR", _active_point(), ())], executor="serial", jobs=2
-        )[0]
+        first = spot.evaluate_units([("IVR", _active_point(), ())])[0]
         with pytest.raises((AttributeError, TypeError)):
             first.rail_voltages_v.clear()
         with pytest.raises(TypeError):
@@ -208,36 +460,6 @@ class TestCacheMergeBack:
         second = spot.evaluate("IVR", _active_point())
         assert second is first
         assert second.rail_voltages_v
-
-
-# --------------------------------------------------------------------------- #
-# Worker metrics across the fork boundary
-# --------------------------------------------------------------------------- #
-class TestWorkerMetrics:
-    def test_process_workers_ship_their_columnar_counts(self):
-        """Columnar blocks run in the workers; their counts reach the parent."""
-        study = (
-            Study.builder("worker-metrics")
-            .tdps(4.0, 10.0, 18.0, 36.0, 50.0)
-            .application_ratios(0.4, 0.5, 0.6, 0.7, 0.8)
-            .workload_types(WorkloadType.CPU_SINGLE_THREAD, WorkloadType.CPU_MULTI_THREAD,
-                            WorkloadType.GRAPHICS)
-            .build()
-        )
-        assert len(study) * 5 > 2 * MIN_COLUMNAR_CHUNK
-        block_units = METRICS.counter("engine.columnar.block_units")
-        chunks = METRICS.counter("executor.chunks")
-
-        def run(**dispatch):
-            before = (block_units.value, chunks.value)
-            resultset = PdnSpot().run(study, **dispatch)
-            return resultset, block_units.value - before[0], chunks.value - before[1]
-
-        serial, serial_units, serial_chunks = run()
-        parallel, parallel_units, parallel_chunks = run(executor="process", jobs=2)
-        assert parallel == serial
-        assert (serial_chunks, parallel_chunks) == (1, 2)
-        assert parallel_units == serial_units == len(study) * 5
 
 
 # --------------------------------------------------------------------------- #
@@ -268,70 +490,65 @@ class TestThreadSafeAccounting:
 
 
 # --------------------------------------------------------------------------- #
-# The factory
+# The removed dispatch surface stays removed
 # --------------------------------------------------------------------------- #
-class TestMakeExecutor:
-    def test_none_is_engine_default(self):
-        assert make_executor(None) is None
-        assert make_executor(None, jobs=1) is None
+#: Every batch entry point and driver that used to take ``executor=``/``jobs=``.
+BATCH_ENTRY_POINTS = [
+    "repro.analysis.pdnspot:PdnSpot.run",
+    "repro.analysis.pdnspot:PdnSpot.evaluate_units",
+    "repro.sim.study:SimEngine.run",
+    "repro.sim.study:SimEngine.evaluate_units",
+    "repro.sim.study:run_sim",
+    "repro.optimize.runner:run_optimization",
+    "repro.optimize.objectives:CandidateEvaluator.evaluate_batch",
+    "repro.serve.coalescer:evaluate_units_async",
+    "repro.serve.coalescer:Coalescer",
+    "repro.serve.server:EvaluationServer",
+    "repro.experiments.runner:run_all_experiments",
+    "repro.experiments.fig4_validation:etee_grid_resultset",
+    "repro.experiments.fig4_validation:power_state_grid_resultset",
+    "repro.experiments.fig5_loss_breakdown:loss_breakdown",
+    "repro.experiments.fig7_spec_4w:spec_performance_at_4w",
+    "repro.experiments.fig8_evaluation:prewarm_figure8",
+    "repro.experiments.optimize_pdn:optimize_outcome",
+    "repro.experiments.sim_scenarios:scenario_resultset",
+]
 
-    def test_jobs_over_one_selects_process(self):
-        backend = make_executor(None, jobs=3)
-        assert isinstance(backend, ProcessExecutor)
-        assert backend.jobs == 3
+#: Per module, the backend, registry and worker names the one path replaced.
+REMOVED_NAMES = {
+    "repro": ["Executor", "ProcessExecutor", "SerialExecutor", "make_executor"],
+    "repro.analysis.executor": [
+        "Executor", "ProcessExecutor", "SerialExecutor", "EXECUTORS",
+        "ExecutorLike", "make_executor", "default_jobs", "shard",
+        "MIN_COLUMNAR_CHUNK", "WorkerRecipe", "WorkerChunkPayload",
+    ],
+    "repro.analysis.pdnspot": ["WorkerConfig"],
+    "repro.sim.study": ["SimWorkerConfig"],
+    "repro.obs.runstats": ["executor_label"],
+}
 
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_names_resolve(self, name):
-        backend = make_executor(name, jobs=2)
-        assert backend.name == name
-        assert backend.jobs == 2
 
-    def test_instance_passes_through(self):
-        backend = SerialExecutor(jobs=2)
-        assert make_executor(backend) is backend
-        assert make_executor(backend, jobs=2) is backend
+def _resolve(path: str):
+    module_name, _, qualname = path.partition(":")
+    target = importlib.import_module(module_name)
+    for part in qualname.split("."):
+        target = getattr(target, part)
+    return target
 
-    def test_conflicting_jobs_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(SerialExecutor(jobs=2), jobs=3)
 
-    def test_defaulted_instance_adopts_explicit_jobs(self):
-        # ProcessExecutor() leaves jobs to the machine default; an explicit
-        # jobs= must win regardless of the CPU count, never conflict.
-        backend = make_executor(ProcessExecutor(), jobs=7)
-        assert isinstance(backend, ProcessExecutor)
-        assert backend.jobs == 7
+class TestRemovedSurface:
+    @pytest.mark.parametrize("path", BATCH_ENTRY_POINTS)
+    def test_entry_point_takes_no_dispatch_parameter(self, path):
+        parameters = inspect.signature(_resolve(path)).parameters
+        assert not {"executor", "jobs"} & set(parameters)
 
-    def test_defaulted_subclass_adopts_jobs_keeping_state(self):
-        # Adoption must preserve subclass state (copy, not reconstruction).
-        class TaggedExecutor(SerialExecutor):
-            def __init__(self, tag, jobs=None):
-                super().__init__(jobs=jobs)
-                self.tag = tag
+    @pytest.mark.parametrize("module_name", sorted(REMOVED_NAMES))
+    def test_removed_names_are_gone(self, module_name):
+        module = importlib.import_module(module_name)
+        assert [name for name in REMOVED_NAMES[module_name]
+                if hasattr(module, name)] == []
 
-        backend = make_executor(TaggedExecutor("audit"), jobs=5)
-        assert backend.jobs == 5
-        assert backend.tag == "audit"
-
-    @pytest.mark.parametrize("name", ["distributed", "thread"])
-    def test_unknown_name_rejected(self, name):
-        with pytest.raises(ConfigurationError, match="choose from: process, serial"):
-            make_executor(name)
-
-    @pytest.mark.parametrize("jobs", [0, -1, 2.5, "2", True])
-    def test_invalid_jobs_rejected(self, jobs):
-        with pytest.raises(ConfigurationError, match="jobs"):
-            make_executor("serial", jobs=jobs)
-        with pytest.raises(ConfigurationError, match="jobs"):
-            make_executor(None, jobs=jobs)
-        with pytest.raises(ConfigurationError, match="jobs"):
-            SerialExecutor(jobs=jobs)
-        with pytest.raises(ConfigurationError, match="jobs"):
-            PdnSpot().evaluate_units([], executor="serial", jobs=jobs)
-
-    def test_executor_must_be_known_type(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(42)  # type: ignore[arg-type]
-
-    def test_empty_units_short_circuit(self):
-        assert SerialExecutor().evaluate_units(PdnSpot(), []) == []
+    @pytest.mark.parametrize("engine", [PdnSpot, SimEngine])
+    def test_engines_carry_no_worker_recipe(self, engine):
+        assert not hasattr(engine, "worker_config")
+        assert not hasattr(engine, "columnar_enabled")

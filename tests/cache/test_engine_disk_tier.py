@@ -151,25 +151,6 @@ class TestPdnSpotDiskTier:
         assert warm.disk_cache.stats().corrupt == len(entries)
         assert warm.cache_info().misses == len(entries)
 
-    def test_warm_directory_parallel_equals_cold_serial(self, tmp_path):
-        study = sweep_study()
-        baseline = PdnSpot().run(study)
-        PdnSpot(disk_cache=tmp_path).run(study)
-        warm = PdnSpot(disk_cache=tmp_path)
-        parallel = warm.run(study, executor="process", jobs=2)
-        assert parallel == baseline
-        assert warm.cache_info().misses == 0  # all served before dispatch
-
-    def test_cold_parallel_run_populates_store(self, tmp_path):
-        study = sweep_study()
-        spot = PdnSpot(disk_cache=tmp_path)
-        parallel = spot.run(study, executor="process", jobs=2)
-        stats = spot.disk_cache.stats()
-        assert stats.entries == spot.cache_info().misses  # merge-back wrote through
-        warm = PdnSpot(disk_cache=tmp_path)
-        assert warm.run(study) == parallel
-        assert warm.cache_info().misses == 0
-
 
 class TestSimEngineDiskTier:
     def test_disk_requires_memo_cache(self, tmp_path):

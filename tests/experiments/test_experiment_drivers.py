@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.pdnspot import PdnSpot
 from repro.experiments import (
     fig2_performance_model,
     fig3_vr_efficiency,
@@ -58,7 +59,7 @@ class TestFig4:
         # 3 workload types x 3 TDPs x 2 ARs x 3 PDNs
         assert len(records) == 3 * 3 * 2 * 3
 
-    def test_cache_dir_and_batched_runs_match_default(self, tmp_path):
+    def test_cache_dir_runs_match_default(self, tmp_path):
         # Every fig4 call runs one PdnSpot batch, whatever engine it gets.
         ars = (0.4,)
         reference = fig4_validation.etee_grid_resultset(application_ratios=ars)
@@ -67,10 +68,6 @@ class TestFig4:
                 application_ratios=ars, cache_dir=str(tmp_path)
             )
             assert cached == reference
-        sharded = fig4_validation.etee_grid_resultset(
-            application_ratios=ars, executor="serial", jobs=2
-        )
-        assert sharded == reference
 
     def test_power_state_grid(self):
         records = fig4_validation.power_state_grid()
@@ -110,6 +107,22 @@ class TestFig5:
         assert by_pdn["LDO"]["compute_loadline_mohm"] == pytest.approx(1.25)
         assert by_pdn["IVR"]["compute_loadline_mohm"] == pytest.approx(1.0)
 
+    def test_cache_off_spot_computes_each_point_once(self, monkeypatch):
+        # The records read the batch's own evaluations; nothing is evaluated
+        # a second time per point.
+        spot = PdnSpot(enable_cache=False)
+        calls = []
+        original = spot.evaluate_uncached
+
+        def spy(name, conditions, overrides=()):
+            calls.append((name, conditions.tdp_w))
+            return original(name, conditions, overrides)
+
+        monkeypatch.setattr(spot, "evaluate_uncached", spy)
+        records = fig5_loss_breakdown.loss_breakdown(spot=spot)
+        assert sorted(calls) == sorted((r["pdn"], r["tdp_w"]) for r in records)
+        assert records == fig5_loss_breakdown.loss_breakdown()
+
 
 class TestFig7AndFig8:
     def test_fig7_averages_match_headline_claims(self):
@@ -123,6 +136,23 @@ class TestFig7AndFig8:
         assert averages["FlexWatts"] > max(averages["MBVR"], averages["LDO"]) - 0.015
         # I+MBVR improves on IVR but much less than FlexWatts.
         assert 1.0 < averages["I+MBVR"] < averages["FlexWatts"]
+
+    def test_cache_off_spot_runs_no_prewarm_batch(self, monkeypatch):
+        # Without a cache the per-benchmark loops cannot read a prewarm
+        # batch, so none is evaluated.
+        spot = PdnSpot(enable_cache=False)
+        batches = []
+        original = spot.evaluate_columns
+
+        def spy(units):
+            batches.append(len(units))
+            return original(units)
+
+        monkeypatch.setattr(spot, "evaluate_columns", spy)
+        records = fig7_spec_4w.spec_performance_at_4w(spot=spot)
+        fig8_evaluation.prewarm_figure8(spot)
+        assert batches == []
+        assert records == fig7_spec_4w.spec_performance_at_4w()
 
     def test_fig8a_flexwatts_never_below_ivr(self):
         spot = fig8_evaluation._spot()

@@ -76,12 +76,6 @@ class TestRegistry:
         assert registry.gauge("b") is registry.gauge("b")
         assert registry.histogram("c") is registry.histogram("c")
 
-    def test_counter_values_and_absorbed_deltas(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(2)
-        registry.absorb_counters({"a": 3, "worker.only": 4})
-        assert registry.counter_values() == {"a": 5, "worker.only": 4}
-
     def test_snapshot_schema_is_stable(self):
         """The contract behind GET /v1/metrics and the trace counter track."""
         registry = MetricsRegistry()

@@ -4,14 +4,13 @@ from __future__ import annotations
 
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.study import Study
-from repro.obs.runstats import RunStats, executor_label
+from repro.obs.runstats import RunStats
 
 
 class TestRunStatsValue:
     def test_hit_rate_and_dict_shape(self):
         stats = RunStats(
-            units=10, duration_s=0.5, cache_hits=6, cache_misses=4,
-            executor="process",
+            units=10, duration_s=0.5, cache_hits=6, cache_misses=4
         )
         assert stats.hit_rate == 0.6
         assert stats.as_dict() == {
@@ -20,21 +19,11 @@ class TestRunStatsValue:
             "cache_hits": 6,
             "cache_misses": 4,
             "hit_rate": 0.6,
-            "executor": "process",
         }
 
     def test_hit_rate_with_no_lookups_is_zero(self):
         stats = RunStats(units=0, duration_s=0.0, cache_hits=0, cache_misses=0)
         assert stats.hit_rate == 0.0
-
-    def test_executor_label(self):
-        assert executor_label(None) == "default"
-        assert executor_label("process") == "process"
-
-        class Named:
-            name = "custom"
-
-        assert executor_label(Named()) == "custom"
 
 
 class TestEngineAttachment:
@@ -73,4 +62,3 @@ class TestEngineAttachment:
         assert outcome.run_stats is not None
         assert outcome.run_stats.units == 2
         assert outcome.run_stats.duration_s > 0
-        assert outcome.run_stats.executor == "default"

@@ -40,7 +40,7 @@ class TestMetricsEndpoint:
         client.sweep(tdps=[4.0], pdns=["IVR"])
         counters = client.metrics()["metrics"]["counters"]
         assert counters["serve.requests"] >= 1
-        # The sweep above ran through the executor seam of this process.
+        # The sweep above ran through the dispatch seam of this process.
         assert "executor.chunks" in counters
         assert "cache.lookup.misses" in counters
 

@@ -1,4 +1,4 @@
-"""Span tracer contracts: nesting, export, the fork boundary, no-op path."""
+"""Span tracer contracts: nesting, export, no-op path."""
 
 from __future__ import annotations
 
@@ -6,14 +6,11 @@ import json
 
 import pytest
 
-from repro.analysis.pdnspot import PdnSpot
-from repro.analysis.study import Study
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.trace import (
     _NULL_SPAN,
     SpanRecord,
-    Tracer,
     install_tracer,
     uninstall_tracer,
     write_chrome_trace,
@@ -80,48 +77,6 @@ class TestDisabledPath:
         tracer = install_tracer()
         assert len(tracer) == 0
         uninstall_tracer()
-
-
-class TestForkBoundary:
-    def test_drain_and_absorb_move_records_between_tracers(self):
-        worker = Tracer()
-        with worker.span("worker.task", category="test"):
-            pass
-        batch = worker.drain()
-        assert len(worker) == 0
-        assert [record.name for record in batch] == ["worker.task"]
-        parent = Tracer()
-        parent.absorb(batch)
-        assert [record.name for record in parent.records()] == ["worker.task"]
-
-    def test_process_executor_ships_worker_spans_with_distinct_pids(
-        self, tracer, tmp_path
-    ):
-        # 300 units: enough for two >=128-unit chunks across two workers.
-        from repro.power.domains import WorkloadType
-
-        spot = PdnSpot()
-        study = (
-            Study.builder("obs-fork-smoke")
-            .tdps(4.0, 8.0, 10.0, 18.0, 25.0)
-            .application_ratios(0.40, 0.50, 0.56, 0.60)
-            .workload_types(
-                WorkloadType.CPU_SINGLE_THREAD,
-                WorkloadType.CPU_MULTI_THREAD,
-                WorkloadType.GRAPHICS,
-            )
-            .build()
-        )
-        spot.run(study, executor="process", jobs=2)
-        chunk_spans = [
-            record for record in tracer.records()
-            if record.name == "executor.chunk"
-        ]
-        worker_pids = {record.pid for record in chunk_spans}
-        assert len(worker_pids) >= 2, "expected spans from >=2 worker processes"
-        import os
-
-        assert os.getpid() not in worker_pids
 
 
 class TestChromeTraceExport:

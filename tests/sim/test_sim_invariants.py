@@ -9,7 +9,7 @@ every PDN through the engine's batch pass:
 - energy is power x time per phase, and the total adds switch energy;
 - phase durations sum to the trace horizon (total time minus switch time);
 - successive mode switches are at least the minimum residency apart;
-- serial, two-process and served runs agree.
+- cached, uncached and served runs agree.
 
 Results keep their phases as columns until the records are first read, so
 the energy and horizon invariants are checked twice on fresh results: from
@@ -197,7 +197,7 @@ class TestModeSwitchInvariants:
 
 
 class TestPathAgreement:
-    """Serial, two-process and served runs of the same draws agree."""
+    """Cached, uncached and served runs of the same draws agree."""
 
     DRAW_SEED = 20201018
 
@@ -207,11 +207,14 @@ class TestPathAgreement:
             for scenario, seed, tdp_w in _draws(self.DRAW_SEED, 3)
         ]
 
-    def test_serial_process_and_served_runs_agree(self):
+    def test_cached_uncached_and_served_runs_agree(self):
         studies = self._studies()
         serial = [run_sim(study).to_json() for study in studies]
-        process = [run_sim(study, jobs=2).to_json() for study in studies]
-        assert process == serial
+        uncached = [
+            run_sim(study, engine=SimEngine(enable_cache=False)).to_json()
+            for study in studies
+        ]
+        assert uncached == serial
         with start_in_thread() as handle:
             client = ServeClient(handle.base_url)
             served = []

@@ -1,10 +1,10 @@
-"""SimStudy/SimEngine semantics: grids, executors, caching, adapters.
+"""SimStudy/SimEngine semantics: grids, dispatch, caching, adapters.
 
 The simulation engine must honour the same guarantees as the analytic
-engine (PR 2): every backend produces a bit-identical ResultSet, duplicate
-units are computed once, the memo cache ends a parallel run exactly as warm
-as a serial run would leave it, and adaptive (FlexWatts) state never leaks
-between grid points.
+engine: duplicate units are computed once, a batch run leaves the memo
+cache exactly as warm -- with the same accounting -- as evaluating its
+units one by one, and adaptive (FlexWatts) state never leaks between grid
+points.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import dataclasses
 
 import pytest
 
-from repro.analysis.executor import EXECUTORS
 from repro.sim.adapters import (
     SIM_METRIC_COLUMNS,
     phases_to_resultset,
@@ -22,8 +21,6 @@ from repro.sim.adapters import (
 )
 from repro.sim.study import SimEngine, SimPoint, SimStudy, run_sim
 from repro.util.errors import ConfigurationError
-
-BACKENDS = sorted(EXECUTORS)
 
 #: A small but heterogeneous grid: an adaptive-heavy scenario, an idle-heavy
 #: scenario, two TDPs.
@@ -83,55 +80,47 @@ class TestStudyBuilding:
             SimPoint(scenario="race-to-idle", tdp_w=4.0, trace_period_s=0.0)
 
 
-class TestBackendEquivalence:
+class TestEngineRuns:
     @pytest.fixture(scope="class")
-    def serial_reference(self):
+    def reference(self):
         engine = SimEngine()
         resultset = engine.run(_grid_study())
         return resultset, engine.cache_info()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cold_run_matches_serial(self, backend, serial_reference):
-        reference, reference_info = serial_reference
+    def test_cold_run_counts_like_per_unit(self, reference):
+        resultset, info = reference
         engine = SimEngine()
-        resultset = engine.run(_grid_study(), executor=backend, jobs=4)
-        assert resultset == reference
-        info = engine.cache_info()
-        assert (info.hits, info.misses, info.size) == (
-            reference_info.hits,
-            reference_info.misses,
-            reference_info.size,
-        )
+        study = _grid_study()
+        names = tuple(engine.spot.pdns)
+        per_unit = [
+            (point.record_fields(), engine.evaluate(name, point, point.overrides))
+            for point in study.points
+            for name in names
+        ]
+        assert results_to_resultset(per_unit, name=study.name) == resultset
+        assert engine.cache_info() == info
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_warm_run_is_all_hits_and_equal(self, backend, serial_reference):
-        reference, _ = serial_reference
+    def test_warm_run_is_all_hits_and_equal(self, reference):
+        resultset, _ = reference
         engine = SimEngine()
-        engine.run(_grid_study())  # warm serially
+        engine.run(_grid_study())
         cold_info = engine.cache_info()
-        resultset = engine.run(_grid_study(), executor=backend, jobs=4)
-        assert resultset == reference
+        assert engine.run(_grid_study()) == resultset
         warm_info = engine.cache_info()
         assert warm_info.misses == cold_info.misses  # nothing recomputed
-        assert warm_info.hits == cold_info.hits + len(reference)
+        assert warm_info.hits == cold_info.hits + len(resultset)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_cache_disabled_matches_cached_results(self, backend, serial_reference):
-        reference, _ = serial_reference
+    def test_cache_disabled_matches_cached_results(self, reference):
+        resultset, _ = reference
         engine = SimEngine(enable_cache=False)
-        resultset = engine.run(_grid_study(), executor=backend, jobs=3)
-        assert resultset == reference
+        uncached = engine.run(_grid_study())
+        assert uncached == resultset
+        assert uncached.to_json() == resultset.to_json()
         assert engine.cache_info().size == 0
 
-    def test_serial_and_parallel_json_is_bit_identical(self, serial_reference):
-        reference, _ = serial_reference
-        parallel = SimEngine().run(_grid_study(), executor="process", jobs=4)
-        assert parallel.to_json() == reference.to_json()
-        assert parallel.to_csv() == reference.to_csv()
-
-    def test_run_sim_entry_point(self, serial_reference):
-        reference, _ = serial_reference
-        assert run_sim(_grid_study(), jobs=2) == reference
+    def test_run_sim_entry_point(self, reference):
+        resultset, _ = reference
+        assert run_sim(_grid_study()) == resultset
 
     def test_run_sim_rejects_engine_plus_parameters(self):
         with pytest.raises(ConfigurationError, match="not both"):
@@ -157,18 +146,11 @@ class TestEngineSemantics:
         assert first == second
         assert first.mode_switch_count > 0
 
-    @pytest.mark.parametrize("jobs", [2.5, "2", True])
-    def test_invalid_jobs_rejected(self, jobs):
-        # Rejected at the engine boundary, before any unit is sharded.
-        units = [("IVR", SimPoint(scenario="race-to-idle", tdp_w=18.0), ())]
-        with pytest.raises(ConfigurationError, match="jobs"):
-            SimEngine().evaluate_units(units, executor="serial", jobs=jobs)
-
-    def test_duplicate_units_counted_like_serial(self):
+    def test_duplicate_units_counted_like_per_unit(self):
         point = SimPoint(scenario="race-to-idle", tdp_w=18.0)
         units = [("IVR", point, ())] * 3
         engine = SimEngine()
-        results = engine.evaluate_units(units, executor="serial", jobs=2)
+        results = engine.evaluate_units(units)
         info = engine.cache_info()
         assert (info.hits, info.misses, info.size) == (2, 1, 1)
         assert results[0] == results[1] == results[2]

@@ -137,49 +137,29 @@ class TestSweepCommand:
         assert text.splitlines()[0].startswith("pdn,tdp_w,")
 
 
-class TestParallelFlags:
-    def test_parser_accepts_executor_flags_on_grid_commands(self):
-        args = build_parser().parse_args(
-            ["sweep", "--tdps", "4", "--jobs", "4", "--executor", "process"]
-        )
-        assert args.jobs == 4 and args.executor == "process"
-        args = build_parser().parse_args(["export", "fig4-grid", "--jobs", "2"])
-        assert args.jobs == 2 and args.executor is None
-        args = build_parser().parse_args(["figures", "--quick", "--executor", "serial"])
-        assert args.executor == "serial"
-
-    @pytest.mark.parametrize("executor", ["gpu", "thread"])
-    def test_unknown_executor_rejected(self, executor):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sweep", "--tdps", "4", "--executor", executor])
-
-    @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_parallel_sweep_output_identical_to_serial(self, spot, executor):
-        serial = run_sweep(spot, (4.0, 18.0), ars=(0.4, 0.56), output_format="csv")
-        parallel = run_sweep(
-            PdnSpot(),
-            (4.0, 18.0),
-            ars=(0.4, 0.56),
-            output_format="csv",
-            executor=executor,
-            jobs=2,
-        )
-        assert parallel == serial
-
-    def test_parallel_export_identical_to_serial(self):
-        serial = run_export("fig4-power-states", output_format="csv")
-        parallel = run_export(
-            "fig4-power-states", output_format="csv", executor="serial", jobs=2
-        )
-        assert parallel == serial
-
-    def test_main_sweep_with_jobs(self, capsys):
-        assert main(["sweep", "--tdps", "4", "--jobs", "2", "--format", "csv"]) == 0
-        assert capsys.readouterr().out.startswith("pdn,")
-
-    def test_main_invalid_jobs_is_user_error(self, capsys):
-        assert main(["sweep", "--tdps", "4", "--jobs", "0"]) == 1
-        assert "jobs" in capsys.readouterr().err
+class TestRemovedDispatchFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--tdps", "4", "--jobs", "2"],
+            ["sweep", "--tdps", "4", "--executor", "process"],
+            ["simulate", "--jobs", "2"],
+            ["simulate", "--executor", "process"],
+            ["export", "fig2a", "--jobs", "2"],
+            ["export", "fig2a", "--executor", "process"],
+            ["figures", "--jobs", "2"],
+            ["figures", "--executor", "serial"],
+            ["optimize", "--jobs", "2"],
+            ["optimize", "--executor", "process"],
+            ["serve", "--jobs", "2"],
+            ["serve", "--executor", "process"],
+        ],
+    )
+    def test_flag_is_an_argparse_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestSimulateCommand:
@@ -190,14 +170,12 @@ class TestSimulateCommand:
                 "--scenario", "bursty-interactive", "race-to-idle",
                 "--tdps", "4", "50",
                 "--seed", "7",
-                "--jobs", "4",
                 "--format", "json",
             ]
         )
         assert args.scenario == ["bursty-interactive", "race-to-idle"]
         assert args.tdps == [4.0, 50.0]
         assert args.seed == 7
-        assert args.jobs == 4
 
     def test_unknown_scenario_rejected_by_parser(self):
         with pytest.raises(SystemExit):
@@ -223,16 +201,6 @@ class TestSimulateCommand:
         resultset = ResultSet.from_json(payload)
         assert len(resultset) == 5  # one row per PDN
         assert resultset.unique("scenario") == ["race-to-idle"]
-
-    def test_parallel_simulate_output_bit_identical_to_serial(self):
-        """The acceptance criterion: --jobs 4 JSON equals the serial JSON."""
-        serial = run_simulate(
-            scenarios=["bursty-interactive"], output_format="json"
-        )
-        parallel = run_simulate(
-            scenarios=["bursty-interactive"], output_format="json", jobs=4
-        )
-        assert parallel == serial
 
     def test_main_simulate_exit_code(self, capsys):
         assert (
@@ -295,6 +263,15 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""  # stdout stays clean for --format json piping
         assert "BOGUS" in captured.err
+
+    def test_unsupported_point_error_names_the_point(self, capsys):
+        assert main(["sweep", "--tdps", "45", "--ars", "0.01"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: MBVR at TDP 45 W, AR 0.01, workload cpu_multi_thread, "
+            "power state C0: V_Cores: voltage headroom"
+        )
 
 
 class TestCacheFlags:

@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """Gate CI on the end-to-end tracing contract of ``--trace``.
 
-Runs a genuine ``python -m repro sweep`` subprocess over a grid large
-enough for two process-executor chunks (>=256 evaluation units), with
-``--jobs 2 --executor process --trace``, then checks the exported file:
+Runs a genuine ``python -m repro sweep`` subprocess over a 300-unit grid
+with ``--trace``, then checks the exported file:
 
 1. **Valid Chrome trace** -- the file parses as JSON with the
    ``traceEvents`` / ``displayTimeUnit`` / ``otherData`` document shape
    chrome://tracing and Perfetto accept.
-2. **Cross-process spans** -- ``executor.chunk`` spans carry at least two
-   distinct worker pids, none of them the parent's: the worker span
-   batches crossed the fork boundary.
+2. **One process, one chunk** -- every span carries the sweep's own pid,
+   and the ``executor.chunks`` counter reads 1: the grid's misses were
+   evaluated as one batch in the sweep process.
 3. **Layer coverage** -- executor lifecycle spans (dedupe, dispatch,
    merge-back) and engine spans appear, and one ``setup.import`` span
    covers start-up: it ends before the sweep's first span starts.
@@ -33,14 +32,12 @@ import sys
 import tempfile
 from typing import List, Optional
 
-#: 5 TDPs x 4 ARs x 3 workloads x 5 PDNs = 300 units: two >=128-unit
-#: process-executor chunks, small enough to stay quick on a CI runner.
+#: 5 TDPs x 4 ARs x 3 workloads x 5 PDNs = 300 units, small enough to stay
+#: quick on a CI runner.
 SWEEP_ARGS = [
     "--tdps", "4", "8", "10", "18", "25",
     "--ars", "0.4", "0.5", "0.56", "0.6",
     "--workloads", "cpu_single_thread", "cpu_multi_thread", "graphics",
-    "--jobs", "2",
-    "--executor", "process",
     "--format", "json",
 ]
 EXPECTED_UNITS = 5 * 4 * 3 * 5
@@ -107,18 +104,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         print(f"  setup.import: {setup[0]['dur'] / 1e3:.1f} ms")
 
-        chunk_pids = {
-            event["pid"] for event in spans if event["name"] == "executor.chunk"
-        }
-        dedupe_pids = {
-            event["pid"] for event in spans if event["name"] == "executor.dedupe"
-        }
-        worker_pids = chunk_pids - dedupe_pids
+        span_pids = {event["pid"] for event in spans}
         expect(
-            len(worker_pids) >= 2,
-            f"expected chunk spans from >=2 worker processes, got {chunk_pids}",
+            len(span_pids) == 1,
+            f"expected every span from the sweep's own pid, got {sorted(span_pids)}",
         )
-        print(f"  worker pids in trace: {sorted(worker_pids)}")
+        print(f"  span pid: {span_pids.pop()}")
 
         counters = {
             event["name"]: event["args"].get("value")
@@ -145,6 +136,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             lookups == EXPECTED_UNITS,
             f"cache-tier counters cover {lookups} lookups, "
             f"expected {EXPECTED_UNITS}",
+        )
+        expect(
+            counters["executor.chunks"] == 1,
+            f"expected the sweep's misses in one chunk, got "
+            f"executor.chunks == {counters['executor.chunks']}",
         )
         print(f"  events: {len(events)}, spans: {len(spans)}, "
               f"counters: {len(counters)}")
