@@ -73,9 +73,10 @@ def serve_reference():
 def test_bench_serve_independent_cold_runs(benchmark, serve_reference):
     """The no-daemon counterfactual: N separate cold evaluations.
 
-    Each iteration pays N full engine builds, predictor calibrations and
-    grid evaluations -- the real cost of N clients without a shared warm
-    process.
+    Each iteration pays N full engine builds and grid evaluations -- the
+    real cost of N clients without a shared warm process.  The predictor
+    calibration is paid once per process, so only the first run ever
+    calibrates.
     """
     results = benchmark.pedantic(
         lambda: [_cold_run() for _ in range(N_CLIENTS)], rounds=5, iterations=1

@@ -264,10 +264,15 @@ def evaluate_units(
     unit_list = list(units)
     if not unit_list:
         return []
+    # Spans name their engine: a simulation batch nests the analytic engine's
+    # own batch for its phase points.  Stub engines go by their class name.
+    tag = getattr(engine, "disk_namespace", type(engine).__name__)
     if not engine.cache_enabled:
-        with obs_trace.span("executor.dispatch", category="executor", chunks=1):
-            return _evaluate_chunk(engine, unit_list)
-    with obs_trace.span("executor.dedupe", category="executor") as dedupe_span:
+        with obs_trace.span("executor.dispatch", category="executor",
+                            engine=tag, chunks=1):
+            return _evaluate_chunk(engine, unit_list, tag)
+    with obs_trace.span("executor.dedupe", category="executor",
+                        engine=tag) as dedupe_span:
         cache_key = engine.cache_key
         keys = [cache_key(name, point, overrides)
                 for name, point, overrides in unit_list]
@@ -291,20 +296,20 @@ def evaluate_units(
         dedupe_span.set("dispatched", len(pending))
         dedupe_span.set("duplicates", duplicates)
     with obs_trace.span("executor.dispatch", category="executor",
-                        chunks=1 if pending else 0):
+                        engine=tag, chunks=1 if pending else 0):
         if pending:
             evaluations = _evaluate_chunk(
-                engine, [unit_list[first_slot[index]] for index in pending]
+                engine, [unit_list[first_slot[index]] for index in pending], tag
             )
             with obs_trace.span("executor.merge_back", category="executor",
-                                units=len(evaluations)):
+                                engine=tag, units=len(evaluations)):
                 merged = engine.cache_install_many(
                     [distinct_keys[index] for index in pending], evaluations
                 )
                 for index, result in zip(pending, merged):
                     resolved[index] = result
     with obs_trace.span("executor.reassemble", category="executor",
-                        duplicates=duplicates):
+                        engine=tag, duplicates=duplicates):
         if not duplicates:
             return resolved
         results = [resolved[index] for index in unit_index]
@@ -324,7 +329,7 @@ def evaluate_units(
 
 
 def _evaluate_chunk(
-    engine: EvaluationEngine, chunk: List[EvalUnit]
+    engine: EvaluationEngine, chunk: List[EvalUnit], tag: str
 ) -> List[EvalResult]:
     """Evaluate one chunk of units (no cache I/O), counting it.
 
@@ -335,7 +340,7 @@ def _evaluate_chunk(
     through the per-point seam.
     """
     with obs_trace.span("executor.chunk", category="executor",
-                        units=len(chunk)) as active:
+                        engine=tag, units=len(chunk)) as active:
         results = engine.evaluate_columns(chunk)
         used_columnar = results is not None
         if not used_columnar:

@@ -119,6 +119,9 @@ class PdnSpot(TwoTierCacheMixin):
     caller, rather than a copy.
     """
 
+    #: Namespace of this engine's disk entries; also tags its executor spans.
+    disk_namespace = "pdnspot"
+
     def __init__(
         self,
         parameters: Optional[PdnTechnologyParameters] = None,
@@ -157,7 +160,7 @@ class PdnSpot(TwoTierCacheMixin):
 
             self._disk_cache = resolve_disk_cache(
                 disk_cache,
-                namespace="pdnspot",
+                namespace=self.disk_namespace,
                 fingerprint=parameters_fingerprint(self.parameters),
             )
         self._columnar = bool(columnar)

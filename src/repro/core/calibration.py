@@ -7,6 +7,13 @@ a grid of (workload type, TDP, application ratio) operating points and across
 the package power states, and the resulting ETEE curves are stored in an
 :class:`~repro.core.mode_predictor.EteeCurveSet` per mode.
 
+The tables depend only on the technology parameters and the grid, so they are
+a constant of the process: :func:`build_default_predictor` calibrates each
+``(parameter set, grid)`` once and hands every later exact, unpatched
+:class:`~repro.core.flexwatts.FlexWattsPdn` -- in any engine, on any thread --
+the same sealed :class:`~repro.core.mode_predictor.ModePredictor`.  A patched
+instance calibrates afresh, through its patch.
+
 The grid defaults match the paper's evaluation space: TDPs of 4--50 W,
 application ratios of 40--80 %, the three active workload types, and the
 battery-life power states C0_MIN and C2--C8.
@@ -14,8 +21,10 @@ battery-life power states C0_MIN and C2--C8.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_predictor import EteeCurveSet, ModePredictor
@@ -23,6 +32,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
 from repro.pdn.base import LoadSets, OperatingConditions
 from repro.power.domains import WorkloadType
+from repro.power.parameters import PdnTechnologyParameters
 from repro.power.power_states import BATTERY_LIFE_STATES, PackageCState
 
 #: Default TDP grid (watts) -- the TDP levels evaluated throughout the paper.
@@ -42,9 +52,17 @@ ACTIVE_WORKLOAD_TYPES: Sequence[WorkloadType] = (
 #: C-state power is nearly TDP-independent (Sec. 7.1), so one curve suffices.
 POWER_STATE_REFERENCE_TDP_W = 18.0
 
-#: How many mode-curve calibrations this process has run (each hybrid PDN
-#: instance calibrates once per mode, lazily, on first predictor use).
+#: How many mode-curve calibrations this process has run: two (one per mode)
+#: per distinct parameter set and grid, plus two per patched-instance
+#: predictor; memo hits run none.
 _CALIBRATIONS = METRICS.counter("flexwatts.calibrations")
+
+#: Calibrated predictors keyed by ``(parameter set by value, grid)``.  Model
+#: state, not evaluation results: shared whatever an engine's
+#: ``enable_cache``.  Cleared when full, like the columnar peak-power memo.
+_PREDICTORS: Dict[Tuple[object, ...], ModePredictor] = {}
+_PREDICTORS_LOCK = threading.Lock()
+_PREDICTORS_BOUND = 64
 
 
 def calibrate_mode_curves(
@@ -82,6 +100,7 @@ def calibrate_mode_curves(
             curves.add_active_curve(workload_type, tdp_w, ar_grid, etees)
     for state in power_states:
         curves.add_power_state_etee(state, next(etee_iter).etee)
+    curves.seal(f"{flexwatts.name}[{mode.value}]")
     return curves
 
 
@@ -140,12 +159,60 @@ def build_default_predictor(
     ar_grid: Sequence[float] = DEFAULT_AR_GRID,
     power_states: Optional[Sequence[PackageCState]] = None,
 ) -> ModePredictor:
-    """Build the Algorithm-1 predictor for a FlexWatts instance."""
-    states = tuple(power_states) if power_states is not None else BATTERY_LIFE_STATES
-    ivr_curves = calibrate_mode_curves(
-        flexwatts, PdnMode.IVR_MODE, tdp_grid_w, ar_grid, states
+    """The Algorithm-1 predictor for a FlexWatts instance.
+
+    An exact, unpatched instance reads the process-wide memo, filling it on
+    a miss; any other instance calibrates through its own (patched) models.
+    Two threads racing on one key both calibrate; the first one stored wins.
+    """
+    grid = (
+        tuple(tdp_grid_w),
+        tuple(ar_grid),
+        tuple(power_states) if power_states is not None else BATTERY_LIFE_STATES,
     )
-    ldo_curves = calibrate_mode_curves(
-        flexwatts, PdnMode.LDO_MODE, tdp_grid_w, ar_grid, states
+    key = _memo_key(flexwatts, grid)
+    if key is not None:
+        with _PREDICTORS_LOCK:
+            predictor = _PREDICTORS.get(key)
+        if predictor is not None:
+            return predictor
+    predictor = ModePredictor(
+        ivr_curves=calibrate_mode_curves(flexwatts, PdnMode.IVR_MODE, *grid),
+        ldo_curves=calibrate_mode_curves(flexwatts, PdnMode.LDO_MODE, *grid),
     )
-    return ModePredictor(ivr_curves=ivr_curves, ldo_curves=ldo_curves)
+    if key is None:
+        return predictor
+    with _PREDICTORS_LOCK:
+        if key not in _PREDICTORS and len(_PREDICTORS) >= _PREDICTORS_BOUND:
+            _PREDICTORS.clear()
+        return _PREDICTORS.setdefault(key, predictor)
+
+
+def _memo_key(flexwatts, grid) -> Optional[Tuple[object, ...]]:
+    """The memo key of ``flexwatts`` over ``grid``, or ``None`` to bypass the memo.
+
+    Only an exact :class:`~repro.core.flexwatts.FlexWattsPdn` that the
+    columnar path accepts unpatched, with both sides built on its own
+    parameter set, is keyed.  The key holds the grid and every parameter
+    field by value -- floats by ``repr``, so keys are equal exactly when the
+    calibrations would read the same numbers.
+    """
+    # Imported lazily, like _evaluate_in_mode_batch's columnar import.
+    from repro.core.flexwatts import FlexWattsPdn
+    from repro.pdn.columnar import supports_columns
+
+    parameters = flexwatts.parameters
+    if (
+        type(flexwatts) is not FlexWattsPdn
+        or type(parameters) is not PdnTechnologyParameters
+        or flexwatts._ivr_mode_model.parameters is not parameters
+        or flexwatts._ldo_mode_model.parameters is not parameters
+        or not supports_columns(flexwatts)
+    ):
+        return None
+    values = (getattr(parameters, field.name) for field in dataclasses.fields(parameters))
+    return grid + tuple(
+        tuple(sorted((kind.value, repr(item)) for kind, item in value.items()))
+        if isinstance(value, dict) else repr(value)
+        for value in values
+    )

@@ -30,6 +30,8 @@ from repro.vr.ldo import LowDropoutRegulator
 class PdnMode(enum.Enum):
     """Operating mode of the FlexWatts hybrid PDN (and of each hybrid VR)."""
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     IVR_MODE = "ivr_mode"
     LDO_MODE = "ldo_mode"
 

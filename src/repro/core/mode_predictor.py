@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
@@ -40,6 +40,10 @@ class EteeCurveSet:
     TDPs between two stored curves interpolate linearly between them, and
     queries outside the stored range clamp to the nearest curve (the same
     behaviour a PMU table lookup has).
+
+    A set is mutable until :meth:`seal`; calibration seals the sets it
+    builds, because one calibrated predictor is shared across engines and
+    threads.
     """
 
     #: workload type -> sorted list of (tdp_w, AR->ETEE curve).
@@ -53,6 +57,18 @@ class EteeCurveSet:
         # workload type -> (curves, TDP array, StackedTables1D); not a field,
         # so equality, repr and canonical keys see only the stored curves.
         self._stacked: Dict[WorkloadType, tuple] = {}
+        self._sealed_as: Optional[str] = None
+
+    def seal(self, name: str) -> None:
+        """Freeze the stored curves: later ``add_*`` calls raise, naming ``name``."""
+        self._sealed_as = name
+
+    def _require_unsealed(self) -> None:
+        if self._sealed_as is not None:
+            raise ConfigurationError(
+                f"the {self._sealed_as} ETEE curve set is sealed: calibrated "
+                "tables are shared; build a new EteeCurveSet to change them"
+            )
 
     def add_active_curve(
         self,
@@ -62,6 +78,7 @@ class EteeCurveSet:
         etees: Sequence[float],
     ) -> None:
         """Store the ETEE-vs-AR curve for (``workload_type``, ``tdp_w``)."""
+        self._require_unsealed()
         require_positive(tdp_w, "tdp_w")
         curve = LinearTable1D(application_ratios, etees)
         curves = self.active_curves.setdefault(workload_type, [])
@@ -70,6 +87,7 @@ class EteeCurveSet:
 
     def add_power_state_etee(self, state: PackageCState, etee: float) -> None:
         """Store the ETEE of a package power state."""
+        self._require_unsealed()
         self.power_state_etee[state] = require_fraction(etee, "etee")
 
     def etee(
@@ -242,10 +260,8 @@ class ModePredictor:
         application_ratio = np.array(
             [point.application_ratio for point in points], dtype=np.float64
         )
-        # Lanes grouped by their (workload type, power state) members' ids:
-        # hashing an Enum member is a Python-level call, hashing ints is not.
-        groups: Dict[Tuple[int, int], List[int]] = {}
-        for lane, members in enumerate(zip(map(id, workload_types), map(id, power_states))):
+        groups: Dict[Tuple[WorkloadType, PackageCState], List[int]] = {}
+        for lane, members in enumerate(zip(workload_types, power_states)):
             groups.setdefault(members, []).append(lane)
         ivr_mode = np.empty(len(workload_types), dtype=bool)
         for lanes in groups.values():

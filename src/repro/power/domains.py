@@ -33,6 +33,8 @@ from repro.util.validation import require_fraction, require_non_negative, requir
 class DomainKind(enum.Enum):
     """The six voltage domains of the modelled client processor."""
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     CORE0 = "core0"
     CORE1 = "core1"
     LLC = "llc"
@@ -57,6 +59,8 @@ UNCORE_DOMAINS: Tuple[DomainKind, ...] = (DomainKind.SA, DomainKind.IO)
 
 class WorkloadType(enum.Enum):
     """Workload classes distinguished by the models and the mode predictor."""
+
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
 
     CPU_SINGLE_THREAD = "cpu_single_thread"
     CPU_MULTI_THREAD = "cpu_multi_thread"

@@ -32,6 +32,8 @@ from repro.vr.switching import VRPowerState
 class PackageCState(enum.Enum):
     """Package power states modelled by PDNspot."""
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     C0 = "C0"
     C0_MIN = "C0_MIN"
     C2 = "C2"

@@ -276,6 +276,9 @@ class SimEngine(TwoTierCacheMixin):
         simulation tier only.  Requires ``enable_cache=True``.
     """
 
+    #: Namespace of this engine's disk entries; also tags its executor spans.
+    disk_namespace = "sim"
+
     def __init__(
         self,
         parameters: Optional[PdnTechnologyParameters] = None,
@@ -298,7 +301,7 @@ class SimEngine(TwoTierCacheMixin):
         )
         self._disk_cache = resolve_disk_cache(
             disk_cache,
-            namespace="sim",
+            namespace=self.disk_namespace,
             fingerprint=parameters_fingerprint(self._spot.parameters),
         )
         #: Trace-content digests keyed by (scenario, seed): part of the
@@ -312,11 +315,6 @@ class SimEngine(TwoTierCacheMixin):
         self._cache_hits = 0
         self._cache_misses = 0
         self._cache_lock = threading.Lock()
-        #: Calibrated Algorithm-1 predictors, keyed by parameter overrides.
-        #: Model state rather than an evaluation memo: kept even with the
-        #: cache disabled (mirroring the analytic engine, whose primed PDN
-        #: models survive ``enable_cache=False``) and across clear_cache().
-        self._predictors: Dict[OverrideKey, object] = {}
         #: Mode-forced FlexWatts evaluations shared across runs, keyed by
         #: (overrides, mode, operating point).  The models are pure, so a
         #: racing double-compute is benign; setdefault keeps one master.
@@ -356,9 +354,9 @@ class SimEngine(TwoTierCacheMixin):
 
         The simulation memo, its statistics, the cross-run mode-evaluation
         memo and the backing analytic engine's phase cache are all cleared;
-        calibrated predictors are model state and survive (rebuild the engine
-        to drop those).  Attached disk stores also survive -- use
-        :meth:`DiskCache.prune` to reclaim them.
+        calibrated predictors are process-wide model state
+        (:mod:`repro.core.calibration`) and survive.  Attached disk stores
+        also survive -- use :meth:`DiskCache.prune` to reclaim them.
         """
         with self._cache_lock:
             self._cache.clear()
@@ -431,7 +429,6 @@ class SimEngine(TwoTierCacheMixin):
         if pdn_name == FlexWattsPdn.name:
             pdn = FlexWattsPdn(
                 parameters=self._parameters_for(overrides),
-                predictor=self._predictor_for(overrides),
                 switch_controller=ModeSwitchController(),
             )
             return simulator.run(
@@ -564,10 +561,7 @@ class SimEngine(TwoTierCacheMixin):
         cache on, every read pair is installed in the memo, so it ends with
         the keys the per-unit path gives it.
         """
-        pdn = FlexWattsPdn(
-            parameters=self._parameters_for(overrides),
-            predictor=self._predictor_for(overrides),
-        )
+        pdn = FlexWattsPdn(parameters=self._parameters_for(overrides))
         predicted = dict(zip(points, pdn.predict_modes([conditions[p] for p in points])))
         scans = [
             simulator.scan_modes(plan, ModeSwitchController(), predicted)
@@ -626,23 +620,6 @@ class SimEngine(TwoTierCacheMixin):
         if not overrides:
             return self.parameters
         return self.parameters.with_overrides(**dict(overrides))
-
-    def _predictor_for(self, overrides: OverrideKey):
-        with self._cache_lock:
-            predictor = self._predictors.get(overrides)
-        if predictor is not None:
-            return predictor
-        # The calibration is deterministic, so two racing builders produce
-        # equivalent predictors; first one wins.  Without overrides the
-        # analytic engine's own FlexWatts instance shares its calibration.
-        if not overrides and FlexWattsPdn.name in self._spot.pdns:
-            predictor = self._spot.pdn(FlexWattsPdn.name).predictor
-        else:
-            predictor = FlexWattsPdn(
-                parameters=self._parameters_for(overrides)
-            ).predictor
-        with self._cache_lock:
-            return self._predictors.setdefault(overrides, predictor)
 
     def _make_mode_evaluator(self, overrides: OverrideKey):
         """Mode-forced evaluation hook backed by the cross-run memo.

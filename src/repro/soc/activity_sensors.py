@@ -28,6 +28,8 @@ from repro.util.validation import require_fraction, require_non_negative
 class ActivityEvent(enum.Enum):
     """Micro-architectural events counted by the activity sensors."""
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     EXECUTION_PORT_ACTIVE = "execution_port_active"
     MEMORY_STALL = "memory_stall"
     SCALAR_INSTRUCTION = "scalar_instruction"

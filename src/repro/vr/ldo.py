@@ -30,6 +30,8 @@ from repro.vr.base import RegulatorOperatingPoint, VoltageRegulator
 class LdoMode(enum.Enum):
     """Operating mode of a low-dropout regulator."""
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     #: The regulator actively reduces the input voltage to the requested output.
     REGULATION = "regulation"
     #: The pass device is fully on; output voltage equals input voltage minus

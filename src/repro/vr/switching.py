@@ -44,6 +44,8 @@ class VRPowerState(enum.Enum):
     near-off state used while the platform is in a deep package C-state.
     """
 
+    __hash__ = object.__hash__  # members are singletons: hash by identity, in C
+
     PS0 = 0
     PS1 = 1
     PS2 = 2

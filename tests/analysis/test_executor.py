@@ -310,6 +310,7 @@ class TestSpans:
         factory, units = engine_kind
         factory().evaluate_units(units + units[:3])
         spans = _dispatch_spans(tracer)
+        tag = factory.disk_namespace
         assert sorted(spans) == [
             "executor.chunk", "executor.dedupe", "executor.dispatch",
             "executor.merge_back", "executor.reassemble",
@@ -319,16 +320,18 @@ class TestSpans:
             spans["executor.reassemble"],
         )
         assert dedupe.args == {
-            "units": len(units) + 3, "dispatched": len(units), "duplicates": 3,
+            "engine": tag, "units": len(units) + 3, "dispatched": len(units),
+            "duplicates": 3,
         }
-        assert dispatch.args == {"chunks": 1}
+        assert dispatch.args == {"engine": tag, "chunks": 1}
         assert spans["executor.chunk"].args == {
-            "units": len(units), "columnar": True, "parent": "executor.dispatch",
+            "engine": tag, "units": len(units), "columnar": True,
+            "parent": "executor.dispatch",
         }
         assert spans["executor.merge_back"].args == {
-            "units": len(units), "parent": "executor.dispatch",
+            "engine": tag, "units": len(units), "parent": "executor.dispatch",
         }
-        assert reassemble.args == {"duplicates": 3}
+        assert reassemble.args == {"engine": tag, "duplicates": 3}
 
     def test_warm_batch_skips_chunk_and_merge_back(self, engine_kind, tracer):
         factory, units = engine_kind
@@ -337,10 +340,12 @@ class TestSpans:
         start = len(tracer.records())
         engine.evaluate_units(units)
         spans = [(record.name, record.args) for record in tracer.records()[start:]]
+        tag = factory.disk_namespace
         assert spans == [
-            ("executor.dedupe", {"units": len(units), "dispatched": 0, "duplicates": 0}),
-            ("executor.dispatch", {"chunks": 0}),
-            ("executor.reassemble", {"duplicates": 0}),
+            ("executor.dedupe",
+             {"engine": tag, "units": len(units), "dispatched": 0, "duplicates": 0}),
+            ("executor.dispatch", {"engine": tag, "chunks": 0}),
+            ("executor.reassemble", {"engine": tag, "duplicates": 0}),
         ]
 
     def test_cache_off_batch_is_dispatch_and_chunk(self, engine_kind, tracer):
@@ -348,8 +353,26 @@ class TestSpans:
         factory(enable_cache=False).evaluate_units(units + units[:3])
         spans = _dispatch_spans(tracer)
         assert sorted(spans) == ["executor.chunk", "executor.dispatch"]
-        assert [record.args for record in spans["executor.dispatch"]] == [{"chunks": 1}]
+        assert [record.args for record in spans["executor.dispatch"]] == [
+            {"engine": factory.disk_namespace, "chunks": 1}
+        ]
         assert spans["executor.chunk"].args["units"] == len(units) + 3
+
+    def test_spans_name_their_engine_layer(self, tracer):
+        # A simulation batch evaluates its static phase points through the
+        # analytic engine's own dispatch: one chunk per layer, each tagged.
+        unit = next(unit for unit in _sim_units() if unit[0] != "FlexWatts")
+        SimEngine(enable_cache=False).evaluate_units([unit] * 3)
+        chunks = [r.args["engine"] for r in tracer.records() if r.name == "executor.chunk"]
+        assert sorted(chunks) == ["pdnspot", "sim"]
+        assert {
+            record.args["engine"] for record in tracer.records()
+            if record.category == "executor"
+        } == {"pdnspot", "sim"}
+
+    def test_engines_without_a_namespace_are_tagged_by_class(self, tracer):
+        evaluate_units(_EchoEngine(True), [("A", 1, ())])
+        assert {record.args["engine"] for record in tracer.records()} == {"_EchoEngine"}
 
     @pytest.mark.parametrize("columnar", [True, False])
     def test_chunk_span_records_the_negotiation(self, columnar, tracer):

@@ -41,8 +41,11 @@ SWEEP_SETUP = (
     "repro.PdnSpot().pdn('FlexWatts').predictor\n"
 )
 
-#: Modules no sweep may load: the daemon, the optimizer and the simulator.
-SWEEP_EXCLUDED = ("asyncio", "repro.serve.server", "repro.optimize", "repro.sim")
+#: Modules no sweep may load: the disk store, the daemon, the optimizer and
+#: the simulator.
+SWEEP_EXCLUDED = (
+    "asyncio", "repro.cache", "repro.serve.server", "repro.optimize", "repro.sim",
+)
 
 
 def run_child(body: str) -> str:
