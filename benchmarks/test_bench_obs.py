@@ -67,7 +67,7 @@ def test_bench_obs_tracing_disabled(benchmark, obs_fig7_units, obs_reference):
     evaluations = benchmark.pedantic(
         spot.evaluate_units,
         args=(obs_fig7_units,),
-        rounds=3,
+        rounds=9,
         iterations=1,
         warmup_rounds=1,
     )
@@ -85,7 +85,7 @@ def test_bench_obs_tracing_enabled(benchmark, obs_fig7_units, obs_reference):
         evaluations = benchmark.pedantic(
             spot.evaluate_units,
             args=(obs_fig7_units,),
-            rounds=3,
+            rounds=9,
             iterations=1,
             warmup_rounds=1,
         )

@@ -599,7 +599,16 @@ class ResultSet:
         restored to ``float("nan")`` / ``±inf``; every other ``null`` is a
         missing cell, exactly as written.
         """
-        payload = json.loads(text)
+        return cls.from_payload(json.loads(text))
+
+    @classmethod
+    def from_payload(cls, payload: Mapping[str, object]) -> "ResultSet":
+        """Rebuild a result set from already-decoded :meth:`to_json` output.
+
+        ``from_json(text)`` is ``from_payload(json.loads(text))``, with the
+        same validation; a caller that decoded a document embedding the
+        result set (a served response) rebuilds it without a second parse.
+        """
         try:
             column_names = payload["columns"]
             rows = payload["rows"]

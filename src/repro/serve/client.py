@@ -1,13 +1,15 @@
 """A thin stdlib client of the evaluation service.
 
 :class:`ServeClient` speaks the :mod:`repro.serve.protocol` JSON dialect
-over ``urllib`` and rebuilds real :class:`~repro.analysis.resultset.ResultSet`
+over one direct ``http.client`` connection per exchange (no proxy, thread
+safe) and rebuilds real :class:`~repro.analysis.resultset.ResultSet`
 objects from responses, so everything downstream of an engine call -- the
 CLI renderers, the plotting adapters, user code -- works identically on
 server results.  The round trip is bit-identical: the server embeds
-``ResultSet.to_json`` and the client rebuilds through
-``ResultSet.from_json``, whose equality round-trip is covered by the cache
-serialization tests.
+``ResultSet.to_json`` and the client parses each response once and
+rebuilds the result set from the decoded document through
+``ResultSet.from_payload``, whose equality round-trip is covered by the
+cache serialization tests.
 
 Failure taxonomy (what the CLI's ``--server`` fallback keys on):
 
@@ -22,14 +24,14 @@ Failure taxonomy (what the CLI's ``--server`` fallback keys on):
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
+from urllib.parse import urlsplit
 
 from repro.analysis.resultset import ResultSet
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigurationError, ReproError
 
 #: Extra seconds of HTTP read timeout on top of a request's evaluation
 #: deadline, so the transport never gives up before the server answers.
@@ -101,8 +103,9 @@ class ServeClient:
     Parameters
     ----------
     base_url:
-        The daemon's base URL, e.g. ``http://127.0.0.1:8737`` (a trailing
-        slash is tolerated).
+        The daemon's ``http://`` base URL, e.g. ``http://127.0.0.1:8737``
+        (a trailing slash is tolerated).  The client connects to it
+        directly; proxy environment variables are not consulted.
     timeout_s:
         Default evaluation deadline sent with requests that do not carry
         their own ``timeout_s``; also sizes the HTTP read timeout (with a
@@ -112,6 +115,18 @@ class ServeClient:
     def __init__(self, base_url: str, timeout_s: Optional[float] = None):
         self._base_url = base_url.rstrip("/")
         self._timeout_s = timeout_s
+        parts = urlsplit(self._base_url)
+        try:
+            port = parts.port
+        except ValueError as error:
+            raise ConfigurationError(f"invalid server URL {base_url!r}: {error}") from None
+        if parts.scheme != "http" or not parts.hostname:
+            raise ConfigurationError(
+                f"invalid server URL {base_url!r}: expected http://HOST[:PORT]"
+            )
+        self._host = parts.hostname
+        self._port = port if port is not None else 80
+        self._path_prefix = parts.path
 
     @property
     def base_url(self) -> str:
@@ -136,32 +151,38 @@ class ServeClient:
         self, method: str, path: str, body: Optional[Mapping[str, object]] = None
     ) -> Dict[str, object]:
         """Run one HTTP exchange and decode the JSON document it returns."""
-        url = f"{self._base_url}{path}"
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers, method=method)
+        connection = http.client.HTTPConnection(
+            self._host, self._port, timeout=self._http_timeout(body)
+        )
         try:
-            with urllib.request.urlopen(
-                request, timeout=self._http_timeout(body)
-            ) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as error:
-            raw = error.read()
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                payload = {}
-            message = str(payload.get("error", raw[:200].decode("latin-1")))
-            raise ServerError(error.code, message, payload) from None
-        except (urllib.error.URLError, ConnectionError, TimeoutError, OSError) as error:
+            connection.request(method, self._path_prefix + path, data, headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except OSError as error:  # refused, reset, timed out, unresolvable
             raise ServerUnavailable(
                 f"evaluation service at {self._base_url} is unreachable: {error}"
             ) from None
-        except json.JSONDecodeError as error:
-            raise ServerError(502, f"non-JSON response body ({error})") from None
+        except http.client.HTTPException as error:
+            raise ServerError(502, f"malformed HTTP response ({error!r})") from None
+        finally:
+            connection.close()
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+            if response.status < 400:
+                raise ServerError(502, f"non-JSON response body ({error})") from None
+            payload = {}
+        if response.status >= 400:
+            if not isinstance(payload, dict):
+                payload = {}
+            message = str(payload.get("error", raw[:200].decode("latin-1")))
+            raise ServerError(response.status, message, payload)
+        return payload
 
     def _evaluate(self, endpoint: str, body: Dict[str, object]) -> EvaluationResponse:
         """POST one evaluation request and rebuild its result set."""
@@ -172,7 +193,7 @@ class ServeClient:
         if clean.get("allow_partial") is False:
             del clean["allow_partial"]
         payload = self._exchange("POST", f"/v1/{endpoint}", clean)
-        resultset = ResultSet.from_json(json.dumps(payload["resultset"]))
+        resultset = ResultSet.from_payload(payload["resultset"])
         return EvaluationResponse(
             status=str(payload.get("status", "ok")),
             endpoint=str(payload.get("endpoint", endpoint)),

@@ -166,7 +166,8 @@ class Coalescer:
         in-flight key (counted as coalesced) or a fresh future backed by a
         slot in the next dispatched batch.  Futures are shared between
         requests -- abandoning one (e.g. on a request timeout) must not
-        cancel it; await through :func:`asyncio.shield` or let it settle.
+        cancel it; await through :func:`asyncio.wait`, which never cancels
+        what it waits on.
         """
         futures: List["asyncio.Future[EvalResult]"] = []
         loop = asyncio.get_running_loop()
@@ -192,11 +193,12 @@ class Coalescer:
         The awaitable convenience over :meth:`scatter`; a failed dispatch
         re-raises its error to every request that awaited one of its keys.
         """
-        # shield(): a caller timing out (wait_for cancels) must not cancel
-        # the shared future other requests are still awaiting.
-        return [
-            await asyncio.shield(future) for future in self.scatter(units)
-        ]
+        futures = self.scatter(units)
+        if futures:
+            # asyncio.wait never cancels the shared futures other requests
+            # await, even when this caller is cancelled.
+            await asyncio.wait(set(futures))
+        return [future.result() for future in futures]
 
     def _schedule_flush(self, loop: asyncio.AbstractEventLoop) -> None:
         """Arrange for the pending batch to dispatch on a scheduling tick."""

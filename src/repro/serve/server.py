@@ -49,6 +49,8 @@ When a tracer is installed (``repro serve --trace``), every request is
 wrapped in a ``serve.request`` span with ``serve.parse`` /
 ``serve.dispatch`` / ``serve.reassemble`` children, so a service trace
 shows the full request lifecycle down to the ``executor.chunk`` spans.
+Each response is then encoded and written in a ``serve.respond`` span
+(``status``, ``bytes``).
 """
 
 from __future__ import annotations
@@ -106,9 +108,22 @@ _REASONS = {
 }
 
 
-def _json_body(payload: object) -> bytes:
-    """Encode one response payload as UTF-8 JSON."""
-    return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+def _json_body(payload: Dict[str, object]) -> bytes:
+    """Encode one response payload as UTF-8 JSON (``json.dumps(indent=2)``).
+
+    An evaluation payload carries its live :class:`ResultSet` as its last
+    member, ``resultset``.  The envelope before it goes through
+    ``json.dumps``; the result set's own ``to_json(indent=2)`` text is
+    spliced in one level deep, which is byte for byte what ``json.dumps``
+    writes for the decoded result set -- without decoding it first.
+    """
+    resultset = payload.get("resultset")
+    if not isinstance(resultset, ResultSet):
+        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+    envelope = {key: value for key, value in payload.items() if key != "resultset"}
+    head = json.dumps(envelope, indent=2)[: -len("\n}")]
+    spliced = resultset.to_json(indent=2).replace("\n", "\n  ")
+    return (head + ',\n  "resultset": ' + spliced + "\n}\n").encode("utf-8")
 
 
 def _error_payload(code: int, message: str, **extra: object) -> Dict[str, object]:
@@ -116,6 +131,17 @@ def _error_payload(code: int, message: str, **extra: object) -> Dict[str, object
     payload: Dict[str, object] = {"status": "error", "code": code, "error": message}
     payload.update(extra)
     return payload
+
+
+async def _read_headers(reader: asyncio.StreamReader) -> Dict[str, str]:
+    """Read header lines up to the blank one (CRLF- or bare-LF-terminated)."""
+    headers: Dict[str, str] = {}
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
 
 
 class _HttpError(Exception):
@@ -331,16 +357,12 @@ class EvaluationServer:
         if len(parts) != 3:
             raise _HttpError(400, "malformed HTTP request line")
         method, target = parts[0].upper(), parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            try:
-                line = await asyncio.wait_for(reader.readline(), self._read_timeout_s)
-            except asyncio.TimeoutError:
-                raise _HttpError(408, "timed out reading request headers") from None
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        try:
+            headers = await asyncio.wait_for(
+                _read_headers(reader), self._read_timeout_s
+            )
+        except asyncio.TimeoutError:
+            raise _HttpError(408, "timed out reading request headers") from None
         body: Optional[bytes] = None
         if method == "POST":
             try:
@@ -367,17 +389,20 @@ class EvaluationServer:
     async def _write_response(
         self, writer: asyncio.StreamWriter, status: int, payload: object
     ) -> None:
-        """Write one JSON response and flush it."""
-        body = _json_body(payload)
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            "Connection: close\r\n"
-            "\r\n"
-        )
-        writer.write(head.encode("ascii") + body)
-        await writer.drain()
+        """Encode one JSON response, write it and flush it."""
+        with obs_trace.span("serve.respond", category="serve",
+                            status=status) as span:
+            body = _json_body(payload)
+            span.set("bytes", len(body))
+            head = (
+                f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
+                "Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n"
+                "Connection: close\r\n"
+                "\r\n"
+            )
+            writer.write(head.encode("ascii") + body)
+            await writer.drain()
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -566,31 +591,33 @@ class EvaluationServer:
         with obs_trace.span("serve.dispatch", category="serve",
                             endpoint=endpoint, units=len(units)):
             futures = coalescer.scatter(units)
-        try:
-            results = await asyncio.wait_for(
-                asyncio.gather(*(asyncio.shield(future) for future in futures)),
-                timeout,
+        pending = ()
+        if futures:
+            # asyncio.wait never cancels the shared futures other requests
+            # await, and returns early on the first failed dispatch.
+            _, pending = await asyncio.wait(
+                set(futures), timeout=timeout, return_when=asyncio.FIRST_EXCEPTION
             )
-        except asyncio.TimeoutError:
-            completed: List[Optional[object]] = [
-                future.result()
-                if future.done() and future.exception() is None
-                else None
-                for future in futures
+        try:
+            results = [
+                future.result() if future.done() else None for future in futures
             ]
-            done_count = sum(1 for result in completed if result is not None)
+        except ReproError as error:
+            raise _HttpError(400, str(error)) from None
+        if pending:
+            done_count = sum(1 for result in results if result is not None)
             if request.allow_partial and done_count:
                 with obs_trace.span("serve.reassemble", category="serve",
                                     endpoint=endpoint, units=done_count,
                                     partial=True):
-                    resultset = assemble(completed)
+                    resultset = assemble(results)
                 payload = {
                     "status": "partial",
                     "endpoint": endpoint,
                     "completed_units": done_count,
                     "total_units": len(units),
                     "timeout_s": timeout,
-                    "resultset": json.loads(resultset.to_json()),
+                    "resultset": resultset,
                 }
                 return 200, payload
             raise _HttpError(
@@ -599,18 +626,11 @@ class EvaluationServer:
                 f"({done_count}/{len(units)} units completed; retry, raise "
                 "timeout_s, or set allow_partial)",
                 timeout_s=timeout,
-            ) from None
-        except ReproError as error:
-            raise _HttpError(400, str(error)) from None
+            )
         with obs_trace.span("serve.reassemble", category="serve",
                             endpoint=endpoint, units=len(units)):
-            resultset = assemble(list(results))
-        payload = {
-            "status": "ok",
-            "endpoint": endpoint,
-            "resultset": json.loads(resultset.to_json()),
-        }
-        return 200, payload
+            resultset = assemble(results)
+        return 200, {"status": "ok", "endpoint": endpoint, "resultset": resultset}
 
     async def _handle_optimize(self, body: Optional[bytes]) -> Tuple[int, object]:
         """``POST /v1/optimize``: run one design-space search (single-flight)."""
@@ -639,22 +659,24 @@ class EvaluationServer:
             future.add_done_callback(
                 lambda _, digest=digest: self._optimize_inflight.pop(digest, None)
             )
-        try:
-            outcome = await asyncio.wait_for(asyncio.shield(future), timeout)
-        except asyncio.TimeoutError:
+        # asyncio.wait leaves the shared search running on a deadline.
+        done, _ = await asyncio.wait({future}, timeout=timeout)
+        if not done:
             raise _HttpError(
                 504,
                 f"optimization exceeded the {timeout:g} s deadline "
                 "(the search keeps warming the cache; retry or raise timeout_s)",
                 timeout_s=timeout,
-            ) from None
+            )
+        try:
+            outcome = future.result()
         except ReproError as error:
             raise _HttpError(400, str(error)) from None
         payload = {
             "status": "ok",
             "endpoint": "optimize",
             "strategy": outcome.strategy,
-            "resultset": json.loads(outcome.results.to_json()),
+            "resultset": outcome.results,
         }
         return 200, payload
 

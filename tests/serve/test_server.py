@@ -34,6 +34,7 @@ from repro.serve.protocol import (
     build_sweep_study,
 )
 from repro.sim.study import SimEngine
+from repro.util.errors import ConfigurationError
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +252,28 @@ class TestFailurePaths:
         assert payload["status"] == "error"
 
 
+    def test_stalled_headers_are_408(self):
+        with start_in_thread(read_timeout_s=0.2) as handle:
+            with socket.create_connection(
+                ("127.0.0.1", handle.server.port), timeout=10.0
+            ) as stalled:
+                stalled.sendall(b"GET /v1/healthz HTTP/1.1\r\nHost: x\r\n")
+                raw = stalled.makefile("rb").read()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert b"408" in head.split(b"\r\n", 1)[0]
+        assert json.loads(body)["error"] == "timed out reading request headers"
+
+    def test_bare_lf_request_head_is_accepted(self, warm_server):
+        with socket.create_connection(
+            ("127.0.0.1", warm_server.server.port), timeout=10.0
+        ) as bare:
+            bare.sendall(b"GET /v1/healthz HTTP/1.1\nHost: x\n\n")
+            raw = bare.makefile("rb").read()
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK")
+        assert json.loads(body)["status"] == "ok"
+
+
 def _raw_post(handle, path: str, body: bytes):
     """POST a raw (possibly invalid) body, bypassing the client's encoder."""
     connection = http.client.HTTPConnection("127.0.0.1", handle.server.port, timeout=30)
@@ -311,6 +334,53 @@ class TestDeadlines:
                 gate.set()
             # Three requests wanted (IVR, 50 W); it was evaluated once.
             assert counts[("IVR", 50.0)] == 1
+
+
+# --------------------------------------------------------------------------- #
+# Failed dispatches
+# --------------------------------------------------------------------------- #
+def fail_at(server, tdp_w: float, error: Exception) -> None:
+    """Make every ``tdp_w`` evaluation of the analytic engine raise ``error``."""
+    original = server._spot.evaluate_uncached
+
+    def failing(name, point, overrides):
+        if getattr(point, "tdp_w", None) == tdp_w:
+            raise error
+        return original(name, point, overrides)
+
+    server._spot.evaluate_uncached = failing
+
+
+class TestDispatchFailures:
+    def test_failed_dispatch_is_400_without_waiting_for_slow_units(self):
+        with start_in_thread() as handle:
+            gate, _ = gate_tdp50(handle.server)
+            fail_at(handle.server, 33.0, ConfigurationError("no model at 33 W"))
+            client = ServeClient(handle.base_url)
+            try:
+                with ThreadPoolExecutor(max_workers=1) as pool:
+                    blocked = pool.submit(client.sweep, tdps=[50.0], pdns=["IVR"])
+                    wait_until(lambda: handle.server._sweep_coalescer.in_flight > 0)
+                    started = time.monotonic()
+                    # 50 W joins the gated batch; 33 W fails in its own.
+                    with pytest.raises(ServerError) as excinfo:
+                        client.sweep(tdps=[33.0, 50.0], pdns=["IVR"], timeout_s=20.0)
+                    assert time.monotonic() - started < 10.0
+                    assert not gate.is_set()
+                    assert excinfo.value.code == 400
+                    assert "no model at 33 W" in str(excinfo.value)
+                    gate.set()
+                    assert blocked.result(timeout=30.0).status == "ok"
+            finally:
+                gate.set()
+
+    def test_unexpected_dispatch_error_is_500(self):
+        with start_in_thread() as handle:
+            fail_at(handle.server, 33.0, RuntimeError("kaput"))
+            with pytest.raises(ServerError) as excinfo:
+                ServeClient(handle.base_url).sweep(tdps=[33.0], pdns=["IVR"])
+            assert excinfo.value.code == 500
+            assert "kaput" in str(excinfo.value)
 
 
 # --------------------------------------------------------------------------- #
