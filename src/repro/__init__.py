@@ -18,8 +18,9 @@ The library has two halves, mirroring the paper:
   plus an interval simulator (:mod:`repro.sim`) that exercises the adaptive
   behaviour over time-varying workloads.
 
-Both engines share a two-tier evaluation cache (:mod:`repro.cache`) and can
-be served from one warm long-running process (:mod:`repro.serve`,
+Both engines memoise their evaluations, simulations can persist on disk
+(:mod:`repro.cache`), and both can be served from one warm long-running
+process (:mod:`repro.serve`,
 ``repro serve``) that coalesces concurrent overlapping requests into
 single-flight evaluations.  Every layer is instrumented through the
 unified observability package (:mod:`repro.obs`): span tracing with

@@ -132,95 +132,57 @@ class EvaluationEngine(Protocol):
         ...  # pragma: no cover - protocol
 
 
-class TwoTierCacheMixin:
-    """Shared memory-then-disk cache fall-through for evaluation engines.
+class MemoCacheMixin:
+    """The shared in-memory memo tier of the evaluation engines.
 
     Implements the :meth:`cache_lookup_many` / :meth:`cache_install_many`
     half of the :class:`EvaluationEngine` protocol once, for every engine
-    that keeps a
-    locked in-memory memo dict in front of an optional
-    :class:`~repro.cache.DiskCache`.  The host class provides the state --
-    ``_cache``, ``_cache_lock``, ``_cache_hits``, ``_cache_misses``,
-    ``_disk_cache`` -- plus two hooks:
+    that keeps a locked memo dict of read-only results.  The host class
+    provides the state -- ``_cache``, ``_cache_lock``, ``_cache_hits``,
+    ``_cache_misses``.  A lookup hands out the shared cached result itself;
+    results are never copied.
 
-    ``_payload_type``
-        The payload class disk entries must be to count as hits (guards
-        against a foreign entry landing at an engine's address).
-    ``_copy_cached(value)``
-        What a lookup hands out for a cached master: a caller-owned copy
-        for mutable payloads, or the shared master itself where payloads
-        are read-only (the analytic engine's evaluations).
-
-    Engines whose on-disk address differs from the memo key (the simulation
-    engine's trace digest) additionally override :meth:`_disk_key`.
+    An engine with a persistent tier behind the memo (the simulation
+    engine's disk store) overrides :meth:`_lookup_below` and
+    :meth:`_install_below`; the analytic engine has none.
     """
 
-    #: Disk payloads of any other type are treated as misses.
-    _payload_type: type = object
+    def _lookup_below(
+        self,
+        keys: Sequence[Tuple[object, ...]],
+        found: List[Optional[EvalResult]],
+        missing: List[int],
+    ) -> int:
+        """Fill memory misses from a lower tier; returns how many it served."""
+        return 0
 
-    def _disk_key(self, key: Tuple[object, ...]) -> Tuple[object, ...]:
-        """The on-disk address of one unit (defaults to the memo key)."""
-        return key
-
-    def _copy_cached(self, value: EvalResult) -> EvalResult:
-        """What a lookup hands out for a cached master (host engines override)."""
-        raise NotImplementedError  # pragma: no cover - host engines override
+    def _install_below(
+        self, keys: Sequence[Tuple[object, ...]], results: Sequence[EvalResult]
+    ) -> None:
+        """Write computed results through to a lower tier (none by default)."""
 
     def cache_lookup_many(
         self, keys: Sequence[Tuple[object, ...]]
     ) -> List[Optional[EvalResult]]:
-        """Per key, the cached result (via :meth:`_copy_cached`) or ``None``.
+        """Per key, the cached result or ``None``.
 
-        The memory tier is read under one lock acquisition.  Each memory
-        miss falls through to the attached :class:`~repro.cache.DiskCache`
-        (when there is one), key by key; a disk hit is promoted into the
-        memory cache so later lookups skip the filesystem, and both tiers'
-        hits are counted identically.  Each cache counter ticks at most once
-        per call, by the batch's count.
+        The memory tier is read under one lock acquisition; its misses go to
+        :meth:`_lookup_below` as one batch.  Each cache counter ticks at most
+        once per call, by the batch's count.
         """
         with self._cache_lock:
             found = list(map(self._cache.get, keys))
             missing = [index for index, value in enumerate(found) if value is None]
             memory_hits = len(found) - len(missing)
             self._cache_hits += memory_hits
-            if memory_hits:
-                copy = self._copy_cached
-                found = [None if value is None else copy(value) for value in found]
         if memory_hits:
             _MEMORY_HITS.inc(memory_hits)
-        disk_hits = 0
-        if self._disk_cache is not None:
-            for index in missing:
-                promoted = self._disk_lookup(keys[index])
-                if promoted is not None:
-                    found[index] = promoted
-                    disk_hits += 1
+        disk_hits = self._lookup_below(keys, found, missing) if missing else 0
         if disk_hits:
             _DISK_HITS.inc(disk_hits)
         if len(missing) > disk_hits:
             _LOOKUP_MISSES.inc(len(missing) - disk_hits)
         return found
-
-    def _disk_lookup(self, key: Tuple[object, ...]) -> Optional[EvalResult]:
-        """One memory miss served from disk and promoted (hit-counted), or ``None``."""
-        disk_key = self._disk_key(key)
-        payload = self._disk_cache.get(disk_key)
-        if payload is None:
-            return None
-        if not isinstance(payload, self._payload_type):
-            # Structurally valid entry, wrong payload class (e.g. written by
-            # a code version that changed the payload type without bumping
-            # the format version): heal it like corruption, loudly.
-            self._disk_cache.discard(
-                disk_key,
-                f"payload is {type(payload).__name__}, "
-                f"expected {self._payload_type.__name__}",
-            )
-            return None
-        with self._cache_lock:
-            master = self._cache.setdefault(key, payload)
-            self._cache_hits += 1
-            return self._copy_cached(master)
 
     def cache_install_many(
         self, keys: Sequence[Tuple[object, ...]], results: Sequence[EvalResult]
@@ -228,20 +190,15 @@ class TwoTierCacheMixin:
         """Merge computed results into the cache (one miss per key).
 
         This is the merge-back half of execution: computed results become
-        shared cache masters and the caller gets, per key, what a single
-        miss would have produced (see :meth:`_copy_cached`).  With a disk
-        store attached every result is also written through, entry by
-        entry, so later processes start warm.
+        the shared cache masters, and :meth:`_install_below` writes the
+        batch through to a lower tier when the engine has one.
         """
         with self._cache_lock:
             self._cache_misses += len(keys)
             self._cache.update(zip(keys, results))
-            copies = list(map(self._copy_cached, results))
         _CACHE_INSTALLS.inc(len(keys))
-        if self._disk_cache is not None:
-            for key, result in zip(keys, results):
-                self._disk_cache.put(self._disk_key(key), result)
-        return copies
+        self._install_below(keys, results)
+        return list(results)
 
 
 def evaluate_units(
@@ -266,7 +223,7 @@ def evaluate_units(
         return []
     # Spans name their engine: a simulation batch nests the analytic engine's
     # own batch for its phase points.  Stub engines go by their class name.
-    tag = getattr(engine, "disk_namespace", type(engine).__name__)
+    tag = getattr(engine, "engine_tag", type(engine).__name__)
     if not engine.cache_enabled:
         with obs_trace.span("executor.dispatch", category="executor",
                             engine=tag, chunks=1):

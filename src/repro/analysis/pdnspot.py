@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.analysis.executor import EvalUnit, TwoTierCacheMixin, evaluate_units
+from repro.analysis.executor import EvalUnit, MemoCacheMixin, evaluate_units
 from repro.analysis.resultset import Record, ResultSet
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS
@@ -53,8 +53,7 @@ from repro.power.parameters import PdnTechnologyParameters, default_parameters
 from repro.power.power_states import PackageCState
 from repro.util.errors import ConfigurationError, ReproError
 
-if TYPE_CHECKING:  # imported on first use: the disk tier and the convenience models
-    from repro.cache.store import DiskCache, DiskCacheLike
+if TYPE_CHECKING:  # imported on first use: the convenience models
     from repro.cost.board_area import BoardAreaModel
     from repro.cost.bom import BomModel
     from repro.perf.model import PerformanceModel, PerformanceResult
@@ -83,7 +82,7 @@ _SCALAR_FALLBACK_BLOCKS = METRICS.counter("engine.scalar_fallback.blocks")
 _SCALAR_FALLBACK_UNITS = METRICS.counter("engine.scalar_fallback.units")
 
 
-class PdnSpot(TwoTierCacheMixin):
+class PdnSpot(MemoCacheMixin):
     """Multi-dimensional PDN exploration framework (the paper's PDNspot).
 
     Parameters
@@ -99,13 +98,6 @@ class PdnSpot(TwoTierCacheMixin):
         Disabling reproduces the pre-cache evaluation cost (used by the
         benchmark harness to track the cache's speedup); results are
         identical either way because the PDN models are pure.
-    disk_cache:
-        Optional second cache tier: a cache-directory path (a
-        :class:`~repro.cache.DiskCache` is built for it, keyed by this
-        engine's parameters fingerprint) or a pre-built store.  Memory
-        misses fall through to disk, computed evaluations write through, so
-        a directory warmed by one process serves identical runs in any
-        later process.  Requires ``enable_cache=True``.
     columnar:
         Whether batches may be evaluated through the vectorized columnar
         core (:mod:`repro.pdn.columnar`) instead of one Python call per
@@ -119,8 +111,8 @@ class PdnSpot(TwoTierCacheMixin):
     caller, rather than a copy.
     """
 
-    #: Namespace of this engine's disk entries; also tags its executor spans.
-    disk_namespace = "pdnspot"
+    #: Tags this engine's executor spans.
+    engine_tag = "pdnspot"
 
     def __init__(
         self,
@@ -128,7 +120,6 @@ class PdnSpot(TwoTierCacheMixin):
         pdn_names: Optional[Sequence[str]] = None,
         baseline_name: str = "IVR",
         enable_cache: bool = True,
-        disk_cache: DiskCacheLike = None,
         columnar: bool = True,
     ):
         self.parameters = parameters if parameters is not None else default_parameters()
@@ -149,20 +140,6 @@ class PdnSpot(TwoTierCacheMixin):
         # table: concurrent evaluate calls from user threads must not lose
         # counter updates or race dict growth.
         self._cache_lock = threading.Lock()
-        if disk_cache is not None and not enable_cache:
-            raise ConfigurationError(
-                "disk_cache requires enable_cache=True: the disk tier sits "
-                "behind the memo cache"
-            )
-        self._disk_cache: Optional[DiskCache] = None
-        if disk_cache is not None:
-            from repro.cache.store import parameters_fingerprint, resolve_disk_cache
-
-            self._disk_cache = resolve_disk_cache(
-                disk_cache,
-                namespace=self.disk_namespace,
-                fingerprint=parameters_fingerprint(self.parameters),
-            )
         self._columnar = bool(columnar)
         #: Parameter-override PDN variants, keyed by (overrides, pdn name).
         self._variants: Dict[Tuple[OverrideKey, str], PowerDeliveryNetwork] = {}
@@ -204,12 +181,7 @@ class PdnSpot(TwoTierCacheMixin):
             )
 
     def clear_cache(self) -> None:
-        """Drop every memoised evaluation (statistics reset too).
-
-        Only the in-memory tier is cleared; an attached disk store survives
-        (use :meth:`DiskCache.prune` to reclaim it) and will serve the next
-        lookups.
-        """
+        """Drop every memoised evaluation (statistics reset too)."""
         with self._cache_lock:
             self._cache.clear()
             self._cache_hits = 0
@@ -224,18 +196,7 @@ class PdnSpot(TwoTierCacheMixin):
         """The memo-cache key of one evaluation unit."""
         return (overrides, pdn_name, conditions_key(conditions))
 
-    @property
-    def disk_cache(self) -> Optional[DiskCache]:
-        """The attached on-disk store (second cache tier), if any."""
-        return self._disk_cache
-
-    # Two-tier cache_lookup_many / cache_install_many come from TwoTierCacheMixin.
-    _payload_type = PdnEvaluation
-
-    @staticmethod
-    def _copy_cached(evaluation: PdnEvaluation) -> PdnEvaluation:
-        """The shared cached master: evaluations are read-only, so no copy."""
-        return evaluation
+    # cache_lookup_many / cache_install_many come from MemoCacheMixin.
 
     def _variant_pdn(self, name: str, overrides: OverrideKey) -> PowerDeliveryNetwork:
         """The PDN instance for one parameter-override set (built once)."""

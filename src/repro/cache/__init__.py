@@ -1,12 +1,12 @@
-"""Persistent on-disk evaluation caching (the second cache tier).
+"""Persistent on-disk simulation caching (the second cache tier).
 
-The in-memory memo caches of :class:`~repro.analysis.pdnspot.PdnSpot` and
-:class:`~repro.sim.study.SimEngine` die with the process; this package adds
-the durable tier below them.  Attach a :class:`DiskCache` (or just a cache
-directory path) to an engine and every computed evaluation is written
-through to disk, every memory miss falls through to a disk lookup, and a
-directory warmed by one process makes identical runs in *any* later process
--- CLI, daemon or CI -- near-instant with bit-identical results.
+The in-memory memo cache of :class:`~repro.sim.study.SimEngine` dies with
+the process; this package adds the durable tier below it.  Give the engine
+a cache-directory path and every computed simulation batch is written
+through to one SQLite file in one transaction, every batch of memory misses
+is looked up on disk in one query, and a directory warmed by one process
+replays identical simulations in *any* later process -- CLI, daemon or CI
+-- with bit-identical results.
 
 See :doc:`/guides/caching` for the architecture and CLI usage.
 """
@@ -20,36 +20,30 @@ if TYPE_CHECKING:
         CACHE_FORMAT_VERSION,
         CACHE_STATS_SCHEMA_VERSION,
         DiskCache,
-        DiskCacheLike,
         DiskCacheStats,
         cache_dir_summary,
-        cache_io_section,
         cache_stats_payload,
         canonical_key,
         parameters_fingerprint,
         prune_cache_dir,
-        resolve_disk_cache,
     )
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
     "CACHE_STATS_SCHEMA_VERSION",
     "DiskCache",
-    "DiskCacheLike",
     "DiskCacheStats",
     "cache_dir_summary",
-    "cache_io_section",
     "cache_stats_payload",
     "canonical_key",
     "parameters_fingerprint",
     "prune_cache_dir",
-    "resolve_disk_cache",
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.cache.store": (
-        "CACHE_FORMAT_VERSION", "CACHE_STATS_SCHEMA_VERSION", "DiskCache", "DiskCacheLike",
-        "DiskCacheStats", "cache_dir_summary", "cache_io_section", "cache_stats_payload",
-        "canonical_key", "parameters_fingerprint", "prune_cache_dir", "resolve_disk_cache",
+        "CACHE_FORMAT_VERSION", "CACHE_STATS_SCHEMA_VERSION", "DiskCache", "DiskCacheStats",
+        "cache_dir_summary", "cache_stats_payload", "canonical_key",
+        "parameters_fingerprint", "prune_cache_dir",
     ),
 })

@@ -9,7 +9,7 @@ The CLI exposes the most common analyses without writing any Python::
     python -m repro figures --quick
     python -m repro predict --tdp 50 --ar 0.6 --workload graphics
     python -m repro sweep --tdps 4 18 50 --ars 0.4 0.56 --format csv
-    python -m repro sweep --tdps 4 18 50 --cache-dir ~/.cache/repro
+    python -m repro simulate --tdps 4 18 50 --cache-dir ~/.cache/repro
     python -m repro export fig3 --format json --output fig3.json
     python -m repro simulate --scenario bursty-interactive --format json
     python -m repro optimize --strategy random --budget 12 --seed 7
@@ -25,10 +25,11 @@ emits the underlying data for scripting.  The ``sweep`` command builds a
 declarative :class:`~repro.analysis.study.Study` from its axis flags and runs
 it through the cached :meth:`PdnSpot.run` engine, which evaluates the
 grid's cache misses as one batch on the calling thread.
-``--cache-dir DIR`` (on every grid command) attaches the persistent on-disk
-evaluation store (see :mod:`repro.cache`): the first run populates the
-directory, every later run -- in any process -- replays its grid points from
-disk, and ``repro cache stats``/``repro cache prune`` inspect and reclaim it.
+``--cache-dir DIR`` (on ``simulate``, ``optimize``, ``figures`` and
+``serve``) persists simulations in the on-disk store (see
+:mod:`repro.cache`): the first run populates the directory, every later
+run -- in any process -- replays its simulations from disk, and ``repro
+cache stats``/``repro cache prune`` inspect and reclaim it.
 ``repro serve`` keeps one warm process behind an HTTP/JSON API (see
 :mod:`repro.serve`): concurrent clients coalesce onto single-flight
 evaluations, and ``--server URL`` on ``sweep``/``simulate``/``optimize``
@@ -84,12 +85,12 @@ def _power_state(name: str) -> PackageCState:
 
 
 def _add_cache_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the persistent-cache flag shared by the grid commands."""
+    """Attach the persistent-cache flag of the commands that simulate."""
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="persistent on-disk evaluation cache: the first run populates "
-        "the directory, later runs (in any process) serve their grid points "
-        "from it; results are bit-identical either way",
+        help="persist simulations in this directory: the first run populates "
+        "it, later runs (in any process) replay their simulations from it; "
+        "results are bit-identical either way",
     )
 
 
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: table)",
     )
     sweep.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_cache_flag(sweep)
     _add_server_flag(sweep)
     _add_trace_flag(sweep)
 
@@ -339,8 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = subparsers.add_parser(
         "serve",
-        help="run the long-running evaluation service (one warm two-tier "
-        "cache behind an HTTP/JSON API with request coalescing)",
+        help="run the long-running evaluation service (warm caches behind "
+        "an HTTP/JSON API with request coalescing)",
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)"
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_flag(serve)
 
     cache = subparsers.add_parser(
-        "cache", help="inspect or prune a persistent on-disk evaluation cache"
+        "cache", help="inspect or prune a persistent on-disk simulation cache"
     )
     cache.add_argument(
         "action", choices=("stats", "prune"),
@@ -399,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: json)",
     )
     export.add_argument("--output", default=None, help="write to this file instead of stdout")
-    _add_cache_flag(export)
 
     return parser
 
@@ -733,12 +732,8 @@ def run_optimize(
     )
 
 
-def export_dataset(dataset: str, cache_dir: Optional[str] = None) -> ResultSet:
-    """Regenerate one exportable figure dataset as a :class:`ResultSet`.
-
-    ``cache_dir`` persists the grid-backed datasets (the Fig. 4 grids); the
-    small closed-form datasets (Fig. 2/3) ignore it.
-    """
+def export_dataset(dataset: str) -> ResultSet:
+    """Regenerate one exportable figure dataset as a :class:`ResultSet`."""
     from repro.experiments import (
         fig2_performance_model,
         fig3_vr_efficiency,
@@ -752,16 +747,14 @@ def export_dataset(dataset: str, cache_dir: Optional[str] = None) -> ResultSet:
     if dataset == "fig3":
         return fig3_vr_efficiency.vr_efficiency_resultset()
     if dataset == "fig4-grid":
-        return fig4_validation.etee_grid_resultset(cache_dir=cache_dir)
+        return fig4_validation.etee_grid_resultset()
     if dataset == "fig4-power-states":
-        return fig4_validation.power_state_grid_resultset(cache_dir=cache_dir)
+        return fig4_validation.power_state_grid_resultset()
     raise ValueError(f"unknown dataset {dataset!r}; choose from: {', '.join(EXPORT_DATASETS)}")
 
 
-def run_export(
-    dataset: str, output_format: str = "json", cache_dir: Optional[str] = None
-) -> str:
-    return _render(export_dataset(dataset, cache_dir=cache_dir), output_format)
+def run_export(dataset: str, output_format: str = "json") -> str:
+    return _render(export_dataset(dataset), output_format)
 
 
 def run_cache_command(
@@ -887,10 +880,7 @@ def _run_command(args: argparse.Namespace) -> int:
         )
         return 0
     if args.command == "export":
-        _emit(
-            run_export(args.dataset, args.format, cache_dir=args.cache_dir),
-            args.output,
-        )
+        _emit(run_export(args.dataset, args.format), args.output)
         return 0
     if args.command == "optimize":
         _emit(
@@ -926,7 +916,7 @@ def _run_command(args: argparse.Namespace) -> int:
         return 0
     from repro.analysis.pdnspot import PdnSpot
 
-    spot = PdnSpot(disk_cache=getattr(args, "cache_dir", None))
+    spot = PdnSpot()
     if args.command == "etee":
         print(run_etee(spot, args.tdp, args.ar, args.workload, as_json=args.json))
     elif args.command == "performance":

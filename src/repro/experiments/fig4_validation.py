@@ -39,10 +39,10 @@ FIG4_WORKLOAD_TYPES: Sequence[WorkloadType] = (
 FIG4_PDNS: Sequence[str] = ("IVR", "MBVR", "LDO")
 
 
-def _engine(pdn_names: Sequence[str], cache_dir: Optional[str]) -> PdnSpot:
+def _engine(pdn_names: Sequence[str]) -> PdnSpot:
     """A fresh engine over ``pdn_names`` (IVR is the baseline when present)."""
     baseline = "IVR" if "IVR" in pdn_names else pdn_names[0]
-    return PdnSpot(pdn_names=list(pdn_names), baseline_name=baseline, disk_cache=cache_dir)
+    return PdnSpot(pdn_names=list(pdn_names), baseline_name=baseline)
 
 
 def etee_grid_resultset(
@@ -51,14 +51,11 @@ def etee_grid_resultset(
     workload_types: Sequence[WorkloadType] = FIG4_WORKLOAD_TYPES,
     pdn_names: Sequence[str] = FIG4_PDNS,
     spot: Optional[PdnSpot] = None,
-    cache_dir: Optional[str] = None,
 ) -> ResultSet:
     """The Fig. 4(a-i) predicted-ETEE grid as a :class:`ResultSet`.
 
     Pass a shared ``spot`` to evaluate through its memo cache (as the
     experiment runner does); standalone calls build a fresh engine.
-    ``cache_dir`` attaches the persistent disk tier (see :mod:`repro.cache`)
-    to a freshly built engine; ignored when ``spot`` is passed.
     """
     study = (
         Study.builder("fig4-etee-grid")
@@ -68,7 +65,7 @@ def etee_grid_resultset(
         .pdns(*pdn_names)
         .build()
     )
-    spot = spot if spot is not None else _engine(pdn_names, cache_dir)
+    spot = spot if spot is not None else _engine(pdn_names)
     return spot.run(study)
 
 
@@ -88,13 +85,12 @@ def power_state_grid_resultset(
     tdp_w: float = 18.0,
     pdn_names: Sequence[str] = FIG4_PDNS,
     spot: Optional[PdnSpot] = None,
-    cache_dir: Optional[str] = None,
 ) -> ResultSet:
     """The Fig. 4(j) power-state grid as a :class:`ResultSet`."""
     study = Study.over_power_states(tdp_w, name="fig4-power-states").with_pdns(
         *pdn_names
     )
-    spot = spot if spot is not None else _engine(pdn_names, cache_dir)
+    spot = spot if spot is not None else _engine(pdn_names)
     return spot.run(study)
 
 

@@ -46,8 +46,8 @@ def optimize_outcome(
     Pass the experiment runner's shared :class:`PdnSpot` so the search
     resolves the operating points it shares with the fig7/fig8 sweeps from
     the warm memo cache instead of recomputing them.  ``cache_dir`` attaches
-    the persistent disk tier (see :mod:`repro.cache`); with a shared spot it
-    covers the simulation engine behind the energy/power objectives.
+    the persistent disk tier (see :mod:`repro.cache`) to the simulation
+    engine behind the energy/power objectives.
     """
     evaluator = (
         CandidateEvaluator(resolve_objectives(), spot=spot, cache_dir=cache_dir)

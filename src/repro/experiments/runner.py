@@ -41,14 +41,12 @@ def run_all_experiments(
         are computed once.
     cache_dir:
         Optional persistent cache directory (see :mod:`repro.cache`): the
-        shared analytic engine and the simulation/optimization engines
-        attach it as their disk tier, so a second ``repro figures`` run --
-        in any process -- replays every grid point from disk.  Ignored when
-        a prebuilt ``spot`` is passed (the spot owns its own tiers), except
-        by the simulation engine, which is always built here.
+        simulation engines of the scenario and optimization figures attach
+        it as their disk tier, so a second ``repro figures`` run -- in any
+        process -- replays every simulation from disk.
     """
     if spot is None:
-        spot = PdnSpot(disk_cache=cache_dir)
+        spot = PdnSpot()
     outputs: Dict[str, str] = {
         "fig2a": fig2_performance_model.format_figure2a(),
         "fig2b": fig2_performance_model.format_figure2b(),

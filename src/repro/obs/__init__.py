@@ -13,9 +13,9 @@ raises:
   of PR 6.
 
 Every evaluation layer is instrumented through this package: the dispatch
-path (dedupe, chunk, merge-back, reassembly), the two-tier cache, the columnar engine dispatch, disk
-cache I/O, FlexWatts calibration, the interval simulator and the serving
-daemon.  The surfaces are ``--trace FILE`` on the batch CLI commands,
+path (dedupe, chunk, merge-back, reassembly), the memo caches, the columnar
+engine dispatch, disk cache I/O, FlexWatts calibration, the interval
+simulator and the serving daemon.  The surfaces are ``--trace FILE`` on the batch CLI commands,
 ``GET /v1/metrics`` on the daemon, and :class:`RunStats` attached to result
 containers.  See ``docs/guides/observability.md`` for the span taxonomy.
 """

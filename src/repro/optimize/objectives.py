@@ -23,13 +23,13 @@ deduplicated, evaluated, and merged back into the shared memo caches.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.resultset import Record
 from repro.analysis.study import OverrideKey
-from repro.cache import DiskCache, DiskCacheLike
 from repro.cost.board_area import BoardAreaModel
 from repro.cost.bom import BomModel
 from repro.cost.iccmax import total_iccmax_a
@@ -208,13 +208,9 @@ class CandidateEvaluator:
     spot:
         Optional pre-built analytic engine to share a cache with.
     cache_dir:
-        Optional persistent cache *directory* (see :mod:`repro.cache`),
-        attached to the owned engines as their disk tier.  A directory path
-        only -- the evaluator owns two engines with different namespaces,
-        so a single pre-built :class:`~repro.cache.DiskCache` instance
-        cannot serve both and is rejected at construction.  With a prebuilt
-        ``spot`` it applies to the simulation engine only -- the spot's own
-        disk tier is the spot builder's decision.
+        Optional persistent cache directory path (see :mod:`repro.cache`),
+        the disk tier of the simulation engine behind the energy and power
+        objectives.
     """
 
     def __init__(
@@ -224,7 +220,7 @@ class CandidateEvaluator:
         parameters: Optional[PdnTechnologyParameters] = None,
         enable_cache: bool = True,
         spot: Optional[PdnSpot] = None,
-        cache_dir: DiskCacheLike = None,
+        cache_dir: Optional[str] = None,
     ):
         self.objectives = tuple(objectives)
         if not self.objectives:
@@ -234,26 +230,17 @@ class CandidateEvaluator:
             raise ConfigurationError(
                 "pass either a prebuilt spot or parameters, not both"
             )
-        if isinstance(cache_dir, DiskCache):
-            # One store cannot serve both owned engines (distinct
-            # namespaces); failing here beats a mid-search bind conflict
-            # when a sim-backed objective lazily builds the SimEngine.
-            raise ConfigurationError(
-                "cache_dir must be a directory path, not a DiskCache "
-                "instance; the evaluator binds one store per owned engine"
-            )
         self._spot = (
             spot
             if spot is not None
-            else PdnSpot(
-                parameters=parameters,
-                enable_cache=enable_cache,
-                disk_cache=cache_dir,
-            )
+            else PdnSpot(parameters=parameters, enable_cache=enable_cache)
         )
         self._sim_engine: Optional[SimEngine] = None
         self._enable_cache = enable_cache
-        self._cache_dir = cache_dir
+        # Paths only: fspath rejects anything else (a pre-built store
+        # included) here, not mid-search when a sim objective first
+        # builds the simulation engine.
+        self._cache_dir = None if cache_dir is None else os.fspath(cache_dir)
         self._bom_model = BomModel()
         self._area_model = BoardAreaModel()
         #: Variant PDN instances for the cost models, keyed by

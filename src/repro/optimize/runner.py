@@ -85,7 +85,7 @@ def run_optimization(
     settings: Optional[EvaluationSettings] = None,
     parameters: Optional[PdnTechnologyParameters] = None,
     evaluator: Optional[CandidateEvaluator] = None,
-    cache_dir: Optional[object] = None,
+    cache_dir: Optional[str] = None,
 ) -> OptimizationOutcome:
     """Search ``space`` against multiple objectives and rank the outcome.
 
@@ -114,9 +114,9 @@ def run_optimization(
         searches); mutually exclusive with ``settings``/``parameters``.
     cache_dir:
         Optional persistent cache directory (see :mod:`repro.cache`)
-        attached to the fresh evaluator's engines; a warm directory serves
-        repeated candidate evaluations from disk across processes.
-        Mutually exclusive with a prebuilt ``evaluator``.
+        attached to the fresh evaluator's simulation engine; a warm
+        directory serves the energy/power objectives' simulations from disk
+        across processes.  Mutually exclusive with a prebuilt ``evaluator``.
     """
     resolved = resolve_objectives(objectives)
     if evaluator is not None:

@@ -38,8 +38,8 @@ class ConditionsKey(tuple):
     """The identity tuple of one operating point, hashed once.
 
     It equals (and hashes like) the plain tuple it holds, and
-    :func:`repro.cache.canonical_key` renders it as that tuple, so disk
-    addresses do not depend on the wrapper.  The hash is computed at
+    :func:`repro.cache.canonical_key` renders it as that tuple, so canonical
+    keys do not depend on the wrapper.  The hash is computed at
     construction: dict operations on cache keys never re-hash the six
     :class:`DomainLoad` dataclasses and their enums.  Pickling rebuilds the
     key from its items, so a receiving process rehashes under its own hash
@@ -92,7 +92,7 @@ class LoadSet(tuple):
 
     It equals (and hashes like) the plain tuple of its loads and
     :func:`repro.cache.canonical_key` renders it as that tuple, so cache
-    keys and disk addresses do not depend on the wrapper.  The set is
+    keys and their canonical forms do not depend on the wrapper.  The set is
     checked by :func:`~repro.power.domains.validate_load_set` when it is
     created; :class:`OperatingConditions` on a load set skip the check.
     Pickling rebuilds the set from its items (validated and hashed again

@@ -1,6 +1,6 @@
 """The long-running evaluation service (daemon, protocol, client).
 
-One warm process owns the two-tier evaluation cache and serves sweep,
+One warm process owns the evaluation caches and serves sweep,
 simulate and optimize requests over stdlib HTTP/JSON, coalescing
 concurrent overlapping grids into single-flight evaluations:
 

@@ -17,7 +17,7 @@ pending batch; a flush is scheduled with ``loop.call_soon``, so every
 request decomposed within the same event-loop scheduling tick lands in
 **one** :func:`evaluate_units_async` dispatch
 (optionally widened by ``batch_window_s``).  The dispatch path then
-dedupes, evaluates and merges results into the shared two-tier cache
+dedupes, evaluates and merges results into the engine's shared cache
 exactly as a local batch run would.
 
 **Canonical reassembly.**  ``evaluate`` returns results in the caller's
@@ -97,7 +97,7 @@ class CoalescerStats:
     largest_batch:
         Size of the largest single dispatch.
     keys_from_cache:
-        Dispatched keys the engine's two-tier cache served, counted from
+        Dispatched keys the engine's cache served, counted from
         each successful dispatch's own lookup; the other dispatched keys
         were computed.
     """
@@ -128,7 +128,7 @@ class Coalescer:
     ----------
     engine:
         The evaluation engine requests decompose onto.  Its cache keys
-        define unit identity; its two-tier cache serves repeats.
+        define unit identity; its cache serves repeats.
     batch_window_s:
         Extra time a scheduled flush waits before collecting the pending
         batch.  ``0`` (default) flushes on the next event-loop tick --

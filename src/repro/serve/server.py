@@ -3,9 +3,9 @@
 :class:`EvaluationServer` owns one warm set of evaluation engines -- an
 analytic :class:`~repro.analysis.pdnspot.PdnSpot`, a trace-driven
 :class:`~repro.sim.study.SimEngine`, and lazily built
-:class:`~repro.optimize.objectives.CandidateEvaluator` instances -- all
-sharing one optional on-disk cache directory, and exposes the library's
-grid workloads over five endpoints:
+:class:`~repro.optimize.objectives.CandidateEvaluator` instances, whose
+simulation engines share one optional on-disk cache directory -- and
+exposes the library's grid workloads over five endpoints:
 
 ========================  ===================================================
 ``POST /v1/sweep``        An analytic study grid (the ``repro sweep`` axes).
@@ -67,7 +67,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.resultset import ResultSet
 from repro.analysis.study import study_resultset, study_units
-from repro.cache import canonical_key
+from repro.cache import cache_stats_payload, canonical_key
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import METRICS, METRICS_SCHEMA_VERSION
 from repro.optimize import run_optimization
@@ -86,7 +86,7 @@ from repro.serve.protocol import (
     parse_simulate_request,
     parse_sweep_request,
 )
-from repro.serve.stats import EndpointStats, disk_cache_section, memory_cache_section
+from repro.serve.stats import EndpointStats, memory_cache_section
 from repro.sim.adapters import simulation_record
 from repro.sim.study import SimEngine
 from repro.util.errors import ReproError
@@ -163,8 +163,9 @@ class EvaluationServer:
         :attr:`port` after :meth:`start`).
     cache_dir:
         Optional persistent cache directory (see :mod:`repro.cache`)
-        attached to every owned engine, so the daemon starts warm from
-        prior runs and its work persists across restarts.
+        attached to every owned simulation engine, so the daemon starts
+        with the simulations of prior runs and its simulations persist
+        across restarts.
     timeout_s:
         Default per-request evaluation deadline (seconds).
     max_timeout_s:
@@ -201,7 +202,7 @@ class EvaluationServer:
         self._read_timeout_s = read_timeout_s
         self._max_body_bytes = max_body_bytes
 
-        self._spot = PdnSpot(disk_cache=self._cache_dir)
+        self._spot = PdnSpot()
         self._sim_engine = SimEngine(disk_cache=self._cache_dir)
         self._sweep_coalescer = Coalescer(self._spot, batch_window_s=batch_window_s)
         self._sim_coalescer = Coalescer(
@@ -805,7 +806,11 @@ class EvaluationServer:
                         "sim_phases": self._sim_engine.spot,
                     }
                 ),
-                "disk": disk_cache_section(self._cache_dir),
+                # The same document `repro cache stats --json` prints.
+                "disk": (
+                    None if self._cache_dir is None
+                    else cache_stats_payload(self._cache_dir)
+                ),
             },
         }
 

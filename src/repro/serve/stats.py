@@ -22,15 +22,9 @@ The ``/v1/stats`` document shape is unchanged byte for byte.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs.metrics import DEFAULT_LATENCY_BOUNDS_S, METRICS, Histogram
-
-#: Upper bucket bounds (seconds) of the request-latency histograms.  Fixed
-#: and log-spaced so dashboards can diff histograms across processes; the
-#: terminal bucket is unbounded.  Now an alias of the process-wide default
-#: layout in :mod:`repro.obs.metrics`, which this module originated.
-LATENCY_BUCKET_BOUNDS_S = DEFAULT_LATENCY_BOUNDS_S
 
 
 class LatencyHistogram(Histogram):
@@ -44,7 +38,7 @@ class LatencyHistogram(Histogram):
     __slots__ = ()
 
     def __init__(self) -> None:
-        super().__init__(bounds=LATENCY_BUCKET_BOUNDS_S)
+        super().__init__(bounds=DEFAULT_LATENCY_BOUNDS_S)
 
     def as_dict(self) -> Dict[str, object]:
         """The histogram as a JSON-ready mapping (stable key order)."""
@@ -103,16 +97,3 @@ def memory_cache_section(engines: Dict[str, object]) -> Dict[str, object]:
         }
     return section
 
-
-def disk_cache_section(cache_dir: Optional[str]) -> Optional[Dict[str, object]]:
-    """The on-disk cache section: the shared ``cache stats --json`` schema.
-
-    ``None`` when the server runs without a persistent cache directory;
-    otherwise exactly :func:`repro.cache.cache_stats_payload`, which is
-    also what ``repro cache stats --json`` prints.
-    """
-    if cache_dir is None:
-        return None
-    from repro.cache import cache_stats_payload
-
-    return cache_stats_payload(cache_dir)

@@ -32,17 +32,13 @@ import hashlib
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
-
-from repro.analysis.executor import TwoTierCacheMixin, evaluate_units
-from repro.analysis.pdnspot import CacheInfo, PdnSpot
-from repro.cache import (
-    DiskCache,
-    DiskCacheLike,
-    canonical_key,
-    parameters_fingerprint,
-    resolve_disk_cache,
+from pathlib import Path
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
+
+from repro.analysis.executor import EvalResult, MemoCacheMixin, evaluate_units
+from repro.analysis.pdnspot import CacheInfo, PdnSpot
 from repro.analysis.resultset import Record, ResultSet
 from repro.analysis.study import OverrideKey, _flatten, _freeze_overrides
 from repro.core.flexwatts import FlexWattsPdn
@@ -65,6 +61,9 @@ from repro.sim.engine import (
 from repro.util.errors import ConfigurationError
 from repro.workloads.base import WorkloadTrace
 from repro.workloads.scenarios import DEFAULT_SEED, build_scenario_trace, get_scenario
+
+if TYPE_CHECKING:  # imported on first use: only an engine with a disk tier needs it
+    from repro.cache.store import DiskCache
 
 #: One tick per :meth:`SimEngine.evaluate_columns` batch.
 _SIM_PREFILL_BATCHES = METRICS.counter("sim.prefill_batches")
@@ -239,7 +238,7 @@ class SimStudyBuilder:
         )
 
 
-class SimEngine(TwoTierCacheMixin):
+class SimEngine(MemoCacheMixin):
     """Memo-cached trace-simulation engine on the shared dispatch path.
 
     The engine owns a :class:`~repro.analysis.pdnspot.PdnSpot` (PDN models,
@@ -263,21 +262,19 @@ class SimEngine(TwoTierCacheMixin):
         Whether simulations (and phase evaluations) are memoised.
         Disabling reproduces the uncached cost the cold benchmarks measure.
     disk_cache:
-        Optional second cache tier.  A cache-directory path attaches *two*
-        stores rooted there: one for this engine's simulation results
-        (namespace ``"sim"``) and one for the phase-level operating-point
-        evaluations of the backing analytic engine (namespace
-        ``"pdnspot"``), so a warm directory serves whole simulations and
-        still accelerates partially overlapping grids.  Disk addresses
-        additionally digest the trace *content* rebuilt from the scenario
-        registry, so a re-registered generator (same name, different trace)
-        invalidates its entries rather than replaying stale results.  A
-        pre-built :class:`~repro.cache.DiskCache` instance attaches to the
-        simulation tier only.  Requires ``enable_cache=True``.
+        Optional cache-directory path: the second cache tier (see
+        :mod:`repro.cache`).  Memory misses of a batch are looked up on
+        disk in one query, computed simulations are written through in one
+        transaction, so a directory warmed by one process serves identical
+        runs in any later process.  Rows are keyed by this engine's
+        parameters fingerprint and additionally digest the trace *content*
+        rebuilt from the scenario registry, so a re-registered generator
+        (same name, different trace) invalidates its rows rather than
+        replaying stale results.  Requires ``enable_cache=True``.
     """
 
-    #: Namespace of this engine's disk entries; also tags its executor spans.
-    disk_namespace = "sim"
+    #: Tags this engine's executor spans; also the namespace of its disk rows.
+    engine_tag = "sim"
 
     def __init__(
         self,
@@ -285,7 +282,7 @@ class SimEngine(TwoTierCacheMixin):
         pdn_names: Optional[Sequence[str]] = None,
         baseline_name: str = "IVR",
         enable_cache: bool = True,
-        disk_cache: DiskCacheLike = None,
+        disk_cache: Optional[Union[str, Path]] = None,
     ):
         if disk_cache is not None and not enable_cache:
             raise ConfigurationError(
@@ -297,13 +294,14 @@ class SimEngine(TwoTierCacheMixin):
             pdn_names=pdn_names,
             baseline_name=baseline_name,
             enable_cache=enable_cache,
-            disk_cache=disk_cache if not isinstance(disk_cache, DiskCache) else None,
         )
-        self._disk_cache = resolve_disk_cache(
-            disk_cache,
-            namespace=self.disk_namespace,
-            fingerprint=parameters_fingerprint(self._spot.parameters),
-        )
+        self._disk_cache: Optional[DiskCache] = None
+        if disk_cache is not None:
+            from repro.cache.store import DiskCache, parameters_fingerprint
+
+            self._disk_cache = DiskCache(
+                disk_cache, self.engine_tag, parameters_fingerprint(self._spot.parameters)
+            )
         #: Trace-content digests keyed by (scenario, seed): part of the
         #: *disk* address of every simulation, so a re-registered scenario
         #: generator (same name, different trace) can never replay another
@@ -355,8 +353,8 @@ class SimEngine(TwoTierCacheMixin):
         The simulation memo, its statistics, the cross-run mode-evaluation
         memo and the backing analytic engine's phase cache are all cleared;
         calibrated predictors are process-wide model state
-        (:mod:`repro.core.calibration`) and survive.  Attached disk stores
-        also survive -- use :meth:`DiskCache.prune` to reclaim them.
+        (:mod:`repro.core.calibration`) and survive, and so does the disk
+        tier (``repro cache prune`` reclaims it).
         """
         with self._cache_lock:
             self._cache.clear()
@@ -393,6 +391,8 @@ class SimEngine(TwoTierCacheMixin):
         with self._cache_lock:
             digest = self._trace_digests.get(ident)
         if digest is None:
+            from repro.cache.store import canonical_key
+
             trace = build_scenario_trace(point.scenario, seed=point.seed)
             digest = hashlib.sha256(
                 canonical_key(trace).encode("utf-8")
@@ -401,14 +401,43 @@ class SimEngine(TwoTierCacheMixin):
                 digest = self._trace_digests.setdefault(ident, digest)
         return (*key, ("trace", digest))
 
-    # Two-tier cache_lookup_many / cache_install_many come from TwoTierCacheMixin
-    # (with _disk_key above adding the trace digest to disk addresses).
-    _payload_type = SimulationResult
+    # cache_lookup_many / cache_install_many come from MemoCacheMixin; the
+    # two hooks below put the disk tier behind its memory tier.
+    def _lookup_below(
+        self,
+        keys: Sequence[Tuple[object, ...]],
+        found: List[Optional[EvalResult]],
+        missing: List[int],
+    ) -> int:
+        """Serve memory misses from disk in one query, promoting the hits."""
+        if self._disk_cache is None:
+            return 0
+        disk_keys = [self._disk_key(keys[index]) for index in missing]
+        served = 0
+        for index, disk_key, payload in zip(
+            missing, disk_keys, self._disk_cache.get_many(disk_keys)
+        ):
+            if isinstance(payload, SimulationResult):
+                with self._cache_lock:
+                    found[index] = self._cache.setdefault(keys[index], payload)
+                    self._cache_hits += 1
+                served += 1
+            elif payload is not None:
+                # A valid row of the wrong payload class (e.g. written by a
+                # version that changed the payload type without bumping the
+                # format version): heal it like corruption, loudly.
+                self._disk_cache.discard(
+                    disk_key,
+                    f"payload is {type(payload).__name__}, expected SimulationResult",
+                )
+        return served
 
-    @staticmethod
-    def _copy_cached(result: SimulationResult) -> SimulationResult:
-        """The shared cached master: results are read-only, so no copy."""
-        return result
+    def _install_below(
+        self, keys: Sequence[Tuple[object, ...]], results: Sequence[EvalResult]
+    ) -> None:
+        """Write a computed batch through to disk in one transaction."""
+        if self._disk_cache is not None:
+            self._disk_cache.put_many(list(map(self._disk_key, keys)), results)
 
     def evaluate_uncached(
         self, pdn_name: str, point: SimPoint, overrides: OverrideKey = ()
@@ -707,15 +736,15 @@ def run_sim(
     study: SimStudy,
     engine: Optional[SimEngine] = None,
     parameters: Optional[PdnTechnologyParameters] = None,
-    cache_dir: DiskCacheLike = None,
+    cache_dir: Optional[Union[str, Path]] = None,
 ) -> ResultSet:
     """Execute ``study`` and return its summary :class:`ResultSet`.
 
     The convenience entry point behind the CLI ``simulate`` sub-command:
     builds a default :class:`SimEngine` (or uses the supplied one) and
-    runs ``study`` on it.  ``cache_dir``
-    attaches the persistent on-disk tier (see :mod:`repro.cache`): a warm
-    directory serves every repeated simulation from disk.
+    runs ``study`` on it.  ``cache_dir`` (a directory path) attaches the
+    persistent on-disk tier (see :mod:`repro.cache`): a warm directory
+    serves every repeated simulation from disk.
     """
     if engine is not None and parameters is not None:
         raise ConfigurationError(

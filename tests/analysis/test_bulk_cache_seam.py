@@ -5,8 +5,9 @@
 ``cache_install_many`` call.  The reference it must match is the per-unit
 path: ``engine.evaluate`` called once per unit, each call a batch of one
 (one lookup, one install on a miss, duplicates served as hits).  Results,
-``cache_info()``, ``RunStats``, the cache counters and the disk store's own
-counters must come out the same; only the number of counter ticks drops.
+``cache_info()``, ``RunStats``, the cache counters and the simulation disk
+store's own counters must come out the same; only the number of counter
+ticks drops.
 """
 
 from __future__ import annotations
@@ -187,55 +188,6 @@ class TestMemoryTierMatchesPerUnit:
         assert (stats.cache_hits, stats.cache_misses) == (info.hits, info.misses)
 
 
-class TestDiskTierMatchesPerUnit:
-    def _warm_twin_directories(self, tmp_path, units):
-        """Two cache directories warmed identically by half of ``units``."""
-        roots = [tmp_path / "bulk", tmp_path / "per-unit"]
-        for root in roots:
-            PdnSpot(disk_cache=root).evaluate_units(units[::2])
-        return roots
-
-    def test_disk_hits_promote_and_count_like_per_unit(self, tmp_path):
-        units = _units(_small_study())
-        bulk_root, reference_root = self._warm_twin_directories(tmp_path, units)
-        bulk = PdnSpot(disk_cache=bulk_root)
-        reference = PdnSpot(disk_cache=reference_root)
-        results, counted = _bulk(bulk, units)
-        expected, expected_counted = _per_unit(reference, units)
-        assert results == expected
-        assert counted == expected_counted
-        assert counted["cache.disk.hits"] == len(units[::2])
-        assert bulk.cache_info() == reference.cache_info()
-        assert bulk.disk_cache.stats() == reference.disk_cache.stats()
-
-        # A disk hit was promoted: looking it up again is a memory hit.
-        before = _counts()
-        assert bulk.evaluate(*units[0]) is results[0]
-        assert _delta(before)["cache.memory.hits"] == 1
-        assert _delta(before)["cache.disk.hits"] == 0
-
-    def test_wrong_payload_entry_heals_like_per_unit(self, tmp_path):
-        units = _units(_small_study())
-        roots = self._warm_twin_directories(tmp_path, units)
-        foreign = units[0]
-        for root in roots:
-            owner = PdnSpot(disk_cache=root)
-            owner.disk_cache.put(owner.cache_key(*foreign), {"not": "an evaluation"})
-        bulk = PdnSpot(disk_cache=roots[0])
-        reference = PdnSpot(disk_cache=roots[1])
-        results, counted = _bulk(bulk, units)
-        expected, expected_counted = _per_unit(reference, units)
-        assert results == expected
-        assert counted == expected_counted
-        assert counted["cache.disk.hits"] == len(units[::2]) - 1
-        assert bulk.cache_info() == reference.cache_info()
-        stats = bulk.disk_cache.stats()
-        assert stats == reference.disk_cache.stats()
-        assert stats.corrupt == 1
-        # The healed entry was rewritten: a fresh engine now serves it.
-        assert PdnSpot(disk_cache=roots[0]).evaluate(*foreign) == results[0]
-
-
 class TestTicksPerCall:
     def test_cache_counters_tick_o1_times_per_call(self, monkeypatch):
         watched = {id(METRICS.counter(name)): name for name in CACHE_COUNTERS}
@@ -265,17 +217,14 @@ class TestTicksPerCall:
 
 
 class TestScalarEngineMatchesPerUnit:
-    def test_duplicates_with_disk_tier(self, tmp_path):
+    def test_duplicates_cold_then_warm(self):
         """A ``columnar=False`` engine batches through the same dispatch path."""
         units = _duplicate_heavy_units()
-        roots = [tmp_path / "bulk", tmp_path / "per-unit"]
-        for root in roots:
-            PdnSpot(disk_cache=root, columnar=False).evaluate_units(units[::2])
-        bulk = PdnSpot(disk_cache=roots[0], columnar=False)
-        reference = PdnSpot(disk_cache=roots[1], columnar=False)
+        bulk = PdnSpot(columnar=False)
+        reference = PdnSpot(columnar=False)
         chunks = METRICS.counter("executor.chunks")
         passes = []
-        for _ in range(2):  # disk-warm, then memory-warm
+        for _ in range(2):  # cold, then memory-warm
             before = chunks.value
             results, counted = _bulk(bulk, units)
             passes.append((counted, chunks.value - before))
@@ -284,10 +233,9 @@ class TestScalarEngineMatchesPerUnit:
             assert results == PdnSpot(enable_cache=False).evaluate_units(units)
             assert counted == expected_counted
             assert bulk.cache_info() == reference.cache_info()
-            assert bulk.disk_cache.stats() == reference.disk_cache.stats()
-        (disk_warm, disk_chunks), (memory_warm, memory_chunks) = passes
-        assert disk_warm["cache.disk.hits"] > 0
-        assert disk_chunks == 1  # one serial chunk for the disk misses
+        (cold, cold_chunks), (memory_warm, memory_chunks) = passes
+        assert cold["cache.lookup.misses"] > 0
+        assert cold_chunks == 1  # one serial chunk for the misses
         assert memory_warm["cache.memory.hits"] == len(units)
         assert memory_chunks == 0  # the memory-warm pass computed nothing
 
@@ -333,3 +281,54 @@ class TestSimEngineMatchesPerUnit:
         assert bulk.evaluate(*units[0]) == results[0]
         assert bulk.cache_info().hits == hits + 1
         assert _delta(before)["cache.disk.hits"] == 0
+
+
+class TestDiskTierMatchesPerUnit:
+    """The simulation engine's disk tier counts each key once per lookup.
+
+    The per-unit path reads a duplicated key from disk once and then from
+    memory; the bulk path looks each distinct key up once.  The disk
+    store's counters must agree.
+    """
+
+    def test_disk_hits_promote_and_count_like_per_unit(self, tmp_path):
+        units = _duplicate_heavy_sim_units()
+        distinct = list(dict.fromkeys(units))
+        roots = [tmp_path / "bulk", tmp_path / "per-unit"]
+        for root in roots:
+            SimEngine(disk_cache=root).evaluate_units(distinct[::2])
+        bulk = SimEngine(disk_cache=roots[0])
+        reference = SimEngine(disk_cache=roots[1])
+        results, counted = _bulk(bulk, units)
+        expected, expected_counted = _per_unit(reference, units)
+        assert results == expected
+        assert counted["cache.disk.hits"] == expected_counted["cache.disk.hits"]
+        assert counted["cache.disk.hits"] == len(distinct[::2])
+        assert bulk.cache_info() == reference.cache_info()
+        stats = bulk.disk_cache.stats()
+        assert stats == reference.disk_cache.stats()
+        assert stats.hits + stats.misses == len(distinct)  # once per key
+
+    def test_wrong_payload_entry_heals_like_per_unit(self, tmp_path):
+        units = _sim_units()
+        roots = [tmp_path / "bulk", tmp_path / "per-unit"]
+        foreign = units[0]
+        for root in roots:
+            owner = SimEngine(disk_cache=root)
+            owner.evaluate_units(units[::2])
+            owner.disk_cache.put_many(
+                [owner._disk_key(owner.cache_key(*foreign))], [{"not": "a result"}]
+            )
+        bulk = SimEngine(disk_cache=roots[0])
+        reference = SimEngine(disk_cache=roots[1])
+        results, counted = _bulk(bulk, units)
+        expected, expected_counted = _per_unit(reference, units)
+        assert results == expected
+        assert counted["cache.disk.hits"] == expected_counted["cache.disk.hits"]
+        assert counted["cache.disk.hits"] == len(units[::2]) - 1
+        assert bulk.cache_info() == reference.cache_info()
+        stats = bulk.disk_cache.stats()
+        assert stats == reference.disk_cache.stats()
+        assert stats.corrupt == 1
+        # The healed row was rewritten: a fresh engine now serves it.
+        assert SimEngine(disk_cache=roots[0]).evaluate(*foreign) == results[0]

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.analysis.executor import TwoTierCacheMixin, evaluate_units
+from repro.analysis.executor import MemoCacheMixin, evaluate_units
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.study import Study, study_units
 from repro.obs import trace as obs_trace
@@ -310,7 +310,7 @@ class TestSpans:
         factory, units = engine_kind
         factory().evaluate_units(units + units[:3])
         spans = _dispatch_spans(tracer)
-        tag = factory.disk_namespace
+        tag = factory.engine_tag
         assert sorted(spans) == [
             "executor.chunk", "executor.dedupe", "executor.dispatch",
             "executor.merge_back", "executor.reassemble",
@@ -340,7 +340,7 @@ class TestSpans:
         start = len(tracer.records())
         engine.evaluate_units(units)
         spans = [(record.name, record.args) for record in tracer.records()[start:]]
-        tag = factory.disk_namespace
+        tag = factory.engine_tag
         assert spans == [
             ("executor.dedupe",
              {"engine": tag, "units": len(units), "dispatched": 0, "duplicates": 0}),
@@ -354,7 +354,7 @@ class TestSpans:
         spans = _dispatch_spans(tracer)
         assert sorted(spans) == ["executor.chunk", "executor.dispatch"]
         assert [record.args for record in spans["executor.dispatch"]] == [
-            {"engine": factory.disk_namespace, "chunks": 1}
+            {"engine": factory.engine_tag, "chunks": 1}
         ]
         assert spans["executor.chunk"].args["units"] == len(units) + 3
 
@@ -383,26 +383,20 @@ class TestSpans:
         assert chunk.args["units"] == len(units)
 
 
-class _EchoEngine(TwoTierCacheMixin):
+class _EchoEngine(MemoCacheMixin):
     """A minimal memory-only engine whose result for a unit is the unit."""
 
-    _payload_type = tuple
     cache_enabled = True
 
     def __init__(self, columnar: bool):
         self._cache = {}
         self._cache_lock = threading.Lock()
         self._cache_hits = self._cache_misses = 0
-        self._disk_cache = None
         self._columnar = columnar
         self.per_unit = []
 
     def cache_key(self, name, point, overrides):
         return (overrides, name, point)
-
-    @staticmethod
-    def _copy_cached(value):
-        return value
 
     def evaluate_uncached(self, name, point, overrides):
         self.per_unit.append((name, point, overrides))

@@ -59,16 +59,6 @@ class TestFig4:
         # 3 workload types x 3 TDPs x 2 ARs x 3 PDNs
         assert len(records) == 3 * 3 * 2 * 3
 
-    def test_cache_dir_runs_match_default(self, tmp_path):
-        # Every fig4 call runs one PdnSpot batch, whatever engine it gets.
-        ars = (0.4,)
-        reference = fig4_validation.etee_grid_resultset(application_ratios=ars)
-        for _ in range(2):  # cold, then served from the disk tier
-            cached = fig4_validation.etee_grid_resultset(
-                application_ratios=ars, cache_dir=str(tmp_path)
-            )
-            assert cached == reference
-
     def test_power_state_grid(self):
         records = fig4_validation.power_state_grid()
         assert len(records) == 6 * 3

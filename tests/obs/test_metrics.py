@@ -120,7 +120,7 @@ class TestServeStatsWrappers:
     def test_latency_histogram_payload_matches_pr6_schema(self):
         """Satellite contract: the /v1/stats histogram shape is byte-stable
         across the rewrite onto repro.obs.metrics."""
-        from repro.serve.stats import LATENCY_BUCKET_BOUNDS_S, LatencyHistogram
+        from repro.serve.stats import LatencyHistogram
 
         histogram = LatencyHistogram()
         for value in (0.0005, 0.003, 0.8, 45.0):
@@ -132,7 +132,7 @@ class TestServeStatsWrappers:
         assert payload["sum_s"] == pytest.approx(0.0005 + 0.003 + 0.8 + 45.0)
         expected_labels = [
             "inf" if math.isinf(bound) else f"{bound:g}"
-            for bound in LATENCY_BUCKET_BOUNDS_S
+            for bound in DEFAULT_LATENCY_BOUNDS_S
         ]
         assert list(payload["buckets"]) == expected_labels
         assert payload["buckets"]["0.001"] == 1
@@ -140,11 +140,6 @@ class TestServeStatsWrappers:
         assert payload["buckets"]["1"] == 1
         assert payload["buckets"]["inf"] == 1
         assert sum(payload["buckets"].values()) == payload["count"]
-
-    def test_latency_bounds_alias_the_shared_default_layout(self):
-        from repro.serve.stats import LATENCY_BUCKET_BOUNDS_S
-
-        assert LATENCY_BUCKET_BOUNDS_S == DEFAULT_LATENCY_BOUNDS_S
 
     def test_endpoint_stats_payload_shape_and_registry_mirror(self):
         from repro.serve.stats import EndpointStats

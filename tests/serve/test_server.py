@@ -171,7 +171,8 @@ class TestIntrospection:
         --json` emit the same document through the same helper."""
         from repro.cli import run_cache_command
 
-        client.sweep(tdps=[4.0], pdns=["IVR"])  # ensure the disk tier exists
+        client.simulate(scenarios=["race-to-idle"], tdps=[4.0], pdns=["IVR"])
+        # The simulation above made sure the disk tier holds rows.
         stats = client.stats()
         cli_payload = json.loads(
             run_cache_command("stats", server_cache_dir, as_json=True)
@@ -184,6 +185,15 @@ class TestIntrospection:
             "io",
         }
         assert set(stats["cache"]["disk"]["io"]) == {"get", "put", "self_heal"}
+        assert list(stats["cache"]["disk"]["namespaces"]) == ["sim"]
+
+    def test_sweep_writes_nothing_to_the_disk_tier(self, client, server_cache_dir):
+        """Analytic points are recomputed, never persisted."""
+        from repro.cache import cache_dir_summary
+
+        before = cache_dir_summary(server_cache_dir)
+        client.sweep(tdps=[7.5], ars=[0.33], pdns=["IVR", "LDO"])
+        assert cache_dir_summary(server_cache_dir) == before
 
 
 # --------------------------------------------------------------------------- #

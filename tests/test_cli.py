@@ -279,13 +279,19 @@ class TestCacheFlags:
 
     def test_cache_dir_flag_on_grid_commands(self):
         for argv in (
-            ["sweep", "--tdps", "4", "--cache-dir", "/tmp/c"],
             ["simulate", "--cache-dir", "/tmp/c"],
             ["optimize", "--cache-dir", "/tmp/c"],
-            ["export", "fig3", "--cache-dir", "/tmp/c"],
             ["figures", "--cache-dir", "/tmp/c"],
+            ["serve", "--cache-dir", "/tmp/c"],
         ):
             assert build_parser().parse_args(argv).cache_dir == "/tmp/c"
+        # Sweeps and exports never simulate: nothing of theirs persists.
+        for argv in (
+            ["sweep", "--tdps", "4", "--cache-dir", "/tmp/c"],
+            ["export", "fig3", "--cache-dir", "/tmp/c"],
+        ):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_cache_subcommand_parses(self):
         args = build_parser().parse_args(
@@ -297,16 +303,6 @@ class TestCacheFlags:
     def test_cache_subcommand_requires_dir(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache", "stats"])
-
-    def test_sweep_with_cache_dir_matches_cacheless(self, tmp_path, capsys):
-        argv = ["sweep", "--tdps", "4", "18", "--format", "json"]
-        assert main(argv) == 0
-        reference = capsys.readouterr().out
-        cached = argv + ["--cache-dir", str(tmp_path)]
-        assert main(cached) == 0  # cold: populates the directory
-        assert capsys.readouterr().out == reference
-        assert main(cached) == 0  # warm: served from disk
-        assert capsys.readouterr().out == reference
 
     def test_simulate_with_cache_dir_matches_cacheless(self, tmp_path, capsys):
         argv = [
@@ -323,18 +319,37 @@ class TestCacheFlags:
 
     def test_cache_stats_and_prune_round_trip(self, tmp_path, capsys):
         directory = str(tmp_path)
-        assert main(["sweep", "--tdps", "4", "--cache-dir", directory,
-                     "--format", "csv"]) == 0
+        assert main(["simulate", "--scenario", "race-to-idle", "--cache-dir",
+                     directory, "--format", "csv"]) == 0
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", directory, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["namespaces"]["pdnspot"]["entries"] == 5  # 5 PDNs x 1 TDP
+        assert stats["namespaces"]["sim"]["entries"] == 5  # 5 PDNs x 1 TDP
         assert main(["cache", "prune", "--cache-dir", directory, "--json"]) == 0
         pruned = json.loads(capsys.readouterr().out)
         assert pruned["removed_entries"] == 5
         assert main(["cache", "stats", "--cache-dir", directory, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert stats["namespaces"]["pdnspot"]["entries"] == 0
+        assert stats["namespaces"] == {}
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize", "figures", "serve"])
+    def test_cache_dir_help_says_it_persists_simulations(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--cache-dir DIR persist simulations in this directory" in help_text
+
+    def test_cache_prune_deletes_old_format_directories(self, tmp_path, capsys):
+        shard = tmp_path / "pdnspot" / "cb"
+        shard.mkdir(parents=True)
+        (shard / ("cb" * 32 + ".pkl")).write_bytes(b"format-1 entry")
+        (tmp_path / "notes.txt").write_text("not a cache file")
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["namespaces"] == {}
+        assert main(["cache", "prune", "--cache-dir", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["removed_entries"] == 1
+        assert not shard.exists()
+        assert (tmp_path / "notes.txt").exists()
 
     def test_cache_stats_empty_directory(self, tmp_path, capsys):
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0

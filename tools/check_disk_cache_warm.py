@@ -3,12 +3,13 @@
 
 Runs the same workloads twice against one cache directory:
 
-1. **Cold pass** -- real ``python -m repro`` subprocesses (``sweep``,
-   ``simulate``, ``optimize``) populate the directory and write their JSON
-   output to files, exactly as a user or CI job would.
+1. **Cold pass** -- real ``python -m repro`` subprocesses (``simulate``,
+   and ``optimize`` with the simulation-backed ``energy`` objective)
+   populate the directory and write their JSON output to files, exactly as
+   a user or CI job would.
 2. **Warm pass** -- *this* process rebuilds fresh engines on the same
    directory, re-runs the identical workloads through the library, and
-   asserts that (a) every evaluation unit is served from disk (zero
+   asserts that (a) every simulation is served from disk (zero
    recomputation; the disk tier reports hits covering the whole grid) and
    (b) the rendered output is byte-identical to the cold subprocess's.
 
@@ -30,11 +31,9 @@ import tempfile
 from pathlib import Path
 from typing import List, Optional
 
-SWEEP_TDPS = ["4", "18", "50"]
-SWEEP_ARS = ["0.4", "0.56"]
 SIM_SCENARIOS = ["duty-cycled-background", "race-to-idle"]
 OPTIMIZE_PDNS = ["IVR", "LDO", "FlexWatts"]
-OPTIMIZE_OBJECTIVES = ["etee", "bom"]
+OPTIMIZE_OBJECTIVES = ["etee", "bom", "energy"]
 
 
 def run_cli(arguments: List[str], output: Path) -> None:
@@ -80,11 +79,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"disk-cache warm-start gate (cache dir: {cache_dir})")
         print("cold pass: populating via python -m repro subprocesses ...")
         run_cli(
-            ["sweep", "--tdps", *SWEEP_TDPS, "--ars", *SWEEP_ARS,
-             "--format", "json", "--cache-dir", cache_dir],
-            outputs / "sweep.json",
-        )
-        run_cli(
             ["simulate", "--scenario", *SIM_SCENARIOS, "--format", "json",
              "--cache-dir", cache_dir],
             outputs / "simulate.json",
@@ -96,26 +90,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
         print("warm pass: fresh engines in this process ...")
-        from repro.analysis.pdnspot import PdnSpot
-        from repro.cli import build_simulate_study, run_sweep
+        from repro.cli import build_simulate_study
         from repro.sim.study import SimEngine
-
-        # Sweep: assert disk hits cover the grid, nothing recomputed.
-        spot = PdnSpot(disk_cache=cache_dir)
-        sweep_text = run_sweep(
-            spot,
-            [float(value) for value in SWEEP_TDPS],
-            ars=[float(value) for value in SWEEP_ARS],
-            output_format="json",
-        )
-        info, disk = spot.cache_info(), spot.disk_cache.stats()
-        expect(info.misses == 0, f"sweep recomputed {info.misses} units")
-        expect(
-            disk.hits == info.hits > 0,
-            f"sweep: disk hits {disk.hits} do not cover the {info.hits} lookups",
-        )
-        print(f"  sweep: {disk.hits} units served from disk, 0 recomputed")
-        compare("sweep", sweep_text, outputs / "sweep.json")
 
         # Simulate: every simulation replayed from the sim namespace.
         engine = SimEngine(disk_cache=cache_dir)
@@ -133,7 +109,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         compare("simulate", _render(sim_resultset, "json"), outputs / "simulate.json")
 
         # Optimize: rebuild the CLI's exact search with an inspectable
-        # evaluator so the disk-hit assertion covers this path too.
+        # evaluator so the disk-hit assertion covers the simulations behind
+        # its energy objective.
         from repro.cli import build_optimize_space
         from repro.optimize import CandidateEvaluator, resolve_objectives
         from repro.optimize.runner import run_optimization
@@ -146,15 +123,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             objectives=OPTIMIZE_OBJECTIVES,
             evaluator=evaluator,
         )
-        opt_info = evaluator.spot.cache_info()
-        opt_disk = evaluator.spot.disk_cache.stats()
-        expect(opt_info.misses == 0, f"optimize recomputed {opt_info.misses} units")
+        opt_info = evaluator.sim_engine.cache_info()
+        opt_disk = evaluator.sim_engine.disk_cache.stats()
+        expect(
+            opt_info.misses == 0, f"optimize recomputed {opt_info.misses} simulations"
+        )
         expect(
             opt_disk.hits == opt_info.hits > 0,
             f"optimize: disk hits {opt_disk.hits} do not cover "
             f"the {opt_info.hits} lookups",
         )
-        print(f"  optimize: {opt_disk.hits} units served from disk, 0 recomputed")
+        print(f"  optimize: {opt_disk.hits} simulations replayed from disk")
         compare("optimize", _render(outcome.results, "json"), outputs / "optimize.json")
 
     print("OK: second pass served from disk with identical results")
