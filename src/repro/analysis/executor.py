@@ -110,8 +110,8 @@ class EvaluationEngine(Protocol):
     ) -> EvalResult:
         """Compute one unit without touching the memo cache.
 
-        The single-unit compute seam (the reference oracle): every dispatched
-        unit that cannot ride :meth:`evaluate_columns` lands here.
+        The single-unit compute seam (the reference oracle): every unit of a
+        batch that :meth:`evaluate_columns` declines lands here.
         """
         ...  # pragma: no cover - protocol
 
@@ -120,14 +120,13 @@ class EvaluationEngine(Protocol):
     ) -> Optional[List[EvalResult]]:
         """Vectorized batch evaluation, or ``None`` to decline the batch.
 
-        The capability half of the columnar negotiation: an engine that can
-        evaluate ``units`` as column arrays returns the results in unit
-        order, bit-identical to calling :meth:`evaluate_uncached` per unit
-        (the per-point path is the reference oracle; the equivalence suite
-        gates the two).  Returning ``None`` -- always, for engines without a
-        batch path, or per batch, when the engine cannot take it (a disabled
-        columnar core, a patched engine seam) -- routes the whole batch
-        through the per-point seam instead.
+        An engine with a batch path returns the results in unit order,
+        bit-identical to calling :meth:`evaluate_uncached` per unit (the
+        per-point path is the reference oracle; the equivalence suite gates
+        the two), or raises the error :meth:`evaluate_uncached` would raise
+        for the first failing unit.  Returning ``None`` -- for engines
+        without a batch path, or with it switched off -- routes the whole
+        batch through the per-point seam instead.
         """
         ...  # pragma: no cover - protocol
 
@@ -290,11 +289,10 @@ def _evaluate_chunk(
 ) -> List[EvalResult]:
     """Evaluate one chunk of units (no cache I/O), counting it.
 
-    This is where the columnar negotiation happens: a columnar-capable
-    engine gets the whole chunk as one batch and returns bit-identical
-    results in one vectorized pass per ``(pdn, overrides)`` column block; if
-    it declines (no capability, a patched engine seam) every unit runs
-    through the per-point seam.
+    A columnar engine gets the whole chunk as one batch and returns
+    bit-identical results in one vectorized pass per ``(pdn, overrides)``
+    column block; if it declines (no batch path, or one switched off) every
+    unit runs through the per-point seam.
     """
     with obs_trace.span("executor.chunk", category="executor",
                         engine=tag, units=len(chunk)) as active:

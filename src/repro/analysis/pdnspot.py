@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.analysis.executor import EvalUnit, MemoCacheMixin, evaluate_units
@@ -78,8 +78,17 @@ class CacheInfo:
 # Columnar-dispatch instruments, bound once at import time.
 _COLUMNAR_BLOCKS = METRICS.counter("engine.columnar.blocks")
 _COLUMNAR_BLOCK_UNITS = METRICS.counter("engine.columnar.block_units")
-_SCALAR_FALLBACK_BLOCKS = METRICS.counter("engine.scalar_fallback.blocks")
-_SCALAR_FALLBACK_UNITS = METRICS.counter("engine.scalar_fallback.units")
+
+
+def _point_error(pdn_name: str, conditions: OperatingConditions, error: ReproError):
+    """``error`` as its own type, prefixed with the failing point (callers
+    chain it ``from error``): one bad point of a large grid says which it was."""
+    return type(error)(
+        f"{pdn_name} at TDP {conditions.tdp_w:g} W, "
+        f"AR {conditions.application_ratio:g}, "
+        f"workload {conditions.workload_type.value}, "
+        f"power state {conditions.power_state.value}: {error}"
+    )
 
 
 class PdnSpot(MemoCacheMixin):
@@ -224,27 +233,21 @@ class PdnSpot(MemoCacheMixin):
 
         The :class:`~repro.analysis.executor.EvaluationEngine` protocol's
         single-unit compute seam (the reference oracle the columnar path is
-        gated against): :meth:`evaluate` and every batch unit that does not
-        ride :meth:`evaluate_columns` land here.  The dispatch path owns the
+        gated against): :meth:`evaluate` lands here, and so does every batch
+        unit of a ``columnar=False`` engine.  The dispatch path owns the
         cache interaction (:meth:`cache_lookup_many` /
         :meth:`cache_install_many`), so neither the mapping nor the counters
         are touched here.  Not public sugar -- use :meth:`evaluate` or
         :meth:`evaluate_units`.
 
         A model error is re-raised as its own type, chained, with a prefix
-        naming the failing point, so one bad point of a large grid says
-        which point it was.
+        naming the failing point.
         """
         pdn = self._variant_pdn(pdn_name, overrides)
         try:
             return pdn.evaluate(conditions)
         except ReproError as error:
-            raise type(error)(
-                f"{pdn_name} at TDP {conditions.tdp_w:g} W, "
-                f"AR {conditions.application_ratio:g}, "
-                f"workload {conditions.workload_type.value}, "
-                f"power state {conditions.power_state.value}: {error}"
-            ) from error
+            raise _point_error(pdn_name, conditions, error) from error
 
     def _evaluate_cached(
         self,
@@ -267,16 +270,8 @@ class PdnSpot(MemoCacheMixin):
         return self.cache_install_many(keys, [evaluation])[0]
 
     # ------------------------------------------------------------------ #
-    # Columnar capability (the vectorized half of the engine protocol)
+    # Columnar batches (the vectorized half of the engine protocol)
     # ------------------------------------------------------------------ #
-
-    #: Instance-level replacements of any of these mark a patched engine
-    #: (tests gate concurrency or inject failures by swapping them); a
-    #: patched engine declines columnar batches so every unit flows through
-    #: the patched seam.  Only the per-unit compute seam counts: no batch
-    #: ever calls ``evaluate``.
-    _ENGINE_PATCHABLE = ("evaluate_uncached",)
-
     def evaluate_columns(
         self, units: Sequence[EvalUnit]
     ) -> Optional[List[PdnEvaluation]]:
@@ -290,15 +285,13 @@ class PdnSpot(MemoCacheMixin):
         Results are returned in unit order and are bit-identical to
         :meth:`evaluate_uncached` per unit.
 
-        A block whose model declines columnarisation (patched instance, an
-        operating point the scalar model would reject with a precise error)
-        silently falls back to the per-point oracle for that block only.
-        Returns ``None`` -- declining the whole batch -- when the columnar
-        path is disabled or this engine instance itself is patched.
+        A block with a point its model rejects raises the model's error for
+        the block's first failing point, prefixed and chained exactly as
+        :meth:`evaluate_uncached` raises it.  Returns ``None`` -- declining
+        the batch to the per-point seam -- only when the engine was built
+        with ``columnar=False``.
         """
         if not self._columnar:
-            return None
-        if any(name in self.__dict__ for name in self._ENGINE_PATCHABLE):
             return None
         unit_list = list(units)
         if not unit_list:
@@ -312,7 +305,7 @@ class PdnSpot(MemoCacheMixin):
         # built once and shared by all five blocks.  Identity keys are safe
         # here -- the conditions objects are pinned by unit_list for the
         # whole call.
-        batches: Dict[Tuple[int, ...], Optional[columnar_core.ConditionsBatch]] = {}
+        batches: Dict[Tuple[int, ...], columnar_core.ConditionsBatch] = {}
         for (name, overrides), indices in groups.items():
             conditions = [unit_list[i][1] for i in indices]
             layout_key = tuple(map(id, conditions))
@@ -322,35 +315,15 @@ class PdnSpot(MemoCacheMixin):
                 batch = columnar_core.ConditionsBatch.from_conditions(conditions)
                 batches[layout_key] = batch
             with obs_trace.span("engine.columnar_block", category="engine",
-                                pdn=name, units=len(indices)) as block_span:
-                evaluations = None
-                reason: Optional[str] = None
-                if batch is not None:
-                    pdn = self._variant_pdn(name, overrides)
-                    evaluations = columnar_core.evaluate_columns(
-                        pdn, conditions, batch=batch
-                    )
-                    if evaluations is None:
-                        reason = "model_declined"
-                else:
-                    reason = "batch_unbuildable"
-                if evaluations is None:
-                    _SCALAR_FALLBACK_BLOCKS.inc()
-                    _SCALAR_FALLBACK_UNITS.inc(len(indices))
-                    block_span.set("columnar", False)
-                    block_span.set("fallback_reason", reason)
-                    obs_trace.instant(
-                        "engine.scalar_fallback", category="engine",
-                        pdn=name, units=len(indices), reason=reason,
-                    )
-                    evaluations = [
-                        self.evaluate_uncached(name, c, overrides)
-                        for c in conditions
-                    ]
-                else:
-                    _COLUMNAR_BLOCKS.inc()
-                    _COLUMNAR_BLOCK_UNITS.inc(len(indices))
-                    block_span.set("columnar", True)
+                                pdn=name, units=len(indices)):
+                evaluations = columnar_core.evaluate_columns(
+                    self._variant_pdn(name, overrides),
+                    conditions,
+                    batch=batch,
+                    wrap_error=partial(_point_error, name),
+                )
+            _COLUMNAR_BLOCKS.inc()
+            _COLUMNAR_BLOCK_UNITS.inc(len(indices))
             for index, evaluation in zip(indices, evaluations):
                 results[index] = evaluation
         return results

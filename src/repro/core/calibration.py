@@ -9,10 +9,11 @@ the package power states, and the resulting ETEE curves are stored in an
 
 The tables depend only on the technology parameters and the grid, so they are
 a constant of the process: :func:`build_default_predictor` calibrates each
-``(parameter set, grid)`` once and hands every later exact, unpatched
+``(parameter set, grid)`` once and hands every later exact
 :class:`~repro.core.flexwatts.FlexWattsPdn` -- in any engine, on any thread --
-the same sealed :class:`~repro.core.mode_predictor.ModePredictor`.  A patched
-instance calibrates afresh, through its patch.
+the same sealed :class:`~repro.core.mode_predictor.ModePredictor`.  A
+subclass, or an instance whose sides are built on other parameters,
+calibrates afresh.
 
 The grid defaults match the paper's evaluation space: TDPs of 4--50 W,
 application ratios of 40--80 %, the three active workload types, and the
@@ -53,8 +54,8 @@ ACTIVE_WORKLOAD_TYPES: Sequence[WorkloadType] = (
 POWER_STATE_REFERENCE_TDP_W = 18.0
 
 #: How many mode-curve calibrations this process has run: two (one per mode)
-#: per distinct parameter set and grid, plus two per patched-instance
-#: predictor; memo hits run none.
+#: per distinct parameter set and grid, plus two per predictor built outside
+#: the memo; memo hits run none.
 _CALIBRATIONS = METRICS.counter("flexwatts.calibrations")
 
 #: Calibrated predictors keyed by ``(parameter set by value, grid)``.  Model
@@ -85,13 +86,17 @@ def calibrate_mode_curves(
     tdp_grid_w / ar_grid / power_states:
         The characterisation grid.
     """
+    # Imported lazily: repro.pdn.columnar lazily imports this package in the
+    # other direction, and neither import may run at module-import time.
+    from repro.pdn.columnar import evaluate_columns
+
     conditions = _calibration_conditions(
         tuple(tdp_grid_w), tuple(ar_grid), tuple(power_states)
     )
     _CALIBRATIONS.inc()
     with obs_trace.span("flexwatts.calibrate", category="calibration",
                         mode=mode.value, points=len(conditions)):
-        evaluations = _evaluate_in_mode_batch(flexwatts, mode, conditions)
+        evaluations = evaluate_columns(flexwatts, conditions, mode=mode)
     etee_iter = iter(evaluations)
     curves = EteeCurveSet()
     for workload_type in ACTIVE_WORKLOAD_TYPES:
@@ -134,25 +139,6 @@ def _calibration_conditions(tdp_grid_w, ar_grid, power_states):
     return active + states
 
 
-def _evaluate_in_mode_batch(flexwatts, mode: PdnMode, conditions):
-    """Forced-mode evaluations for a calibration grid, vectorized when possible.
-
-    The columnar path returns results bit-identical to ``evaluate_in_mode``
-    per point (it is gated by the equivalence suite), so the stored ETEE
-    curves are the same either way -- the batch just makes cold-start
-    calibration cheap.  Falls back per point when the instance is patched or
-    the batch is rejected.
-    """
-    # Imported lazily: repro.pdn.columnar lazily imports this package in the
-    # other direction, and neither import may run at module-import time.
-    from repro.pdn.columnar import evaluate_columns
-
-    results = evaluate_columns(flexwatts, conditions, mode=mode)
-    if results is not None and all(r is not None for r in results):
-        return results
-    return [flexwatts.evaluate_in_mode(c, mode) for c in conditions]
-
-
 def build_default_predictor(
     flexwatts,
     tdp_grid_w: Sequence[float] = DEFAULT_TDP_GRID_W,
@@ -161,8 +147,8 @@ def build_default_predictor(
 ) -> ModePredictor:
     """The Algorithm-1 predictor for a FlexWatts instance.
 
-    An exact, unpatched instance reads the process-wide memo, filling it on
-    a miss; any other instance calibrates through its own (patched) models.
+    An exact instance reads the process-wide memo, filling it on a miss;
+    any other instance calibrates through its own models.
     Two threads racing on one key both calibrate; the first one stored wins.
     """
     grid = (
@@ -191,15 +177,13 @@ def build_default_predictor(
 def _memo_key(flexwatts, grid) -> Optional[Tuple[object, ...]]:
     """The memo key of ``flexwatts`` over ``grid``, or ``None`` to bypass the memo.
 
-    Only an exact :class:`~repro.core.flexwatts.FlexWattsPdn` that the
-    columnar path accepts unpatched, with both sides built on its own
-    parameter set, is keyed.  The key holds the grid and every parameter
-    field by value -- floats by ``repr``, so keys are equal exactly when the
+    Only an exact :class:`~repro.core.flexwatts.FlexWattsPdn` with both
+    sides built on its own parameter set is keyed.  The key holds the grid
+    and every parameter field by value -- floats by ``repr``, so keys are equal exactly when the
     calibrations would read the same numbers.
     """
-    # Imported lazily, like _evaluate_in_mode_batch's columnar import.
+    # Imported lazily: repro.core.flexwatts imports this module on first use.
     from repro.core.flexwatts import FlexWattsPdn
-    from repro.pdn.columnar import supports_columns
 
     parameters = flexwatts.parameters
     if (
@@ -207,7 +191,6 @@ def _memo_key(flexwatts, grid) -> Optional[Tuple[object, ...]]:
         or type(parameters) is not PdnTechnologyParameters
         or flexwatts._ivr_mode_model.parameters is not parameters
         or flexwatts._ldo_mode_model.parameters is not parameters
-        or not supports_columns(flexwatts)
     ):
         return None
     values = (getattr(parameters, field.name) for field in dataclasses.fields(parameters))

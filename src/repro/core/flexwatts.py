@@ -91,17 +91,10 @@ class FlexWattsPdn(PowerDeliveryNetwork):
         Point for point equal to :meth:`predict_mode`, batched through
         :meth:`~repro.core.mode_predictor.ModePredictor.predict_modes`.  A
         predictor with no batch path -- one that only answers
-        ``predict(telemetry)`` -- is asked point by point, and so is a
-        replaced (subclassed, class- or instance-patched) :meth:`predict_mode`
-        or :meth:`predict_mode_from_telemetry`, so the replacement is honoured.
+        ``predict(telemetry)`` -- is asked point by point.
         """
         predictor = self.predictor
-        if (
-            getattr(self.predict_mode, "__func__", None) is not _PREDICT_MODE
-            or getattr(self.predict_mode_from_telemetry, "__func__", None)
-            is not _PREDICT_MODE_FROM_TELEMETRY
-            or not hasattr(predictor, "predict_modes")
-        ):
+        if not hasattr(predictor, "predict_modes"):
             return [self.predict_mode(point) for point in conditions]
         return predictor.predict_modes(conditions)
 
@@ -175,9 +168,3 @@ class FlexWattsPdn(PowerDeliveryNetwork):
             "behind a shared V_IN, dedicated board rails for SA/IO, with "
             "Algorithm-1 mode prediction"
         )
-
-
-#: The per-point Algorithm-1 methods :meth:`FlexWattsPdn.predict_modes`
-#: batches; a replacement of either sends it back point by point.
-_PREDICT_MODE = FlexWattsPdn.predict_mode
-_PREDICT_MODE_FROM_TELEMETRY = FlexWattsPdn.predict_mode_from_telemetry

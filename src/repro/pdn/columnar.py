@@ -31,22 +31,18 @@ possible:
   six domains; sums across domains stay explicit and left to right.  The
   batch's memos die with it: nothing is kept between batches.
 
-Fallback contract
------------------
-Whenever a batch contains a condition the vector path cannot reproduce
-exactly -- an unsupported operating point (over-current, insufficient
-headroom), a VR power state the regulator does not define, a monkeypatched
-model instance, or loads not in canonical domain order --
-:func:`evaluate_columns` returns ``None`` and the caller re-runs the batch
-through the scalar oracle so the precise scalar exception (or result)
-surfaces.  Capability is advertised per instance by :func:`supports_columns`.
+Errors
+------
+A kernel returns every lane or raises the scalar model's own exception: its
+operating-point checks only mark failing lanes, and the lowest marked lane
+is evaluated alone through the model's per-point method, which raises.
 """
 
 from __future__ import annotations
 
 import threading
 from types import MappingProxyType
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,6 +58,7 @@ from repro.pdn.ldo import LDO_UNCORE_RAILS, LdoPdn
 from repro.pdn.losses import LossBreakdown
 from repro.pdn.mbvr import MBVR_RAILS, MbvrPdn
 from repro.power.domains import COMPUTE_DOMAINS, DomainKind
+from repro.util.errors import ReproError
 from repro.util.vecmath import (
     exact_exp,
     exact_pow,
@@ -78,16 +75,11 @@ from repro.vr.efficiency_curves import (
 from repro.vr.ldo import LowDropoutRegulator
 from repro.vr.switching import VRPowerState
 
-__all__ = [
-    "ColumnarFallback",
-    "ConditionsBatch",
-    "evaluate_columns",
-    "supports_columns",
-]
+__all__ = ["ConditionsBatch", "evaluate_columns"]
 
-#: Canonical domain order: the order ``OperatingConditions`` factories emit
-#: loads in.  Batches require it so dict/accumulation order matches the
-#: scalar models exactly.
+#: Canonical domain order: the order every load set is in (checked by
+#: :func:`~repro.power.domains.validate_load_set`), so dict and accumulation
+#: order match the scalar models exactly.
 _DOMAIN_ORDER: Tuple[DomainKind, ...] = tuple(DomainKind)
 
 # Design constants of the default regulators, captured from probe instances so
@@ -106,10 +98,6 @@ _BOARD_STATE_DEFINED = ~np.isnan(_BOARD_STATE_TABLE[0])
 #: The per-domain load quantities a batch stacks into (6, n) matrices; the
 #: ``effective`` (active-or-zero nominal power) matrix derives from them.
 _DOMAIN_QUANTITIES = ("nominal", "voltage", "leakage", "active", "gated_rail")
-
-
-class ColumnarFallback(Exception):
-    """Internal signal: this batch must be re-run through the scalar oracle."""
 
 
 #: Memo of :func:`peak_domain_powers_w` keyed by TDP.  The function is pure
@@ -137,9 +125,6 @@ class ConditionsBatch:
     load attribute becomes one (6, n) matrix in ``stacked``, rows in
     canonical domain order; ``nominal[kind]``, ``voltage[kind]`` and the
     other per-domain lookups are row views of those matrices.
-    ``from_conditions`` returns ``None`` when the batch cannot be represented
-    (loads not in canonical domain order), which callers treat as "use the
-    scalar path".
     """
 
     __slots__ = (
@@ -162,25 +147,19 @@ class ConditionsBatch:
     @classmethod
     def from_conditions(
         cls, conditions: Sequence[OperatingConditions]
-    ) -> Optional["ConditionsBatch"]:
+    ) -> "ConditionsBatch":
         conditions = list(conditions)
-        n_domains = len(_DOMAIN_ORDER)
-        # Per-domain columns of each distinct load set, as positional (lists,
-        # expected kind) slots so the loop appends to local lists without
-        # dict/enum lookups.  The points of a grid share their load sets
-        # (see LoadSets), so each set is read once and its row gathered
-        # per lane; identity keys are safe, ``conditions`` pins the loads.
-        slots = [
-            ([], [], [], [], [], kind) for kind in _DOMAIN_ORDER
-        ]
+        # Per-domain columns of each distinct load set, as positional list
+        # slots so the loop appends to local lists without dict/enum
+        # lookups; every load set is in canonical domain order.  The points
+        # of a grid share their load sets (see LoadSets), so each set is
+        # read once and its row gathered per lane; identity keys are safe,
+        # ``conditions`` pins the loads.
+        slots = [([], [], [], [], []) for _ in _DOMAIN_ORDER]
         row_of: Dict[int, int] = {}
         rows = [row_of.setdefault(id(c.loads), len(row_of)) for c in conditions]
         for loads in {id(c.loads): c.loads for c in conditions}.values():
-            if len(loads) != n_domains:
-                return None
-            for load, (nom, volt, leak, act, gate, kind) in zip(loads, slots):
-                if load.kind is not kind:
-                    return None
+            for load, (nom, volt, leak, act, gate) in zip(loads, slots):
                 nom.append(load.nominal_power_w)
                 volt.append(load.voltage_v)
                 leak.append(load.leakage_fraction)
@@ -258,7 +237,8 @@ class ConditionsBatch:
 
 
 class _LossColumns:
-    """Columnar mirror of :class:`LossBreakdown` during kernel evaluation."""
+    """Columnar mirror of :class:`LossBreakdown` during kernel evaluation,
+    with the mask of lanes an operating-point check marked as failed."""
 
     __slots__ = (
         "on_chip_vr_w",
@@ -267,6 +247,7 @@ class _LossColumns:
         "conduction_uncore_w",
         "other_w",
         "details",
+        "failed",
     )
 
     def __init__(self, n: int):
@@ -278,6 +259,7 @@ class _LossColumns:
         self.other_w = zeros
         # Ordered (rail name, values array, lane mask or None) entries.
         self.details: List[Tuple[str, "np.ndarray", Optional["np.ndarray"]]] = []
+        self.failed = np.zeros(n, dtype=bool)
 
 
 class _RailColumns:
@@ -407,22 +389,17 @@ def _loadline_vec(impedance_ohm, rail_voltage, rail_power, application_ratio):
     return guardbanded_voltage, guardbanded_power, rail_current, conduction
 
 
-def _switching_coefficients(batch, iccmax):
+def _switching_coefficients(batch, iccmax, failed):
     """Per-lane phase-configuration coefficients of a board regulator.
 
     The array form of :func:`repro.vr.efficiency_curves._board_phase_configs`:
     the same PS0 terms, scaled by each lane's row of the per-state table.
-    Raises :class:`ColumnarFallback` when any lane's power state is
-    undefined for the regulator (the scalar path raises
-    ``ConfigurationError`` there).
+    Marks in ``failed`` every lane whose power state the regulator does not
+    define (the scalar path raises ``ConfigurationError`` there); their
+    coefficients are NaN.
     """
     codes = batch.state_codes
-    undefined = ~_BOARD_STATE_DEFINED[codes]
-    if undefined.any():
-        state = VRPowerState(int(codes[undefined][0]))
-        raise ColumnarFallback(
-            f"power state {state.name} undefined for board regulators"
-        )
+    failed |= ~_BOARD_STATE_DEFINED[codes]
     quiescent_scale, switching, conduction_scale, drive = np.take(
         _BOARD_STATE_TABLE, codes, axis=1
     )
@@ -438,20 +415,18 @@ def _switching_coefficients(batch, iccmax):
     )
 
 
-def _switching_supply(coeffs, input_voltage_v, output_voltage, current, check):
+def _switching_supply(coeffs, input_voltage_v, output_voltage, current, check, failed):
     """Vector mirror of ``SwitchingRegulator.input_power_w`` (active lanes).
 
-    ``check`` masks the lanes the scalar path would actually evaluate; an
-    operating-point violation on any of them triggers the fallback so the
-    scalar exception can surface.  Lanes outside ``check`` produce NaN and
-    must be replaced by the caller.
+    ``check`` masks the lanes the scalar path would actually evaluate; each
+    of them that violates the regulator's over-current or headroom limit is
+    marked in ``failed``.  Lanes outside ``check`` produce NaN and must be
+    replaced by the caller.
     """
-    violation = check & (
+    failed |= check & (
         (current > coeffs.iccmax)
         | ((input_voltage_v - output_voltage) < _BOARD_DESIGN.min_headroom_v)
     )
-    if violation.any():
-        raise ColumnarFallback("unsupported board-regulator operating point")
     output_power = output_voltage * current
     conversion_drop = np.maximum(0.0, input_voltage_v - output_voltage)
     loss = (
@@ -467,16 +442,18 @@ def _switching_supply(coeffs, input_voltage_v, output_voltage, current, check):
         return output_power / efficiency
 
 
-def _board_rail_vec(batch, rail_power, rail_voltage, impedance_ohm, sizing_current, params):
+def _board_rail_vec(
+    batch, rail_power, rail_voltage, impedance_ohm, sizing_current, params, failed
+):
     """Vector mirror of :func:`repro.pdn.common.evaluate_board_rail`."""
     iccmax = np.maximum(MIN_BOARD_VR_ICCMAX_A, sizing_current * ICCMAX_DESIGN_MARGIN)
-    coeffs = _switching_coefficients(batch, iccmax)
+    coeffs = _switching_coefficients(batch, iccmax, failed)
     m = rail_power > 0.0
     ll_voltage, ll_power, ll_current, ll_conduction = _loadline_vec(
         impedance_ohm, rail_voltage, rail_power, batch.application_ratio
     )
     supply_active = _switching_supply(
-        coeffs, params.supply_voltage_v, ll_voltage, ll_current, check=m
+        coeffs, params.supply_voltage_v, ll_voltage, ll_current, m, failed
     )
     idle = coeffs.quiescent_w
     return _RailColumns(
@@ -489,20 +466,20 @@ def _board_rail_vec(batch, rail_power, rail_voltage, impedance_ohm, sizing_curre
     )
 
 
-def _ivr_domain_inputs(batch, gated, kinds, input_voltage_v):
+def _ivr_domain_inputs(batch, gated, kinds, input_voltage_v, failed):
     """Vector mirror of the per-domain IVR conversions of ``kinds``.
 
     One pass over a (len(kinds), n) stack, so one ``exact_exp``; returns the
-    active-lane masks and input powers, one row per kind.
+    active-lane masks and input powers, one row per kind.  Marks in
+    ``failed`` every lane where an active IVR is over its current limit or
+    asked for an output at or above its input.
     """
     voltage = batch.stacked["voltage"][[_DOMAIN_ORDER.index(k) for k in kinds]]
     gated_power = np.stack([gated[kind] for kind in kinds])
     m = gated_power > 0.0
     current = gated_power / voltage
     iccmax = np.maximum(5.0, 2.0 * gated_power / voltage)
-    violation = m & ((current > iccmax) | (voltage >= input_voltage_v))
-    if violation.any():
-        raise ColumnarFallback("unsupported IVR operating point")
+    failed |= (m & ((current > iccmax) | (voltage >= input_voltage_v))).any(axis=0)
     output_power = voltage * current
     light_load = _IVR_DESIGN.light_load_penalty * exact_exp(
         (-current) / _IVR_DESIGN.light_load_current_a
@@ -529,7 +506,7 @@ def _evaluate_ivr(pdn: IvrPdn, batch: ConditionsBatch):
     input_voltage_v = params.ivr_input_voltage_v
     input_rail = np.zeros(batch.n)
     compute_share = np.zeros(batch.n)
-    masks, inputs = _ivr_domain_inputs(batch, gated, _DOMAIN_ORDER, input_voltage_v)
+    masks, inputs = _ivr_domain_inputs(batch, gated, _DOMAIN_ORDER, input_voltage_v, loss.failed)
     for kind, m, domain_input in zip(_DOMAIN_ORDER, masks, inputs):
         loss.on_chip_vr_w = np.where(
             m, loss.on_chip_vr_w + (domain_input - gated[kind]), loss.on_chip_vr_w
@@ -556,9 +533,9 @@ def _evaluate_ivr(pdn: IvrPdn, batch: ConditionsBatch):
     )
 
     input_iccmax = batch.per_unique_tdp(pdn._input_vr_iccmax_a)
-    coeffs = _switching_coefficients(batch, input_iccmax)
+    coeffs = _switching_coefficients(batch, input_iccmax, loss.failed)
     supply_active = _switching_supply(
-        coeffs, params.supply_voltage_v, ll_voltage, ll_current, check=m_in
+        coeffs, params.supply_voltage_v, ll_voltage, ll_current, m_in, loss.failed
     )
     supply = np.where(m_in, supply_active, coeffs.quiescent_w)
     loss.off_chip_vr_w = np.where(
@@ -594,6 +571,7 @@ def _evaluate_mbvr(pdn: MbvrPdn, batch: ConditionsBatch):
             params.mbvr_loadline_ohm[rail_domains[0]],
             sizing,
             params,
+            loss.failed,
         )
         supply = supply + rail.supply
         current = current + rail.current
@@ -665,9 +643,9 @@ def _ldo_compute_side(pdn: LdoPdn, batch: ConditionsBatch, loss, impedance_ohm):
         m_any, loss.conduction_compute_w + ll_conduction, loss.conduction_compute_w
     )
     input_iccmax = batch.per_unique_tdp(pdn._input_vr_iccmax_a)
-    coeffs = _switching_coefficients(batch, input_iccmax)
+    coeffs = _switching_coefficients(batch, input_iccmax, loss.failed)
     supply_active = _switching_supply(
-        coeffs, params.supply_voltage_v, ll_voltage, ll_current, check=m_any
+        coeffs, params.supply_voltage_v, ll_voltage, ll_current, m_any, loss.failed
     )
     loss.off_chip_vr_w = np.where(
         m_any, loss.off_chip_vr_w + (supply_active - ll_power), loss.off_chip_vr_w
@@ -692,13 +670,13 @@ def _imbvr_compute_side(pdn: IMbvrPdn, batch: ConditionsBatch, loss, impedance_o
         m_any |= masks[kind]
 
     input_iccmax = batch.per_unique_tdp(pdn._input_vr_iccmax_a)
-    coeffs = _switching_coefficients(batch, input_iccmax)
+    coeffs = _switching_coefficients(batch, input_iccmax, loss.failed)
     # Fully-gated lanes: V_IN stays alive, drawing only quiescent power.
     loss.other_w = np.where(m_any, loss.other_w, loss.other_w + coeffs.quiescent_w)
 
     input_voltage_v = params.ivr_input_voltage_v
     input_rail = np.zeros(batch.n)
-    masks, inputs = _ivr_domain_inputs(batch, gated, COMPUTE_DOMAINS, input_voltage_v)
+    masks, inputs = _ivr_domain_inputs(batch, gated, COMPUTE_DOMAINS, input_voltage_v, loss.failed)
     for kind, m, domain_input in zip(COMPUTE_DOMAINS, masks, inputs):
         loss.on_chip_vr_w = np.where(
             m, loss.on_chip_vr_w + (domain_input - gated[kind]), loss.on_chip_vr_w
@@ -713,7 +691,7 @@ def _imbvr_compute_side(pdn: IMbvrPdn, batch: ConditionsBatch, loss, impedance_o
         m_any, loss.conduction_compute_w + ll_conduction, loss.conduction_compute_w
     )
     supply_active = _switching_supply(
-        coeffs, params.supply_voltage_v, ll_voltage, ll_current, check=m_any
+        coeffs, params.supply_voltage_v, ll_voltage, ll_current, m_any, loss.failed
     )
     loss.off_chip_vr_w = np.where(
         m_any, loss.off_chip_vr_w + (supply_active - ll_power), loss.off_chip_vr_w
@@ -751,6 +729,7 @@ def _uncore_rails_vec(ldo_pdn: LdoPdn, batch: ConditionsBatch, loss):
             params.uncore_loadline_ohm[kind],
             peak / rail_voltage,
             params,
+            loss.failed,
         )
         supply = supply + rail.supply
         current = current + rail.current
@@ -801,35 +780,22 @@ _COLUMN_KERNELS = {
     IMbvrPdn: _evaluate_imbvr,
 }
 
-#: Reference implementations: if a class-level ``evaluate`` differs from what
-#: was captured here, the instance has been patched and loses capability.
-_REFERENCE = {cls: cls.evaluate for cls in _COLUMN_KERNELS}
-
-#: Instance attributes whose presence marks a monkeypatched model (tests and
-#: what-if studies patch these per instance); such instances must go through
-#: the scalar path so the patch is honoured.
-_PATCHABLE = (
-    "evaluate",
-    "evaluate_in_mode",
-    "predict_mode",
-    "evaluate_compute_side",
-    "evaluate_uncore_rails",
-)
-
-_FLEX_CLS = None
-_FLEX_REFERENCE = None
-
 
 def _flexwatts_class():
-    global _FLEX_CLS, _FLEX_REFERENCE
-    if _FLEX_CLS is None:
-        # Imported lazily: repro.core pulls in the predictor/calibration
-        # stack, which would cycle back into repro.analysis at import time.
-        from repro.core.flexwatts import FlexWattsPdn
+    # Imported lazily: repro.core pulls in the predictor/calibration stack,
+    # which would cycle back into repro.analysis at import time.
+    from repro.core.flexwatts import FlexWattsPdn
 
-        _FLEX_CLS = FlexWattsPdn
-        _FLEX_REFERENCE = FlexWattsPdn.evaluate
-    return _FLEX_CLS
+    return FlexWattsPdn
+
+
+def _kernel(pdn):
+    """The kernel of ``pdn``'s class, or of its nearest base class with one."""
+    for cls in type(pdn).__mro__:
+        kernel = _COLUMN_KERNELS.get(cls)
+        if kernel is not None:
+            return kernel
+    raise TypeError(f"no columnar kernel for {type(pdn).__name__}")
 
 
 # --------------------------------------------------------------------------- #
@@ -948,8 +914,28 @@ def _lanes(batch, pdn_name, supply, current, loss, rail_voltages):
     return out
 
 
-def _evaluate_flexwatts(pdn, batch: ConditionsBatch, mode=None):
-    """Columnar FlexWatts evaluation: predict every lane at once, batch per mode."""
+def _raise_lane_error(pdn, conditions, lane: int, mode, wrap_error) -> NoReturn:
+    """Raise the model's own error for ``conditions[lane]``, a marked lane,
+    evaluating only that point through the model's per-point method."""
+    point = conditions[lane]
+    try:
+        if mode is None:
+            pdn.evaluate(point)
+        else:
+            pdn.evaluate_in_mode(point, mode)
+    except ReproError as error:
+        if wrap_error is None:
+            raise
+        raise wrap_error(point, error) from error
+    raise RuntimeError(
+        f"the {pdn.name} columnar kernel marked lane {lane} (TDP {point.tdp_w:g} W, "
+        f"AR {point.application_ratio:g}) as failed, but the model accepts it; this is a bug"
+    )
+
+
+def _evaluate_flexwatts(pdn, batch: ConditionsBatch, mode, wrap_error):
+    """Columnar FlexWatts evaluation: predict every lane at once, batch per
+    mode; a failure on either side raises for the batch's lowest failing lane."""
     from repro.core.hybrid_vr import PdnMode
 
     if mode is None:
@@ -962,46 +948,21 @@ def _evaluate_flexwatts(pdn, batch: ConditionsBatch, mode=None):
     ivr_lanes = [i for i, m in enumerate(modes) if m is PdnMode.IVR_MODE]
     ldo_lanes = [i for i, m in enumerate(modes) if m is not PdnMode.IVR_MODE]
     results: List[Optional[PdnEvaluation]] = [None] * batch.n
+    failed = []
     for lanes, side in ((ivr_lanes, pdn._ivr_mode_model), (ldo_lanes, pdn._ldo_mode_model)):
         if not lanes:
             continue
-        if not supports_columns(side):
-            raise ColumnarFallback("FlexWatts side model is patched")
         # A forced mode sends every lane to one side: evaluate the batch
         # itself, keeping its memos, instead of a copy.
         sub = batch if len(lanes) == batch.n else batch.take(lanes)
-        supply, current, loss, rails = _COLUMN_KERNELS[type(side)](side, sub)
+        supply, current, loss, rails = _kernel(side)(side, sub)
+        if loss.failed.any():
+            failed.append(lanes[int(loss.failed.argmax())])
         for lane, result in zip(lanes, _lanes(sub, final_name, supply, current, loss, rails)):
             results[lane] = result
+    if failed:
+        _raise_lane_error(pdn, batch.conditions, min(failed), mode, wrap_error)
     return results
-
-
-def supports_columns(pdn) -> bool:
-    """Whether ``pdn`` can be evaluated through the columnar path.
-
-    Capability requires an exactly-known model class and an unpatched
-    instance (per-instance or class-level replacement of the
-    evaluation methods routes the instance back to the scalar path so the
-    patch is honoured -- the oracle always wins over the fast path).
-    """
-    cls = type(pdn)
-    if cls in _COLUMN_KERNELS:
-        if cls.evaluate is not _REFERENCE[cls]:
-            return False
-        if any(name in pdn.__dict__ for name in _PATCHABLE):
-            return False
-        if cls is IMbvrPdn:
-            return supports_columns(pdn._uncore_model)
-        return True
-    if cls is _flexwatts_class():
-        if cls.evaluate is not _FLEX_REFERENCE:
-            return False
-        if any(name in pdn.__dict__ for name in _PATCHABLE):
-            return False
-        return supports_columns(pdn._ivr_mode_model) and supports_columns(
-            pdn._ldo_mode_model
-        )
-    return False
 
 
 def evaluate_columns(
@@ -1009,32 +970,31 @@ def evaluate_columns(
     conditions: Sequence[OperatingConditions],
     mode=None,
     batch: Optional[ConditionsBatch] = None,
-) -> Optional[List[PdnEvaluation]]:
+    wrap_error: Optional[Callable[[OperatingConditions, ReproError], ReproError]] = None,
+) -> List[PdnEvaluation]:
     """Evaluate ``pdn`` over ``conditions`` in one vectorized pass.
 
-    Returns the per-point :class:`PdnEvaluation` list (bit-identical to
-    calling ``pdn.evaluate`` per condition), or ``None`` when the batch must
-    go through the scalar path instead -- unsupported/patched model, loads
-    not in canonical order, or an operating point the scalar model rejects.
+    Returns the per-point :class:`PdnEvaluation` list, bit-identical to
+    calling ``pdn.evaluate`` per condition.  When points fail a model check,
+    raises the model's own exception for the first failing one -- or, with
+    ``wrap_error``, ``wrap_error(point, error)`` chained from it.
 
-    ``mode`` forces a FlexWatts evaluation mode (the vector analogue of
-    ``evaluate_in_mode``); it is ignored for other PDN types.  ``batch``
-    allows callers that evaluate several PDNs over the same grid to reuse one
+    The kernel is that of ``pdn``'s class or of its nearest base class, so
+    a subclass that only constrains parameters rides its base's kernel, and
+    a patched model method never changes a batch.  ``mode`` forces a
+    FlexWatts evaluation mode (the vector analogue of ``evaluate_in_mode``);
+    it is ignored for other PDN types.  ``batch`` allows callers that
+    evaluate several PDNs over the same grid to reuse one
     :class:`ConditionsBatch` layout.
     """
-    if not supports_columns(pdn):
-        return None
     conditions = list(conditions)
     if not conditions:
         return []
     if batch is None:
         batch = ConditionsBatch.from_conditions(conditions)
-        if batch is None:
-            return None
-    try:
-        if type(pdn) is _flexwatts_class():
-            return _evaluate_flexwatts(pdn, batch, mode)
-        supply, current, loss, rails = _COLUMN_KERNELS[type(pdn)](pdn, batch)
-        return _lanes(batch, pdn.name, supply, current, loss, rails)
-    except ColumnarFallback:
-        return None
+    if isinstance(pdn, _flexwatts_class()):
+        return _evaluate_flexwatts(pdn, batch, mode, wrap_error)
+    supply, current, loss, rails = _kernel(pdn)(pdn, batch)
+    if loss.failed.any():
+        _raise_lane_error(pdn, conditions, int(loss.failed.argmax()), None, wrap_error)
+    return _lanes(batch, pdn.name, supply, current, loss, rails)

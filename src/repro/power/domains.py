@@ -264,7 +264,8 @@ def loads_by_kind(loads: Iterable[DomainLoad]) -> Dict[DomainKind, DomainLoad]:
 
 
 def validate_load_set(loads: Iterable[DomainLoad]) -> List[DomainLoad]:
-    """Validate that ``loads`` contains each of the six domains exactly once."""
+    """Validate that ``loads`` holds each of the six domains exactly once, in
+    :class:`DomainKind` order (the order the models accumulate in)."""
     load_list = list(loads)
     indexed = loads_by_kind(load_list)
     missing = [kind for kind in DomainKind if kind not in indexed]
@@ -273,4 +274,10 @@ def validate_load_set(loads: Iterable[DomainLoad]) -> List[DomainLoad]:
             "a PDN evaluation needs a load for every domain; missing: "
             + ", ".join(kind.value for kind in missing)
         )
+    for index, (load, kind) in enumerate(zip(load_list, DomainKind)):
+        if load.kind is not kind:
+            raise ConfigurationError(
+                f"loads must be in domain order; load {index} is "
+                f"{load.kind.value}, expected {kind.value}"
+            )
     return load_list

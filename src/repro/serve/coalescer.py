@@ -240,6 +240,10 @@ class Coalescer:
                 future = self._inflight.pop(key, None)
                 if future is not None and not future.done():
                     future.set_exception(error)
+                    # Requests read the error through result(); marking it
+                    # retrieved keeps asyncio from logging a traceback per
+                    # key no request reads (the units after the first error).
+                    future.exception()
         else:
             self.stats.keys_from_cache += sum(served)
             for key, result in zip(keys, results):

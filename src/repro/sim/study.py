@@ -586,7 +586,7 @@ class SimEngine(MemoCacheMixin):
         Every point's mode is predicted once, each unit's scan runs on a fresh
         controller, and the ``(mode, point)`` pairs the scans read come from
         the engine's cross-run mode memo or, for the rest, from one columnar
-        pass per mode (per point if the model declines columns).  With the
+        pass per mode.  With the
         cache on, every read pair is installed in the memo, so it ends with
         the keys the per-unit path gives it.
         """
@@ -612,10 +612,9 @@ class SimEngine(MemoCacheMixin):
             else:
                 found[mode, point] = cached
         for mode, group in pending.items():
-            at = [conditions[point] for point in group]
-            evaluations = columnar_core.evaluate_columns(pdn, at, mode=mode)
-            if evaluations is None:
-                evaluations = [pdn.evaluate_in_mode(c, mode) for c in at]
+            evaluations = columnar_core.evaluate_columns(
+                pdn, [conditions[point] for point in group], mode=mode
+            )
             for point, evaluation in zip(group, evaluations):
                 if memo is not None:
                     evaluation = memo.setdefault(

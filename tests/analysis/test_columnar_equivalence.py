@@ -6,9 +6,8 @@ every metric and every operating point, ``evaluate_columns`` must return
 every float field, loss breakdown and rail voltage) to the per-point scalar
 oracle.  These tests exercise that contract over randomized grids -- seeded
 ``random.Random`` draws over topology x parameter overrides x operating
-conditions -- plus the negotiated fallbacks: patched models and engines
-must decline the fast path so the patch is honoured, and a batch that
-interleaves column blocks must reproduce the per-point result exactly.
+conditions -- and check that a batch that interleaves column blocks
+reproduces the per-point result exactly.
 """
 
 import random
@@ -19,6 +18,7 @@ from repro.analysis.pdnspot import PdnSpot
 from repro.core.hybrid_vr import PdnMode
 from repro.pdn import columnar
 from repro.pdn.base import OperatingConditions
+from repro.pdn.mbvr import MbvrPdn
 from repro.pdn.registry import build_pdn
 from repro.power.domains import DomainKind, WorkloadType
 from repro.power.parameters import PdnTechnologyParameters
@@ -82,7 +82,6 @@ class TestModelEquivalence:
         pdn = build_pdn(pdn_name)
         conditions = random_conditions(rng, 60)
         results = columnar.evaluate_columns(pdn, conditions)
-        assert results is not None, "unpatched model must take the fast path"
         assert results == [pdn.evaluate(c) for c in conditions]
 
     @pytest.mark.parametrize("mode", list(PdnMode))
@@ -91,7 +90,6 @@ class TestModelEquivalence:
         flexwatts = build_pdn("FlexWatts")
         conditions = random_conditions(rng, 40)
         results = columnar.evaluate_columns(flexwatts, conditions, mode=mode)
-        assert results is not None
         assert results == [flexwatts.evaluate_in_mode(c, mode) for c in conditions]
 
     @pytest.mark.parametrize("pdn_name", PDN_NAMES)
@@ -135,42 +133,41 @@ class TestModelEquivalence:
         pdn = build_pdn(pdn_name, parameters)
         conditions = random_conditions(random.Random(71), 40)
         results = columnar.evaluate_columns(pdn, conditions)
-        assert results is not None
         assert results == [pdn.evaluate(c) for c in conditions]
 
-    def test_instance_patch_loses_capability(self):
+
+    def test_subclass_rides_its_base_kernel(self):
+        class Constrained(MbvrPdn):
+            """A part that only constrains its base model's parameters."""
+
+        parameters = PdnTechnologyParameters().with_overrides(mbvr_tolerance_band_v=0.012)
+        pdn = Constrained(parameters)
+        conditions = random_conditions(random.Random(79), 30)
+        assert columnar.evaluate_columns(pdn, conditions) == [
+            pdn.evaluate(c) for c in conditions
+        ]
+
+    def test_patched_model_method_does_not_change_a_batch(self):
         pdn = build_pdn("MBVR")
-        assert columnar.supports_columns(pdn)
-        pdn.evaluate = lambda conditions: "patched"  # what-if style instance patch
-        assert not columnar.supports_columns(pdn)
-        assert columnar.evaluate_columns(pdn, random_conditions(random.Random(1), 4)) is None
+        conditions = random_conditions(random.Random(83), 10)
+        expected = [pdn.evaluate(c) for c in conditions]
+        pdn.evaluate = lambda point: "patched"
+        assert columnar.evaluate_columns(pdn, conditions) == expected
 
-    def test_class_patch_loses_capability(self, monkeypatch):
-        from repro.pdn.ivr import IvrPdn
+    def test_model_without_a_kernel_is_a_type_error(self):
+        with pytest.raises(TypeError, match="no columnar kernel for object"):
+            columnar.evaluate_columns(object(), random_conditions(random.Random(1), 2))
 
-        original = IvrPdn.evaluate
-        monkeypatch.setattr(IvrPdn, "evaluate", lambda self, c: original(self, c))
-        assert not columnar.supports_columns(build_pdn("IVR"))
-
-
-    @pytest.mark.parametrize("target", ["class", "instance"])
-    @pytest.mark.parametrize("method", ["predict_mode", "predict_mode_from_telemetry"])
-    def test_patched_mode_prediction_honoured_in_columnar_sweep(
-        self, monkeypatch, target, method
-    ):
-        from repro.core.flexwatts import FlexWattsPdn
-
-        spot = PdnSpot(enable_cache=False)
-        flexwatts = spot.pdn("FlexWatts")
-        if method == "predict_mode":
-            pinned = lambda *args: PdnMode.LDO_MODE  # noqa: E731
-        else:
-            pinned = lambda *args: PdnMode.IVR_MODE  # noqa: E731
-        monkeypatch.setattr(FlexWattsPdn if target == "class" else flexwatts, method, pinned)
-        conditions = random_conditions(random.Random(41), 40)
-        units = [("FlexWatts", c, ()) for c in conditions]
-        got = spot.evaluate_units(units)
-        assert got == [flexwatts.evaluate(c, pinned()) for c in conditions]
+    def test_marked_lane_the_model_accepts_is_a_loud_bug(self):
+        pdn = build_pdn("MBVR")
+        conditions = random_conditions(random.Random(3), 4)
+        conditions.insert(
+            2,
+            OperatingConditions.for_active_workload(45.0, 0.01, WorkloadType.CPU_MULTI_THREAD),
+        )
+        pdn.evaluate = lambda point: None  # accepts the point the kernel marks
+        with pytest.raises(RuntimeError, match=r"marked lane 2 \(TDP 45 W, AR 0.01\)"):
+            columnar.evaluate_columns(pdn, conditions)
 
 
 # --------------------------------------------------------------------------- #
@@ -211,17 +208,6 @@ class TestEngineEquivalence:
         scalar_spot = PdnSpot(enable_cache=False, columnar=False)
         assert scalar_spot.evaluate_columns(units) is None
         assert columnar_spot.evaluate_units(units) == scalar_spot.evaluate_units(units)
-
-    def test_engine_patch_declines_columnar(self, monkeypatch):
-        spot = PdnSpot(enable_cache=False)
-        sentinel = object()
-        monkeypatch.setattr(
-            spot, "evaluate_uncached", lambda name, c, overrides=(): sentinel
-        )
-        conditions = random_conditions(random.Random(3), 6)
-        units = [("IVR", c, ()) for c in conditions]
-        assert spot.evaluate_columns(units) is None
-        assert spot.evaluate_units(units) == [sentinel] * len(units)
 
     @pytest.mark.parametrize("enable_cache", [True, False])
     @pytest.mark.parametrize("method", ["evaluate", "_evaluate_cached"])
@@ -295,12 +281,6 @@ class TestSimBatchEquivalence:
         results = SimEngine(enable_cache=enable_cache).evaluate_units(_sim_units(overrides))
         assert batches.value > before
         assert results == sim_oracle[overrides]
-
-    def test_declined_columns_fall_back_per_point(self, sim_oracle, monkeypatch):
-        monkeypatch.setattr(columnar, "evaluate_columns", lambda *args, **kwargs: None)
-        units = _sim_units(())
-        results = SimEngine().evaluate_units(units)
-        assert results == sim_oracle[()]
 
     @pytest.mark.parametrize("overrides", [(), SIM_OVERRIDES], ids=["default", "overrides"])
     def test_mode_memo_matches_per_unit_path(self, overrides):

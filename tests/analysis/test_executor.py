@@ -446,20 +446,6 @@ class TestColumnarNegotiation:
             assert engine.per_unit == distinct  # declined: per unit, in order
             assert deltas == [0, 0, len(distinct)]
 
-    def test_patched_seam_sees_every_unit(self, reference):
-        resultset, _ = reference
-        spot = PdnSpot()
-        seen = []
-        original = spot.evaluate_uncached
-
-        def spy(name, conditions, overrides=()):
-            seen.append(name)
-            return original(name, conditions, overrides)
-
-        spot.evaluate_uncached = spy
-        assert spot.run(_grid_study()) == resultset
-        assert len(seen) == len(_grid_units())
-
 
 # --------------------------------------------------------------------------- #
 # Caller isolation

@@ -286,7 +286,8 @@ class TestSeedEquivalence:
 
 
 def _count_evaluations(spot):
-    """Wrap every PDN instance's evaluate with a shared call counter."""
+    """Count every evaluation ``spot`` computes: each call of a PDN
+    instance's ``evaluate`` and each unit of a columnar batch."""
     counter = {"calls": 0}
     for pdn in spot.pdns.values():
         original = pdn.evaluate
@@ -296,6 +297,13 @@ def _count_evaluations(spot):
             return _original(conditions)
 
         pdn.evaluate = counting
+    original_columns = spot.evaluate_columns
+
+    def counting_columns(units):
+        counter["calls"] += len(units)
+        return original_columns(units)
+
+    spot.evaluate_columns = counting_columns
     return counter
 
 

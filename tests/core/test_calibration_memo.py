@@ -107,25 +107,6 @@ class TestSharedCalibration:
 
 
 class TestPatchedInstances:
-    def test_patched_side_calibrates_through_the_patch(self, empty_memo):
-        shared = FlexWattsPdn().predictor
-        patched = FlexWattsPdn()
-        side = patched._ldo_mode_model
-        seen = []
-
-        def evaluate(conditions: OperatingConditions):
-            seen.append(conditions)
-            return type(side).evaluate(side, conditions)
-
-        side.evaluate = evaluate
-        memo_before = dict(empty_memo)
-        before = CALIBRATIONS.value
-        predictor = patched.predictor
-        assert CALIBRATIONS.value - before == 2
-        assert seen  # the LDO-Mode characterisation ran through the patch
-        assert predictor is not shared
-        assert empty_memo == memo_before
-
     def test_subclass_calibrates_fresh(self, empty_memo):
         class Variant(FlexWattsPdn):
             pass

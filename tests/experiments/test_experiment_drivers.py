@@ -102,13 +102,13 @@ class TestFig5:
         # a second time per point.
         spot = PdnSpot(enable_cache=False)
         calls = []
-        original = spot.evaluate_uncached
+        original = spot.evaluate_columns
 
-        def spy(name, conditions, overrides=()):
-            calls.append((name, conditions.tdp_w))
-            return original(name, conditions, overrides)
+        def spy(units):
+            calls.extend((name, conditions.tdp_w) for name, conditions, _ in units)
+            return original(units)
 
-        monkeypatch.setattr(spot, "evaluate_uncached", spy)
+        monkeypatch.setattr(spot, "evaluate_columns", spy)
         records = fig5_loss_breakdown.loss_breakdown(spot=spot)
         assert sorted(calls) == sorted((r["pdn"], r["tdp_w"]) for r in records)
         assert records == fig5_loss_breakdown.loss_breakdown()

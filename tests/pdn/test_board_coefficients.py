@@ -1,14 +1,13 @@
-"""The columnar core's board-regulator coefficients and its power-state fallback.
+"""The columnar core's board-regulator coefficients and undefined power states.
 
 The scalar ``_board_phase_configs`` and the columnar kernels read one
 per-state coefficient table.  The kernel computes the coefficients as one
 array formula per call, so every lane must be bit-equal to the scalar
 :class:`PhaseConfiguration` of its ``(Iccmax, power state)`` pair.  A lane in
-a power state the table does not define (PS2) must send the whole batch
-back to the scalar path, which raises its own error.
+a power state the table does not define (PS2) fails the batch with the
+scalar model's own ``ConfigurationError`` for that lane.
 """
 
-import re
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from repro.pdn.common import MIN_BOARD_VR_ICCMAX_A
 from repro.pdn.registry import build_pdn
 from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
+from repro.util.errors import ConfigurationError
 from repro.vr.efficiency_curves import _board_phase_configs
 from repro.vr.switching import VRPowerState
 
@@ -28,7 +28,14 @@ DEFINED_STATES = (VRPowerState.PS0, VRPowerState.PS1, VRPowerState.PS3, VRPowerS
 #: Below 1 A (the size clamp), at the board minimum, and typical ratings.
 ICCMAX_A = (0.05, 0.5, 0.999, MIN_BOARD_VR_ICCMAX_A, 1.5, 7.3, 23.0, 40.0, 131.7)
 
-STATIC_PDNS = ("IVR", "MBVR", "LDO", "I+MBVR")
+#: The rail whose regulator each PDN's scalar model asks for PS2 first.
+FIRST_RAIL_ASKED = {
+    "IVR": "V_IN",
+    "MBVR": "V_Cores",
+    "LDO": "V_IN",
+    "I+MBVR": "V_IN",
+    "FlexWatts": "V_IN",
+}
 
 
 def conditions_in(state: VRPowerState, tdp_w: float = 18.0) -> OperatingConditions:
@@ -49,7 +56,9 @@ def test_kernel_coefficients_bit_equal_scalar_configs():
         [conditions_in(state) for _, state in lanes]
     )
     iccmax = np.array([iccmax for iccmax, _ in lanes])
-    coeffs = columnar._switching_coefficients(batch, iccmax)
+    failed = np.zeros(len(lanes), dtype=bool)
+    coeffs = columnar._switching_coefficients(batch, iccmax, failed)
+    assert not failed.any()
     got = zip(
         coeffs.quiescent_w.tolist(),
         coeffs.switching.tolist(),
@@ -70,24 +79,43 @@ def test_kernel_coefficients_bit_equal_scalar_configs():
         )
 
 
-def test_undefined_state_raises_fallback():
+def test_undefined_state_marks_only_its_lane():
     batch = columnar.ConditionsBatch.from_conditions(
         [conditions_in(VRPowerState.PS0), conditions_in(VRPowerState.PS2)]
     )
-    with pytest.raises(columnar.ColumnarFallback, match="PS2"):
-        columnar._switching_coefficients(batch, np.array([10.0, 10.0]))
+    failed = np.zeros(2, dtype=bool)
+    columnar._switching_coefficients(batch, np.array([10.0, 10.0]), failed)
+    assert failed.tolist() == [False, True]
 
 
-@pytest.mark.parametrize("pdn_name", STATIC_PDNS)
-def test_one_undefined_state_lane_declines_the_batch(pdn_name):
+def test_undefined_state_raises_fallback():
+    # No fallback is left: the batch raises the scalar model's own error.
+    conditions = [conditions_in(VRPowerState.PS0), conditions_in(VRPowerState.PS2)]
+    with pytest.raises(ConfigurationError, match="does not define power state PS2"):
+        columnar.evaluate_columns(build_pdn("MBVR"), conditions)
+
+
+@pytest.mark.parametrize("pdn_name", sorted(FIRST_RAIL_ASKED))
+def test_one_undefined_state_lane_raises_the_model_error(pdn_name):
     conditions = [conditions_in(VRPowerState.PS0, tdp_w) for tdp_w in (4.0, 18.0, 50.0)]
     conditions.insert(1, conditions_in(VRPowerState.PS2))
     pdn = build_pdn(pdn_name)
-    assert columnar.evaluate_columns(pdn, conditions) is None
-
-    with pytest.raises(Exception) as scalar:
+    model_error = (
+        f"regulator '{FIRST_RAIL_ASKED[pdn_name]}' does not define power state PS2"
+    )
+    with pytest.raises(ConfigurationError) as raw:
+        columnar.evaluate_columns(pdn, conditions)
+    assert str(raw.value) == model_error
+    with pytest.raises(ConfigurationError) as scalar:
         pdn.evaluate(conditions[1])
+    assert str(scalar.value) == model_error
+
     spot = PdnSpot(enable_cache=False)
     units = [(pdn_name, c, ()) for c in conditions]
-    with pytest.raises(type(scalar.value), match=re.escape(str(scalar.value))):
+    with pytest.raises(ConfigurationError) as batch:
         spot.evaluate_units(units)
+    assert str(batch.value) == (
+        f"{pdn_name} at TDP 18 W, AR 0.56, workload cpu_multi_thread, "
+        f"power state C0: {model_error}"
+    )
+    assert type(batch.value.__cause__) is ConfigurationError

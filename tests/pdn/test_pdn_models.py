@@ -185,3 +185,25 @@ class TestOperatingConditions:
         high = peak_domain_powers_w(50.0)
         assert high[DomainKind.CORE0] > low[DomainKind.CORE0]
         assert high[DomainKind.GFX] > low[DomainKind.GFX]
+
+    def test_loads_out_of_domain_order_rejected_at_the_boundary(self):
+        # Batches and the models accumulate in DomainKind order, so a load set
+        # in any other order is refused where it enters, naming the load.
+        conditions = _conditions()
+        loads = list(conditions.loads)
+        loads[2], loads[3] = loads[3], loads[2]
+        message = "loads must be in domain order; load 2 is gfx, expected llc"
+        with pytest.raises(ConfigurationError) as via_with_loads:
+            conditions.with_loads(tuple(loads))
+        assert str(via_with_loads.value) == message
+        with pytest.raises(ConfigurationError) as via_constructor:
+            OperatingConditions(
+                tdp_w=conditions.tdp_w,
+                application_ratio=conditions.application_ratio,
+                workload_type=conditions.workload_type,
+                power_state=conditions.power_state,
+                loads=tuple(reversed(conditions.loads)),
+            )
+        assert str(via_constructor.value) == (
+            "loads must be in domain order; load 0 is io, expected core0"
+        )

@@ -134,14 +134,14 @@ def test_partial_sweep_bytes():
     with start_in_thread() as handle:
         gate = threading.Event()
         spot = handle.server._spot
-        original = spot.evaluate_uncached
+        original = spot.evaluate_columns
 
-        def gated(name, point, overrides):
-            if getattr(point, "tdp_w", None) == 47.0:
+        def gated(units):
+            if any(getattr(point, "tdp_w", None) == 47.0 for _, point, _ in units):
                 assert gate.wait(timeout=30.0), "test gate never released"
-            return original(name, point, overrides)
+            return original(units)
 
-        spot.evaluate_uncached = gated
+        spot.evaluate_columns = gated
         port = handle.server.port
         blocked = threading.Thread(
             target=raw_exchange,

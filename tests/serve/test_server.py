@@ -62,15 +62,15 @@ def gate_tdp50(server):
     """
     gate = threading.Event()
     counts = Counter()
-    original = server._spot.evaluate_uncached
+    original = server._spot.evaluate_columns
 
-    def gated(name, point, overrides):
-        if getattr(point, "tdp_w", None) == 50.0:
+    def gated(units):
+        if any(getattr(point, "tdp_w", None) == 50.0 for _, point, _ in units):
             assert gate.wait(timeout=30.0), "test gate never released"
-        counts[(name, getattr(point, "tdp_w", None))] += 1
-        return original(name, point, overrides)
+        counts.update((name, getattr(point, "tdp_w", None)) for name, point, _ in units)
+        return original(units)
 
-    server._spot.evaluate_uncached = gated
+    server._spot.evaluate_columns = gated
     return gate, counts
 
 
@@ -350,15 +350,15 @@ class TestDeadlines:
 # Failed dispatches
 # --------------------------------------------------------------------------- #
 def fail_at(server, tdp_w: float, error: Exception) -> None:
-    """Make every ``tdp_w`` evaluation of the analytic engine raise ``error``."""
-    original = server._spot.evaluate_uncached
+    """Make every analytic batch holding a ``tdp_w`` unit raise ``error``."""
+    original = server._spot.evaluate_columns
 
-    def failing(name, point, overrides):
-        if getattr(point, "tdp_w", None) == tdp_w:
+    def failing(units):
+        if any(getattr(point, "tdp_w", None) == tdp_w for _, point, _ in units):
             raise error
-        return original(name, point, overrides)
+        return original(units)
 
-    server._spot.evaluate_uncached = failing
+    server._spot.evaluate_columns = failing
 
 
 class TestDispatchFailures:

@@ -1,8 +1,9 @@
 """Property-based tests (hypothesis) on the core models and invariants."""
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.pdnspot import PdnSpot
 from repro.pdn.base import OperatingConditions
 from repro.pdn.imbvr import IMbvrPdn
 from repro.pdn.ivr import IvrPdn
@@ -10,6 +11,8 @@ from repro.pdn.ldo import LdoPdn
 from repro.pdn.mbvr import MbvrPdn
 from repro.power.domains import WorkloadType
 from repro.power.leakage import scale_power_with_voltage
+from repro.power.power_states import BATTERY_LIFE_STATES
+from repro.util.errors import ReproError
 from repro.util.interpolate import LinearTable1D
 from repro.vr.base import RegulatorOperatingPoint
 from repro.vr.efficiency_curves import default_board_vr, default_ivr, default_ldo
@@ -130,3 +133,65 @@ class TestPdnProperties:
             tdp, ar, WorkloadType.CPU_MULTI_THREAD
         )
         assert IMbvrPdn().evaluate(conditions).etee >= IvrPdn().evaluate(conditions).etee
+
+
+PDN_NAMES = ("IVR", "MBVR", "LDO", "I+MBVR", "FlexWatts")
+
+
+def _first_block_error(spot, units):
+    """The error of the first failing unit of the first failing block.
+
+    Blocks are the batch's ``(pdn, overrides)`` groups in first-appearance
+    order; within a block the units keep their order.  ``None`` when every
+    unit evaluates.
+    """
+    blocks = {}
+    for unit in units:
+        blocks.setdefault((unit[0], unit[2]), []).append(unit)
+    for block in blocks.values():
+        for unit in block:
+            try:
+                spot.evaluate_uncached(*unit)
+            except ReproError as error:
+                return error
+    return None
+
+
+class TestBatchPathProperties:
+    """Any grid through the batch path ends in physical results or in the
+    per-point model's own error for its first failing point."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        tdp_grid=st.lists(st.floats(min_value=2.0, max_value=150.0), min_size=1, max_size=3),
+        ar_grid=st.lists(st.floats(min_value=0.001, max_value=1.0), min_size=1, max_size=3),
+        workload_grid=st.lists(workloads, min_size=1, max_size=3, unique=True),
+        states=st.lists(st.sampled_from(BATTERY_LIFE_STATES), max_size=3, unique=True),
+    )
+    def test_grid_is_physical_or_fails_like_the_model(
+        self, tdp_grid, ar_grid, workload_grid, states
+    ):
+        conditions = [
+            OperatingConditions.for_active_workload(tdp, ar, workload)
+            for tdp in tdp_grid
+            for workload in workload_grid
+            for ar in ar_grid
+        ] + [
+            OperatingConditions.for_power_state(tdp, state)
+            for tdp in tdp_grid
+            for state in states
+        ]
+        units = [(name, point, ()) for point in conditions for name in PDN_NAMES]
+        spot = PdnSpot(enable_cache=False)
+        try:
+            evaluations = spot.evaluate_units(units)
+        except ReproError as error:
+            expected = _first_block_error(spot, units)
+            assert expected is not None, f"the batch failed, the model did not: {error}"
+            assert (type(error), str(error)) == (type(expected), str(expected))
+            event("grid fails")
+            return
+        event("grid evaluates")
+        for evaluation in evaluations:
+            assert 0.0 < evaluation.etee <= 1.0
+            assert evaluation.supply_power_w >= evaluation.nominal_power_w
