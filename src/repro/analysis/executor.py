@@ -99,6 +99,18 @@ class EvaluationEngine(Protocol):
         """
         ...  # pragma: no cover - protocol
 
+    def cache_peek_many(
+        self, keys: Sequence[Tuple[object, ...]]
+    ) -> List[Optional[EvalResult]]:
+        """Per key, the in-memory cached result or ``None``.
+
+        The memory tier only, so cheap enough for an event loop: every
+        found key counts as one hit, a key not found counts nothing (its
+        later :meth:`cache_lookup_many` counts it), and no lower tier is
+        read.
+        """
+        ...  # pragma: no cover - protocol
+
     def cache_install_many(
         self, keys: Sequence[Tuple[object, ...]], results: Sequence[EvalResult]
     ) -> List[EvalResult]:
@@ -134,8 +146,9 @@ class EvaluationEngine(Protocol):
 class MemoCacheMixin:
     """The shared in-memory memo tier of the evaluation engines.
 
-    Implements the :meth:`cache_lookup_many` / :meth:`cache_install_many`
-    half of the :class:`EvaluationEngine` protocol once, for every engine
+    Implements the :meth:`cache_peek_many` / :meth:`cache_lookup_many` /
+    :meth:`cache_install_many` half of the :class:`EvaluationEngine`
+    protocol once, for every engine
     that keeps a locked memo dict of read-only results.  The host class
     provides the state -- ``_cache``, ``_cache_lock``, ``_cache_hits``,
     ``_cache_misses``.  A lookup hands out the shared cached result itself;
@@ -160,6 +173,33 @@ class MemoCacheMixin:
     ) -> None:
         """Write computed results through to a lower tier (none by default)."""
 
+    def _read_memory(
+        self, keys: Sequence[Tuple[object, ...]]
+    ) -> Tuple[List[Optional[EvalResult]], List[int]]:
+        """The memory tier's result per key and the indices it missed.
+
+        Read under one lock acquisition; the hits count once, by the
+        batch's count.
+        """
+        with self._cache_lock:
+            found = list(map(self._cache.get, keys))
+            missing = [index for index, value in enumerate(found) if value is None]
+            memory_hits = len(found) - len(missing)
+            self._cache_hits += memory_hits
+        if memory_hits:
+            _MEMORY_HITS.inc(memory_hits)
+        return found, missing
+
+    def cache_peek_many(
+        self, keys: Sequence[Tuple[object, ...]]
+    ) -> List[Optional[EvalResult]]:
+        """Per key, the memory tier's result or ``None`` (no lower tier).
+
+        Counts each hit as :meth:`cache_lookup_many` would and no miss, so
+        a key peeked, missed and then looked up counts once.
+        """
+        return self._read_memory(keys)[0]
+
     def cache_lookup_many(
         self, keys: Sequence[Tuple[object, ...]]
     ) -> List[Optional[EvalResult]]:
@@ -169,13 +209,7 @@ class MemoCacheMixin:
         :meth:`_lookup_below` as one batch.  Each cache counter ticks at most
         once per call, by the batch's count.
         """
-        with self._cache_lock:
-            found = list(map(self._cache.get, keys))
-            missing = [index for index, value in enumerate(found) if value is None]
-            memory_hits = len(found) - len(missing)
-            self._cache_hits += memory_hits
-        if memory_hits:
-            _MEMORY_HITS.inc(memory_hits)
+        found, missing = self._read_memory(keys)
         disk_hits = self._lookup_below(keys, found, missing) if missing else 0
         if disk_hits:
             _DISK_HITS.inc(disk_hits)

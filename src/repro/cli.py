@@ -547,9 +547,9 @@ def _remote_evaluate(server: str, endpoint: str, **fields):
     """
     from repro.serve.client import ServeClient, ServerUnavailable
 
-    client = ServeClient(server)
     try:
-        return getattr(client, endpoint)(**fields)
+        with ServeClient(server) as client:
+            return getattr(client, endpoint)(**fields)
     except ServerUnavailable as error:
         print(
             f"warning: {error}; falling back to local evaluation",

@@ -1,8 +1,8 @@
 """A thin stdlib client of the evaluation service.
 
 :class:`ServeClient` speaks the :mod:`repro.serve.protocol` JSON dialect
-over one direct ``http.client`` connection per exchange (no proxy, thread
-safe) and rebuilds real :class:`~repro.analysis.resultset.ResultSet`
+over direct persistent ``http.client`` connections (no proxy, thread safe)
+and rebuilds real :class:`~repro.analysis.resultset.ResultSet`
 objects from responses, so everything downstream of an engine call -- the
 CLI renderers, the plotting adapters, user code -- works identically on
 server results.  The round trip is bit-identical: the server embeds
@@ -10,6 +10,16 @@ server results.  The round trip is bit-identical: the server embeds
 rebuilds the result set from the decoded document through
 ``ResultSet.from_payload``, whose equality round-trip is covered by the
 cache serialization tests.
+
+Connections are pooled: an exchange takes an idle connection (or opens
+one) and returns it after a complete response that did not say
+``Connection: close``, so a thread making many requests pays for one TCP
+connection, and concurrent threads each get their own.  The server may
+close an idle connection at any time (idle timeout, shutdown); when a
+*reused* connection fails before any response byte arrives, the exchange
+is retried once on a fresh connection -- evaluation requests are pure, so
+a retry is safe.  :meth:`ServeClient.close` (or a ``with`` block) closes
+the idle connections; a client that is garbage-collected closes them too.
 
 Failure taxonomy (what the CLI's ``--server`` fallback keys on):
 
@@ -26,8 +36,10 @@ from __future__ import annotations
 
 import http.client
 import json
+import threading
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 from urllib.parse import urlsplit
 
 from repro.analysis.resultset import ResultSet
@@ -110,6 +122,9 @@ class ServeClient:
         Default evaluation deadline sent with requests that do not carry
         their own ``timeout_s``; also sizes the HTTP read timeout (with a
         transport margin) so the socket outlives the evaluation.
+
+    Use it as a context manager, or call :meth:`close`, to close its idle
+    connections when done.
     """
 
     def __init__(self, base_url: str, timeout_s: Optional[float] = None):
@@ -127,6 +142,20 @@ class ServeClient:
         self._host = parts.hostname
         self._port = port if port is not None else 80
         self._path_prefix = parts.path
+        #: Idle persistent connections, most recently used last.
+        self._idle: List[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
+        weakref.finalize(self, _close_idle, self._idle, self._idle_lock)
+
+    def close(self) -> None:
+        """Close the idle connections (a later exchange opens a new one)."""
+        _close_idle(self._idle, self._idle_lock)
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     @property
     def base_url(self) -> str:
@@ -147,6 +176,15 @@ class ServeClient:
             requested = 600.0
         return float(requested) + _TRANSPORT_MARGIN_S
 
+    def _connection(self, timeout: float) -> Optional[http.client.HTTPConnection]:
+        """An idle pooled connection set to ``timeout``, or ``None``."""
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is not None:
+            connection.timeout = timeout
+            connection.sock.settimeout(timeout)
+        return connection
+
     def _exchange(
         self, method: str, path: str, body: Optional[Mapping[str, object]] = None
     ) -> Dict[str, object]:
@@ -156,21 +194,39 @@ class ServeClient:
         if body is not None:
             data = json.dumps(body).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        connection = http.client.HTTPConnection(
-            self._host, self._port, timeout=self._http_timeout(body)
-        )
+        timeout = self._http_timeout(body)
+        target = self._path_prefix + path
+        connection = self._connection(timeout)
         try:
-            connection.request(method, self._path_prefix + path, data, headers)
-            response = connection.getresponse()
+            if connection is not None:
+                try:
+                    connection.request(method, target, data, headers)
+                    response = connection.getresponse()
+                except ConnectionError:
+                    # The server closed the idle connection first; no byte
+                    # of a response arrived, so one retry is safe.
+                    connection.close()
+                    connection = None
+            if connection is None:
+                connection = http.client.HTTPConnection(
+                    self._host, self._port, timeout=timeout
+                )
+                connection.request(method, target, data, headers)
+                response = connection.getresponse()
             raw = response.read()
         except OSError as error:  # refused, reset, timed out, unresolvable
+            connection.close()
             raise ServerUnavailable(
                 f"evaluation service at {self._base_url} is unreachable: {error}"
             ) from None
         except http.client.HTTPException as error:
-            raise ServerError(502, f"malformed HTTP response ({error!r})") from None
-        finally:
             connection.close()
+            raise ServerError(502, f"malformed HTTP response ({error!r})") from None
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
@@ -299,6 +355,16 @@ class ServeClient:
             "timeout_s": timeout_s,
         }
         return self._evaluate("optimize", body)
+
+
+def _close_idle(
+    idle: List[http.client.HTTPConnection], lock: threading.Lock
+) -> None:
+    """Close and forget every connection in ``idle``."""
+    with lock:
+        connections, idle[:] = list(idle), []
+    for connection in connections:
+        connection.close()
 
 
 def _enum_values(items: Optional[Sequence[object]]) -> Optional[list]:

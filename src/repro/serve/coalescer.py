@@ -12,21 +12,29 @@ key.  A key whose evaluation is already in flight (dispatched by any
 request) is *awaited*, never re-dispatched: late requests attach to the
 first request's future.
 
-**Per-tick batching.**  Keys that are not in flight are appended to a
-pending batch; a flush is scheduled with ``loop.call_soon``, so every
-request decomposed within the same event-loop scheduling tick lands in
-**one** :func:`evaluate_units_async` dispatch
-(optionally widened by ``batch_window_s``).  The dispatch path then
-dedupes, evaluates and merges results into the engine's shared cache
-exactly as a local batch run would.
+**Memory hits settle at scatter.**  The keys that are not in flight are
+peeked in the engine's memory tier in one
+:meth:`~repro.analysis.executor.EvaluationEngine.cache_peek_many` call, on
+the event loop: a hit is a settled future, so a request the memory tier
+answers whole never waits for a flush or a thread-pool hop.  The peek
+never reads a lower tier (the simulation engine's disk store).
+
+**Per-tick batching.**  The misses are appended to a pending batch; a
+flush is scheduled with ``loop.call_soon``, so every request decomposed
+within the same event-loop scheduling tick lands in **one**
+:func:`evaluate_units_async` dispatch (optionally widened by
+``batch_window_s``).  The dispatch path then looks the keys up again
+(every tier), dedupes, evaluates and merges results into the engine's
+shared cache exactly as a local batch run would.
 
 **Canonical reassembly.**  ``evaluate`` returns results in the caller's
 unit order regardless of which request computed them, so each handler can
 rebuild its ResultSet rows exactly as the local engine would.
 
 Previously *completed* keys are not tracked here -- they live in the
-engine's own memory/disk cache, which the dispatched batch consults -- so
-the coalescer stays a thin in-flight index, not a third cache tier.
+engine's own memory/disk cache, which the peek and the dispatched batch
+consult -- so the coalescer stays a thin in-flight index, not a third
+cache tier.
 """
 
 from __future__ import annotations
@@ -88,18 +96,21 @@ class CoalescerStats:
     units_requested:
         Evaluation units received across every ``evaluate`` call.
     keys_coalesced:
-        Units that attached to an already-in-flight key instead of
-        dispatching a new evaluation (the single-flight savings).
+        Units that attached to an already-in-flight key, or repeated a key
+        of the same request, instead of dispatching a new evaluation (the
+        single-flight savings).
     keys_dispatched:
-        Distinct keys handed to the dispatch seam.
+        Distinct keys settled from the memory tier at scatter or handed
+        to the dispatch seam; ``units_requested == keys_dispatched +
+        keys_coalesced`` once every batch has settled.
     batches_dispatched:
-        Dispatches issued (scheduling ticks that had work).
+        Dispatches issued (scheduling ticks that had misses).
     largest_batch:
         Size of the largest single dispatch.
     keys_from_cache:
-        Dispatched keys the engine's cache served, counted from
-        each successful dispatch's own lookup; the other dispatched keys
-        were computed.
+        Dispatched keys the engine's cache served: the scatter-time memory
+        hits, plus what each successful dispatch's own lookup served; the
+        other ``keys_dispatched - keys_from_cache`` keys were computed.
     """
 
     units_requested: int = 0
@@ -162,27 +173,41 @@ class Coalescer:
     def scatter(self, units: Sequence[EvalUnit]) -> List["asyncio.Future[EvalResult]"]:
         """Register ``units`` and return one future per unit, in caller order.
 
-        Each unit resolves to exactly one of: the future of an already
-        in-flight key (counted as coalesced) or a fresh future backed by a
-        slot in the next dispatched batch.  Futures are shared between
-        requests -- abandoning one (e.g. on a request timeout) must not
-        cancel it; await through :func:`asyncio.wait`, which never cancels
-        what it waits on.
+        The keys not in flight are peeked in the engine's memory tier in one
+        call: a hit becomes an already settled future, a miss a fresh future
+        backed by a slot in the next dispatched batch.  A key already in
+        flight, or repeated within ``units``, shares that key's future and
+        counts as coalesced.  Futures are shared between requests --
+        abandoning one (e.g. on a request timeout) must not cancel it;
+        await through :func:`asyncio.wait`, which never cancels what it
+        waits on.
         """
-        futures: List["asyncio.Future[EvalResult]"] = []
         loop = asyncio.get_running_loop()
-        self.stats.units_requested += len(units)
-        for unit in units:
-            name, point, overrides = unit
-            key = self._engine.cache_key(name, point, overrides)
-            future = self._inflight.get(key)
-            if future is not None:
-                self.stats.keys_coalesced += 1
-            else:
-                future = loop.create_future()
+        cache_key = self._engine.cache_key
+        keys = [cache_key(name, point, overrides) for name, point, overrides in units]
+        fresh: Dict[CacheKey, EvalUnit] = {}
+        for key, unit in zip(keys, units):
+            if key not in self._inflight:
+                fresh.setdefault(key, unit)
+        settled: Dict[CacheKey, "asyncio.Future[EvalResult]"] = {}
+        peeked = self._engine.cache_peek_many(list(fresh))
+        for (key, unit), result in zip(fresh.items(), peeked):
+            future = loop.create_future()
+            if result is None:
                 self._inflight[key] = future
                 self._pending.append((key, unit))
-            futures.append(future)
+            else:
+                future.set_result(result)
+                settled[key] = future
+        stats = self.stats
+        stats.units_requested += len(units)
+        stats.keys_coalesced += len(units) - len(fresh)
+        # A hit is a dispatched key its cache served, without a batch.
+        stats.keys_dispatched += len(settled)
+        stats.keys_from_cache += len(settled)
+        futures = [
+            settled[key] if key in settled else self._inflight[key] for key in keys
+        ]
         if self._pending:
             self._schedule_flush(loop)
         return futures
@@ -194,7 +219,7 @@ class Coalescer:
         re-raises its error to every request that awaited one of its keys.
         """
         futures = self.scatter(units)
-        if futures:
+        if not all(future.done() for future in futures):
             # asyncio.wait never cancels the shared futures other requests
             # await, even when this caller is cancelled.
             await asyncio.wait(set(futures))

@@ -20,8 +20,9 @@ exposes the library's grid workloads over five endpoints:
 
 Sweep and simulate requests are decomposed into engine cache keys and
 routed through a per-engine :class:`~repro.serve.coalescer.Coalescer`:
+keys in the engine's memory cache settle at once, on the event loop,
 overlapping concurrent requests cost one evaluation per distinct key and
-fresh keys batch into one dispatch per scheduling tick.  Optimize
+the other fresh keys batch into one dispatch per scheduling tick.  Optimize
 requests single-flight on their canonical request digest (identical
 concurrent searches run once) and serialise per shared evaluator.
 
@@ -40,10 +41,20 @@ Operational semantics:
   when the request set ``allow_partial`` -- ``200`` with
   ``status: "partial"`` and the completed rows in canonical order.  A
   client that stalls while sending its body gets ``408``.
+* **Persistent connections** -- a connection carries one exchange after
+  another (HTTP/1.1, ``Content-Length`` framing).  A response says
+  ``Connection: close`` and the server closes the connection when the
+  request was HTTP/1.0 or sent ``Connection: close`` or a chunked body
+  (only ``Content-Length`` bodies are read), when the status is
+  ``400`` or above (so an unread body or a broken head is never parsed as
+  the next request), or when the server is draining; every other response
+  says ``Connection: keep-alive``.  A connection that sends no byte of its
+  next request within ``read_timeout_s`` is closed without a response.
 * **Graceful shutdown** -- :meth:`EvaluationServer.shutdown` flips the
   draining flag (new evaluation requests get ``503``; health, stats and
   metrics keep answering), waits for in-flight requests and dispatched
-  batches to finish, then closes the listener.
+  batches to finish, closes the listener and every idle connection, then
+  waits for the connections still answering.
 
 When a tracer is installed (``repro serve --trace``), every request is
 wrapped in a ``serve.request`` span with ``serve.parse`` /
@@ -90,6 +101,9 @@ from repro.serve.stats import EndpointStats, memory_cache_section
 from repro.sim.adapters import simulation_record
 from repro.sim.study import SimEngine
 from repro.util.errors import ReproError
+
+#: Accepted connections (one per TCP connection, however many exchanges).
+_CONNECTIONS = METRICS.counter("serve.connections")
 
 #: Default TCP port of the daemon (``0`` binds an ephemeral port).
 DEFAULT_PORT = 8737
@@ -178,7 +192,8 @@ class EvaluationServer:
         Coalescer batching window (``0``: flush every event-loop tick).
     read_timeout_s:
         How long a client may take to deliver its request head and body
-        before the server answers ``408``.
+        before the server answers ``408``; also how long a connection may
+        stay idle between requests before the server closes it.
     """
 
     def __init__(
@@ -223,6 +238,8 @@ class EvaluationServer:
         self._idle = asyncio.Event()
         self._idle.set()
         self._connections: "set[asyncio.Task[None]]" = set()
+        #: Connections waiting for the first byte of their next request.
+        self._idle_connections: "set[asyncio.StreamWriter]" = set()
         self._shutdown_requested = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -262,22 +279,24 @@ class EvaluationServer:
 
         New evaluation requests are refused with ``503`` the moment this is
         called; requests already being evaluated (and every dispatched
-        coalescer batch) run to completion before the listener closes.
+        coalescer batch) run to completion.  Then the listener and every
+        idle connection close at once, and shutdown waits for the
+        connections still writing a response.
         """
         self._draining = True
         await self._idle.wait()
         await self._sweep_coalescer.drain()
         await self._sim_coalescer.drain()
-        current = asyncio.current_task()
-        while True:
-            pending = [task for task in self._connections if task is not current]
-            if not pending:
-                break
-            await asyncio.wait(pending, timeout=self._read_timeout_s)
-            if any(not task.done() for task in pending):  # pragma: no cover
-                break  # a stuck connection should not wedge shutdown forever
         if self._server is not None:
             self._server.close()
+        for writer in list(self._idle_connections):
+            writer.close()
+        current = asyncio.current_task()
+        pending = [task for task in self._connections if task is not current]
+        if pending:
+            # A stuck connection should not wedge shutdown forever.
+            await asyncio.wait(pending, timeout=self._read_timeout_s)
+        if self._server is not None:
             await self._server.wait_closed()
 
     def request_shutdown(self) -> None:
@@ -319,20 +338,27 @@ class EvaluationServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one ``Connection: close`` HTTP exchange."""
+        """Serve HTTP/1.1 exchanges on one connection until it closes."""
+        _CONNECTIONS.inc()
         task = asyncio.current_task()
         if task is not None:
             self._connections.add(task)
         try:
-            try:
-                method, path, body = await self._read_request(reader)
-                status, payload = await self._route(method, path, body)
-            except _HttpError as error:
-                status, payload = error.code, error.payload
-            except Exception as error:  # noqa: BLE001 - crash-proof transport
-                status = 500
-                payload = _error_payload(500, f"internal server error: {error}")
-            await self._write_response(writer, status, payload)
+            keep_alive = True
+            while keep_alive:
+                try:
+                    request = await self._read_request(reader, writer)
+                    if request is None:
+                        break
+                    method, path, body, keep_alive = request
+                    status, payload = await self._route(method, path, body)
+                except _HttpError as error:
+                    status, payload = error.code, error.payload
+                except Exception as error:  # noqa: BLE001 - crash-proof transport
+                    status = 500
+                    payload = _error_payload(500, f"internal server error: {error}")
+                keep_alive = keep_alive and status < 400 and not self._draining
+                await self._write_response(writer, status, payload, keep_alive)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass  # client went away; nothing left to answer
         finally:
@@ -345,11 +371,31 @@ class EvaluationServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, Optional[bytes]]:
-        """Parse one HTTP/1.1 request head and body from the stream."""
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> Optional[Tuple[str, str, bytes, bool]]:
+        """Read one request: ``(method, path, body, keep_alive)``.
+
+        ``None`` when no byte of a request arrived: the client closed the
+        connection, or it stayed idle past ``read_timeout_s``, or the
+        server is shutting down.  Those close without a response.
+        """
+        if self._server is not None and not self._server.is_serving():
+            return None
+        # The idle timer and shutdown close an idle connection; its read
+        # then ends at EOF.
+        idle_timer = asyncio.get_running_loop().call_later(
+            self._read_timeout_s, writer.close
+        )
+        self._idle_connections.add(writer)
         try:
-            request_line = await asyncio.wait_for(
+            first = await reader.read(1)
+        finally:
+            idle_timer.cancel()
+            self._idle_connections.discard(writer)
+        if not first or writer.is_closing():
+            return None
+        try:
+            request_line = first + await asyncio.wait_for(
                 reader.readline(), self._read_timeout_s
             )
         except asyncio.TimeoutError:
@@ -357,25 +403,25 @@ class EvaluationServer:
         parts = request_line.decode("latin-1").split()
         if len(parts) != 3:
             raise _HttpError(400, "malformed HTTP request line")
-        method, target = parts[0].upper(), parts[1]
+        method, target, version = parts[0].upper(), parts[1], parts[2]
         try:
             headers = await asyncio.wait_for(
                 _read_headers(reader), self._read_timeout_s
             )
         except asyncio.TimeoutError:
             raise _HttpError(408, "timed out reading request headers") from None
-        body: Optional[bytes] = None
-        if method == "POST":
-            try:
-                length = int(headers.get("content-length", "0"))
-            except ValueError:
-                raise _HttpError(400, "invalid Content-Length header") from None
-            if length > self._max_body_bytes:
-                raise _HttpError(
-                    413,
-                    f"request body of {length} bytes exceeds the "
-                    f"{self._max_body_bytes}-byte limit",
-                )
+        try:
+            length = int(headers.get("content-length", "0"))
+        except ValueError:
+            raise _HttpError(400, "invalid Content-Length header") from None
+        if length > self._max_body_bytes:
+            raise _HttpError(
+                413,
+                f"request body of {length} bytes exceeds the "
+                f"{self._max_body_bytes}-byte limit",
+            )
+        body = b""
+        if length:
             try:
                 body = await asyncio.wait_for(
                     reader.readexactly(length), self._read_timeout_s
@@ -383,12 +429,26 @@ class EvaluationServer:
             except asyncio.TimeoutError:
                 raise _HttpError(408, "timed out reading the request body") from None
             except asyncio.IncompleteReadError:
-                raise _HttpError(400, "request body shorter than Content-Length") from None
+                raise _HttpError(
+                    400, "request body shorter than Content-Length"
+                ) from None
+        # Only a Content-Length body is read, so a chunked one ends the
+        # connection rather than being parsed as the next request.
+        connection = headers.get("connection", "").lower().split(",")
+        keep_alive = (
+            version == "HTTP/1.1"
+            and "close" not in (token.strip() for token in connection)
+            and "transfer-encoding" not in headers
+        )
         path = target.split("?", 1)[0]
-        return method, path, body
+        return method, path, body, keep_alive
 
     async def _write_response(
-        self, writer: asyncio.StreamWriter, status: int, payload: object
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: object,
+        keep_alive: bool,
     ) -> None:
         """Encode one JSON response, write it and flush it."""
         with obs_trace.span("serve.respond", category="serve",
@@ -399,7 +459,7 @@ class EvaluationServer:
                 f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
                 "Content-Type: application/json\r\n"
                 f"Content-Length: {len(body)}\r\n"
-                "Connection: close\r\n"
+                f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
                 "\r\n"
             )
             writer.write(head.encode("ascii") + body)
@@ -409,7 +469,7 @@ class EvaluationServer:
     # Routing
     # ------------------------------------------------------------------ #
     async def _route(
-        self, method: str, path: str, body: Optional[bytes]
+        self, method: str, path: str, body: bytes
     ) -> Tuple[int, object]:
         """Dispatch one parsed request to its endpoint handler."""
         if path == "/v1/healthz":
@@ -445,7 +505,7 @@ class EvaluationServer:
         return await self._observed(path, endpoint, handler, body)
 
     async def _observed(
-        self, path: str, endpoint: str, handler, body: Optional[bytes]
+        self, path: str, endpoint: str, handler, body: bytes
     ) -> Tuple[int, object]:
         """Run a handler with latency/error accounting and in-flight tracking."""
         stats = self._endpoint_stats.setdefault(endpoint, EndpointStats())
@@ -468,7 +528,7 @@ class EvaluationServer:
                 stats.observe(time.monotonic() - started, error=status >= 400)
                 span.set("status", status)
 
-    def _decode_body(self, body: Optional[bytes]) -> object:
+    def _decode_body(self, body: bytes) -> object:
         """Decode a POST body into JSON, mapping failures to 400 errors."""
         if not body:
             raise _HttpError(
@@ -481,10 +541,10 @@ class EvaluationServer:
                 400, f"body: request body is not valid JSON ({error})", pointer="body"
             ) from None
 
-    def _parse(self, parser, body: Optional[bytes]):
+    def _parse(self, parser, body: bytes):
         """Parse and validate one request body, mapping failures to 400."""
         with obs_trace.span("serve.parse", category="serve",
-                            bytes=len(body) if body else 0):
+                            bytes=len(body)):
             decoded = self._decode_body(body)
             try:
                 return parser(decoded)
@@ -510,7 +570,7 @@ class EvaluationServer:
     # ------------------------------------------------------------------ #
     # Evaluation endpoints
     # ------------------------------------------------------------------ #
-    async def _handle_sweep(self, body: Optional[bytes]) -> Tuple[int, object]:
+    async def _handle_sweep(self, body: bytes) -> Tuple[int, object]:
         """``POST /v1/sweep``: evaluate one analytic study grid."""
         request: SweepRequest = self._parse(parse_sweep_request, body)
         try:
@@ -534,7 +594,7 @@ class EvaluationServer:
             "sweep", self._sweep_coalescer, units, assemble, request
         )
 
-    async def _handle_simulate(self, body: Optional[bytes]) -> Tuple[int, object]:
+    async def _handle_simulate(self, body: bytes) -> Tuple[int, object]:
         """``POST /v1/simulate``: evaluate one scenario-simulation grid."""
         request: SimulateRequest = self._parse(parse_simulate_request, body)
         try:
@@ -593,9 +653,10 @@ class EvaluationServer:
                             endpoint=endpoint, units=len(units)):
             futures = coalescer.scatter(units)
         pending = ()
-        if futures:
+        if not all(future.done() for future in futures):
             # asyncio.wait never cancels the shared futures other requests
-            # await, and returns early on the first failed dispatch.
+            # await, and returns early on the first failed dispatch.  A
+            # request the memory tier answered at scatter never waits.
             _, pending = await asyncio.wait(
                 set(futures), timeout=timeout, return_when=asyncio.FIRST_EXCEPTION
             )
@@ -633,7 +694,7 @@ class EvaluationServer:
             resultset = assemble(results)
         return 200, {"status": "ok", "endpoint": endpoint, "resultset": resultset}
 
-    async def _handle_optimize(self, body: Optional[bytes]) -> Tuple[int, object]:
+    async def _handle_optimize(self, body: bytes) -> Tuple[int, object]:
         """``POST /v1/optimize``: run one design-space search (single-flight)."""
         request: OptimizeRequest = self._parse(parse_optimize_request, body)
         try:
@@ -744,11 +805,11 @@ class EvaluationServer:
             "draining": self._draining,
         }
 
-    async def _handle_stats(self, body: Optional[bytes]) -> Tuple[int, object]:
+    async def _handle_stats(self, body: bytes) -> Tuple[int, object]:
         """``GET /v1/stats``: the full observability document."""
         return 200, self.stats_payload()
 
-    async def _handle_metrics(self, body: Optional[bytes]) -> Tuple[int, object]:
+    async def _handle_metrics(self, body: bytes) -> Tuple[int, object]:
         """``GET /v1/metrics``: the process-wide metrics snapshot."""
         return 200, self.metrics_payload()
 

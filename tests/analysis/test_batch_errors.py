@@ -135,7 +135,7 @@ def server():
 def _post_sweep(port, axes):
     data = json.dumps(axes).encode("utf-8")
     head = (
-        "POST /v1/sweep HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        "POST /v1/sweep HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n"
     )
     with socket.create_connection(("127.0.0.1", port), timeout=60.0) as sock:

@@ -15,7 +15,12 @@ from typing import List, Optional, Tuple
 
 import pytest
 
+from repro.analysis.pdnspot import PdnSpot
+from repro.analysis.study import study_units
+from repro.obs.metrics import METRICS
 from repro.serve.coalescer import Coalescer
+from repro.serve.protocol import build_simulate_study, build_sweep_study
+from repro.sim.study import SimEngine
 
 
 class CountingEngine:
@@ -30,6 +35,7 @@ class CountingEngine:
         self._lock = threading.Lock()
         self.eval_counts = Counter()
         self.gates = {}
+        self.peeks = []
 
     @property
     def cache_enabled(self) -> bool:
@@ -40,6 +46,11 @@ class CountingEngine:
 
     def cache_lookup_many(self, keys) -> List[Optional[object]]:
         with self._lock:
+            return [self._cache.get(key) for key in keys]
+
+    def cache_peek_many(self, keys) -> List[Optional[object]]:
+        with self._lock:
+            self.peeks.extend(keys)
             return [self._cache.get(key) for key in keys]
 
     def cache_install_many(self, keys, results) -> List[object]:
@@ -187,11 +198,18 @@ class TestKeysFromCache:
         runs to completion: each adds only what its own lookup served, when
         it settles."""
         class EnteredEngine(CountingEngine):
-            """Signals once the slow key's evaluation (after the lookup) starts."""
+            """Signals once the slow key's evaluation (after the lookup) starts.
+
+            Its cache answers a dispatch's lookup only, like a lower tier:
+            the scatter-time peek finds nothing, so every key dispatches.
+            """
 
             def __init__(self):
                 super().__init__()
                 self.entered = threading.Event()
+
+            def cache_peek_many(self, keys):
+                return [None] * len(keys)
 
             def evaluate_uncached(self, name, point, overrides):
                 if name == "slow":
@@ -233,6 +251,148 @@ class TestKeysFromCache:
             "units_requested", "keys_coalesced", "keys_dispatched",
             "batches_dispatched", "largest_batch", "keys_from_cache",
         ]
+
+
+class TestScatterTimeHits:
+    """Keys the engine's memory tier holds settle at scatter, on the loop."""
+
+    def test_fully_cached_request_dispatches_no_batch(self):
+        engine = CountingEngine()
+
+        async def main():
+            coalescer = Coalescer(engine)
+            await coalescer.evaluate(units_for("A", range(3)))
+            batches = coalescer.stats.batches_dispatched
+            futures = coalescer.scatter(units_for("A", range(3)))
+            settled = all(future.done() for future in futures)
+            results = await coalescer.evaluate(units_for("A", range(3)))
+            return coalescer, batches, settled, results
+
+        coalescer, batches, settled, results = asyncio.run(main())
+        assert batches == 1
+        assert settled
+        assert results == [("result", "A", point, ()) for point in range(3)]
+        assert coalescer.stats.batches_dispatched == 1
+        assert coalescer.in_flight == 0
+
+    def test_counter_relations_after_mixed_hits_misses_and_coalescing(self):
+        engine = CountingEngine()
+
+        async def main():
+            coalescer = Coalescer(engine)
+            await coalescer.evaluate(units_for("A", [0, 1]))
+            await asyncio.gather(
+                coalescer.evaluate(units_for("A", [0, 1, 2, 2])),  # hit, hit, miss, repeat
+                coalescer.evaluate(units_for("A", [2, 3])),        # in flight, miss
+                coalescer.evaluate(units_for("A", [1, 1])),        # hit, repeat
+            )
+            await coalescer.drain()
+            return coalescer.stats
+
+        stats = asyncio.run(main())
+        computed = sum(engine.eval_counts.values())
+        assert computed == 4  # A0..A3, once each
+        assert stats.units_requested == stats.keys_dispatched + stats.keys_coalesced
+        assert computed == stats.keys_dispatched - stats.keys_from_cache
+        assert (stats.units_requested, stats.keys_coalesced) == (10, 3)
+        assert (stats.keys_dispatched, stats.keys_from_cache) == (7, 3)
+
+    def test_repeated_key_is_peeked_once(self):
+        engine = CountingEngine()
+
+        async def main():
+            coalescer = Coalescer(engine)
+            await coalescer.evaluate(units_for("A", [0]))
+            engine.peeks.clear()
+            results = await coalescer.evaluate(units_for("A", [0, 0, 0]))
+            return coalescer.stats, results
+
+        stats, results = asyncio.run(main())
+        assert engine.peeks == [("A", 0, ())]
+        assert results == [("result", "A", 0, ())] * 3
+        assert stats.keys_coalesced == 2
+
+    def test_peek_never_reads_the_disk_tier(self, tmp_path, monkeypatch):
+        study = build_simulate_study(tdps=(18.0,), seed=1, pdns=["IVR", "LDO"])
+        units = [(name, point, point.overrides)
+                 for point in study.points[:2] for name in ("IVR", "LDO")]
+        SimEngine(disk_cache=tmp_path).run(study)  # warm the disk tier
+        reads = []
+        original = SimEngine._lookup_below
+
+        def spy(self, keys, found, missing):
+            reads.append(len(missing))
+            return original(self, keys, found, missing)
+
+        monkeypatch.setattr(SimEngine, "_lookup_below", spy)
+        engine = SimEngine(disk_cache=tmp_path)  # cold memory, warm disk
+        keys = [engine.cache_key(*unit) for unit in units]
+        assert engine.cache_peek_many(keys) == [None] * len(keys)
+        assert reads == []
+
+        async def main():
+            coalescer = Coalescer(engine)
+            first = await coalescer.evaluate(units)   # misses: the batch reads disk
+            second = await coalescer.evaluate(units)  # memory hits: no batch
+            return coalescer.stats, first, second
+
+        stats, first, second = asyncio.run(main())
+        assert reads == [len(units)]
+        assert first == second
+        assert stats.batches_dispatched == 1
+        assert stats.keys_from_cache == stats.keys_dispatched == 2 * len(units)
+
+
+def sweep_units(tdps) -> list:
+    """The units of a two-PDN sweep at AR 0.5 (two per TDP)."""
+    study = build_sweep_study(tdps, [0.5], pdns=["IVR", "LDO"])
+    return study_units(study, ["IVR", "LDO"])
+
+
+def drive_sweeps(steps) -> Tuple[int, ...]:
+    """Run coalesced sweeps on a fresh engine; return its cache counts.
+
+    Each step gathers its requests in one tick; a request is ``(tdps,
+    repeats)``, its units repeated ``repeats`` times.  Returns
+    ``cache_info()`` (hits, misses, size) and the deltas of
+    ``cache.memory.hits``, ``cache.lookup.misses`` and ``cache.installs``.
+    """
+    spot = PdnSpot()
+    names = ("cache.memory.hits", "cache.lookup.misses", "cache.installs")
+    before = [METRICS.counter(name).value for name in names]
+
+    async def main():
+        coalescer = Coalescer(spot)
+        for step in steps:
+            await asyncio.gather(*(
+                coalescer.evaluate(sweep_units(tdps) * repeats)
+                for tdps, repeats in step
+            ))
+        await coalescer.drain()
+
+    asyncio.run(main())
+    info = spot.cache_info()
+    deltas = [METRICS.counter(name).value - start for name, start in zip(names, before)]
+    return (info.hits, info.misses, info.size, *deltas)
+
+
+def test_cache_counts_of_a_request_sequence_are_unchanged_by_the_peek():
+    """Peeking at scatter moves where a hit is counted, not how many.  The
+    counts equal those of a flush-time lookup of every key: TDPs 4/18 cold
+    (4 misses), again (4 hits), 18/50 (2 hits, 2 misses), then 50/4 twice
+    in one request (4 hits; the repeats coalesce)."""
+    steps = [[([4.0, 18.0], 1)], [([4.0, 18.0], 1)], [([18.0, 50.0], 1)],
+             [([50.0, 4.0], 2)]]
+    assert drive_sweeps(steps) == (10, 6, 6, 10, 6, 6)
+
+
+def test_same_tick_requests_each_count_their_memory_hits():
+    """Two requests scattering one memory-resident key in the same tick each
+    peek it: one hit per request.  (A flush-time lookup counted the second
+    request's as coalesced onto the first's pending batch: 8 hits.)"""
+    steps = [[([4.0, 18.0], 1)], [([4.0, 18.0], 1), ([18.0, 50.0], 1)],
+             [([50.0, 4.0], 2)]]
+    assert drive_sweeps(steps) == (10, 6, 6, 10, 6, 6)
 
 
 class TestFailurePropagation:

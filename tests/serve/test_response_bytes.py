@@ -42,7 +42,7 @@ def raw_exchange(port: int, method: str, path: str, body=None):
     """One HTTP exchange on a plain socket: ``(status, headers, body)``."""
     data = b"" if body is None else json.dumps(body).encode("utf-8")
     head = (
-        f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nConnection: close\r\n"
         f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n\r\n"
     )
     with socket.create_connection(("127.0.0.1", port), timeout=60.0) as sock:

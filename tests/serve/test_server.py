@@ -277,7 +277,7 @@ class TestFailurePaths:
         with socket.create_connection(
             ("127.0.0.1", warm_server.server.port), timeout=10.0
         ) as bare:
-            bare.sendall(b"GET /v1/healthz HTTP/1.1\nHost: x\n\n")
+            bare.sendall(b"GET /v1/healthz HTTP/1.1\nHost: x\nConnection: close\n\n")
             raw = bare.makefile("rb").read()
         head, _, body = raw.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 200 OK")

@@ -11,8 +11,11 @@ then drives it exactly as a user would:
    local in-process engine.
 3. **Observability** -- ``GET /v1/stats`` reports the evaluations the
    round trip just performed.
-4. **Clean shutdown** -- SIGTERM drains the daemon, which announces
-   ``shutdown complete`` and exits with status 0.
+4. **Connection reuse** -- two requests over one ``http.client``
+   connection raise the ``serve.connections`` counter by exactly 1.
+5. **Clean shutdown** -- SIGTERM, sent while that connection sits idle,
+   drains the daemon, which announces ``shutdown complete`` and exits with
+   status 0.
 
 Exits non-zero with a diagnostic when any property fails.  Usage (what
 .github/workflows/ci.yml runs)::
@@ -22,6 +25,7 @@ Exits non-zero with a diagnostic when any property fails.  Usage (what
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -30,6 +34,7 @@ import subprocess
 import sys
 import urllib.request
 from typing import List, Optional
+from urllib.parse import urlsplit
 
 SWEEP_BODY = {"tdps": [4.0, 18.0], "ars": [0.4], "pdns": ["IVR", "LDO"]}
 STARTUP_TIMEOUT_S = 60.0
@@ -111,10 +116,32 @@ def main(argv: Optional[List[str]] = None) -> int:
         expect(misses == rows, f"stats report {misses} misses for {rows} rows")
         print(f"  stats: 1 sweep request, {misses} evaluations accounted")
 
-        print("  sending SIGTERM for graceful shutdown ...")
-        process.send_signal(signal.SIGTERM)
-        remainder = process.stdout.read()
-        returncode = process.wait(timeout=SHUTDOWN_TIMEOUT_S)
+        accepted = get_json(f"{base_url}/v1/metrics")["metrics"]["counters"]
+        before = accepted["serve.connections"]
+        address = urlsplit(base_url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=120
+        )
+        try:
+            for path in ("/v1/healthz", "/v1/metrics"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                expect(response.status == 200, f"{path} answered {response.status}")
+                document = json.loads(response.read().decode("utf-8"))
+            after = document["metrics"]["counters"]["serve.connections"]
+            expect(
+                after - before == 1,
+                f"two requests on one connection raised serve.connections "
+                f"by {after - before}, expected 1",
+            )
+            print("  keep-alive: two requests, one connection")
+
+            print("  sending SIGTERM with an idle connection open ...")
+            process.send_signal(signal.SIGTERM)
+            remainder, _ = process.communicate(timeout=SHUTDOWN_TIMEOUT_S)
+            returncode = process.returncode
+        finally:
+            connection.close()
         expect(
             "shutdown complete" in remainder,
             f"daemon never announced shutdown: {remainder!r}",
