@@ -42,7 +42,7 @@ SERVE_ARS = (0.40, 0.56)
 SERVE_ROWS = len(SERVE_TDPS) * len(SERVE_ARS) * 5
 
 #: Alternating rounds per side of the in-suite coalescing claim.
-CLAIM_ROUNDS = 5
+CLAIM_ROUNDS = 15
 
 
 def _cold_run():

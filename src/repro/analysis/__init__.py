@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from repro.analysis.validation import ValidationHarness, ValidationRecord, ValidationSummary
     from repro.analysis.comparison import normalised_metric_table
     from repro.analysis.reporting import format_table
-    from repro.analysis.sensitivity import SensitivityAnalysis, SensitivityRecord
 
 __all__ = [
     "PdnSpot",
@@ -50,8 +49,6 @@ __all__ = [
     "ValidationSummary",
     "normalised_metric_table",
     "format_table",
-    "SensitivityAnalysis",
-    "SensitivityRecord",
 ]
 
 
@@ -62,5 +59,4 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.analysis.validation": ("ValidationHarness", "ValidationRecord", "ValidationSummary"),
     "repro.analysis.comparison": ("normalised_metric_table",),
     "repro.analysis.reporting": ("format_table",),
-    "repro.analysis.sensitivity": ("SensitivityAnalysis", "SensitivityRecord"),
 })

@@ -1,15 +1,13 @@
 """Normalised PDN comparison tables.
 
 Every evaluation figure in the paper (Fig. 7, Fig. 8a-e) reports its metric
-*normalised to the IVR PDN*.  This module holds the one helper all experiment
-drivers share for producing such tables, plus a convenience wrapper that
-assembles the full Fig. 8-style summary (performance, battery life, BOM,
-area) for a set of PDNs at one TDP.
+*normalised to the IVR PDN*.  This module holds the helper that produces
+such a table from a per-PDN metric.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Mapping
 
 from repro.util.errors import ConfigurationError
 
@@ -44,26 +42,3 @@ def normalised_metric_table(
     _ = higher_is_better  # direction does not change the arithmetic
     return {name: value / reference_value for name, value in metric_by_pdn.items()}
 
-
-def best_pdn(
-    metric_by_pdn: Mapping[str, float], higher_is_better: bool = True
-) -> str:
-    """Name of the best PDN under the given metric direction."""
-    if not metric_by_pdn:
-        raise ConfigurationError("cannot pick the best PDN from an empty table")
-    chooser = max if higher_is_better else min
-    return chooser(metric_by_pdn, key=metric_by_pdn.get)
-
-
-def merge_comparisons(
-    tables: Mapping[str, Mapping[str, float]]
-) -> Dict[str, Dict[str, float]]:
-    """Merge several per-PDN metric tables into a PDN -> metric -> value map."""
-    pdn_names: Iterable[str] = set()
-    for table in tables.values():
-        pdn_names = set(pdn_names) | set(table.keys())
-    merged: Dict[str, Dict[str, float]] = {name: {} for name in sorted(pdn_names)}
-    for metric_name, table in tables.items():
-        for pdn_name, value in table.items():
-            merged[pdn_name][metric_name] = value
-    return merged

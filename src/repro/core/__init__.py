@@ -4,9 +4,9 @@ FlexWatts is a power- and workload-aware hybrid adaptive PDN (Sec. 6).  Its
 three key ideas map onto the modules of this package:
 
 1. **Hybrid regulators that share resources** --
-   :mod:`repro.core.hybrid_vr` models the dual-mode on-chip regulator built
-   from the IVR's high-side power switch, which can operate either as an IVR
-   (IVR-Mode) or as an LDO/power-gate (LDO-Mode);
+   :mod:`repro.core.hybrid_vr` names the two modes of the dual-mode on-chip
+   regulator built from the IVR's high-side power switch, which operates
+   either as an IVR (IVR-Mode) or as an LDO/power-gate (LDO-Mode);
    :mod:`repro.core.flexwatts` assembles the full PDN (hybrid regulators for
    the compute domains, dedicated board regulators for SA/IO).
 2. **Static off-chip regulators for narrow-power domains** -- handled inside
@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 
 if TYPE_CHECKING:
-    from repro.core.hybrid_vr import HybridVoltageRegulator, PdnMode
+    from repro.core.hybrid_vr import PdnMode
     from repro.core.flexwatts import FlexWattsPdn
     from repro.core.mode_predictor import EteeCurveSet, ModePredictor
     from repro.core.calibration import build_default_predictor
@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "PdnMode",
-    "HybridVoltageRegulator",
     "FlexWattsPdn",
     "EteeCurveSet",
     "ModePredictor",
@@ -45,7 +44,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.core.hybrid_vr": ("HybridVoltageRegulator", "PdnMode"),
+    "repro.core.hybrid_vr": ("PdnMode",),
     "repro.core.flexwatts": ("FlexWattsPdn",),
     "repro.core.mode_predictor": ("EteeCurveSet", "ModePredictor"),
     "repro.core.calibration": ("build_default_predictor",),

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
         METRICS,
         METRICS_SCHEMA_VERSION,
         MetricsRegistry,
-        get_metrics,
     )
     from repro.obs.runstats import RunStats
     from repro.obs.trace import (
@@ -41,7 +40,6 @@ if TYPE_CHECKING:
         Tracer,
         active_tracer,
         attach_pmu_tracing,
-        counter_event,
         install_tracer,
         instant,
         span,
@@ -63,8 +61,6 @@ __all__ = [
     "Tracer",
     "active_tracer",
     "attach_pmu_tracing",
-    "counter_event",
-    "get_metrics",
     "install_tracer",
     "instant",
     "span",
@@ -76,12 +72,11 @@ __all__ = [
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.obs.metrics": (
         "Counter", "DEFAULT_LATENCY_BOUNDS_S", "Gauge", "Histogram", "METRICS",
-        "METRICS_SCHEMA_VERSION", "MetricsRegistry", "get_metrics",
+        "METRICS_SCHEMA_VERSION", "MetricsRegistry",
     ),
     "repro.obs.runstats": ("RunStats",),
     "repro.obs.trace": (
-        "SpanRecord", "Tracer", "active_tracer", "attach_pmu_tracing", "counter_event",
-        "install_tracer", "instant", "span", "tracing_enabled", "uninstall_tracer",
-        "write_chrome_trace",
+        "SpanRecord", "Tracer", "active_tracer", "attach_pmu_tracing", "install_tracer",
+        "instant", "span", "tracing_enabled", "uninstall_tracer", "write_chrome_trace",
     ),
 })

@@ -227,8 +227,3 @@ class MetricsRegistry:
 
 #: The process-wide registry every instrumented layer accumulates into.
 METRICS = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    """The process-wide :class:`MetricsRegistry`."""
-    return METRICS

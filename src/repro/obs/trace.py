@@ -1,7 +1,8 @@
 """Thread-safe span tracing with Chrome-trace/Perfetto JSON export.
 
 One :class:`Tracer` collects :class:`SpanRecord` events -- durationful
-spans, instants and counter samples -- from every thread of a process.
+spans and instants -- from every thread of a process; the export appends
+the metrics registry's counters and gauges as final counter samples.
 Durations come from the monotonic :func:`time.perf_counter` clock;
 timestamps are wall-aligned at tracer construction.
 
@@ -220,22 +221,6 @@ class Tracer:
             )
         )
 
-    def counter(self, name: str, values: Dict[str, float],
-                category: str = "repro") -> None:
-        """Record one counter sample (a Chrome ``"C"`` event)."""
-        self._record(
-            SpanRecord(
-                name=name,
-                category=category,
-                phase="C",
-                ts_us=self._to_wall_us(time.perf_counter()),
-                dur_us=0.0,
-                pid=os.getpid(),
-                tid=threading.get_ident(),
-                args=dict(values),
-            )
-        )
-
     # ------------------------------------------------------------------ #
     # Snapshot and export
     # ------------------------------------------------------------------ #
@@ -335,14 +320,6 @@ def instant(name: str, category: str = "repro", **attributes: object) -> None:
     tracer = _ACTIVE
     if tracer is not None:
         tracer.instant(name, category, **attributes)
-
-
-def counter_event(name: str, values: Dict[str, float],
-                  category: str = "repro") -> None:
-    """Record a counter sample on the active tracer (no-op when off)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.counter(name, values, category)
 
 
 def write_chrome_trace(path: str, tracer: Optional[Tracer],

@@ -34,7 +34,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.resultset import Record
 from repro.analysis.study import OverrideKey, _flatten
@@ -248,9 +248,3 @@ class DesignSpaceBuilder:
             constraints=tuple(self._constraints),
         )
 
-
-def freeze_parameter_overrides(
-    overrides: Dict[str, object]
-) -> OverrideKey:
-    """Normalise a parameter-override mapping to the hashable key shape."""
-    return tuple(sorted(overrides.items()))

@@ -20,16 +20,12 @@ from typing import TYPE_CHECKING
 from repro import _lazy_exports
 
 if TYPE_CHECKING:
-    from repro.perf.frequency_sensitivity import (
-        FrequencySensitivityModel,
-        power_for_frequency_increase_w,
-    )
+    from repro.perf.frequency_sensitivity import FrequencySensitivityModel
     from repro.perf.budget_breakdown import budget_breakdown_for_tdp, worst_case_pdn_loss
     from repro.perf.model import PerformanceModel, PerformanceResult
 
 __all__ = [
     "FrequencySensitivityModel",
-    "power_for_frequency_increase_w",
     "budget_breakdown_for_tdp",
     "worst_case_pdn_loss",
     "PerformanceModel",
@@ -37,9 +33,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.perf.frequency_sensitivity": (
-        "FrequencySensitivityModel", "power_for_frequency_increase_w",
-    ),
+    "repro.perf.frequency_sensitivity": ("FrequencySensitivityModel",),
     "repro.perf.budget_breakdown": ("budget_breakdown_for_tdp", "worst_case_pdn_loss"),
     "repro.perf.model": ("PerformanceModel", "PerformanceResult"),
 })

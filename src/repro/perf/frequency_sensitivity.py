@@ -153,13 +153,3 @@ class FrequencySensitivityModel:
             dynamic_fraction * dynamic_scale + leakage_fraction * leakage_scale
         )
         return scaled_power - nominal_power_w
-
-
-def power_for_frequency_increase_w(
-    tdp_w: float, domain: DomainKind = DomainKind.CORE0
-) -> float:
-    """Module-level convenience: Fig. 2(a)'s "power for +1 % frequency" value."""
-    model = FrequencySensitivityModel()
-    if domain is DomainKind.GFX:
-        return model.gfx_power_for_one_percent_w(tdp_w)
-    return model.cpu_power_for_one_percent_w(tdp_w)

@@ -10,9 +10,10 @@ The modelled processor (Table 1 of the paper) has six loads:
 
 Each PDN model consumes a list of :class:`DomainLoad` objects -- one per
 domain -- describing the domain's nominal power, nominal voltage, leakage
-fraction and whether it is power-gated.  The loads are produced either by the
-:class:`repro.soc.processor.Processor` model (for full-system studies) or
-directly by the workload generators (for the validation sweeps of Fig. 4).
+fraction and whether it is power-gated.  The loads are produced by
+:meth:`repro.pdn.base.OperatingConditions.for_active_workload` (a TDP, an
+application ratio and a workload type) and
+:meth:`repro.pdn.base.OperatingConditions.for_power_state` (a package C-state).
 
 The nominal-power-versus-TDP curves follow the ranges of Table 2:
 cores 0.6--30 W, LLC 0.5--4 W, graphics 0.58--29.4 W across the 4--50 W TDP
@@ -246,11 +247,6 @@ class NominalPowerCurves:
         """(SA, IO) nominal power at ``tdp_w`` -- nearly flat across TDPs."""
         require_positive(tdp_w, "tdp_w")
         return self.sa_w(tdp_w), self.io_w(tdp_w)
-
-
-def total_nominal_power_w(loads: Iterable[DomainLoad]) -> float:
-    """Sum of the nominal power of all *active* domains in ``loads``."""
-    return sum(load.effective_power_w for load in loads)
 
 
 def loads_by_kind(loads: Iterable[DomainLoad]) -> Dict[DomainKind, DomainLoad]:

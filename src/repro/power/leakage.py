@@ -1,4 +1,4 @@
-"""Leakage and dynamic power scaling with voltage and temperature.
+"""Leakage and dynamic power scaling with supply voltage.
 
 Sec. 3.1 of the paper: when a domain's supply voltage is raised from its
 nominal value ``V_NOM`` to ``V_NOM + V_GB`` (to cover a tolerance band, a
@@ -9,30 +9,20 @@ its power scale differently:
 * leakage power scales approximately polynomially with the voltage ratio,
   with an exponent of ~2.8 measured on a Skylake part (Sec. 3.1).
 
-Leakage also depends exponentially on temperature; the paper's models assume a
-fixed junction temperature per scenario (80/100 deg C for the performance
-studies, 50 deg C for battery-life studies), which we expose through a simple
-temperature scaling factor used by :class:`repro.power.thermal.ThermalModel`.
+Leakage also depends exponentially on temperature, but the paper's models
+assume a fixed junction temperature per scenario (80/100 deg C for the
+performance studies, 50 deg C for battery-life studies).  No temperature term
+is modelled here: each domain's leakage fraction already holds at its
+scenario's temperature.
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.util.errors import ModelDomainError
 from repro.util.validation import require_fraction, require_positive
 
 #: Voltage exponent of the leakage power fit (Sec. 3.1, delta ~= 2.8).
 LEAKAGE_VOLTAGE_EXPONENT = 2.8
-
-#: Exponential temperature coefficient of leakage (per deg C).  Calibrated so
-#: leakage roughly doubles between 50 deg C and 100 deg C, a typical figure
-#: for a 14 nm process.
-LEAKAGE_TEMPERATURE_COEFFICIENT = 0.014
-
-#: Reference junction temperature at which the nominal leakage fractions of
-#: Table 2 were extracted.
-REFERENCE_JUNCTION_TEMPERATURE_C = 80.0
 
 
 def scale_power_with_voltage(
@@ -73,26 +63,3 @@ def scale_power_with_voltage(
     dynamic_term = (1.0 - leakage_fraction) * ratio**2
     return nominal_power_w * (leakage_term + dynamic_term)
 
-
-def leakage_temperature_factor(
-    junction_temperature_c: float,
-    reference_temperature_c: float = REFERENCE_JUNCTION_TEMPERATURE_C,
-    coefficient: float = LEAKAGE_TEMPERATURE_COEFFICIENT,
-) -> float:
-    """Multiplicative leakage scaling for a junction temperature change.
-
-    Leakage grows exponentially with temperature; dynamic power is unaffected
-    (Sec. 4.2, the thermal-conditioning technique relies on exactly this).
-    """
-    return math.exp(coefficient * (junction_temperature_c - reference_temperature_c))
-
-
-def split_power(
-    nominal_power_w: float, leakage_fraction: float
-) -> tuple:
-    """Split a domain's nominal power into (leakage_w, dynamic_w)."""
-    require_fraction(leakage_fraction, "leakage_fraction")
-    if nominal_power_w < 0:
-        raise ModelDomainError(f"nominal_power_w must be >= 0, got {nominal_power_w!r}")
-    leakage = nominal_power_w * leakage_fraction
-    return leakage, nominal_power_w - leakage

@@ -23,16 +23,17 @@ construct perturbed copies via :func:`dataclasses.replace`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from numbers import Real
 from typing import Dict, FrozenSet, Mapping, Tuple
 
-from repro.power.domains import DomainKind
+from repro.power.domains import UNCORE_DOMAINS, DomainKind
 from repro.util.errors import ConfigurationError
 from repro.util.validation import require_fraction, require_non_negative, require_positive
 
 _ALL_DOMAINS = frozenset(DomainKind)
-_UNCORE_DOMAINS = frozenset((DomainKind.SA, DomainKind.IO))
+_UNCORE_DOMAINS = frozenset(UNCORE_DOMAINS)
 
 #: Per-domain fields: ``name -> (domains the models read, domains allowed)``.
 #: MBVR reads one load-line per rail, keyed by the rail's first domain; the
@@ -73,6 +74,8 @@ def _check_per_domain(name: str, values: object) -> None:
             raise ConfigurationError(
                 f"{name}/{domain.value}: must be a number >= 0, got {value!r}"
             )
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name}/{domain.value}: must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

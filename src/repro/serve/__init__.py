@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     )
     from repro.serve.coalescer import Coalescer, CoalescerStats
     from repro.serve.protocol import (
-        EVALUATION_ENDPOINTS,
         OptimizeRequest,
         ProtocolError,
         SimulateRequest,
@@ -48,7 +47,6 @@ __all__ = [
     "Coalescer",
     "CoalescerStats",
     "DEFAULT_PORT",
-    "EVALUATION_ENDPOINTS",
     "EvaluationResponse",
     "EvaluationServer",
     "OptimizeRequest",
@@ -69,8 +67,8 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.serve.client": ("EvaluationResponse", "ServeClient", "ServerError", "ServerUnavailable"),
     "repro.serve.coalescer": ("Coalescer", "CoalescerStats"),
     "repro.serve.protocol": (
-        "EVALUATION_ENDPOINTS", "OptimizeRequest", "ProtocolError", "SimulateRequest",
-        "SweepRequest", "parse_optimize_request", "parse_simulate_request", "parse_sweep_request",
+        "OptimizeRequest", "ProtocolError", "SimulateRequest", "SweepRequest",
+        "parse_optimize_request", "parse_simulate_request", "parse_sweep_request",
     ),
     "repro.serve.server": ("DEFAULT_PORT", "EvaluationServer", "RunningServer", "start_in_thread"),
 })

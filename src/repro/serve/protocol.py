@@ -25,8 +25,9 @@ deadline).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis.study import Study
 from repro.power.domains import WorkloadType
@@ -37,10 +38,6 @@ from repro.workloads.scenarios import DEFAULT_SEED, available_scenarios
 if TYPE_CHECKING:  # imported where used: a sweep never loads sim or optimize
     from repro.optimize.space import DesignSpace
     from repro.sim.study import SimStudy
-
-#: The endpoint names of the evaluation (POST) API, in route order.
-EVALUATION_ENDPOINTS = ("sweep", "simulate", "optimize")
-
 
 class ProtocolError(ReproError):
     """A request body that does not match the endpoint's schema.
@@ -138,6 +135,23 @@ def _reject_unknown_fields(
             )
 
 
+def _read_number(item: object, pointer: str) -> float:
+    """``item`` as a float, if it is a finite JSON number.
+
+    ``json.loads`` decodes ``Infinity`` and ``NaN`` as floats and any digit
+    string as an int, which may be too large for a float.
+    """
+    if isinstance(item, bool) or not isinstance(item, (int, float)):
+        raise ProtocolError(pointer, "expected a number")
+    try:
+        number = float(item)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProtocolError(pointer, "expected a finite number")
+    return number
+
+
 def _read_number_list(
     body: Mapping[str, object], name: str, required: bool = False
 ) -> Optional[List[float]]:
@@ -148,12 +162,7 @@ def _read_number_list(
     value = body[name]
     if not isinstance(value, (list, tuple)) or not value:
         raise ProtocolError(f"body/{name}", "expected a non-empty array of numbers")
-    numbers: List[float] = []
-    for index, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise ProtocolError(f"body/{name}/{index}", "expected a number")
-        numbers.append(float(item))
-    return numbers
+    return [_read_number(item, f"body/{name}/{index}") for index, item in enumerate(value)]
 
 
 def _read_string_list(
@@ -203,7 +212,7 @@ def _read_timeout(body: Mapping[str, object]) -> Optional[float]:
     if "timeout_s" not in body or body["timeout_s"] is None:
         return None
     value = body["timeout_s"]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value > 0:
         raise ProtocolError("body/timeout_s", "expected a positive number of seconds")
     return float(value)
 
@@ -243,11 +252,9 @@ def _read_param_axes(
             raise ProtocolError(
                 f"body/params/{name}", "expected a non-empty array of numbers"
             )
-        parsed: List[float] = []
-        for index, item in enumerate(values):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise ProtocolError(f"body/params/{name}/{index}", "expected a number")
-            parsed.append(float(item))
+        parsed = [
+            _read_number(item, f"body/params/{name}/{index}") for index, item in enumerate(values)
+        ]
         axes.append((str(name), parsed))
     return axes
 
@@ -403,11 +410,3 @@ def parse_optimize_request(body: object) -> OptimizeRequest:
         scenarios=tuple(scenarios) if scenarios is not None else None,
         timeout_s=_read_timeout(mapping),
     )
-
-
-#: Endpoint name -> request parser, the dispatch table the server routes by.
-REQUEST_PARSERS: Dict[str, object] = {
-    "sweep": parse_sweep_request,
-    "simulate": parse_simulate_request,
-    "optimize": parse_optimize_request,
-}

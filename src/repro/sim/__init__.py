@@ -26,7 +26,6 @@ if TYPE_CHECKING:
     from repro.sim.adapters import (
         SIM_METRIC_COLUMNS,
         phases_to_resultset,
-        results_to_resultset,
         simulation_record,
     )
     from repro.sim.engine import (
@@ -59,14 +58,11 @@ __all__ = [
     "run_sim",
     "SIM_METRIC_COLUMNS",
     "simulation_record",
-    "results_to_resultset",
     "phases_to_resultset",
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.sim.adapters": (
-        "SIM_METRIC_COLUMNS", "phases_to_resultset", "results_to_resultset", "simulation_record",
-    ),
+    "repro.sim.adapters": ("SIM_METRIC_COLUMNS", "phases_to_resultset", "simulation_record"),
     "repro.sim.engine": (
         "IntervalSimulator", "PhaseRecord", "SimulationResult", "phase_conditions",
         "phase_duration", "telemetry_profile",

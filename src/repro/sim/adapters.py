@@ -10,7 +10,7 @@ sweeps use: one *summary* row per ``(scenario, pdn)`` simulation, or one
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.analysis.resultset import Record, ResultSet
 from repro.core.hybrid_vr import PdnMode
@@ -60,15 +60,6 @@ def simulation_record(
         record["ivr_mode_time_s"] = result.time_in_mode_s(PdnMode.IVR_MODE)
         record["ldo_mode_time_s"] = result.time_in_mode_s(PdnMode.LDO_MODE)
     return record
-
-
-def results_to_resultset(
-    results: Iterable[Tuple[Optional[Record], SimulationResult]],
-    name: str = "simulation",
-) -> ResultSet:
-    """Assemble ``(identity, result)`` pairs into a summary :class:`ResultSet`."""
-    records = [simulation_record(result, identity) for identity, result in results]
-    return ResultSet.from_records(records, name=name)
 
 
 def phases_to_resultset(

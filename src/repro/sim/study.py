@@ -29,6 +29,7 @@ True
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
 from dataclasses import dataclass
@@ -87,12 +88,12 @@ class SimPoint:
     def __post_init__(self) -> None:
         """Validate the scenario name and the numeric axes fail-fast."""
         get_scenario(self.scenario)  # unknown names fail at build, not dispatch
-        if self.tdp_w <= 0.0:
-            raise ConfigurationError(f"tdp_w must be positive, got {self.tdp_w!r}")
-        if self.trace_period_s <= 0.0:
-            raise ConfigurationError(
-                f"trace_period_s must be positive, got {self.trace_period_s!r}"
-            )
+        for name in ("tdp_w", "trace_period_s"):
+            value = getattr(self, name)
+            if not value > 0.0:  # NaN fails here too
+                raise ConfigurationError(f"{name} must be positive, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
     def record_fields(self) -> Record:
         """The point's identifying record fields (summary-row layout)."""

@@ -8,11 +8,8 @@ implements such curves as firmware tables (Sec. 6, footnote 11), so we model
 them the same way: sorted breakpoints with linear interpolation and clamped
 extrapolation.
 
-Two primitives are provided:
-
-* :class:`LinearTable1D` -- piecewise-linear interpolation over one axis.
-* :class:`BilinearTable2D` -- bilinear interpolation over a rectangular grid,
-  used for efficiency surfaces indexed by (output current, output voltage).
+:class:`LinearTable1D` interpolates piecewise-linearly over one axis, and
+:class:`StackedTables1D` looks many such tables up at once, lane by lane.
 """
 
 from __future__ import annotations
@@ -136,52 +133,3 @@ class StackedTables1D:
         ends = np.where(self._clamp_ends[index], clamped, extrapolated)
         return np.where(outside, ends, inside)
 
-
-class BilinearTable2D:
-    """Bilinear lookup table over a rectangular (x, y) grid.
-
-    Parameters
-    ----------
-    xs:
-        Strictly increasing breakpoints along the first axis.
-    ys:
-        Strictly increasing breakpoints along the second axis.
-    values:
-        A nested sequence ``values[i][j]`` giving the table value at
-        ``(xs[i], ys[j])``.
-
-    Queries outside the grid are clamped to the nearest edge, mirroring how a
-    power-management unit treats out-of-range sensor readings.
-    """
-
-    def __init__(
-        self,
-        xs: Sequence[float],
-        ys: Sequence[float],
-        values: Sequence[Sequence[float]],
-    ):
-        if len(values) != len(xs):
-            raise ConfigurationError("values must have one row per x breakpoint")
-        for row in values:
-            if len(row) != len(ys):
-                raise ConfigurationError("every row must have one value per y breakpoint")
-        self._x_tables = [LinearTable1D(ys, row) for row in values]
-        self._xs = [float(x) for x in xs]
-        for left, right in zip(self._xs, self._xs[1:]):
-            if not right > left:
-                raise ConfigurationError("table breakpoints must be strictly increasing")
-
-    def __call__(self, x: float, y: float) -> float:
-        """Evaluate the surface at ``(x, y)`` with clamped extrapolation."""
-        xs = self._xs
-        x = clamp(x, xs[0], xs[-1])
-        if x <= xs[0]:
-            return self._x_tables[0](y)
-        if x >= xs[-1]:
-            return self._x_tables[-1](y)
-        hi = bisect_left(xs, x)
-        lo = hi - 1
-        weight = (x - xs[lo]) / (xs[hi] - xs[lo])
-        low_val = self._x_tables[lo](y)
-        high_val = self._x_tables[hi](y)
-        return low_val * (1.0 - weight) + high_val * weight

@@ -1,64 +1,17 @@
 """Explicit unit-conversion helpers.
 
 The PDNspot models in the paper mix units freely: nominal powers are quoted in
-watts, the frequency-sensitivity curve in milliwatts, voltage guardbands in
-millivolts, and load-line impedances in milliohms.  Internally the library
-uses SI base units everywhere (watts, volts, ohms, amps, hertz, seconds) and
-converts at the boundary with these helpers so that every conversion is
-visible at the call site.
+watts and the frequency-sensitivity curve in milliwatts.  Internally the
+library uses SI base units everywhere (watts, volts, ohms, amps, hertz,
+seconds) and converts at the boundary with these helpers so that every
+conversion is visible at the call site.
 """
 
 from __future__ import annotations
 
 MILLI = 1e-3
-MICRO = 1e-6
 
 
 def watts_to_milliwatts(power_w: float) -> float:
     """Convert a power in watts to milliwatts."""
     return power_w / MILLI
-
-
-def milliwatts_to_watts(power_mw: float) -> float:
-    """Convert a power in milliwatts to watts."""
-    return power_mw * MILLI
-
-
-def volts_to_millivolts(voltage_v: float) -> float:
-    """Convert a voltage in volts to millivolts."""
-    return voltage_v / MILLI
-
-
-def millivolts_to_volts(voltage_mv: float) -> float:
-    """Convert a voltage in millivolts to volts."""
-    return voltage_mv * MILLI
-
-
-def ohms_to_milliohms(resistance_ohm: float) -> float:
-    """Convert a resistance in ohms to milliohms."""
-    return resistance_ohm / MILLI
-
-
-def milliohms_to_ohms(resistance_mohm: float) -> float:
-    """Convert a resistance in milliohms to ohms."""
-    return resistance_mohm * MILLI
-
-
-def amps_from_milliamps(current_ma: float) -> float:
-    """Convert a current in milliamps to amps."""
-    return current_ma * MILLI
-
-
-def milliamps_from_amps(current_a: float) -> float:
-    """Convert a current in amps to milliamps."""
-    return current_a / MILLI
-
-
-def microseconds_to_seconds(time_us: float) -> float:
-    """Convert a duration in microseconds to seconds."""
-    return time_us * MICRO
-
-
-def seconds_to_microseconds(time_s: float) -> float:
-    """Convert a duration in seconds to microseconds."""
-    return time_s / MICRO

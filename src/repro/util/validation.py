@@ -7,20 +7,26 @@ Each helper returns the validated value so it can be used inline::
 
 from __future__ import annotations
 
+import math
+
 from repro.util.errors import ConfigurationError
 
 
 def require_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is strictly positive."""
+    """Validate that ``value`` is strictly positive and finite."""
     if not value > 0:
         raise ConfigurationError(f"{name} must be > 0, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return value
 
 
 def require_non_negative(value: float, name: str) -> float:
-    """Validate that ``value`` is zero or positive."""
-    if value < 0:
+    """Validate that ``value`` is zero or positive, and finite."""
+    if not value >= 0:
         raise ConfigurationError(f"{name} must be >= 0, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
     return value
 
 
@@ -30,11 +36,3 @@ def require_fraction(value: float, name: str) -> float:
         raise ConfigurationError(f"{name} must be within [0, 1], got {value!r}")
     return value
 
-
-def require_in_range(value: float, low: float, high: float, name: str) -> float:
-    """Validate that ``value`` lies in the closed interval [low, high]."""
-    if not low <= value <= high:
-        raise ConfigurationError(
-            f"{name} must be within [{low}, {high}], got {value!r}"
-        )
-    return value

@@ -9,18 +9,19 @@ commonly-used client-processor PDNs described by the paper (Sec. 2.2):
 * :class:`~repro.vr.ldo.LowDropoutRegulator` -- a linear low-dropout
   regulator whose efficiency is approximately ``Vout / Vin`` times its current
   efficiency, with a bypass mode and a power-gate mode.
-* :class:`~repro.vr.power_gate.PowerGate` -- an on-chip switch with a small
-  series impedance that disconnects an idle domain.
 
 Supporting models:
 
-* :class:`~repro.vr.tolerance_band.ToleranceBand` -- the voltage-guardband
-  model for regulator tolerance (Sec. 2.4).
 * :class:`~repro.vr.load_line.LoadLine` -- the load-line / adaptive voltage
   positioning model ``Vcc = Vin - Vtob - Rll * Icc`` (Sec. 2.4) and the
   guardband equations (Eq. 3 and Eq. 7).
 * :mod:`repro.vr.efficiency_curves` -- factory functions that build the
   default efficiency surfaces of Table 2 / Fig. 3.
+
+Tolerance bands and power gates are not regulator objects: they are
+parameters of :class:`~repro.power.parameters.PdnTechnologyParameters`
+(``*_tolerance_band_v``, ``power_gate_impedance_ohm``) that the PDN models
+apply through :mod:`repro.power.guardband`.
 """
 
 from typing import TYPE_CHECKING
@@ -32,15 +33,8 @@ if TYPE_CHECKING:
     from repro.vr.switching import SwitchingRegulator, SwitchingRegulatorDesign, VRPowerState
     from repro.vr.integrated import IntegratedVoltageRegulator
     from repro.vr.ldo import LdoMode, LowDropoutRegulator
-    from repro.vr.power_gate import PowerGate
-    from repro.vr.tolerance_band import ToleranceBand
     from repro.vr.load_line import LoadLine
-    from repro.vr.efficiency_curves import (
-        default_board_vr,
-        default_input_vr,
-        default_ivr,
-        default_ldo,
-    )
+    from repro.vr.efficiency_curves import default_board_vr, default_input_vr, default_ivr
 
 __all__ = [
     "VoltageRegulator",
@@ -51,13 +45,10 @@ __all__ = [
     "IntegratedVoltageRegulator",
     "LowDropoutRegulator",
     "LdoMode",
-    "PowerGate",
-    "ToleranceBand",
     "LoadLine",
     "default_board_vr",
     "default_input_vr",
     "default_ivr",
-    "default_ldo",
 ]
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
@@ -65,10 +56,6 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.vr.switching": ("SwitchingRegulator", "SwitchingRegulatorDesign", "VRPowerState"),
     "repro.vr.integrated": ("IntegratedVoltageRegulator",),
     "repro.vr.ldo": ("LdoMode", "LowDropoutRegulator"),
-    "repro.vr.power_gate": ("PowerGate",),
-    "repro.vr.tolerance_band": ("ToleranceBand",),
     "repro.vr.load_line": ("LoadLine",),
-    "repro.vr.efficiency_curves": (
-        "default_board_vr", "default_input_vr", "default_ivr", "default_ldo",
-    ),
+    "repro.vr.efficiency_curves": ("default_board_vr", "default_input_vr", "default_ivr"),
 })

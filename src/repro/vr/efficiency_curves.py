@@ -8,8 +8,11 @@ designs whose efficiency surfaces land inside the published ranges:
   (Fig. 3: roughly 45--55 % at 0.1 A in PS0, rising to 85--93 % at several
   amps; PS1 considerably better at light load and slightly worse at heavy
   load; higher output voltages uniformly more efficient),
-* on-chip IVRs: 81 %--88 %,
-* on-chip LDO regulators: ``(Vout / Vin) * 99.1 %``.
+* on-chip IVRs: 81 %--88 %.
+
+On-chip LDO regulators need no factory: their efficiency is
+``(Vout / Vin)`` times the current efficiency
+(``PdnTechnologyParameters.ldo_current_efficiency``, 99.1 %).
 
 Keeping every coefficient in one module makes the calibration auditable and
 lets experiments build perturbed designs for sensitivity studies.
@@ -18,24 +21,12 @@ lets experiments build perturbed designs for sensitivity studies.
 from __future__ import annotations
 
 from repro.vr.integrated import IntegratedVoltageRegulator, IntegratedVrDesign
-from repro.vr.ldo import LowDropoutRegulator
 from repro.vr.switching import (
     PhaseConfiguration,
     SwitchingRegulator,
     SwitchingRegulatorDesign,
     VRPowerState,
 )
-
-#: Default LDO current efficiency from Table 2 (99.1 %).
-DEFAULT_LDO_CURRENT_EFFICIENCY = 0.991
-
-#: Default input voltage delivered by the first-stage (V_IN) regulator when the
-#: second stage is a switching IVR (Sec. 2.3).
-DEFAULT_IVR_INPUT_VOLTAGE_V = 1.8
-
-#: Default motherboard input voltage from the power supply or battery.
-DEFAULT_SUPPLY_VOLTAGE_V = 7.2
-
 
 #: Per-power-state loss coefficients of a board regulator, as (quiescent
 #: scale, switching W per V*A, conduction scale, drive W per A).  The two
@@ -136,12 +127,3 @@ def default_ivr(name: str, iccmax_a: float = 25.0) -> IntegratedVoltageRegulator
     )
     return IntegratedVoltageRegulator(design)
 
-
-def default_ldo(name: str) -> LowDropoutRegulator:
-    """Build a default on-chip LDO regulator (Eq. 10, Ie = 99.1 %)."""
-    return LowDropoutRegulator(
-        name=name,
-        current_efficiency=DEFAULT_LDO_CURRENT_EFFICIENCY,
-        dropout_voltage_v=0.02,
-        bypass_resistance_ohm=0.0015,
-    )

@@ -15,8 +15,8 @@ and performance scalability.
 * :mod:`repro.workloads.battery_life` -- the four battery-life workloads
   (video playback, video conferencing, web browsing, light gaming) with their
   package power-state residencies.
-* :mod:`repro.workloads.synthetic` -- seeded trace generators (including the
-  power-virus trace) used by the validation experiments and property tests.
+* :mod:`repro.workloads.synthetic` -- seeded trace generators used by the
+  validation experiments and property tests.
 * :mod:`repro.workloads.scenarios` -- the registry of named, seeded scenario
   trace generators the simulation studies (:mod:`repro.sim.study`) and the
   CLI ``simulate`` sub-command dispatch over.
@@ -28,14 +28,10 @@ from repro import _lazy_exports
 
 if TYPE_CHECKING:
     from repro.workloads.base import Benchmark, WorkloadPhase, WorkloadTrace
-    from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS, spec_cpu2006_suite
-    from repro.workloads.graphics import THREEDMARK06_BENCHMARKS, graphics_suite
-    from repro.workloads.battery_life import (
-        BATTERY_LIFE_WORKLOADS,
-        BatteryLifeWorkload,
-        battery_life_suite,
-    )
-    from repro.workloads.synthetic import SyntheticTraceGenerator, power_virus_benchmark
+    from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
+    from repro.workloads.graphics import THREEDMARK06_BENCHMARKS
+    from repro.workloads.battery_life import BATTERY_LIFE_WORKLOADS, BatteryLifeWorkload
+    from repro.workloads.synthetic import SyntheticTraceGenerator
     from repro.workloads.scenarios import (
         ScenarioSpec,
         available_scenarios,
@@ -49,14 +45,10 @@ __all__ = [
     "WorkloadPhase",
     "WorkloadTrace",
     "SPEC_CPU2006_BENCHMARKS",
-    "spec_cpu2006_suite",
     "THREEDMARK06_BENCHMARKS",
-    "graphics_suite",
     "BatteryLifeWorkload",
     "BATTERY_LIFE_WORKLOADS",
-    "battery_life_suite",
     "SyntheticTraceGenerator",
-    "power_virus_benchmark",
     "ScenarioSpec",
     "available_scenarios",
     "build_scenario_trace",
@@ -66,12 +58,10 @@ __all__ = [
 
 __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.workloads.base": ("Benchmark", "WorkloadPhase", "WorkloadTrace"),
-    "repro.workloads.spec_cpu2006": ("SPEC_CPU2006_BENCHMARKS", "spec_cpu2006_suite"),
-    "repro.workloads.graphics": ("THREEDMARK06_BENCHMARKS", "graphics_suite"),
-    "repro.workloads.battery_life": (
-        "BATTERY_LIFE_WORKLOADS", "BatteryLifeWorkload", "battery_life_suite",
-    ),
-    "repro.workloads.synthetic": ("SyntheticTraceGenerator", "power_virus_benchmark"),
+    "repro.workloads.spec_cpu2006": ("SPEC_CPU2006_BENCHMARKS",),
+    "repro.workloads.graphics": ("THREEDMARK06_BENCHMARKS",),
+    "repro.workloads.battery_life": ("BATTERY_LIFE_WORKLOADS", "BatteryLifeWorkload"),
+    "repro.workloads.synthetic": ("SyntheticTraceGenerator",),
     "repro.workloads.scenarios": (
         "ScenarioSpec", "available_scenarios", "build_scenario_trace", "get_scenario",
         "register_scenario",

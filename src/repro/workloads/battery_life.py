@@ -19,7 +19,7 @@ by the per-state ETEE (the equation in Sec. 5), which is what
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.pdn.base import (
     OperatingConditions,
@@ -123,8 +123,3 @@ BATTERY_LIFE_WORKLOADS: Tuple[BatteryLifeWorkload, ...] = (
         },
     ),
 )
-
-
-def battery_life_suite() -> List[BatteryLifeWorkload]:
-    """Return the four battery-life workloads of Fig. 8(c)."""
-    return list(BATTERY_LIFE_WORKLOADS)

@@ -12,7 +12,7 @@ become memory-bound).
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.power.domains import WorkloadType
 from repro.workloads.base import Benchmark
@@ -37,15 +37,3 @@ THREEDMARK06_BENCHMARKS: Tuple[Benchmark, ...] = tuple(
     )
     for name, scalability, application_ratio in _THREEDMARK06_TABLE
 )
-
-
-def graphics_suite() -> List[Benchmark]:
-    """Return the 3DMark06 suite."""
-    return list(THREEDMARK06_BENCHMARKS)
-
-
-def average_performance_scalability() -> float:
-    """Average scalability across the graphics suite."""
-    return sum(b.performance_scalability for b in THREEDMARK06_BENCHMARKS) / len(
-        THREEDMARK06_BENCHMARKS
-    )

@@ -16,7 +16,7 @@ uses, with higher-IPC benchmarks assigned higher ARs.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Tuple
 
 from repro.power.domains import WorkloadType
 from repro.workloads.base import Benchmark
@@ -65,33 +65,3 @@ SPEC_CPU2006_BENCHMARKS: Tuple[Benchmark, ...] = tuple(
     )
     for name, scalability, application_ratio in _SPEC_CPU2006_TABLE
 )
-
-
-def spec_cpu2006_suite(multi_threaded: bool = False) -> List[Benchmark]:
-    """Return the SPEC CPU2006 suite.
-
-    Parameters
-    ----------
-    multi_threaded:
-        When ``True`` the benchmarks are returned as rate-style
-        multi-programmed copies (both cores active), which is how the paper's
-        multi-programmed traces are built.
-    """
-    if not multi_threaded:
-        return list(SPEC_CPU2006_BENCHMARKS)
-    return [
-        Benchmark(
-            name=f"{benchmark.name}.rate",
-            workload_type=WorkloadType.CPU_MULTI_THREAD,
-            performance_scalability=benchmark.performance_scalability,
-            application_ratio=min(1.0, benchmark.application_ratio * 1.1),
-        )
-        for benchmark in SPEC_CPU2006_BENCHMARKS
-    ]
-
-
-def average_performance_scalability() -> float:
-    """Average scalability across the suite (used by the TDP-sweep figures)."""
-    return sum(b.performance_scalability for b in SPEC_CPU2006_BENCHMARKS) / len(
-        SPEC_CPU2006_BENCHMARKS
-    )

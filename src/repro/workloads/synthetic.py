@@ -19,16 +19,6 @@ from repro.util.errors import ConfigurationError
 from repro.workloads.base import Benchmark, WorkloadPhase, WorkloadTrace
 
 
-def power_virus_benchmark(workload_type: WorkloadType = WorkloadType.CPU_MULTI_THREAD) -> Benchmark:
-    """The power-virus workload: AR = 1 by definition (Sec. 2.4)."""
-    return Benchmark(
-        name=f"power_virus.{workload_type.value}",
-        workload_type=workload_type,
-        performance_scalability=1.0,
-        application_ratio=1.0,
-    )
-
-
 @dataclass
 class SyntheticTraceGenerator:
     """Seeded generator of benchmark populations and phase traces.

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.comparison import best_pdn, merge_comparisons, normalised_metric_table
+from repro.analysis.comparison import normalised_metric_table
 from repro.analysis.pdnspot import PdnSpot
 from repro.analysis.reporting import format_mapping_table, format_table
 from repro.analysis.study import Study
@@ -156,16 +156,6 @@ class TestComparisonAndReporting:
     def test_normalisation_requires_reference(self):
         with pytest.raises(ConfigurationError):
             normalised_metric_table({"MBVR": 4.0})
-
-    def test_best_pdn_direction(self):
-        metrics = {"IVR": 1.0, "FlexWatts": 1.2}
-        assert best_pdn(metrics) == "FlexWatts"
-        assert best_pdn(metrics, higher_is_better=False) == "IVR"
-
-    def test_merge_comparisons(self):
-        merged = merge_comparisons({"perf": {"IVR": 1.0}, "bom": {"IVR": 1.0, "MBVR": 2.0}})
-        assert merged["MBVR"]["bom"] == pytest.approx(2.0)
-        assert "perf" not in merged["MBVR"]
 
     def test_format_table_alignment_and_title(self):
         text = format_table(["a", "bb"], [[1.0, "x"], [2.0, "yy"]], title="T")

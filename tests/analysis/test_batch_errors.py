@@ -12,6 +12,7 @@ evaluates only the failing point through the model, exactly once.
 from __future__ import annotations
 
 import json
+import math
 import socket
 
 import numpy as np
@@ -32,7 +33,7 @@ from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.serve import start_in_thread
 from repro.serve.protocol import build_sweep_study
-from repro.util.errors import UnsupportedOperatingPointError
+from repro.util.errors import ConfigurationError, UnsupportedOperatingPointError
 
 ACTIVE = ["cpu_single_thread", "cpu_multi_thread", "graphics"]
 
@@ -152,6 +153,46 @@ def test_served_error(case, server):
     assert status == 400
     expected = {"status": "error", "code": 400, "error": message}
     assert payload == (json.dumps(expected, indent=2) + "\n").encode("utf-8")
+
+
+#: A non-finite TDP fails where it enters, naming the field, on every surface.
+NON_FINITE_TDP = "tdp_w must be finite, got inf"
+
+
+@pytest.mark.parametrize("enable_cache", [True, False], ids=["cache", "no-cache"])
+def test_library_refuses_a_non_finite_tdp(enable_cache):
+    with pytest.raises(ConfigurationError) as raised:
+        PdnSpot(enable_cache=enable_cache).run(_study({"tdps": [math.inf], "ars": [0.5]}))
+    assert str(raised.value) == NON_FINITE_TDP
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--tdps", "inf", "--ars", "0.5"],
+        ["simulate", "--tdps", "inf", "--scenario", "bursty-interactive"],
+        ["optimize", "--tdps", "inf"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_refuses_a_non_finite_tdp(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {NON_FINITE_TDP}\n"
+
+
+@pytest.mark.parametrize("tdp", [math.inf, math.nan], ids=["Infinity", "NaN"])
+def test_served_sweep_refuses_a_non_finite_tdp(tdp, server):
+    axes = {"tdps": [18.0, tdp], "ars": [0.5], "pdns": ["IVR"]}
+    status, payload = _post_sweep(server.server.port, axes)
+    assert status == 400
+    assert json.loads(payload) == {
+        "status": "error",
+        "code": 400,
+        "error": "body/tdps/1: expected a finite number",
+        "pointer": "body/tdps/1",
+    }
 
 
 #: A forced-mode FlexWatts batch raises the model's error unprefixed.

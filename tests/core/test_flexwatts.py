@@ -1,11 +1,13 @@
 """Tests for the FlexWatts hybrid adaptive PDN (Sec. 6-7)."""
 
+import pytest
+
 from repro.core.hybrid_vr import PdnMode
 from repro.pdn.base import OperatingConditions
 from repro.pdn.imbvr import IMbvrPdn
 from repro.pdn.ivr import IvrPdn
 from repro.pdn.ldo import LdoPdn
-from repro.power.domains import WorkloadType
+from repro.power.domains import COMPUTE_DOMAINS, WorkloadType
 from repro.power.power_states import BATTERY_LIFE_STATES
 
 
@@ -32,6 +34,26 @@ class TestForcedModes:
         conditions = _conditions(18.0)
         result = flexwatts.evaluate_in_mode(conditions, PdnMode.IVR_MODE)
         assert "ivr_mode" in result.pdn_name
+
+    @pytest.mark.parametrize("tdp_w", [4.0, 18.0, 50.0])
+    def test_input_rail_voltage_follows_the_mode(self, flexwatts, tdp_w):
+        # IVR-Mode steps down from the fixed 1.8 V input rail; LDO-Mode
+        # lowers V_IN to just above the highest compute-domain voltage.
+        conditions = _conditions(tdp_w)
+        ivr_rail = flexwatts.evaluate_in_mode(conditions, PdnMode.IVR_MODE).rail_voltages_v
+        ldo_rail = flexwatts.evaluate_in_mode(conditions, PdnMode.LDO_MODE).rail_voltages_v
+        highest_compute_v = max(conditions.load(kind).voltage_v for kind in COMPUTE_DOMAINS)
+        assert ivr_rail["V_IN"] == pytest.approx(1.8, abs=0.1)
+        assert highest_compute_v < ldo_rail["V_IN"] < highest_compute_v + 0.1
+
+    @pytest.mark.parametrize("state", BATTERY_LIFE_STATES, ids=lambda state: state.value)
+    def test_ldo_mode_draws_less_than_ivr_mode_at_light_load(self, flexwatts, state):
+        # The integrated regulators' light-load and quiescent losses are paid
+        # only in IVR-Mode.
+        conditions = OperatingConditions.for_power_state(18.0, state)
+        ivr_mode = flexwatts.evaluate_in_mode(conditions, PdnMode.IVR_MODE)
+        ldo_mode = flexwatts.evaluate_in_mode(conditions, PdnMode.LDO_MODE)
+        assert ldo_mode.supply_power_w < ivr_mode.supply_power_w
 
 
 class TestModeSelection:

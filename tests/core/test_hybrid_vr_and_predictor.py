@@ -1,9 +1,9 @@
-"""Tests for the hybrid regulator, the mode predictor and its calibration."""
+"""Tests for the mode predictor and its calibration."""
 
 import pytest
 
 from repro.core.calibration import build_default_predictor, calibrate_mode_curves
-from repro.core.hybrid_vr import HybridVoltageRegulator, PdnMode
+from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_predictor import EteeCurveSet, ModePredictor
 from repro.core.runtime_estimator import RuntimeInputEstimator
 from repro.pdn.base import OperatingConditions
@@ -11,49 +11,6 @@ from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.soc.pmu import PmuTelemetry, PowerManagementUnit
 from repro.util.errors import ConfigurationError, ModelDomainError
-from repro.vr.base import RegulatorOperatingPoint
-
-
-def _point(vin, vout, iout):
-    return RegulatorOperatingPoint(
-        input_voltage_v=vin, output_voltage_v=vout, output_current_a=iout
-    )
-
-
-class TestHybridVoltageRegulator:
-    def test_defaults_to_ivr_mode(self):
-        assert HybridVoltageRegulator().mode is PdnMode.IVR_MODE
-
-    def test_ivr_mode_efficiency_in_ivr_range(self):
-        hybrid = HybridVoltageRegulator()
-        assert 0.78 <= hybrid.efficiency(_point(1.8, 0.9, 5.0)) <= 0.88
-
-    def test_ldo_mode_efficiency_follows_voltage_ratio(self):
-        hybrid = HybridVoltageRegulator()
-        hybrid.set_mode(PdnMode.LDO_MODE)
-        assert hybrid.efficiency(_point(0.9, 0.6, 2.0)) == pytest.approx(
-            (0.6 / 0.9) * 0.991, rel=1e-3
-        )
-
-    def test_ldo_mode_bypass_near_input_voltage(self):
-        hybrid = HybridVoltageRegulator()
-        hybrid.set_mode(PdnMode.LDO_MODE)
-        assert hybrid.efficiency(_point(0.9, 0.89, 2.0)) > 0.97
-
-    def test_required_input_voltage_per_mode(self):
-        hybrid = HybridVoltageRegulator()
-        assert hybrid.required_input_voltage_v(0.8) == pytest.approx(1.8)
-        hybrid.set_mode(PdnMode.LDO_MODE)
-        assert hybrid.required_input_voltage_v(0.8) == pytest.approx(0.8)
-
-    def test_idle_power_only_in_ivr_mode(self):
-        hybrid = HybridVoltageRegulator()
-        assert hybrid.idle_power_w() > 0.0
-        hybrid.set_mode(PdnMode.LDO_MODE)
-        assert hybrid.idle_power_w() == 0.0
-
-    def test_area_overhead_matches_paper(self):
-        assert HybridVoltageRegulator.AREA_OVERHEAD_MM2 == pytest.approx(0.041)
 
 
 class TestEteeCurveSet:

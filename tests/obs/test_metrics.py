@@ -14,7 +14,6 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     bucket_label,
-    get_metrics,
 )
 
 
@@ -111,9 +110,6 @@ class TestRegistry:
         counter.inc()
         assert registry.snapshot()["counters"]["bound"] == 1
         assert registry.counter("bound") is counter
-
-    def test_global_registry_is_process_wide(self):
-        assert get_metrics() is METRICS
 
 
 class TestServeStatsWrappers:

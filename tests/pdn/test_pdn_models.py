@@ -2,14 +2,20 @@
 
 import pytest
 
-from repro.pdn.base import OperatingConditions, peak_domain_powers_w
+from repro.pdn.base import (
+    LoadSets,
+    OperatingConditions,
+    active_loads,
+    peak_domain_powers_w,
+    power_state_loads,
+)
 from repro.pdn.imbvr import IMbvrPdn
 from repro.pdn.ivr import IvrPdn
 from repro.pdn.ldo import LdoPdn
 from repro.pdn.mbvr import MbvrPdn
 from repro.pdn.registry import available_pdns, build_pdn
-from repro.power.domains import DomainKind, WorkloadType
-from repro.power.power_states import PackageCState
+from repro.power.domains import COMPUTE_DOMAINS, DomainKind, NominalPowerCurves, WorkloadType
+from repro.power.power_states import POWER_STATE_PROFILES, PackageCState
 from repro.util.errors import ConfigurationError
 
 
@@ -207,3 +213,83 @@ class TestOperatingConditions:
         assert str(via_constructor.value) == (
             "loads must be in domain order; load 0 is io, expected core0"
         )
+
+
+class TestLoadConstruction:
+    """The per-domain loads every PDN model consumes (Table 1/2, Sec. 5)."""
+
+    def test_cpu_workload_keeps_graphics_near_idle(self):
+        loads = active_loads(18.0, WorkloadType.CPU_MULTI_THREAD)
+        assert loads[3].kind is DomainKind.GFX
+        assert loads[3].nominal_power_w < loads[0].nominal_power_w
+
+    def test_graphics_workload_shifts_budget_to_gfx(self):
+        loads = active_loads(18.0, WorkloadType.GRAPHICS)
+        assert loads[3].nominal_power_w > loads[0].nominal_power_w
+
+    def test_nominal_power_scales_with_tdp(self):
+        small = _conditions(tdp_w=4.0).nominal_power_w
+        large = _conditions(tdp_w=50.0).nominal_power_w
+        assert large > 5.0 * small
+
+    @pytest.mark.parametrize(
+        "workload,primary",
+        [(WorkloadType.CPU_MULTI_THREAD, DomainKind.CORE0), (WorkloadType.GRAPHICS, DomainKind.GFX)],
+        ids=["cpu", "graphics"],
+    )
+    def test_llc_voltage_follows_the_primary_domain(self, workload, primary):
+        # Graphics workloads run the LLC at the graphics voltage (Sec. 7.1).
+        conditions = _conditions(workload=workload)
+        assert conditions.load(DomainKind.LLC).voltage_v == conditions.load(primary).voltage_v
+
+    def test_only_compute_domains_sit_behind_power_gates(self):
+        gated = {load.kind for load in _conditions().loads if load.power_gated_rail}
+        assert gated == set(COMPUTE_DOMAINS)
+
+    def test_c0_min_keeps_every_domain_active(self):
+        loads = power_state_loads(PackageCState.C0_MIN)
+        assert all(load.active for load in loads)
+
+    @pytest.mark.parametrize(
+        "state",
+        [PackageCState.C2, PackageCState.C3, PackageCState.C6, PackageCState.C7, PackageCState.C8],
+        ids=lambda state: state.value,
+    )
+    def test_idle_states_keep_only_sa_and_io_active(self, state):
+        active = {load.kind for load in power_state_loads(state) if load.active}
+        assert active == {DomainKind.SA, DomainKind.IO}
+
+    @pytest.mark.parametrize("state", list(POWER_STATE_PROFILES), ids=lambda state: state.value)
+    def test_power_state_conditions_follow_the_profile(self, state):
+        profile = POWER_STATE_PROFILES[state]
+        low = OperatingConditions.for_power_state(4.0, state)
+        high = OperatingConditions.for_power_state(50.0, state)
+        assert low.application_ratio == profile.application_ratio
+        assert low.board_vr_state is profile.board_vr_state
+        assert low.workload_type is WorkloadType.IDLE
+        # A power state's loads are the profile's, whatever the TDP.
+        assert low.loads == high.loads
+
+    def test_load_sets_build_each_set_once(self):
+        load_sets = LoadSets()
+        first = load_sets.active(18.0, WorkloadType.GRAPHICS)
+        assert load_sets.active(18.0, WorkloadType.GRAPHICS) is first
+        assert first == active_loads(18.0, WorkloadType.GRAPHICS)
+        assert load_sets.power_state(PackageCState.C8) is load_sets.power_state(PackageCState.C8)
+
+    def test_curves_and_load_sets_are_exclusive(self):
+        with pytest.raises(ConfigurationError, match="pass curves or load_sets, not both"):
+            OperatingConditions.for_active_workload(
+                18.0,
+                0.56,
+                WorkloadType.CPU_MULTI_THREAD,
+                curves=NominalPowerCurves(),
+                load_sets=LoadSets(),
+            )
+
+    def test_custom_curves_reach_the_loads(self):
+        curves = NominalPowerCurves(idle_compute_w=0.2)
+        conditions = OperatingConditions.for_active_workload(
+            18.0, 0.56, WorkloadType.CPU_MULTI_THREAD, curves=curves
+        )
+        assert conditions.load(DomainKind.GFX).nominal_power_w == pytest.approx(0.2)

@@ -6,10 +6,7 @@ from repro.pdn.ivr import IvrPdn
 from repro.pdn.ldo import LdoPdn
 from repro.pdn.mbvr import MbvrPdn
 from repro.perf.budget_breakdown import budget_breakdown_for_tdp, worst_case_pdn_loss
-from repro.perf.frequency_sensitivity import (
-    FrequencySensitivityModel,
-    power_for_frequency_increase_w,
-)
+from repro.perf.frequency_sensitivity import FrequencySensitivityModel
 from repro.perf.model import PerformanceModel
 from repro.power.domains import DomainKind, WorkloadType
 from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
@@ -32,8 +29,9 @@ class TestFrequencySensitivity:
         assert 0.2 <= cost_w <= 1.0
 
     def test_gfx_and_cpu_domains_both_supported(self):
-        assert power_for_frequency_increase_w(18.0, DomainKind.CORE0) > 0.0
-        assert power_for_frequency_increase_w(18.0, DomainKind.GFX) > 0.0
+        model = FrequencySensitivityModel()
+        assert model.cpu_power_for_one_percent_w(18.0) > 0.0
+        assert model.gfx_power_for_one_percent_w(18.0) > 0.0
 
     def test_frequency_increase_inverts_power_cost(self):
         model = FrequencySensitivityModel()

@@ -10,7 +10,6 @@ from repro.power.domains import (
     NominalPowerCurves,
     WorkloadType,
     loads_by_kind,
-    total_nominal_power_w,
     validate_load_set,
 )
 from repro.util.errors import ConfigurationError
@@ -94,9 +93,6 @@ class TestLoadSetHelpers:
         return [
             DomainLoad(kind, 1.0, 0.8, 0.22) for kind in DomainKind
         ]
-
-    def test_total_nominal_power(self):
-        assert total_nominal_power_w(self._full_set()) == pytest.approx(6.0)
 
     def test_loads_by_kind_rejects_duplicates(self):
         loads = self._full_set() + [DomainLoad(DomainKind.IO, 1.0, 1.0, 0.22)]

@@ -4,11 +4,7 @@ import pytest
 
 from repro.power.domains import DomainKind, DomainLoad
 from repro.power.guardband import guardband_power_w, power_gate_power_w
-from repro.power.leakage import (
-    leakage_temperature_factor,
-    scale_power_with_voltage,
-    split_power,
-)
+from repro.power.leakage import scale_power_with_voltage
 from repro.util.errors import ModelDomainError
 
 
@@ -48,21 +44,6 @@ class TestScalePowerWithVoltage:
     def test_negative_power_rejected(self):
         with pytest.raises(ModelDomainError):
             scale_power_with_voltage(-1.0, 0.8, 0.01, 0.22)
-
-
-class TestTemperatureAndSplit:
-    def test_reference_temperature_factor_is_one(self):
-        assert leakage_temperature_factor(80.0) == pytest.approx(1.0)
-
-    def test_hotter_means_more_leakage(self):
-        assert leakage_temperature_factor(100.0) > 1.0
-        assert leakage_temperature_factor(50.0) < 1.0
-
-    def test_split_power(self):
-        leakage, dynamic = split_power(10.0, 0.22)
-        assert leakage == pytest.approx(2.2)
-        assert dynamic == pytest.approx(7.8)
-        assert leakage + dynamic == pytest.approx(10.0)
 
 
 class TestGuardbandPower:

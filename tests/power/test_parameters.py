@@ -54,6 +54,19 @@ class TestOverrides:
         with pytest.raises(ConfigurationError):
             default_parameters().with_overrides(supply_voltage_v=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("supply_voltage_v", float("inf"), "supply_voltage_v must be finite, got inf"),
+            ("ivr_tolerance_band_v", float("inf"), "ivr_tolerance_band_v must be finite, got inf"),
+            ("mbvr_tolerance_band_v", float("nan"), "mbvr_tolerance_band_v must be >= 0, got nan"),
+        ],
+    )
+    def test_non_finite_override_names_the_field(self, field, value, message):
+        with pytest.raises(ConfigurationError) as raised:
+            default_parameters().with_overrides(**{field: value})
+        assert str(raised.value) == message
+
     def test_invalid_current_efficiency_rejected(self):
         with pytest.raises(ConfigurationError):
             PdnTechnologyParameters(ldo_current_efficiency=1.5)
@@ -88,6 +101,11 @@ class TestPerDomainOverrides:
     def test_negative_or_non_numeric_value_names_field_and_domain(self, bad):
         gates = {**default_parameters().power_gate_impedance_ohm, DomainKind.GFX: bad}
         with pytest.raises(ConfigurationError, match="power_gate_impedance_ohm/gfx: must be a number >= 0"):
+            default_parameters().with_overrides(power_gate_impedance_ohm=gates)
+
+    def test_infinite_value_names_field_and_domain(self):
+        gates = {**default_parameters().power_gate_impedance_ohm, DomainKind.GFX: float("inf")}
+        with pytest.raises(ConfigurationError, match="power_gate_impedance_ohm/gfx: must be finite"):
             default_parameters().with_overrides(power_gate_impedance_ohm=gates)
 
     def test_rail_heads_suffice_for_mbvr_and_zero_is_allowed(self):

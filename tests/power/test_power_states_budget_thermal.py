@@ -1,4 +1,4 @@
-"""Tests for the package power states, budget manager and thermal model."""
+"""Tests for the package power states and the budget manager."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.power.power_states import (
     PackageCState,
     POWER_STATE_PROFILES,
 )
-from repro.power.thermal import ThermalModel
 from repro.util.errors import ModelDomainError
 
 
@@ -82,29 +81,3 @@ class TestPowerBudgetManager:
     def test_infeasible_budget_raises(self):
         with pytest.raises(ModelDomainError):
             PowerBudgetManager().split(4.0, 0.2)
-
-
-class TestThermalModel:
-    def test_performance_scenario_junction_temperatures(self):
-        # Tj 80 C for TDPs up to 8 W, 100 C above (Sec. 7.1).
-        assert ThermalModel.for_performance_workload(4.0).junction_temperature_c == 80.0
-        assert ThermalModel.for_performance_workload(8.0).junction_temperature_c == 80.0
-        assert ThermalModel.for_performance_workload(18.0).junction_temperature_c == 100.0
-
-    def test_battery_life_scenario_is_50c(self):
-        assert ThermalModel.for_battery_life_workload(18.0).junction_temperature_c == 50.0
-
-    def test_leakage_factor_direction(self):
-        hot = ThermalModel.for_performance_workload(50.0)
-        cool = ThermalModel.for_battery_life_workload(50.0)
-        assert hot.leakage_factor > 1.0 > cool.leakage_factor
-
-    def test_budget_checks(self):
-        model = ThermalModel(tdp_w=15.0, junction_temperature_c=80.0)
-        assert model.within_budget(14.9)
-        assert not model.within_budget(15.1)
-        assert model.headroom_w(10.0) == pytest.approx(5.0)
-
-    def test_silicon_temperature_range_enforced(self):
-        with pytest.raises(ModelDomainError):
-            ThermalModel(tdp_w=15.0, junction_temperature_c=150.0)

@@ -141,6 +141,23 @@ class TestOptimizeParsing:
             )
         assert pointer_of(excinfo) == "body/params/ivr_tolerance_band_v/1"
 
+    @pytest.mark.parametrize(
+        "bad", [float("inf"), float("-inf"), float("nan"), 10**400],
+        ids=["inf", "-inf", "nan", "huge-int"],
+    )
+    def test_non_finite_numbers_are_refused_where_they_stand(self, bad):
+        with pytest.raises(ProtocolError, match="expected a finite number") as excinfo:
+            parse_optimize_request({"tdps": [18.0, bad]})
+        assert pointer_of(excinfo) == "body/tdps/1"
+        with pytest.raises(ProtocolError, match="expected a finite number") as excinfo:
+            parse_optimize_request({"params": {"ivr_tolerance_band_v": [bad]}})
+        assert pointer_of(excinfo) == "body/params/ivr_tolerance_band_v/0"
+
+    def test_nan_timeout_is_refused(self):
+        with pytest.raises(ProtocolError) as excinfo:
+            parse_sweep_request({"tdps": [18.0], "timeout_s": float("nan")})
+        assert pointer_of(excinfo) == "body/timeout_s"
+
     def test_unknown_objective(self):
         with pytest.raises(ProtocolError) as excinfo:
             parse_optimize_request({"objectives": ["happiness"]})

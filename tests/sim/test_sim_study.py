@@ -16,9 +16,9 @@ import pytest
 from repro.sim.adapters import (
     SIM_METRIC_COLUMNS,
     phases_to_resultset,
-    results_to_resultset,
     simulation_record,
 )
+from repro.analysis.resultset import ResultSet
 from repro.sim.study import SimEngine, SimPoint, SimStudy, run_sim
 from repro.util.errors import ConfigurationError
 
@@ -79,6 +79,13 @@ class TestStudyBuilding:
         with pytest.raises(ConfigurationError):
             SimPoint(scenario="race-to-idle", tdp_w=4.0, trace_period_s=0.0)
 
+    @pytest.mark.parametrize("field", ["tdp_w", "trace_period_s"])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_point_axes_rejected_by_name(self, field, value):
+        axes = {"tdp_w": 4.0, "trace_period_s": 1.0, field: value}
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            SimPoint(scenario="race-to-idle", **axes)
+
 
 class TestEngineRuns:
     @pytest.fixture(scope="class")
@@ -93,11 +100,11 @@ class TestEngineRuns:
         study = _grid_study()
         names = tuple(engine.spot.pdns)
         per_unit = [
-            (point.record_fields(), engine.evaluate(name, point, point.overrides))
+            simulation_record(engine.evaluate(name, point, point.overrides), point.record_fields())
             for point in study.points
             for name in names
         ]
-        assert results_to_resultset(per_unit, name=study.name) == resultset
+        assert ResultSet.from_records(per_unit, name=study.name) == resultset
         assert engine.cache_info() == info
 
     def test_warm_run_is_all_hits_and_equal(self, reference):
@@ -245,10 +252,8 @@ class TestAdapters:
         assert "ivr_mode_time_s" not in record
         assert record["mode_switch_count"] == 0
 
-    def test_results_to_resultset_round_trips_json(self, flexwatts_run):
-        resultset = results_to_resultset([({"seed": 0}, flexwatts_run)])
-        from repro.analysis.resultset import ResultSet
-
+    def test_simulation_records_round_trip_json(self, flexwatts_run):
+        resultset = ResultSet.from_records([simulation_record(flexwatts_run, {"seed": 0})])
         assert ResultSet.from_json(resultset.to_json()) == resultset
 
     def test_phases_resultset_shape(self, flexwatts_run):

@@ -1,9 +1,8 @@
-"""Tests for the DVFS curves and the processor model (Table 1)."""
+"""Tests for the DVFS curves and sustained operating points (Table 1)."""
 
 import pytest
 
-from repro.power.domains import DomainKind, WorkloadType
-from repro.power.power_states import PackageCState
+from repro.power.domains import WorkloadType
 from repro.soc.dvfs import (
     CORE_VF_CURVE,
     GFX_VF_CURVE,
@@ -12,8 +11,6 @@ from repro.soc.dvfs import (
     sustained_core_frequency_ghz,
     sustained_gfx_frequency_ghz,
 )
-from repro.soc.processor import Processor, ProcessorConfiguration
-from repro.util.errors import ConfigurationError, ModelDomainError
 
 
 class TestVoltageFrequencyCurves:
@@ -64,48 +61,3 @@ class TestSustainedOperatingPoints:
         graphics = gfx_voltage_for_tdp(50.0, WorkloadType.GRAPHICS)
         cpu = gfx_voltage_for_tdp(50.0, WorkloadType.CPU_MULTI_THREAD)
         assert graphics > cpu
-
-
-class TestProcessor:
-    def test_default_configuration(self):
-        processor = Processor()
-        assert processor.configuration.core_count == 2
-        assert processor.tdp_w == pytest.approx(15.0)
-
-    def test_loads_cover_all_domains(self):
-        processor = Processor(ProcessorConfiguration(tdp_w=18.0))
-        loads = processor.loads_for_workload(WorkloadType.CPU_MULTI_THREAD)
-        assert {load.kind for load in loads} == set(DomainKind)
-
-    def test_cpu_workload_keeps_graphics_near_idle(self):
-        processor = Processor(ProcessorConfiguration(tdp_w=18.0))
-        loads = {load.kind: load for load in processor.loads_for_workload(WorkloadType.CPU_MULTI_THREAD)}
-        assert loads[DomainKind.GFX].nominal_power_w < loads[DomainKind.CORE0].nominal_power_w
-
-    def test_graphics_workload_shifts_budget_to_gfx(self):
-        processor = Processor(ProcessorConfiguration(tdp_w=18.0))
-        loads = {load.kind: load for load in processor.loads_for_workload(WorkloadType.GRAPHICS)}
-        assert loads[DomainKind.GFX].nominal_power_w > loads[DomainKind.CORE0].nominal_power_w
-
-    def test_nominal_power_scales_with_tdp(self):
-        small = Processor(ProcessorConfiguration(tdp_w=4.0)).nominal_power_w(
-            WorkloadType.CPU_MULTI_THREAD
-        )
-        large = Processor(ProcessorConfiguration(tdp_w=50.0)).nominal_power_w(
-            WorkloadType.CPU_MULTI_THREAD
-        )
-        assert large > 5.0 * small
-
-    def test_power_state_loads_delegate_to_profiles(self):
-        processor = Processor()
-        loads = processor.loads_for_power_state(PackageCState.C8)
-        active = [load for load in loads if load.active]
-        assert {load.kind for load in active} == {DomainKind.SA, DomainKind.IO}
-
-    def test_c0_power_state_loads_rejected(self):
-        with pytest.raises(ModelDomainError):
-            Processor().loads_for_power_state(PackageCState.C0)
-
-    def test_invalid_configuration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ProcessorConfiguration(core_count=0)

@@ -1,4 +1,4 @@
-"""Tests for the activity sensors, the PMU and the Turbo model."""
+"""Tests for the activity sensors and the PMU."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.soc.pmu import (
     PACKAGE_C6_EXIT_LATENCY_S,
     PowerManagementUnit,
 )
-from repro.soc.turbo import TurboBoostModel
 from repro.util.errors import ConfigurationError, ModelDomainError
 
 
@@ -102,31 +101,3 @@ class TestPmu:
             pmu.require_idle_compute()
         pmu.enter_power_state(PackageCState.C6)
         pmu.require_idle_compute()  # no exception once in package C6
-
-
-class TestTurbo:
-    def test_credit_accumulates_below_tdp(self):
-        turbo = TurboBoostModel.for_tdp(15.0)
-        turbo.accumulate(package_power_w=10.0, interval_s=1.0)
-        assert turbo.credit_j == pytest.approx(5.0)
-
-    def test_credit_capped_at_capacity(self):
-        turbo = TurboBoostModel.for_tdp(15.0)
-        turbo.accumulate(package_power_w=0.0, interval_s=1000.0)
-        assert turbo.credit_j == pytest.approx(turbo.credit_capacity_j)
-
-    def test_turbo_power_available_with_credit(self):
-        turbo = TurboBoostModel.for_tdp(15.0)
-        assert turbo.available_power_w() == pytest.approx(15.0)
-        turbo.accumulate(10.0, 1.0)
-        assert turbo.available_power_w() == pytest.approx(turbo.turbo_power_w)
-
-    def test_turbo_duration_finite_above_tdp(self):
-        turbo = TurboBoostModel.for_tdp(15.0)
-        turbo.accumulate(10.0, 2.0)
-        assert turbo.turbo_duration_s(20.0) == pytest.approx(2.0)
-        assert turbo.turbo_duration_s(10.0) == float("inf")
-
-    def test_invalid_turbo_limit_rejected(self):
-        with pytest.raises(ModelDomainError):
-            TurboBoostModel(tdp_w=15.0, turbo_power_w=10.0)

@@ -11,7 +11,6 @@ import pytest
 from repro.analysis.pdnspot import PdnSpot
 from repro.core.hybrid_vr import PdnMode
 from repro.core.mode_switching import ModeSwitchOverheads
-from repro.core.hybrid_vr import HybridVoltageRegulator
 from repro.workloads.graphics import THREEDMARK06_BENCHMARKS
 from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
 
@@ -86,5 +85,5 @@ class TestOverheadClaims:
 
     def test_area_overhead_negligible(self):
         """The LDO-mode area overhead is ~0.041 mm^2, <0.05 % of a client die."""
-        assert HybridVoltageRegulator.AREA_OVERHEAD_MM2 < 0.05
+        assert ModeSwitchOverheads().area_overhead_mm2 < 0.05
         assert ModeSwitchOverheads().dual_core_die_fraction < 0.001

@@ -15,7 +15,8 @@ from repro.power.power_states import BATTERY_LIFE_STATES
 from repro.util.errors import ReproError
 from repro.util.interpolate import LinearTable1D
 from repro.vr.base import RegulatorOperatingPoint
-from repro.vr.efficiency_curves import default_board_vr, default_ivr, default_ldo
+from repro.vr.efficiency_curves import default_board_vr, default_ivr
+from repro.vr.ldo import LowDropoutRegulator
 from repro.vr.load_line import LoadLine
 
 SETTINGS = settings(
@@ -59,7 +60,7 @@ class TestRegulatorProperties:
         iout=st.floats(min_value=0.01, max_value=10.0),
     )
     def test_ldo_efficiency_tracks_voltage_ratio(self, vin, ratio, iout):
-        regulator = default_ldo("ldo")
+        regulator = LowDropoutRegulator()
         vout = vin * ratio
         point = RegulatorOperatingPoint(vin, vout, iout)
         regulator.set_mode(regulator.mode_for(point))

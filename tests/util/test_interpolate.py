@@ -3,7 +3,7 @@
 import pytest
 
 from repro.util.errors import ConfigurationError
-from repro.util.interpolate import BilinearTable2D, LinearTable1D, clamp
+from repro.util.interpolate import LinearTable1D, clamp
 
 
 class TestClamp:
@@ -61,29 +61,3 @@ class TestLinearTable1D:
         table = LinearTable1D((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 4.0, 9.0))
         samples = [table(x / 10.0) for x in range(31)]
         assert samples == sorted(samples)
-
-
-class TestBilinearTable2D:
-    def test_corner_values(self):
-        table = BilinearTable2D((0.0, 1.0), (0.0, 1.0), ((0.0, 1.0), (2.0, 3.0)))
-        assert table(0.0, 0.0) == 0.0
-        assert table(0.0, 1.0) == 1.0
-        assert table(1.0, 0.0) == 2.0
-        assert table(1.0, 1.0) == 3.0
-
-    def test_centre_interpolation(self):
-        table = BilinearTable2D((0.0, 1.0), (0.0, 1.0), ((0.0, 1.0), (2.0, 3.0)))
-        assert table(0.5, 0.5) == pytest.approx(1.5)
-
-    def test_clamped_outside_grid(self):
-        table = BilinearTable2D((0.0, 1.0), (0.0, 1.0), ((0.0, 1.0), (2.0, 3.0)))
-        assert table(-5.0, -5.0) == 0.0
-        assert table(5.0, 5.0) == 3.0
-
-    def test_rejects_ragged_rows(self):
-        with pytest.raises(ConfigurationError):
-            BilinearTable2D((0.0, 1.0), (0.0, 1.0), ((0.0, 1.0), (2.0,)))
-
-    def test_rejects_wrong_row_count(self):
-        with pytest.raises(ConfigurationError):
-            BilinearTable2D((0.0, 1.0, 2.0), (0.0, 1.0), ((0.0, 1.0), (2.0, 3.0)))

@@ -5,39 +5,6 @@ import pytest
 from repro.util import units
 
 
-def test_watts_milliwatts_roundtrip():
+def test_watts_to_milliwatts():
     assert units.watts_to_milliwatts(1.5) == pytest.approx(1500.0)
-    assert units.milliwatts_to_watts(1500.0) == pytest.approx(1.5)
-    assert units.milliwatts_to_watts(units.watts_to_milliwatts(0.123)) == pytest.approx(0.123)
-
-
-def test_volts_millivolts_roundtrip():
-    assert units.volts_to_millivolts(0.02) == pytest.approx(20.0)
-    assert units.millivolts_to_volts(20.0) == pytest.approx(0.02)
-
-
-def test_ohms_milliohms_roundtrip():
-    assert units.ohms_to_milliohms(0.0025) == pytest.approx(2.5)
-    assert units.milliohms_to_ohms(2.5) == pytest.approx(0.0025)
-
-
-def test_amps_milliamps_roundtrip():
-    assert units.amps_from_milliamps(250.0) == pytest.approx(0.25)
-    assert units.milliamps_from_amps(0.25) == pytest.approx(250.0)
-
-
-def test_time_conversions():
-    assert units.microseconds_to_seconds(94.0) == pytest.approx(94e-6)
-    assert units.seconds_to_microseconds(94e-6) == pytest.approx(94.0)
-
-
-def test_zero_is_preserved_by_all_conversions():
-    for converter in (
-        units.watts_to_milliwatts,
-        units.milliwatts_to_watts,
-        units.volts_to_millivolts,
-        units.millivolts_to_volts,
-        units.ohms_to_milliohms,
-        units.milliohms_to_ohms,
-    ):
-        assert converter(0.0) == 0.0
+    assert units.watts_to_milliwatts(0.0) == 0.0

@@ -5,7 +5,6 @@ import pytest
 from repro.util.errors import ConfigurationError
 from repro.util.validation import (
     require_fraction,
-    require_in_range,
     require_non_negative,
     require_positive,
 )
@@ -20,6 +19,16 @@ class TestRequirePositive:
         with pytest.raises(ConfigurationError, match="x"):
             require_positive(value, "x")
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [(float("inf"), "x must be finite, got inf"), (float("nan"), "x must be > 0, got nan"),
+         (float("-inf"), "x must be > 0, got -inf")],
+    )
+    def test_rejects_non_finite(self, value, message):
+        with pytest.raises(ConfigurationError) as raised:
+            require_positive(value, "x")
+        assert str(raised.value) == message
+
 
 class TestRequireNonNegative:
     def test_accepts_zero_and_positive(self):
@@ -29,6 +38,15 @@ class TestRequireNonNegative:
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             require_non_negative(-0.001, "x")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [(float("inf"), "x must be finite, got inf"), (float("nan"), "x must be >= 0, got nan")],
+    )
+    def test_rejects_non_finite(self, value, message):
+        with pytest.raises(ConfigurationError) as raised:
+            require_non_negative(value, "x")
+        assert str(raised.value) == message
 
 
 class TestRequireFraction:
@@ -40,13 +58,3 @@ class TestRequireFraction:
     def test_rejects_out_of_range(self, value):
         with pytest.raises(ConfigurationError):
             require_fraction(value, "x")
-
-
-class TestRequireInRange:
-    def test_accepts_boundaries(self):
-        assert require_in_range(4.0, 4.0, 50.0, "tdp") == 4.0
-        assert require_in_range(50.0, 4.0, 50.0, "tdp") == 50.0
-
-    def test_rejects_outside(self):
-        with pytest.raises(ConfigurationError, match="tdp"):
-            require_in_range(3.9, 4.0, 50.0, "tdp")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.util.errors import ModelDomainError
 from repro.vr.load_line import LoadLine
-from repro.vr.tolerance_band import ToleranceBand
 
 
 class TestLoadLine:
@@ -54,18 +53,6 @@ class TestLoadLine:
 
 
 class TestToleranceBand:
-    def test_total_is_sum_of_components(self):
-        tob = ToleranceBand(controller_v=0.010, current_sense_v=0.006, ripple_v=0.004)
-        assert tob.total_v == pytest.approx(0.020)
-
-    def test_from_total_preserves_total(self):
-        tob = ToleranceBand.from_total(0.018)
-        assert tob.total_v == pytest.approx(0.018)
-
-    def test_scaled(self):
-        tob = ToleranceBand.from_total(0.020).scaled(0.5)
-        assert tob.total_v == pytest.approx(0.010)
-
     def test_table2_ranges(self):
         # IVR 18-22 mV, MBVR 18-20 mV, LDO 16-18 mV: the defaults used by the
         # parameter set must sit inside those ranges.

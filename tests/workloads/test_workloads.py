@@ -8,14 +8,10 @@ from repro.power.domains import WorkloadType
 from repro.power.power_states import PackageCState
 from repro.util.errors import ConfigurationError
 from repro.workloads.base import Benchmark, WorkloadPhase, WorkloadTrace
-from repro.workloads.battery_life import BATTERY_LIFE_WORKLOADS, battery_life_suite
+from repro.workloads.battery_life import BATTERY_LIFE_WORKLOADS
 from repro.workloads.graphics import THREEDMARK06_BENCHMARKS
-from repro.workloads.spec_cpu2006 import (
-    SPEC_CPU2006_BENCHMARKS,
-    average_performance_scalability,
-    spec_cpu2006_suite,
-)
-from repro.workloads.synthetic import SyntheticTraceGenerator, power_virus_benchmark
+from repro.workloads.spec_cpu2006 import SPEC_CPU2006_BENCHMARKS
+from repro.workloads.synthetic import SyntheticTraceGenerator
 
 
 class TestBenchmarkAndTrace:
@@ -62,13 +58,9 @@ class TestSpecSuite:
         for benchmark in SPEC_CPU2006_BENCHMARKS:
             assert 0.40 <= benchmark.application_ratio <= 0.80
 
-    def test_multi_threaded_variant(self):
-        rate = spec_cpu2006_suite(multi_threaded=True)
-        assert all(b.workload_type is WorkloadType.CPU_MULTI_THREAD for b in rate)
-        assert len(rate) == 29
-
     def test_average_scalability_reasonable(self):
-        assert 0.5 < average_performance_scalability() < 0.8
+        scalabilities = [b.performance_scalability for b in SPEC_CPU2006_BENCHMARKS]
+        assert 0.5 < sum(scalabilities) / len(scalabilities) < 0.8
 
 
 class TestGraphicsSuite:
@@ -81,7 +73,7 @@ class TestGraphicsSuite:
 
 class TestBatteryLifeWorkloads:
     def test_four_workloads_with_paper_residencies(self):
-        suite = battery_life_suite()
+        suite = BATTERY_LIFE_WORKLOADS
         assert len(suite) == 4
         residencies = {
             workload.name: workload.residencies[PackageCState.C0_MIN] for workload in suite
@@ -130,9 +122,6 @@ class TestSyntheticGenerator:
             WorkloadType.CPU_MULTI_THREAD,
             WorkloadType.GRAPHICS,
         }
-
-    def test_power_virus_has_unit_ar(self):
-        assert power_virus_benchmark().application_ratio == 1.0
 
     def test_bursty_trace_structure(self):
         generator = SyntheticTraceGenerator(seed=1)
